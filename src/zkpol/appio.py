@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .field import FieldParams
+from .field import FieldError, FieldParams
 from . import localcalc, statements
 from .poseidon import PoseidonParams, params_for
 from .statements import (
@@ -190,13 +190,20 @@ def instance_from_doc(doc: dict) -> StatementInstance:
     return inst
 
 
-def load_instance(path) -> StatementInstance:
+def _read_object(path) -> dict:
+    """The JSON object stored at ``path``."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}")
-    return instance_from_doc(doc)
+    if not isinstance(doc, dict):
+        raise SchemaError("/: expected an object")
+    return doc
+
+
+def load_instance(path) -> StatementInstance:
+    return instance_from_doc(_read_object(path))
 
 
 def save_instance(inst: StatementInstance, path) -> None:
@@ -226,6 +233,24 @@ class FixtureSpec:
             raise GenerationFailed("n_traj outside desk-scale cap [1, 4096]")
         if self.n_geo < 1:
             raise GenerationFailed("n_geo must be positive")
+        try:
+            _field_for(self.coord_bits)
+        except FieldError as exc:
+            raise GenerationFailed(f"coord_bits: {exc}")
+
+
+def load_spec(path) -> FixtureSpec:
+    """Read a fixture spec file: a JSON object with ``kind``, ``n_traj``
+    and ``n_geo``, plus optional ``seed``, ``coord_bits`` and ``mode``."""
+    doc = _read_object(path)
+    return FixtureSpec(
+        kind=_want(doc, "kind", ""),
+        seed=_as_int(doc.get("seed", 0), "/seed"),
+        n_traj=_as_int(_want(doc, "n_traj", ""), "/n_traj"),
+        n_geo=_as_int(_want(doc, "n_geo", ""), "/n_geo"),
+        coord_bits=_as_int(doc.get("coord_bits", 12), "/coord_bits"),
+        mode=doc.get("mode", "compliant"),
+    )
 
 
 def _field_for(coord_bits: int) -> FieldParams:

@@ -12,6 +12,14 @@ prover's side of a real backend.  ``evaluate_and_check`` then re-runs the
 whole gate list from the input witnesses alone (optionally with some input
 witnesses overridden) and checks every assertion, standing in for the
 verifier-side protocol run.
+
+Two hot gadgets append through bulk primitives instead of one method call
+per gate: ``decompose`` (bit decomposition) and ``poseidon_rounds`` (the
+Poseidon permutation, with each round's constants folded into the
+previous round's MDS affines).  They write the same gate kinds straight
+into the gate, domain and value lists and keep every counter equal to the
+per-gate composition; only the wires a caller receives get ``Wire``
+handles.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import enum
 from dataclasses import dataclass
 
 from .field import FieldElement, FieldParams
+from .poseidon import PoseidonParams
 
 
 class CircuitError(Exception):
@@ -288,6 +297,118 @@ class ConstraintSystem:
         recomposed = self.affine([1 << i for i in range(k)], bits)
         self.assert_eq(recomposed, w)
         return bits
+
+    def poseidon_rounds(self, state: list[Wire], pp: PoseidonParams) -> list[Wire]:
+        """Bulk primitive behind the Poseidon permutation: every round of
+        ``pp`` applied to ``state``, appended in one batch.
+
+        Round 0 adds its constants with t one-term affines; every later
+        round's constants are folded into the ``const`` of the previous
+        round's MDS affines.  The S-boxes are the same chained mul gates a
+        per-gate composition emits (3 for alpha = 5, alpha - 1 otherwise),
+        an S-box output keeps its lane's domain and an MDS output takes
+        the most secret lane domain.  Counters equal those of the per-gate
+        composition with unfolded constants: a non-zero const counts one
+        add on whichever affine carries it.  Only the t outputs get Wire
+        handles."""
+        t = pp.t
+        if len(state) != t:
+            raise ValueError(f"state width must be {t}")
+        for w in state:
+            self._check_operand(w)
+        p = self.p
+        rc = pp.round_constants
+        alpha = pp.alpha
+        mds = [tuple(c % p for c in row) for row in pp.mds]
+        gates = self._gates
+        vals = self._values
+        add_gate = gates.append
+        add_dom = self._domains.append
+        add_val = vals.append
+        start = wid = len(gates)
+        ids = [w.id for w in state]
+        doms = [w.domain for w in state]
+        xs = [vals[i] for i in ids]
+        known = None not in xs
+        if not known:
+            xs = [0] * t  # placeholder arithmetic; values are cleared below
+        n_add = 0
+        n_mul = 0
+        for i in range(t):
+            c = rc[i]
+            if c:
+                n_add += 1
+            c %= p
+            add_gate((_AFFINE, (1,), (ids[i],), c))
+            add_dom(doms[i])
+            xs[i] = (xs[i] + c) % p
+            add_val(xs[i])
+            ids[i] = wid
+            wid += 1
+        all_lanes = range(t)
+        first_partial = pp.r_full // 2
+        last_partial = first_partial + pp.r_partial
+        last = pp.n_rounds - 1
+        for rnd in range(pp.n_rounds):
+            for i in (0,) if first_partial <= rnd < last_partial else all_lanes:
+                a = ids[i]
+                x = xs[i]
+                d = doms[i]
+                if alpha == 5:
+                    x2 = x * x % p
+                    x4 = x2 * x2 % p
+                    y = x4 * x % p
+                    add_gate((_MUL, a, a))
+                    add_gate((_MUL, wid, wid))
+                    add_gate((_MUL, wid + 1, a))
+                    add_dom(d)
+                    add_dom(d)
+                    add_dom(d)
+                    add_val(x2)
+                    add_val(x4)
+                    add_val(y)
+                    ids[i] = wid + 2
+                    wid += 3
+                    n_mul += 3
+                else:
+                    y = x
+                    for _ in range(alpha - 1):
+                        y = y * x % p
+                        add_gate((_MUL, ids[i], a))
+                        add_dom(d)
+                        add_val(y)
+                        ids[i] = wid
+                        wid += 1
+                    n_mul += alpha - 1
+                xs[i] = y
+            lanes = tuple(ids)
+            dmax = max(doms)
+            off = (rnd + 1) * t
+            n_add += t * (t - 1)
+            new_xs = []
+            for i in range(t):
+                c = rc[off + i] if rnd < last else 0
+                if c:
+                    n_add += 1
+                c %= p
+                row = mds[i]
+                acc = c
+                for cj, xj in zip(row, xs):
+                    acc += cj * xj
+                acc %= p
+                add_gate((_AFFINE, row, lanes, c))
+                add_dom(dmax)
+                add_val(acc)
+                new_xs.append(acc)
+            xs = new_xs
+            ids = list(range(wid, wid + t))
+            doms = [dmax] * t
+            wid += t
+        if not known:
+            vals[start:] = [None] * (wid - start)
+        self.n_mul += n_mul
+        self.n_add += n_add
+        return [Wire(i, d, _CIRCUIT) for i, d in zip(ids, doms)]
 
     # -- prover-local access -------------------------------------------
 

@@ -138,17 +138,7 @@ def _cmd_session(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    with open(args.spec) as fh:
-        doc = json.load(fh)
-    spec = appio.FixtureSpec(
-        kind=doc["kind"],
-        seed=int(doc.get("seed", 0)),
-        n_traj=int(doc["n_traj"]),
-        n_geo=int(doc["n_geo"]),
-        coord_bits=int(doc.get("coord_bits", 12)),
-        mode=doc.get("mode", "compliant"),
-    )
-    inst = appio.gen_fixture(spec)
+    inst = appio.gen_fixture(appio.load_spec(args.spec))
     if args.out:
         appio.save_instance(inst, args.out)
     else:

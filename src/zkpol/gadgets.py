@@ -200,35 +200,16 @@ def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[Wire, Wire, Wire
 # -- Poseidon gadget ----------------------------------------------------
 
 
-def _sbox(cs: ConstraintSystem, w: Wire, alpha: int) -> Wire:
-    if alpha == 5:
-        w2 = cs.mul(w, w)
-        w4 = cs.mul(w2, w2)
-        return cs.mul(w4, w)
-    out = w
-    for _ in range(alpha - 1):
-        out = cs.mul(out, w)
-    return out
-
-
 def poseidon_permute(cs: ConstraintSystem, state: list[Wire], pp: PoseidonParams) -> list[Wire]:
-    """In-circuit Poseidon permutation; mirrors the reference round
-    structure exactly."""
-    t = pp.t
-    if len(state) != t:
-        raise ValueError(f"state width must be {t}")
-    s = list(state)
-    rc = pp.round_constants
-    half = pp.r_full // 2
-    for rnd in range(pp.n_rounds):
-        off = rnd * t
-        s = [cs.affine([1], [s[i]], rc[off + i]) for i in range(t)]
-        if half <= rnd < half + pp.r_partial:
-            s[0] = _sbox(cs, s[0], pp.alpha)
-        else:
-            s = [_sbox(cs, v, pp.alpha) for v in s]
-        s = [cs.affine(list(pp.mds[i]), s) for i in range(t)]
-    return s
+    """In-circuit Poseidon permutation; computes the reference round
+    structure exactly.
+
+    A thin wrapper over the bulk primitive ``cs.poseidon_rounds``, which
+    appends all rounds in one batch and folds each round's constants into
+    the previous round's MDS affines; the gate counters equal those of
+    the round-by-round composition.
+    """
+    return cs.poseidon_rounds(state, pp)
 
 
 def poseidon_hash(cs: ConstraintSystem, msg: list[Wire], pp: PoseidonParams) -> Wire:

@@ -154,6 +154,15 @@ def trail_hash(trail_points, ad: AuthorityData) -> int:
     return statements.honest_hash(ad.field_params, ad.pp, trail, ad.n_traj)
 
 
+def _signable_hash(trail_points, ad: AuthorityData) -> int | None:
+    """The trail hash, or None for a trail whose length lies outside
+    (0, n_traj]: no instance of the statement admits it, so there is
+    nothing to sign or prove."""
+    if not 0 < len(trail_points) <= ad.n_traj:
+        return None
+    return trail_hash(trail_points, ad)
+
+
 def fzk_check(ad: AuthorityData, h: int, store: TrailStore) -> bool:
     """Constraint-check stand-in for the ideal ZK functionality: build the
     statement circuit from (AD, h) and the submitted witness, evaluate."""
@@ -182,7 +191,7 @@ def fzk_check(ad: AuthorityData, h: int, store: TrailStore) -> bool:
 class WitnessDevice:
     def __init__(self, scheme: SchnorrSignature, hash_fn):
         self.scheme = scheme
-        self.hash_fn = hash_fn  # points -> int
+        self.hash_fn = hash_fn  # points -> int, or None when unsignable
         self.sid = None
         self.pk = None
         self._sk = None
@@ -203,7 +212,7 @@ class WitnessDevice:
             return []
         if name == "getcoords":
             h = self.hash_fn(self.coords)
-            sigma = self.scheme.sign(self._sk, signing_bytes(self.sid, h))
+            sigma = None if h is None else self.scheme.sign(self._sk, signing_bytes(self.sid, h))
             return [("coords", self.sid, tuple(self.coords), sigma)]
         raise ProtocolOrderViolation(f"unknown command {name!r}")
 
@@ -263,7 +272,8 @@ def run_session(
     outgoing messages: prover_tamper(kind, payload) -> payload where kind
     is "sig" (payload (h, sigma)) or "fzk" (payload (ad, h, points));
     verifier_tamper(ad_v, h) -> (ad_v, h) rewrites what the verifier
-    submits to the ZK check.
+    submits to the ZK check.  A trail whose length lies outside
+    (0, n_traj] is left unsigned and ends not_ok for both parties.
     """
     if scenario not in ("honest", "corrupt_prover", "corrupt_verifier"):
         raise InvalidScenario(f"unknown scenario {scenario!r}")
@@ -275,7 +285,7 @@ def run_session(
     ad_v = ad_v if ad_v is not None else ad_p
     rng = random.Random(seed)
     scheme = SchnorrSignature()
-    witness = WitnessDevice(scheme, lambda pts: trail_hash(pts, ad_p))
+    witness = WitnessDevice(scheme, lambda pts: _signable_hash(pts, ad_p))
     transcript = SessionTranscript(sid=sid, scenario=scenario)
 
     # init + moves
@@ -296,9 +306,11 @@ def run_session(
     prover_out = "not_ok"
     sig_msg = None
     fzk_submission = None
-    h = trail_hash(store.read("prover"), ad_p)
-    if scheme.verify(pk, signing_bytes(sid, h), sigma) and policy_holds(
-        store.read("prover"), ad_p
+    h = _signable_hash(store.read("prover"), ad_p)
+    if (
+        h is not None
+        and scheme.verify(pk, signing_bytes(sid, h), sigma)
+        and policy_holds(store.read("prover"), ad_p)
     ):
         prover_out = "ok"
         sig_payload = (h, sigma)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .circuit import ConstraintSystem, Domain, SatisfactionReport, Wire
 from .field import FieldParams
 from . import gadgets, localcalc
-from .poseidon import PoseidonParams, params_for
+from .poseidon import PoseidonParamError, PoseidonParams, params_for
 
 
 class InstanceError(Exception):
@@ -164,7 +164,11 @@ def validate_instance(inst: StatementInstance) -> None:
 
 def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, h_ex=None) -> StatementInstance:
     """Assemble an instance, computing the honest trail hash by default."""
-    pp = pp or params_for(field_params)
+    if pp is None:
+        try:
+            pp = params_for(field_params)
+        except PoseidonParamError as exc:
+            raise InstanceError(f"no Poseidon parameters for this field: {exc}") from exc
     if h_ex is None:
         h_ex = honest_hash(field_params, pp, trail, n_traj)
     inst = StatementInstance(

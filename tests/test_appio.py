@@ -13,6 +13,7 @@ from zkpol.appio import (
     gen_fixture,
     instance_from_doc,
     load_instance,
+    load_spec,
     save_instance,
     serialize_instance,
 )
@@ -277,3 +278,30 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     bad.write_text("{}")
     assert cli_main(["check", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_cli_gen_malformed_spec_exits_two(tmp_path, capsys):
+    good = {"kind": "ev", "seed": 1, "n_traj": 8, "n_geo": 2}
+    texts = [
+        "{bad",
+        "[1, 2]",
+        json.dumps({**good, "n_traj": "eight"}),
+        json.dumps({**good, "seed": [1]}),
+        json.dumps({**good, "coord_bits": 0}),
+        json.dumps({"kind": "ev", "n_traj": 8}),
+    ]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(text)
+        assert cli_main(["gen", str(path)]) == 2, text
+    # check treats the same malformed files the same way
+    assert cli_main(["check", str(tmp_path / "spec0.json")]) == 2
+    assert cli_main(["check", str(tmp_path / "spec1.json")]) == 2
+    capsys.readouterr()
+
+
+def test_load_spec_error_carries_json_pointer(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "ev", "n_traj": 8, "n_geo": "two"}))
+    with pytest.raises(SchemaError, match="/n_geo"):
+        load_spec(path)

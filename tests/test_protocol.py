@@ -271,6 +271,21 @@ def test_real_outputs_match_ideal_functionality():
         assert real.outputs == ideal
 
 
+def test_out_of_range_trail_length_ends_not_ok_like_ideal():
+    def tamper(kind, payload):
+        return payload
+
+    for moves in ([], [(0, 0)] * (AD_EV.n_traj + 1)):
+        t1 = run_session("honest", AD_EV, moves, seed=5)
+        t2 = run_session("honest", AD_EV, moves, seed=5)
+        assert t1.outputs == ideal_outputs(moves, AD_EV, AD_EV)
+        assert t1.outputs == {"prover": "not_ok", "verifier": "not_ok"}
+        assert t1.to_json() == t2.to_json()
+        json.dumps(t1.to_json())
+        t = run_session("corrupt_prover", AD_EV, moves, prover_tamper=tamper)
+        assert t.outputs == ideal_outputs(moves, AD_EV, AD_EV, corrupted="prover")
+
+
 def test_ideal_functionality_corruption_override():
     out = ideal_outputs(BAD_EV_MOVES, AD_EV, AD_EV, corrupted="prover", adversary_result="ok")
     assert out["prover"] == "ok"

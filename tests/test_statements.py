@@ -4,6 +4,7 @@ import pytest
 
 from zkpol import localcalc
 from zkpol.circuit import ConstraintSystem
+from zkpol.field import FieldParams
 from zkpol.statements import (
     CircleSet,
     InstanceError,
@@ -80,6 +81,17 @@ def test_instance_rejects_oversized_d_req():
     with pytest.raises(InstanceError):
         make_instance(
             "ev", FP12, 2, SubsidyPolicy(1 << w, 0), CircleSet(((1, 1, 1),)), trail
+        )
+
+
+def test_instance_rejects_prime_without_poseidon_parameters():
+    # 32771 is a valid field for 2-bit coordinates, but 5 | p - 1 leaves
+    # the default S-box (alpha = 5) without an inverse.
+    fp = FieldParams(modulus=32771, coord_bits=2)
+    with pytest.raises(InstanceError, match="Poseidon"):
+        make_instance(
+            "ev", fp, 2, SubsidyPolicy(d_req=0, p_req=0),
+            CircleSet(((1, 1, 1),)), Trail(((0, 0), (1, 1))),
         )
 
 
@@ -301,3 +313,16 @@ def test_statement_cost_rejects_bad_sizes():
         statement_cost("ev", 0, 1, FP12)
     with pytest.raises(InstanceError):
         statement_cost("tax", 4, 0, FP12)
+
+
+def test_statement_cost_pinned():
+    # Counters of the round-by-round Poseidon construction; the bulk
+    # permutation must reproduce them exactly.
+    assert statement_cost("ev", 256, 1, FieldParams()) == {
+        "n_mul": 109001, "n_add": 244116, "n_assert": 46798,
+        "n_prover_inputs": 46029, "n_shared_inputs": 6,
+    }
+    assert statement_cost("tax", 64, 16, FieldParams()) == {
+        "n_mul": 39696, "n_add": 78243, "n_assert": 17493,
+        "n_prover_inputs": 17172, "n_shared_inputs": 98,
+    }
