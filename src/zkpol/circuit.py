@@ -8,10 +8,10 @@ gate output is the most secret domain among its operands.
 Construction is eager: every gate's value is computed as it is appended,
 so gadget code can derive prover-local hints (bit decompositions, square
 roots, characteristic vectors) from intermediate values.  This mirrors the
-prover's side of a real backend.  ``evaluate_and_check`` then re-runs the
-whole gate list from the input witnesses alone (optionally with some input
-witnesses overridden) and checks every assertion, standing in for the
-verifier-side protocol run.
+prover's side of a real backend.  Input witnesses are fixed once wired, so
+``evaluate_and_check``, standing in for the verifier-side protocol run,
+checks the assertions against the eager values and re-evaluates only the
+forward cone of any input witnesses it is asked to override.
 
 Two hot gadgets append through bulk primitives instead of one method call
 per gate: ``decompose`` (bit decomposition) and ``poseidon_rounds`` (the
@@ -128,6 +128,7 @@ class ConstraintSystem:
         self._domains: list[int] = []
         self._values: list[int | None] = []
         self._assertions: list[int] = []  # wire ids asserted == 0
+        self._unset_inputs: list[int] = []  # input wire ids wired without a witness
         self.n_mul = 0
         self.n_add = 0
         self.n_prover_inputs = 0
@@ -154,6 +155,8 @@ class ConstraintSystem:
         v = None
         if value is not None:
             v = int(value) % self.p if not isinstance(value, FieldElement) else value.value
+        else:
+            self._unset_inputs.append(len(self._gates))
         return self._new_wire((_INPUT,), int(domain), v)
 
     def const(self, value) -> Wire:
@@ -419,12 +422,6 @@ class ConstraintSystem:
             raise IncompleteWitness(f"wire {w.id} has no value")
         return v
 
-    def set_input_witness(self, w: Wire, value: int) -> None:
-        """Replace the stored witness of an input wire (mutation testing)."""
-        if self._gates[w.id][0] != _INPUT:
-            raise CircuitError("only input wires carry free witnesses")
-        self._values[w.id] = int(value) % self.p
-
     # -- evaluation ----------------------------------------------------
 
     @property
@@ -438,39 +435,48 @@ class ConstraintSystem:
         )
 
     def evaluate_and_check(self, overrides: dict[int, int] | None = None) -> SatisfactionReport:
-        """Topologically re-evaluate every wire from the inputs and check
-        all assertions.  ``overrides`` maps input wire ids to replacement
-        witness values."""
-        p = self.p
-        n = len(self._gates)
-        vals: list[int] = [0] * n
-        stored = self._values
-        for wid, g in enumerate(self._gates):
-            op = g[0]
-            if op == _ADD:
-                vals[wid] = (vals[g[1]] + vals[g[2]]) % p
-            elif op == _MUL:
-                vals[wid] = (vals[g[1]] * vals[g[2]]) % p
-            elif op == _SUB:
-                vals[wid] = (vals[g[1]] - vals[g[2]]) % p
-            elif op == _AFFINE:
-                acc = g[3]
-                for c, i in zip(g[1], g[2]):
-                    acc += c * vals[i]
-                vals[wid] = acc % p
-            elif op == _INPUT:
-                if overrides is not None and wid in overrides:
-                    vals[wid] = overrides[wid] % p
-                else:
-                    v = stored[wid]
-                    if v is None:
-                        raise IncompleteWitness(f"input wire {wid} unset")
-                    vals[wid] = v
-            else:  # _CONST
-                vals[wid] = g[1]
+        """Check the assertions in order against the eager values, stopping
+        at the first that fails.  ``overrides`` maps input wire ids to
+        replacement witnesses; only gates with a changed operand or no eager
+        value (``poseidon_rounds`` over an unset lane) are re-evaluated, in
+        id order and no further than the assertions walked so far reach."""
+        p, gates, stored = self.p, self._gates, self._values
+        overrides = overrides or {}
+        new: dict[int, int] = {}  # wire id -> value differing from the eager one
+        for wid, v in overrides.items():
+            if not (isinstance(wid, int) and 0 <= wid < len(gates) and gates[wid][0] == _INPUT):
+                raise CircuitError(f"override key {wid!r} is not an input wire id")
+            if v % p != stored[wid]:
+                new[wid] = v % p
+        for wid in self._unset_inputs:
+            if wid not in overrides:
+                raise IncompleteWitness(f"input wire {wid} unset")
+        done = min(new, default=len(gates))  # gates below keep their eager values
         first_fail = None
-        for idx, wid in enumerate(self._assertions):
-            if vals[wid] != 0:
+        for idx, aw in enumerate(self._assertions):
+            if aw >= done:
+                for wid, g in enumerate(gates[done : aw + 1], done):
+                    op = g[0]
+                    if op == _AFFINE:
+                        # None only in a poseidon_rounds batch over an unset lane
+                        if stored[wid] is not None and new.keys().isdisjoint(g[2]):
+                            continue
+                        v = g[3]
+                        for c, i in zip(g[1], g[2]):
+                            v += c * new.get(i, stored[i])
+                    elif op <= _CONST:
+                        continue  # inputs are settled above; constants never change
+                    else:
+                        a, b = g[1], g[2]
+                        if a not in new and b not in new:
+                            continue
+                        va, vb = new.get(a, stored[a]), new.get(b, stored[b])
+                        v = va * vb if op == _MUL else va + vb if op == _ADD else va - vb
+                    v %= p
+                    if v != stored[wid]:
+                        new[wid] = v
+                done = aw + 1
+            if new.get(aw, stored[aw]):
                 first_fail = idx
                 break
         return SatisfactionReport(
@@ -491,10 +497,3 @@ class ConstraintSystem:
                 if g[2] and doms[wid] < max(doms[i] for i in g[2]):
                     return False
         return True
-
-    def input_wire_ids(self, domain: Domain | None = None) -> list[int]:
-        return [
-            wid
-            for wid, g in enumerate(self._gates)
-            if g[0] == _INPUT and (domain is None or self._domains[wid] == int(domain))
-        ]

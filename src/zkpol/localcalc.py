@@ -11,6 +11,7 @@ not share code with the gadget implementations.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .poseidon import PoseidonParams
@@ -167,16 +168,17 @@ def poseidon_permutation_ref(state, pp: PoseidonParams) -> list[int]:
     if len(state) != t:
         raise ValueError(f"state width must be {t}")
     s = [v % p for v in state]
-    rc = pp.round_constants
-    half = pp.r_full // 2
-    for rnd in range(pp.n_rounds):
-        off = rnd * t
-        s = [(s[i] + rc[off + i]) % p for i in range(t)]
-        if half <= rnd < half + pp.r_partial:
-            s[0] = pow(s[0], pp.alpha, p)
+    alpha = pp.alpha
+    partial = range(pp.r_full // 2, pp.r_full // 2 + pp.r_partial)
+    # Constants are added unreduced; the MDS row sums reduce every lane
+    # once per round.
+    for rnd, c in enumerate(zip(*[iter(pp.round_constants)] * t)):
+        if rnd in partial:
+            s = list(map(operator.add, s, c))
+            s[0] = pow(s[0], alpha, p)
         else:
-            s = [pow(v, pp.alpha, p) for v in s]
-        s = [sum(pp.mds[i][j] * s[j] for j in range(t)) % p for i in range(t)]
+            s = [pow(v + ci, alpha, p) for v, ci in zip(s, c)]
+        s = [sum(map(operator.mul, row, s)) % p for row in pp.mds]
     return s
 
 

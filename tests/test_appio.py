@@ -89,6 +89,17 @@ def test_schema_rejects_out_of_range_circle():
         instance_from_doc(doc)
 
 
+@pytest.mark.parametrize("n_traj", [0, 4097])
+def test_schema_rejects_n_traj_outside_cap(tmp_path, n_traj):
+    doc = _doc()
+    doc["sizes"]["n_traj"] = str(n_traj)
+    with pytest.raises(SchemaError, match="/sizes/n_traj"):
+        instance_from_doc(doc)
+    path = tmp_path / "sized.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["check", str(path)]) == 2
+
+
 def test_load_reorients_clockwise_triangles():
     inst = random_tax_instance(random.Random(89), max_traj=4, max_tri=1)
     doc = serialize_instance(inst)

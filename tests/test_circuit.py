@@ -1,15 +1,30 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from zkpol import localcalc
 from zkpol.circuit import (
+    _ADD,
+    _AFFINE,
+    _INPUT,
+    _MUL,
+    _SUB,
+    CircuitError,
     ConstraintSystem,
     Domain,
     IncompleteWitness,
     PublicNeedsNoWire,
+    SatisfactionReport,
     Stage,
     StageViolation,
     Wire,
 )
 from zkpol.field import FieldParams
+from zkpol.poseidon import params_for
+from zkpol.statements import build_statement
+
+from conftest import random_ev_instance, random_tax_instance
 
 FP = FieldParams(coord_bits=12)
 
@@ -122,9 +137,14 @@ def test_empty_system_report():
 
 def test_incomplete_witness():
     cs = fresh()
-    cs.wire_input(None, Domain.PROVER)
-    with pytest.raises(IncompleteWitness):
+    cs.wire_input(1, Domain.PROVER)
+    first = cs.wire_input(None, Domain.PROVER)
+    second = cs.wire_input(None, Domain.PROVER)
+    with pytest.raises(IncompleteWitness, match=f"input wire {first.id} unset"):
         cs.evaluate_and_check()
+    with pytest.raises(IncompleteWitness, match=f"input wire {first.id} unset"):
+        cs.evaluate_and_check({second.id: 2})
+    assert cs.evaluate_and_check({first.id: 1, second.id: 2}).satisfied
 
 
 def test_affine_combo_counts_adds():
@@ -146,6 +166,18 @@ def test_override_reevaluates_downstream():
     assert not cs.evaluate_and_check(overrides={a.id: 5}).satisfied
 
 
+@pytest.mark.parametrize("target", ["gate", "const", "out_of_range", "negative"])
+def test_override_must_name_an_input_wire(target):
+    cs = fresh()
+    a = cs.wire_input(2, Domain.PROVER)
+    prod = cs.mul(a, a)
+    four = cs.const(4)
+    cs.assert_eq(prod, four)
+    wid = {"gate": prod.id, "const": four.id, "out_of_range": 10**6, "negative": -1}[target]
+    with pytest.raises(CircuitError, match="not an input wire"):
+        cs.evaluate_and_check({wid: 5})
+
+
 def test_domain_monotonicity_structural():
     cs = fresh()
     a = cs.wire_input(2, Domain.PROVER)
@@ -164,3 +196,121 @@ def test_counter_determinism():
         return cs.counters
 
     assert build() == build()
+
+
+# -- differential test against the full re-evaluation --------------------
+
+
+def _rederive(cs, overrides=None):
+    """Every wire's value re-derived from the input witnesses alone, one
+    gate at a time in id order: the reference ``evaluate_and_check`` must
+    agree with."""
+    p = cs.p
+    vals = [0] * len(cs._gates)
+    for wid, g in enumerate(cs._gates):
+        op = g[0]
+        if op == _ADD:
+            vals[wid] = (vals[g[1]] + vals[g[2]]) % p
+        elif op == _MUL:
+            vals[wid] = (vals[g[1]] * vals[g[2]]) % p
+        elif op == _SUB:
+            vals[wid] = (vals[g[1]] - vals[g[2]]) % p
+        elif op == _AFFINE:
+            acc = g[3]
+            for c, i in zip(g[1], g[2]):
+                acc += c * vals[i]
+            vals[wid] = acc % p
+        elif op == _INPUT:
+            if overrides is not None and wid in overrides:
+                vals[wid] = overrides[wid] % p
+            else:
+                v = cs._values[wid]
+                if v is None:
+                    raise IncompleteWitness(f"input wire {wid} unset")
+                vals[wid] = v
+        else:  # _CONST
+            vals[wid] = g[1]
+    return vals
+
+
+def _reference_report(cs, overrides=None):
+    vals = _rederive(cs, overrides)
+    first = next((idx for idx, wid in enumerate(cs._assertions) if vals[wid]), None)
+    return SatisfactionReport(first is None, first, cs.counters)
+
+
+def _statement_systems():
+    """Small ev and tax statements, built with honest hints and with
+    adversarial square-root and triangle hints."""
+    rng = random.Random(3141)
+    systems = []
+    for make in (random_ev_instance, random_tax_instance):
+        for _ in range(3):
+            inst = make(rng, 6, 3)
+            n = inst.n_traj
+            hint_sets = [{}, {"sqrt_hints": [rng.randrange(1 << 14) for _ in range(n - 1)]}]
+            if inst.kind == "tax":
+                n_tri = inst.geometry.count
+                hint_sets.append({"tri_hints": [rng.randrange(n_tri + 2) for _ in range(n)]})
+            for hints in hint_sets:
+                cs = ConstraintSystem(inst.field_params)
+                build_statement(inst, cs, **hints)
+                systems.append(cs)
+    return systems
+
+
+SYSTEMS = _statement_systems()
+
+
+def _unset_lane_system():
+    """A Poseidon permutation over a lane wired without a witness, with its
+    outputs asserted equal to the reference permutation of (1, 2, 3)."""
+    pp = params_for(FP)
+    cs = fresh()
+    state = [cs.wire_input(v, Domain.PROVER) for v in (1, None, 3)]
+    for w, ref in zip(cs.poseidon_rounds(state, pp), localcalc.poseidon_permutation_ref([1, 2, 3], pp)):
+        cs.assert_eq(w, cs.const(ref))
+    return cs, state[1].id
+
+
+def test_eager_values_match_rederivation():
+    verdicts = set()
+    for cs in SYSTEMS:
+        assert cs._values == _rederive(cs)
+        report = cs.evaluate_and_check()
+        assert report == _reference_report(cs)
+        verdicts.add(report.satisfied)
+    assert verdicts == {True, False}
+
+
+def _draw_overrides(data, cs, forced=()):
+    inputs = [wid for wid, g in enumerate(cs._gates) if g[0] == _INPUT]
+    picks = data.draw(st.lists(st.sampled_from(inputs), min_size=1, max_size=3, unique=True))
+    overrides = {}
+    for wid in sorted(set(picks) | set(forced)):
+        old = cs._values[wid] or 0
+        overrides[wid] = data.draw(st.one_of(
+            st.sampled_from([old, old ^ 1, old + 1, old - 1, 0, 1]),
+            st.integers(min_value=0, max_value=cs.p - 1),
+        ))
+    return overrides
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_overrides_match_reference_evaluator(data):
+    cs = data.draw(st.sampled_from(SYSTEMS))
+    overrides = _draw_overrides(data, cs)
+    assert cs.evaluate_and_check(overrides) == _reference_report(cs, overrides)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_overrides_supplying_an_unset_lane_match_reference(data):
+    cs, missing = _unset_lane_system()
+    overrides = _draw_overrides(data, cs, forced=[missing])
+    assert cs.evaluate_and_check(overrides) == _reference_report(cs, overrides)
+    assert cs.evaluate_and_check({missing: 2}).satisfied
+    del overrides[missing]
+    with pytest.raises(IncompleteWitness):
+        cs.evaluate_and_check(overrides)

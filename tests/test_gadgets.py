@@ -3,7 +3,7 @@ import random
 import pytest
 
 from zkpol import gadgets, localcalc
-from zkpol.circuit import ConstraintSystem, Domain
+from zkpol.circuit import _INPUT, ConstraintSystem, Domain
 from zkpol.field import FieldParams
 
 FP = FieldParams(coord_bits=12)
@@ -291,8 +291,15 @@ def test_lookup_out_of_range_unsatisfiable():
 def test_lookup_two_ones_unsatisfiable():
     cs = fresh()
     rows = [tuple(cs.wire_input(v, Domain.SHARED) for v in row) for row in TABLE]
-    out = gadgets.lookup(cs, 2, rows)
-    # Force a second one into the characteristic vector.
-    sel_ids = cs.input_wire_ids(Domain.PROVER)
+    first = len(cs._gates)
+    gadgets.lookup(cs, 2, rows)
+    sel_ids = [
+        wid for wid in range(first, len(cs._gates))
+        if cs._gates[wid] == (_INPUT,) and cs._domains[wid] == Domain.PROVER
+    ]
+    assert len(sel_ids) == len(TABLE)
+    # Force a second one into the characteristic vector: every entry stays
+    # boolean, so the first assertion to fail is the sum-to-one check.
     report = cs.evaluate_and_check(overrides={sel_ids[0]: 1})
     assert not report.satisfied
+    assert report.first_failed_assertion == len(TABLE)
