@@ -14,18 +14,20 @@ checks the assertions against the eager values and re-evaluates only the
 forward cone of any input witnesses it is asked to override.
 
 Two hot gadgets append through bulk primitives instead of one method call
-per gate: ``decompose`` (bit decomposition) and ``poseidon_rounds`` (the
-Poseidon permutation, with each round's constants folded into the
-previous round's MDS affines).  They write the same gate kinds straight
-into the gate, domain and value lists and keep every counter equal to the
-per-gate composition; only the wires a caller receives get ``Wire``
-handles.
+per gate: ``decompose`` (bit decomposition, whose per-bit gates, domains,
+values and booleanity assertions each go in with one ``list.extend``) and
+``poseidon_rounds`` (the Poseidon permutation, with each round's constants
+folded into the previous round's MDS affines).  They write the same gate
+kinds straight into the gate, domain and value lists and keep every
+counter equal to the per-gate composition; only the wires a caller
+receives get ``Wire`` handles.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .field import FieldElement, FieldParams
 from .poseidon import PoseidonParams
@@ -91,6 +93,12 @@ _ADD = 2
 _SUB = 3
 _MUL = 4
 _AFFINE = 5  # (op, coeffs, wire_ids, const)
+
+
+@lru_cache(maxsize=None)
+def _pow2_coeffs(k: int, p: int) -> tuple[int, ...]:
+    """Recomposition coefficients 2^0 .. 2^(k-1), reduced mod p."""
+    return tuple((1 << i) % p for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -261,45 +269,49 @@ class ConstraintSystem:
 
     def decompose(self, w: Wire, k: int, hint: int | None = None) -> list[Wire]:
         """Bulk primitive behind bit decomposition: k prover-only input
-        bits, each boolean-asserted (b*(b-1)=0), plus a recomposition
-        assertion against w.  Semantically identical to composing
-        wire_input / mul / sub / affine / assert gates; implemented as one
-        batch append for construction speed."""
+        bits b_i = (v >> i) & 1 of w's value v (or of ``hint``), each
+        boolean-asserted as b*(b-1) = 0, then the recomposition
+        affine sum(2^i * b_i) asserted equal to w.
+
+        Gates, domains, values, assertion order and counters are those of
+        the per-gate composition wire_input / sub / mul / assert_zero per
+        bit, then affine / assert_eq.  The 3k bit gates, their domains and
+        values, and the k booleanity assertions each go in with one
+        ``list.extend``; every bit shares one ``(_INPUT,)`` gate tuple and
+        takes the values (1, 0, 0) or (0, p-1, 0).  The recomposition
+        affine's value is (v mod 2^k) mod p."""
         self._check_operand(w)
+        if k < 1:
+            raise CircuitError("decompose needs k >= 1 bits")
         v = self._values[w.id] if hint is None else hint
         if v is None:
             raise IncompleteWitness(f"wire {w.id} has no value to decompose")
-        gates = self._gates
-        doms = self._domains
-        vals = self._values
-        asserts = self._assertions
-        prover = int(Domain.PROVER)
-        bits = []
-        bit_ids = []
+        p = self.p
         one = self.const(1).id
-        for i in range(k):
-            b = (v >> i) & 1
-            wid = len(gates)
-            gates.append((_INPUT,))
-            doms.append(prover)
-            vals.append(b)
-            bits.append(Wire(wid, prover, _CIRCUIT))
-            bit_ids.append(wid)
-            # b - 1
-            gates.append((_SUB, wid, one))
-            doms.append(prover)
-            vals.append((b - 1) % self.p)
-            # b * (b - 1)
-            gates.append((_MUL, wid, wid + 1))
-            doms.append(prover)
-            vals.append(0 if b in (0, 1) else (b * (b - 1)) % self.p)
-            asserts.append(wid + 2)
+        gates = self._gates
+        start = len(gates)
+        ids = range(start, start + 3 * k, 3)
+        inp = (_INPUT,)
+        gates.extend([g for i in ids for g in (inp, (_SUB, i, one), (_MUL, i, i + 1))])
+        prover = int(Domain.PROVER)
+        self._domains.extend([prover] * (3 * k + 2))
+        per_bit = ((0, p - 1, 0), (1, 0, 0))
+        low = v & ((1 << k) - 1)
+        self._values.extend([x for i in range(k) for x in per_bit[(low >> i) & 1]])
+        self._assertions.extend(range(start + 2, start + 3 * k, 3))
+        # Recomposition affine and its equality with w (assert_eq's sub).
+        rid = start + 3 * k
+        gates.append((_AFFINE, _pow2_coeffs(k, p), tuple(ids), 0))
+        gates.append((_SUB, rid, w.id))
+        rec = low % p
+        vw = self._values[w.id]
+        self._values.append(rec)
+        self._values.append(None if vw is None else (rec - vw) % p)
+        self._assertions.append(rid + 1)
         self.n_prover_inputs += k
         self.n_mul += k
-        self.n_add += k
-        recomposed = self.affine([1 << i for i in range(k)], bits)
-        self.assert_eq(recomposed, w)
-        return bits
+        self.n_add += 2 * k  # k bit subs, k - 1 affine adds, the final sub
+        return [Wire(i, prover, _CIRCUIT) for i in ids]
 
     def poseidon_rounds(self, state: list[Wire], pp: PoseidonParams) -> list[Wire]:
         """Bulk primitive behind the Poseidon permutation: every round of

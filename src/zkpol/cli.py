@@ -43,10 +43,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    """Build the statement once, then check each trail mutation by
+    overriding the trail inputs.  Only the digest-equality assertion may
+    reject a mutation: passing, or failing anywhere else first, is a
+    binding violation."""
     inst = appio.load_instance(args.instance)
     rng = random.Random(args.seed)
-    cs = ConstraintSystem(inst.field_params)
-    honest = statements.build_statement(inst, cs).check().satisfied
+    handle = statements.build_statement(inst, ConstraintSystem(inst.field_params))
+    honest = handle.check().satisfied
     oracle = statements.oracle_verdict(inst)
     violations = 0
     if honest != oracle:
@@ -54,6 +58,7 @@ def _cmd_fuzz(args) -> int:
         print(f"EQUIVALENCE VIOLATION: circuit={honest} oracle={oracle}")
     bound = 1 << inst.field_params.coord_bits
     pts = list(inst.trail.points)
+    flat = statements.trail_message(inst.trail, inst.n_traj)
     for trial in range(args.mutations):
         i = rng.randrange(len(pts))
         axis = rng.randrange(2)
@@ -63,18 +68,14 @@ def _cmd_fuzz(args) -> int:
             new_coord = rng.randrange(bound)
         mutated = list(pts)
         mutated[i] = (new_coord, old[1]) if axis == 0 else (old[0], new_coord)
-        m_inst = statements.make_instance(
-            inst.kind,
-            inst.field_params,
-            inst.n_traj,
-            inst.policy,
-            inst.geometry,
-            statements.Trail(tuple(mutated)),
-            pp=inst.pp,
-            h_ex=inst.h_ex,  # original hash: binding must reject the mutation
-        )
-        m_cs = ConstraintSystem(inst.field_params)
-        if statements.build_statement(m_inst, m_cs).check().satisfied:
+        # Padding repeats the last point, so a mutated last point moves its
+        # padded copies too.
+        m_flat = statements.trail_message(statements.Trail(tuple(mutated)), inst.n_traj)
+        overrides = {
+            wid: v for wid, v, o in zip(handle.trail_input_ids, m_flat, flat) if v != o
+        }
+        report = handle.check(overrides=overrides)
+        if report.first_failed_assertion != handle.digest_assertion:
             violations += 1
             print(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
     print(json.dumps({"mutations": args.mutations, "violations": violations}))

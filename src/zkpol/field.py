@@ -14,9 +14,13 @@ trails of up to n_traj points):
     doubled triangle area             < 2^(2*k_c + 3)
     barycentric reconstruction term   < 2^(3*k_c + 4)
     tot * P_req                       < 2^(k_c + 1 + log2(n_traj) + 7)
+    sqrt remainder r=sq-d^2 and 2d-r  < 2^(k_seg + 1), k_seg = k_c + 1
 
 All of these stay below p/2 at the defaults (k_c = 24, n_traj <= 4096), so
-signed quantities embedded via ``from_signed`` never wrap.
+signed quantities embedded via ``from_signed`` never wrap.  The square
+root's range proof also needs sq - d^2, negative for a dishonest
+d < 2^k_seg, not to wrap mod p; that takes p > 2^(2*k_seg + 1), which
+p > 2^(3*k_c + 6) implies.
 """
 
 from __future__ import annotations

@@ -69,19 +69,38 @@ def sqrt_floor(
     mode: str = "both",
     hint: int | None = None,
 ) -> Wire:
-    """Prover-supplied floor square root of sq in [0, 2^(2k)).
+    """Prover-supplied root d of sq in [0, 2^(2k)), range-proved to k bits.
 
-    mode selects which side of  d^2 <= sq < (d+1)^2  is enforced:
-    "both", "lower_only" (subsidy use), or "upper_only" (tax use).
+    In every mode d is wired as a prover input and decomposed into k bits,
+    so d < 2^k as an integer.  mode selects what else is enforced:
+
+    "both" (subsidy use) makes d = isqrt(sq), through the identity
+    d = isqrt(sq)  <=>  0 <= sq - d^2 <= 2d.  It sets r = sq - d*d and
+    decomposes r and 2d - r into k + 1 bits each: 1 + k + 2(k + 1) muls.
+    Soundness, for p > 2^(2k+1):
+      - d < 2^k gives r <= 2d < 2^(k+1), so an honest r and 2d - r fit.
+      - The decompositions make the residues r and 2d - r integers in
+        [0, 2^(k+1)).  As integers sq, d^2 < 2^(2k), so sq - d^2 differs
+        from the residue r by less than 2^(2k) + 2^(k+1) <= 2^(2k+1) < p,
+        and 2d - r from its residue by less than 2^(k+2) < p.  Neither
+        congruence can wrap, so 0 <= sq - d^2 <= 2d over the integers,
+        i.e. d^2 <= sq < (d + 1)^2.
+    The statements use k = coord_bits + 1, and FieldParams guarantees
+    p > 2^(3*coord_bits + 6) = 2^(3k + 3).
+
+    "upper_only" (tax use) enforces only sq < (d+1)^2, with one 2k-bit
+    comparison; any d in [isqrt(sq), 2^k) satisfies it.
     """
-    if mode not in ("both", "lower_only", "upper_only"):
+    if mode not in ("both", "upper_only"):
         raise ValueError(f"unknown mode {mode!r}")
     d_val = hint if hint is not None else isqrt(cs.value(sq))
     d = cs.wire_input(d_val, Domain.PROVER)
-    if mode in ("both", "lower_only"):
-        dsq = cs.mul(d, d)
-        assert_leq(cs, dsq, sq, 2 * k)
-    if mode in ("both", "upper_only"):
+    decompose_bits(cs, d, k)
+    if mode == "both":
+        r = cs.sub(sq, cs.mul(d, d))
+        decompose_bits(cs, r, k + 1)
+        decompose_bits(cs, cs.affine([2, cs.p - 1], [d, r]), k + 1)
+    else:
         dp = cs.add(d, cs.const(1))
         dpsq = cs.mul(dp, dp)
         # sq < (d+1)^2  <=>  sq <= (d+1)^2 - 1

@@ -118,10 +118,14 @@ def tot_width(field_params: FieldParams, n_traj: int) -> int:
     return field_params.coord_bits + 1 + max(n_traj, 1).bit_length()
 
 
-def honest_hash(field_params: FieldParams, pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
+def trail_message(trail: Trail, n_traj: int) -> list[int]:
+    """The padded trail as it is hashed and wired: every x, then every y."""
     pts = trail.padded(n_traj)
-    msg = [x for x, _ in pts] + [y for _, y in pts]
-    return localcalc.poseidon_digest_ref(msg, pp)
+    return [x for x, _ in pts] + [y for _, y in pts]
+
+
+def honest_hash(field_params: FieldParams, pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
+    return localcalc.poseidon_digest_ref(trail_message(trail, n_traj), pp)
 
 
 def validate_instance(inst: StatementInstance) -> None:
@@ -189,6 +193,7 @@ def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, 
 class StatementHandle:
     cs: ConstraintSystem
     trail_input_ids: list[int]
+    digest_assertion: int  # index of the assertion digest == h_ex
 
     def check(self, overrides: dict[int, int] | None = None) -> SatisfactionReport:
         return self.cs.evaluate_and_check(overrides)
@@ -199,8 +204,10 @@ def _wire_trail(cs: ConstraintSystem, inst: StatementInstance):
     xs = [cs.wire_input(x, Domain.PROVER) for x, _ in pts]
     ys = [cs.wire_input(y, Domain.PROVER) for _, y in pts]
     digest = gadgets.poseidon_hash(cs, xs + ys, inst.pp)
-    cs.assert_eq(digest, cs.wire_input(inst.h_ex, Domain.SHARED))
-    return pts, xs, ys
+    h_ex = cs.wire_input(inst.h_ex, Domain.SHARED)
+    digest_assertion = len(cs._assertions)
+    cs.assert_eq(digest, h_ex)
+    return pts, xs, ys, digest_assertion
 
 
 def _segment_sq(cs, xs, ys, i) -> Wire:
@@ -220,10 +227,12 @@ def build_ev_subsidy(
     length over consecutive segments, and asserts d_req <= tot and
     tot * p_req <= cc * 100.
 
-    Segment square roots are checked on both sides.  Dropping the upper
-    bound would let a prover understate the lengths of segments outside
-    the circles, shrinking tot while cc stays put and inflating the
-    coverage share; the percentage condition makes the one-sided
+    Segment square roots are checked on both sides ("both" mode of
+    ``gadgets.sqrt_floor``, which also range-proves each length d to
+    k_seg bits and so keeps the tot comparison widths honest).  Dropping
+    the upper bound would let a prover understate the lengths of segments
+    outside the circles, shrinking tot while cc stays put and inflating
+    the coverage share; the percentage condition makes the one-sided
     relaxation unsound here, unlike in the tax statement.
     """
     if inst.kind != "ev":
@@ -231,7 +240,7 @@ def build_ev_subsidy(
     validate_instance(inst)
     fp = inst.field_params
     kc = fp.coord_bits
-    pts, xs, ys = _wire_trail(cs, inst)
+    pts, xs, ys, digest_assertion = _wire_trail(cs, inst)
     us = [cs.wire_input(u, Domain.SHARED) for u, _, _ in inst.geometry.circles]
     vs = [cs.wire_input(v, Domain.SHARED) for _, v, _ in inst.geometry.circles]
     ss = [cs.wire_input(r * r, Domain.SHARED) for _, _, r in inst.geometry.circles]
@@ -245,8 +254,6 @@ def build_ev_subsidy(
         sq = _segment_sq(cs, xs, ys, i)
         hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
         d = gadgets.sqrt_floor(cs, sq, k_seg, "both", hint)
-        # Range proof on d keeps the tot comparison widths honest.
-        gadgets.decompose_bits(cs, d, k_seg)
         tot = cs.add(tot, d)
         both = gadgets.and_gate(cs, b_pi, b_in)
         cc = cs.oblivious_choice(both, cs.add(cc, d), cc)
@@ -259,7 +266,7 @@ def build_ev_subsidy(
     lhs = cs.mul(tot, p_req)
     rhs = cs.affine([100], [cc])
     gadgets.assert_leq(cs, lhs, rhs, w + 7)
-    return StatementHandle(cs, [w.id for w in xs] + [w.id for w in ys])
+    return StatementHandle(cs, [w.id for w in xs] + [w.id for w in ys], digest_assertion)
 
 
 def build_highway_tax(
@@ -282,7 +289,7 @@ def build_highway_tax(
     fp = inst.field_params
     kc = fp.coord_bits
     tris = inst.geometry.triangles
-    pts, xs, ys = _wire_trail(cs, inst)
+    pts, xs, ys, digest_assertion = _wire_trail(cs, inst)
     rows_x = []
     rows_y = []
     for tri in tris:
@@ -310,7 +317,6 @@ def build_highway_tax(
             sq = _segment_sq(cs, xs, ys, i)
             hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
             d = gadgets.sqrt_floor(cs, sq, k_seg, "upper_only", hint)
-            gadgets.decompose_bits(cs, d, k_seg)
             tot = cs.add(tot, d)
             off_road = gadgets.and_gate(cs, c_prev, c_i)
             hw = cs.oblivious_choice(off_road, cs.add(hw, d), hw)
@@ -322,7 +328,7 @@ def build_highway_tax(
     # comparison in range without changing the verdict.
     d_max = min(inst.policy.d_max, (1 << w) - 1)
     gadgets.assert_leq(cs, taxed, cs.wire_input(d_max, Domain.SHARED), w)
-    return StatementHandle(cs, [w_.id for w_ in xs] + [w_.id for w_ in ys])
+    return StatementHandle(cs, [w_.id for w_ in xs] + [w_.id for w_ in ys], digest_assertion)
 
 
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, **hints) -> StatementHandle:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from zkpol import appio, localcalc, statements
+from zkpol import appio, gadgets, localcalc, statements
 from zkpol.appio import (
     FixtureSpec,
     GenerationFailed,
@@ -250,6 +250,38 @@ def test_cli_fuzz_clean_run(tmp_path, capsys):
     assert cli_main(["fuzz", path, "--mutations", "5", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert json.loads(out.splitlines()[-1])["violations"] == 0
+
+
+def test_cli_fuzz_builds_the_statement_once(tmp_path, capsys, monkeypatch):
+    builds = []
+    real_build = statements.build_statement
+
+    def counting_build(*args, **kwargs):
+        builds.append(args[0].kind)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(statements, "build_statement", counting_build)
+    for kind in ("ev", "tax"):
+        builds.clear()
+        path = _write_fixture(tmp_path, kind=kind)
+        assert cli_main(["fuzz", path, "--mutations", "6", "--seed", "2"]) == 0
+        assert builds == [kind]
+        assert json.loads(capsys.readouterr().out.splitlines()[-1]) == {
+            "mutations": 6, "violations": 0,
+        }
+
+
+def test_cli_fuzz_reports_a_hash_that_ignores_the_message(tmp_path, capsys, monkeypatch):
+    path = _write_fixture(tmp_path)
+    h_ex = load_instance(path).h_ex
+    # The digest matches h_ex whatever the trail, so the honest check still
+    # holds and only the mutations expose the missing binding.
+    monkeypatch.setattr(gadgets, "poseidon_hash", lambda cs, msg, pp: cs.const(h_ex))
+    assert cli_main(["fuzz", path, "--mutations", "5", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "EQUIVALENCE VIOLATION" not in "\n".join(lines)
+    assert sum("HASH BINDING VIOLATION" in line for line in lines) == 5
+    assert json.loads(lines[-1]) == {"mutations": 5, "violations": 5}
 
 
 def test_cli_cost_csv(capsys):

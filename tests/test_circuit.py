@@ -314,3 +314,64 @@ def test_overrides_supplying_an_unset_lane_match_reference(data):
     del overrides[missing]
     with pytest.raises(IncompleteWitness):
         cs.evaluate_and_check(overrides)
+
+
+# -- bulk bit decomposition against the per-gate composition ---------------
+
+
+def _per_gate_decompose(cs, w, k, hint=None):
+    v = cs._values[w.id] if hint is None else hint
+    one = cs.const(1)
+    bits = []
+    for i in range(k):
+        b = cs.wire_input((v >> i) & 1, Domain.PROVER)
+        cs.assert_zero(cs.mul(b, cs.sub(b, one)))
+        bits.append(b)
+    cs.assert_eq(cs.affine([1 << i for i in range(k)], bits), w)
+    return bits
+
+
+SMALL_FP = FieldParams(modulus=521, coord_bits=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decompose_matches_per_gate_composition(data):
+    fp = data.draw(st.sampled_from([FP, SMALL_FP]))
+    k = data.draw(st.integers(min_value=1, max_value=40))
+    v = data.draw(st.one_of(
+        st.integers(min_value=0, max_value=(1 << k) - 1),
+        st.integers(min_value=0, max_value=fp.modulus - 1),
+    ))
+    hint = data.draw(st.one_of(
+        st.none(),
+        st.integers(min_value=-(1 << 45), max_value=1 << 45),
+        st.integers(min_value=fp.modulus - 4, max_value=fp.modulus + 4),
+    ))
+    source = data.draw(st.sampled_from(["prover", "shared", "const", "unset"]))
+    if source == "unset" and hint is None:
+        hint = v
+    one_first = data.draw(st.booleans())
+    built = []
+    for decompose in (ConstraintSystem.decompose, _per_gate_decompose):
+        cs = ConstraintSystem(fp)
+        if one_first:
+            cs.const(1)
+        if source == "const":
+            w = cs.const(v)
+        elif source == "unset":
+            w = cs.wire_input(None, Domain.PROVER)
+        else:
+            w = cs.wire_input(v, Domain.PROVER if source == "prover" else Domain.SHARED)
+        bits = decompose(cs, w, k, hint)
+        built.append((
+            cs._gates, cs._domains, cs._values, cs._assertions, cs.counters,
+            [(b.id, b.domain, b.stage) for b in bits],
+        ))
+    assert built[0] == built[1]
+
+
+def test_decompose_needs_a_bit():
+    cs = fresh()
+    with pytest.raises(CircuitError):
+        cs.decompose(cs.wire_input(0, Domain.PROVER), 0)

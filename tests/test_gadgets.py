@@ -104,18 +104,36 @@ def test_sqrt_adversarial_over_rejected():
     assert not cs.evaluate_and_check().satisfied
 
 
-def test_sqrt_lower_only_allows_understatement():
-    cs, _ = _sqrt_system(25, 4, "lower_only", hint=3)
-    assert cs.evaluate_and_check().satisfied
-    cs, _ = _sqrt_system(25, 4, "lower_only", hint=6)
-    assert not cs.evaluate_and_check().satisfied
-
-
 def test_sqrt_upper_only_allows_overstatement():
     cs, _ = _sqrt_system(25, 4, "upper_only", hint=7)
     assert cs.evaluate_and_check().satisfied
     cs, _ = _sqrt_system(25, 4, "upper_only", hint=4)
     assert not cs.evaluate_and_check().satisfied
+
+
+def test_sqrt_modes_exhaustive_small_k():
+    # Every sq < 2^(2k) against every in-range hint and two wrapped ones:
+    # p - d (same square as d) and (p+1)/2 (the field's 1/2, so 2d = 1).
+    k = 4
+    p = FP.modulus
+    wrapped = [p - d for d in range(1, 1 << k)] + [(p + 1) // 2]
+    for sq in range(1 << (2 * k)):
+        root = localcalc.isqrt(sq)
+        for d in list(range(1 << k)) + wrapped:
+            both, _ = _sqrt_system(sq, k, "both", hint=d)
+            assert both.evaluate_and_check().satisfied == (d == root), (sq, d)
+            upper, _ = _sqrt_system(sq, k, "upper_only", hint=d)
+            assert upper.evaluate_and_check().satisfied == (root <= d < 1 << k), (sq, d)
+
+
+def test_sqrt_range_proves_root_in_every_mode():
+    # d is decomposed to k bits in both modes: k + (k+1) + (k+1) muls plus
+    # d*d in "both"; k plus the (2k+1)-bit comparison and (d+1)^2 otherwise.
+    k = 10
+    for mode, n_mul in (("both", 1 + k + 2 * (k + 1)), ("upper_only", k + 1 + 2 * k + 1)):
+        cs, _ = _sqrt_system(200, k, mode)
+        assert cs.n_mul == n_mul
+        assert cs.evaluate_and_check().satisfied
 
 
 def test_sqrt_totality_small_exhaustive():
@@ -130,8 +148,9 @@ def test_sqrt_totality_small_exhaustive():
 
 
 def test_sqrt_bad_mode():
-    with pytest.raises(ValueError):
-        _sqrt_system(4, 4, "sideways")
+    for mode in ("sideways", "lower_only"):
+        with pytest.raises(ValueError):
+            _sqrt_system(4, 4, mode)
 
 
 # -- circle membership ---------------------------------------------------
