@@ -1,7 +1,7 @@
 """Zero-knowledge proof-of-location statement library and protocol simulator.
 
 Subpackages:
-    field      prime-field arithmetic and the signed embedding
+    field      prime-field parameters and the overflow ledger
     circuit    visibility-tagged constraint system builder / checker
     gadgets    reusable circuit fragments (comparison, sqrt, hash, geometry)
     poseidon   Poseidon-style permutation parameters
@@ -12,17 +12,15 @@ Subpackages:
     cli        command-line driver
 """
 
-from .field import FieldElement, FieldParams
-from .circuit import ConstraintSystem, Domain, SatisfactionReport, Wire
+from .field import FieldParams
+from .circuit import ConstraintSystem, Domain, SatisfactionReport
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldElement",
     "FieldParams",
     "ConstraintSystem",
     "Domain",
     "SatisfactionReport",
-    "Wire",
     "__version__",
 ]

@@ -279,12 +279,8 @@ def _gen_ev(spec: FixtureSpec, rng: random.Random) -> StatementInstance:
         for _ in range(n_pts)
     ]
     trail = Trail(tuple(pts))
-    padded = trail.padded(spec.n_traj)
-    tot = 0
-    for i in range(1, len(padded)):
-        (x0, y0), (x1, y1) = padded[i - 1], padded[i]
-        tot += localcalc.isqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)
     # All points inside circle 0, so cc == tot and the achieved share is 100%.
+    tot, _ = localcalc.segment_walk(trail.padded(spec.n_traj), lambda x, y: True)
     if spec.mode == "compliant":
         policy = SubsidyPolicy(d_req=rng.randrange(0, tot + 1), p_req=rng.randrange(0, 101))
     elif spec.mode == "boundary":

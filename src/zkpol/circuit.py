@@ -1,9 +1,10 @@
 """Visibility-tagged arithmetic circuit builder and satisfiability checker.
 
-The circuit is an append-only list of gates over wires.  Each wire carries a
-visibility domain (prover-only / shared / public) and a stage (local /
-circuit); gates may only consume circuit-stage wires, and the domain of a
-gate output is the most secret domain among its operands.
+The circuit is an append-only list of gates.  A wire is the plain int id
+of the gate that outputs it: ``_gates[w]`` is its gate, ``_values[w]`` its
+construction-time value and ``_domains[w]`` its visibility domain
+(prover-only / shared / public).  The domain of a gate output is the most
+secret domain among its operands.
 
 Construction is eager: every gate's value is computed as it is appended,
 so gadget code can derive prover-local hints (bit decompositions, square
@@ -19,8 +20,7 @@ values and booleanity assertions each go in with one ``list.extend``) and
 ``poseidon_rounds`` (the Poseidon permutation, with each round's constants
 folded into the previous round's MDS affines).  They write the same gate
 kinds straight into the gate, domain and value lists and keep every
-counter equal to the per-gate composition; only the wires a caller
-receives get ``Wire`` handles.
+counter equal to the per-gate composition.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import FieldElement, FieldParams
+from .field import FieldParams
 from .poseidon import PoseidonParams
 
 
@@ -39,10 +39,6 @@ class CircuitError(Exception):
 
 class PublicNeedsNoWire(CircuitError):
     """Public constants enter through ``const``, not ``wire_input``."""
-
-
-class StageViolation(CircuitError):
-    """A local-stage wire was used where a circuit-stage wire is required."""
 
 
 class IncompleteWitness(CircuitError):
@@ -56,35 +52,6 @@ class Domain(enum.IntEnum):
     SHARED = 1
     PROVER = 2
 
-
-class Stage(enum.IntEnum):
-    LOCAL = 0
-    CIRCUIT = 1
-
-
-class Wire:
-    """Handle to a circuit value; compared by identity of its id."""
-
-    __slots__ = ("id", "domain", "stage")
-
-    def __init__(self, id: int, domain: Domain, stage: Stage):
-        self.id = id
-        self.domain = domain
-        self.stage = stage
-
-    def __repr__(self):
-        return f"Wire({self.id}, {Domain(self.domain).name}, {Stage(self.stage).name})"
-
-    def __eq__(self, other):
-        if not isinstance(other, Wire):
-            return NotImplemented
-        return (self.id, self.domain, self.stage) == (other.id, other.domain, other.stage)
-
-    def __hash__(self):
-        return hash((self.id, self.domain, self.stage))
-
-
-_CIRCUIT = Stage.CIRCUIT
 
 # Gate opcodes (stored as plain tuples for evaluation speed).
 _INPUT = 0
@@ -141,18 +108,18 @@ class ConstraintSystem:
         self.n_add = 0
         self.n_prover_inputs = 0
         self.n_shared_inputs = 0
-        self._const_cache: dict[int, Wire] = {}
+        self._const_cache: dict[int, int] = {}  # value -> wire id
 
     # -- wire creation -------------------------------------------------
 
-    def _new_wire(self, gate: tuple, domain: int, value: int | None) -> Wire:
+    def _new_wire(self, gate: tuple, domain: int, value: int | None) -> int:
         wid = len(self._gates)
         self._gates.append(gate)
         self._domains.append(domain)
         self._values.append(value)
-        return Wire(wid, domain, _CIRCUIT)
+        return wid
 
-    def wire_input(self, value, domain: Domain) -> Wire:
+    def wire_input(self, value: int | None, domain: Domain) -> int:
         """Inject a local value into the circuit as a protocol input."""
         if domain == Domain.PUBLIC:
             raise PublicNeedsNoWire("public constants use const()")
@@ -160,66 +127,41 @@ class ConstraintSystem:
             self.n_prover_inputs += 1
         else:
             self.n_shared_inputs += 1
-        v = None
-        if value is not None:
-            v = int(value) % self.p if not isinstance(value, FieldElement) else value.value
-        else:
+        if value is None:
             self._unset_inputs.append(len(self._gates))
-        return self._new_wire((_INPUT,), int(domain), v)
+        else:
+            value = int(value) % self.p
+        return self._new_wire((_INPUT,), int(domain), value)
 
-    def const(self, value) -> Wire:
+    def const(self, value: int) -> int:
         v = int(value) % self.p
         w = self._const_cache.get(v)
         if w is None:
-            w = self._new_wire((_CONST, v), int(Domain.PUBLIC), v)
-            self._const_cache[v] = w
-        return w
-
-    def local(self, value, domain: Domain = Domain.PROVER) -> Wire:
-        """A local-stage handle; not usable as a gate operand."""
-        w = Wire(-1, domain, Stage.LOCAL)
+            w = self._const_cache[v] = self._new_wire((_CONST, v), int(Domain.PUBLIC), v)
         return w
 
     # -- gates ---------------------------------------------------------
 
-    def _check_operand(self, w: Wire):
-        if w.stage != Stage.CIRCUIT:
-            raise StageViolation("local-stage value used as gate operand")
+    def _binary(self, op: int, a: int, b: int, v: int | None) -> int:
+        doms = self._domains
+        return self._new_wire((op, a, b), max(doms[a], doms[b]), v)
 
-    def gate(self, kind: str, a: Wire, b: Wire) -> Wire:
-        if kind == "add":
-            return self.add(a, b)
-        if kind == "sub":
-            return self.sub(a, b)
-        if kind == "mul":
-            return self.mul(a, b)
-        raise CircuitError(f"unknown gate kind {kind!r}")
-
-    def add(self, a: Wire, b: Wire) -> Wire:
-        self._check_operand(a)
-        self._check_operand(b)
+    def add(self, a: int, b: int) -> int:
         self.n_add += 1
-        va, vb = self._values[a.id], self._values[b.id]
-        v = None if va is None or vb is None else (va + vb) % self.p
-        return self._new_wire((_ADD, a.id, b.id), max(a.domain, b.domain), v)
+        va, vb = self._values[a], self._values[b]
+        return self._binary(_ADD, a, b, None if va is None or vb is None else (va + vb) % self.p)
 
-    def sub(self, a: Wire, b: Wire) -> Wire:
-        self._check_operand(a)
-        self._check_operand(b)
+    def sub(self, a: int, b: int) -> int:
         self.n_add += 1
-        va, vb = self._values[a.id], self._values[b.id]
-        v = None if va is None or vb is None else (va - vb) % self.p
-        return self._new_wire((_SUB, a.id, b.id), max(a.domain, b.domain), v)
+        va, vb = self._values[a], self._values[b]
+        return self._binary(_SUB, a, b, None if va is None or vb is None else (va - vb) % self.p)
 
-    def mul(self, a: Wire, b: Wire) -> Wire:
-        self._check_operand(a)
-        self._check_operand(b)
+    def mul(self, a: int, b: int) -> int:
         self.n_mul += 1
-        va, vb = self._values[a.id], self._values[b.id]
-        v = None if va is None or vb is None else (va * vb) % self.p
-        return self._new_wire((_MUL, a.id, b.id), max(a.domain, b.domain), v)
+        va, vb = self._values[a], self._values[b]
+        return self._binary(_MUL, a, b, None if va is None or vb is None else (va * vb) % self.p)
 
-    def affine(self, coeffs: list[int], wires: list[Wire], const: int = 0) -> Wire:
+    def affine(self, coeffs: list[int], wires: list[int], const: int = 0) -> int:
         """Linear combination sum(c_i * w_i) + const; counts len(coeffs)-1 adds.
 
         Exists so long summations (lookups, hash linear layers) do not
@@ -229,14 +171,8 @@ class ConstraintSystem:
         if len(coeffs) != len(wires) or not coeffs:
             raise CircuitError("affine needs matching non-empty coeffs/wires")
         p = self.p
-        dom = 0
-        ids = []
-        for w in wires:
-            if w.stage != _CIRCUIT:
-                raise StageViolation("local-stage value used as gate operand")
-            ids.append(w.id)
-            if w.domain > dom:
-                dom = w.domain
+        ids = tuple(wires)
+        dom = max(map(self._domains.__getitem__, ids))
         self.n_add += len(coeffs) - 1 + (1 if const else 0)
         cs = tuple(c if 0 <= c < p else c % p for c in coeffs)
         vals = self._values
@@ -249,25 +185,24 @@ class ConstraintSystem:
             v += c * vi
         if v is not None:
             v %= p
-        return self._new_wire((_AFFINE, cs, tuple(ids), const % p), dom, v)
+        return self._new_wire((_AFFINE, cs, ids, const % p), dom, v)
 
     # -- assertions ----------------------------------------------------
 
-    def assert_zero(self, w: Wire) -> None:
-        self._check_operand(w)
-        self._assertions.append(w.id)
+    def assert_zero(self, w: int) -> None:
+        self._assertions.append(w)
 
-    def assert_eq(self, a: Wire, b: Wire) -> None:
+    def assert_eq(self, a: int, b: int) -> None:
         self.assert_zero(self.sub(a, b))
 
-    def oblivious_choice(self, b: Wire, x: Wire, y: Wire) -> Wire:
+    def oblivious_choice(self, b: int, x: int, y: int) -> int:
         """Branch-free select: y + b*(x - y); exactly one mul gate.
 
         Callers must separately assert that b is boolean.
         """
         return self.add(y, self.mul(b, self.sub(x, y)))
 
-    def decompose(self, w: Wire, k: int, hint: int | None = None) -> list[Wire]:
+    def decompose(self, w: int, k: int, hint: int | None = None) -> range:
         """Bulk primitive behind bit decomposition: k prover-only input
         bits b_i = (v >> i) & 1 of w's value v (or of ``hint``), each
         boolean-asserted as b*(b-1) = 0, then the recomposition
@@ -279,15 +214,15 @@ class ConstraintSystem:
         values, and the k booleanity assertions each go in with one
         ``list.extend``; every bit shares one ``(_INPUT,)`` gate tuple and
         takes the values (1, 0, 0) or (0, p-1, 0).  The recomposition
-        affine's value is (v mod 2^k) mod p."""
-        self._check_operand(w)
+        affine's value is (v mod 2^k) mod p.  Returns the bit ids, low bit
+        first."""
         if k < 1:
             raise CircuitError("decompose needs k >= 1 bits")
-        v = self._values[w.id] if hint is None else hint
+        v = self._values[w] if hint is None else hint
         if v is None:
-            raise IncompleteWitness(f"wire {w.id} has no value to decompose")
+            raise IncompleteWitness(f"wire {w} has no value to decompose")
         p = self.p
-        one = self.const(1).id
+        one = self.const(1)
         gates = self._gates
         start = len(gates)
         ids = range(start, start + 3 * k, 3)
@@ -302,18 +237,18 @@ class ConstraintSystem:
         # Recomposition affine and its equality with w (assert_eq's sub).
         rid = start + 3 * k
         gates.append((_AFFINE, _pow2_coeffs(k, p), tuple(ids), 0))
-        gates.append((_SUB, rid, w.id))
+        gates.append((_SUB, rid, w))
         rec = low % p
-        vw = self._values[w.id]
+        vw = self._values[w]
         self._values.append(rec)
         self._values.append(None if vw is None else (rec - vw) % p)
         self._assertions.append(rid + 1)
         self.n_prover_inputs += k
         self.n_mul += k
         self.n_add += 2 * k  # k bit subs, k - 1 affine adds, the final sub
-        return [Wire(i, prover, _CIRCUIT) for i in ids]
+        return ids
 
-    def poseidon_rounds(self, state: list[Wire], pp: PoseidonParams) -> list[Wire]:
+    def poseidon_rounds(self, state: list[int], pp: PoseidonParams) -> list[int]:
         """Bulk primitive behind the Poseidon permutation: every round of
         ``pp`` applied to ``state``, appended in one batch.
 
@@ -324,13 +259,10 @@ class ConstraintSystem:
         an S-box output keeps its lane's domain and an MDS output takes
         the most secret lane domain.  Counters equal those of the per-gate
         composition with unfolded constants: a non-zero const counts one
-        add on whichever affine carries it.  Only the t outputs get Wire
-        handles."""
+        add on whichever affine carries it.  Returns the t output ids."""
         t = pp.t
         if len(state) != t:
             raise ValueError(f"state width must be {t}")
-        for w in state:
-            self._check_operand(w)
         p = self.p
         rc = pp.round_constants
         alpha = pp.alpha
@@ -341,8 +273,8 @@ class ConstraintSystem:
         add_dom = self._domains.append
         add_val = vals.append
         start = wid = len(gates)
-        ids = [w.id for w in state]
-        doms = [w.domain for w in state]
+        ids = list(state)
+        doms = [self._domains[i] for i in ids]
         xs = [vals[i] for i in ids]
         known = None not in xs
         if not known:
@@ -423,15 +355,15 @@ class ConstraintSystem:
             vals[start:] = [None] * (wid - start)
         self.n_mul += n_mul
         self.n_add += n_add
-        return [Wire(i, d, _CIRCUIT) for i, d in zip(ids, doms)]
+        return ids
 
     # -- prover-local access -------------------------------------------
 
-    def value(self, w: Wire) -> int:
+    def value(self, w: int) -> int:
         """Construction-time value of a wire (the prover's local view)."""
-        v = self._values[w.id]
+        v = self._values[w]
         if v is None:
-            raise IncompleteWitness(f"wire {w.id} has no value")
+            raise IncompleteWitness(f"wire {w} has no value")
         return v
 
     # -- evaluation ----------------------------------------------------

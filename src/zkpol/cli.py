@@ -12,7 +12,7 @@ import random
 import sys
 
 from .circuit import ConstraintSystem
-from .field import FieldParams
+from .field import FieldError, FieldParams
 from . import appio, protocol, statements
 
 EXIT_OK = 0
@@ -201,7 +201,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (appio.SchemaError, appio.GenerationFailed, appio.Unsupported,
-            statements.InstanceError, FileNotFoundError, KeyError) as exc:
+            statements.InstanceError, FieldError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal invariant violation

@@ -1,11 +1,12 @@
-"""Prime-field arithmetic with a signed-integer embedding.
+"""Prime-field parameters and the overflow ledger.
 
-Everything in the circuit and gadget layers computes in GF(p) for a single
-configurable prime p.  The default is the Mersenne prime 2^127 - 1, which
-leaves ample headroom above every intermediate value produced by the
-location statements.  The headroom requirement is captured as a hard
-invariant on ``FieldParams``: p > 2^(3*k_c + 6) where k_c bounds the
-bit-length of any coordinate or radius.
+Everything in the circuit and gadget layers computes in GF(p), on plain
+int residues, for a single configurable prime p.  The default is the
+Mersenne prime 2^127 - 1, which leaves ample headroom above every
+intermediate value produced by the location statements.  The headroom
+requirement is captured as a hard invariant on ``FieldParams``:
+p > 2^(3*k_c + 6) where k_c bounds the bit-length of any coordinate or
+radius.
 
 Overflow ledger (all bounds for inputs with coordinates/radii < 2^k_c,
 trails of up to n_traj points):
@@ -17,15 +18,15 @@ trails of up to n_traj points):
     sqrt remainder r=sq-d^2 and 2d-r  < 2^(k_seg + 1), k_seg = k_c + 1
 
 All of these stay below p/2 at the defaults (k_c = 24, n_traj <= 4096), so
-signed quantities embedded via ``from_signed`` never wrap.  The square
-root's range proof also needs sq - d^2, negative for a dishonest
-d < 2^k_seg, not to wrap mod p; that takes p > 2^(2*k_seg + 1), which
-p > 2^(3*k_c + 6) implies.
+a signed quantity of that size, held as its residue mod p, never wraps.
+The square root's range proof also needs sq - d^2, negative for a
+dishonest d < 2^k_seg, not to wrap mod p; that takes p > 2^(2*k_seg + 1),
+which p > 2^(3*k_c + 6) implies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import sympy
@@ -40,10 +41,6 @@ class FieldError(Exception):
 
 class InversionOfZero(FieldError):
     """Raised when inverting the zero element."""
-
-
-class OutOfRange(FieldError):
-    """Raised when a signed integer does not fit the embedding range."""
 
 
 @lru_cache(maxsize=None)
@@ -79,84 +76,6 @@ class FieldParams:
                 "modulus too small: need p > 2^(3*coord_bits + 6) "
                 f"for coord_bits={self.coord_bits}"
             )
-
-    def elem(self, value: int) -> "FieldElement":
-        return FieldElement(value % self.modulus, self.modulus)
-
-    def from_signed(self, n: int) -> int:
-        """Embed a signed integer |n| < p/2 as a field residue."""
-        if 2 * abs(n) >= self.modulus:
-            raise OutOfRange(f"|{n}| >= p/2")
-        return n % self.modulus
-
-    def to_signed(self, v: int) -> int:
-        """Inverse of ``from_signed`` on [0, p)."""
-        v %= self.modulus
-        return v if 2 * v < self.modulus else v - self.modulus
-
-
-class FieldElement:
-    """Residue in GF(p); thin value wrapper over a reduced int."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int = DEFAULT_MODULUS):
-        self.modulus = modulus
-        self.value = value % modulus
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise FieldError("mixed moduli")
-            return other.value
-        return int(other) % self.modulus
-
-    def __add__(self, other):
-        return FieldElement(self.value + self._coerce(other), self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.value - self._coerce(other), self.modulus)
-
-    def __rsub__(self, other):
-        return FieldElement(self._coerce(other) - self.value, self.modulus)
-
-    def __mul__(self, other):
-        return FieldElement(self.value * self._coerce(other), self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(-self.value, self.modulus)
-
-    def __pow__(self, e: int):
-        return FieldElement(pow(self.value, e, self.modulus), self.modulus)
-
-    def inv(self) -> "FieldElement":
-        if self.value == 0:
-            raise InversionOfZero("0 has no inverse")
-        return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __truediv__(self, other):
-        o = FieldElement(self._coerce(other), self.modulus)
-        return self * o.inv()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.modulus == other.modulus and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.modulus))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value})"
 
 
 def f_inv(p: int, a: int) -> int:

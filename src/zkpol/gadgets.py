@@ -10,9 +10,7 @@ the builder's eager values unless the caller supplies them explicitly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .circuit import ConstraintSystem, Domain, Wire
+from .circuit import ConstraintSystem, Domain
 from .localcalc import isqrt
 from .poseidon import PoseidonParams
 
@@ -21,33 +19,23 @@ class EmptyMessage(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """Little-endian boolean-asserted wires recomposing to a source wire."""
-
-    bits: tuple[Wire, ...]
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
-
-
-def assert_boolean(cs: ConstraintSystem, w: Wire) -> None:
+def assert_boolean(cs: ConstraintSystem, w: int) -> None:
     """Assert w * (w - 1) = 0."""
     cs.assert_zero(cs.mul(w, cs.sub(w, cs.const(1))))
 
 
-def decompose_bits(cs: ConstraintSystem, w: Wire, k: int, hint: int | None = None) -> BitVector:
-    """Split w into k boolean-asserted bits with a recomposition assertion.
+def decompose_bits(cs: ConstraintSystem, w: int, k: int, hint: int | None = None) -> range:
+    """Split w into k boolean-asserted bits with a recomposition assertion;
+    returns the bit ids, low bit first.
 
     The bits enter as prover-only inputs computed from the prover-local
     value of w; if that value does not fit k bits the recomposition
     assertion fails and the system is unsatisfiable.
     """
-    return BitVector(tuple(cs.decompose(w, k, hint)))
+    return cs.decompose(w, k, hint)
 
 
-def leq(cs: ConstraintSystem, a: Wire, b: Wire, k: int) -> Wire:
+def leq(cs: ConstraintSystem, a: int, b: int, k: int) -> int:
     """Boolean wire: 1 iff a <= b, for prover-local values in [0, 2^k).
 
     Realized as the top bit of the (k+1)-bit decomposition of
@@ -55,20 +43,20 @@ def leq(cs: ConstraintSystem, a: Wire, b: Wire, k: int) -> Wire:
     statement builders do so by construction.
     """
     shifted = cs.affine([1, cs.p - 1], [b, a], 1 << k)
-    return decompose_bits(cs, shifted, k + 1).bits[k]
+    return decompose_bits(cs, shifted, k + 1)[k]
 
 
-def assert_leq(cs: ConstraintSystem, a: Wire, b: Wire, k: int) -> None:
+def assert_leq(cs: ConstraintSystem, a: int, b: int, k: int) -> None:
     cs.assert_eq(leq(cs, a, b, k), cs.const(1))
 
 
 def sqrt_floor(
     cs: ConstraintSystem,
-    sq: Wire,
+    sq: int,
     k: int,
     mode: str = "both",
     hint: int | None = None,
-) -> Wire:
+) -> int:
     """Prover-supplied root d of sq in [0, 2^(2k)), range-proved to k bits.
 
     In every mode d is wired as a prover input and decomposed into k bits,
@@ -108,30 +96,26 @@ def sqrt_floor(
     return d
 
 
-def or_gate(cs: ConstraintSystem, a: Wire, b: Wire) -> Wire:
+def or_gate(cs: ConstraintSystem, a: int, b: int) -> int:
     """Boolean OR as a + b - a*b."""
     return cs.sub(cs.add(a, b), cs.mul(a, b))
 
 
-def and_gate(cs: ConstraintSystem, a: Wire, b: Wire) -> Wire:
-    return cs.mul(a, b)
-
-
-def is_nonneg(cs: ConstraintSystem, v: Wire, m: int) -> Wire:
+def is_nonneg(cs: ConstraintSystem, v: int, m: int) -> int:
     """Boolean: the signed value of v lies in [0, 2^m), given |v| < 2^m."""
     shifted = cs.affine([1], [v], 1 << m)
-    return decompose_bits(cs, shifted, m + 1).bits[m]
+    return decompose_bits(cs, shifted, m + 1)[m]
 
 
 def check_inside(
     cs: ConstraintSystem,
-    us: list[Wire],
-    vs: list[Wire],
-    ss: list[Wire],
-    x: Wire,
-    y: Wire,
+    us: list[int],
+    vs: list[int],
+    ss: list[int],
+    x: int,
+    y: int,
     coord_bits: int,
-) -> Wire:
+) -> int:
     """Boolean: (x, y) lies inside at least one circle.
 
     ss holds the squared radii; membership per circle is the non-strict
@@ -147,7 +131,7 @@ def check_inside(
     return acc
 
 
-def area_dbl_wire(cs, a1, b1, a2, b2, a3, b3) -> Wire:
+def area_dbl_wire(cs, a1, b1, a2, b2, a3, b3) -> int:
     """Doubled triangle area as the determinant expansion.
 
     No absolute value on-circuit: ingestion guarantees positive
@@ -166,13 +150,13 @@ def area_dbl_wire(cs, a1, b1, a2, b2, a3, b3) -> Wire:
 
 def check_inside_triangle(
     cs: ConstraintSystem,
-    a_wires: tuple[Wire, Wire, Wire],
-    b_wires: tuple[Wire, Wire, Wire],
-    x: Wire,
-    y: Wire,
+    a_wires: tuple[int, int, int],
+    b_wires: tuple[int, int, int],
+    x: int,
+    y: int,
     bcoords: tuple[int, int],
     coord_bits: int,
-) -> Wire:
+) -> int:
     """Boolean: (x, y) inside or on the boundary of the triangle.
 
     The prover wires the unnormalized barycentric pair (s, t); the circuit
@@ -191,11 +175,11 @@ def check_inside_triangle(
     cs.assert_eq(x_rec, cs.mul(x, A))
     cs.assert_eq(y_rec, cs.mul(y, A))
     m = 2 * coord_bits + 3
-    inside = and_gate(cs, is_nonneg(cs, s, m), is_nonneg(cs, t, m))
-    return and_gate(cs, inside, is_nonneg(cs, u, m))
+    inside = cs.mul(is_nonneg(cs, s, m), is_nonneg(cs, t, m))
+    return cs.mul(inside, is_nonneg(cs, u, m))
 
 
-def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[Wire, Wire, Wire]]) -> tuple[Wire, Wire, Wire]:
+def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[int, int, int]]) -> tuple[int, int, int]:
     """Oblivious row selection via a prover-supplied characteristic vector.
 
     t_index is 1-based; the vector is boolean-asserted and must sum to 1,
@@ -219,7 +203,7 @@ def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[Wire, Wire, Wire
 # -- Poseidon gadget ----------------------------------------------------
 
 
-def poseidon_permute(cs: ConstraintSystem, state: list[Wire], pp: PoseidonParams) -> list[Wire]:
+def poseidon_permute(cs: ConstraintSystem, state: list[int], pp: PoseidonParams) -> list[int]:
     """In-circuit Poseidon permutation; computes the reference round
     structure exactly.
 
@@ -231,14 +215,12 @@ def poseidon_permute(cs: ConstraintSystem, state: list[Wire], pp: PoseidonParams
     return cs.poseidon_rounds(state, pp)
 
 
-def poseidon_hash(cs: ConstraintSystem, msg: list[Wire], pp: PoseidonParams) -> Wire:
+def poseidon_hash(cs: ConstraintSystem, msg: list[int], pp: PoseidonParams) -> int:
     """Sponge digest of a non-empty wire message; lane 0 is the capacity
     lane seeded with the public message length and squeezed at the end."""
     if not msg:
         raise EmptyMessage("cannot hash an empty message")
-    state = [cs.const(len(msg)), cs.const(0), cs.const(0)][: pp.t]
-    while len(state) < pp.t:
-        state.append(cs.const(0))
+    state = [cs.const(len(msg))] + [cs.const(0)] * (pp.t - 1)
     for start in range(0, len(msg), pp.rate):
         chunk = msg[start : start + pp.rate]
         for i, m in enumerate(chunk):

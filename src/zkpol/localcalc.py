@@ -99,51 +99,37 @@ def point_in_circles(x: int, y: int, circles) -> bool:
     return any((x - u) ** 2 + (y - v) ** 2 <= r * r for u, v, r in circles)
 
 
-def oracle_ev(trail, circles, policy) -> bool:
-    """Plaintext verdict of the subsidy policy on a trail.
-
-    ``trail`` must expose ``padded_points(...)`` or be a plain point list;
-    distances use floor integer square roots, membership the non-strict
-    in-circle inequality.
-    """
-    pts = list(trail.points) if hasattr(trail, "points") else list(trail)
-    circ = circles.circles if hasattr(circles, "circles") else circles
-    tot = 0
-    cc = 0
-    inside_prev = point_in_circles(pts[0][0], pts[0][1], circ) if pts else False
-    for i in range(1, len(pts)):
-        (x0, y0), (x1, y1) = pts[i - 1], pts[i]
+def segment_walk(points, inside) -> tuple[int, int]:
+    """(total length, length of the segments with both endpoints inside) of
+    the polyline ``points``; ``inside(x, y)`` decides membership and each
+    segment's length is the floor integer square root of its squared
+    length."""
+    tot = both = 0
+    inside_prev = inside(*points[0]) if points else False
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
         d = isqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)
         tot += d
-        inside = point_in_circles(x1, y1, circ)
-        if inside_prev and inside:
-            cc += d
-        inside_prev = inside
+        inside_cur = inside(x1, y1)
+        if inside_prev and inside_cur:
+            both += d
+        inside_prev = inside_cur
+    return tot, both
+
+
+def oracle_ev(trail, circles, policy) -> bool:
+    """Plaintext verdict of the subsidy policy on a point list; membership
+    is the non-strict in-circle inequality."""
+    tot, cc = segment_walk(trail, lambda x, y: point_in_circles(x, y, circles))
     return tot >= policy.d_req and cc * 100 >= tot * policy.p_req
 
 
 def off_road_split(points, triangles) -> tuple[int, int]:
     """(tot, hw): total length and length with both endpoints in triangles."""
-    tot = 0
-    hw = 0
-    inside_prev = (
-        point_in_any_triangle(points[0][0], points[0][1], triangles) if points else False
-    )
-    for i in range(1, len(points)):
-        (x0, y0), (x1, y1) = points[i - 1], points[i]
-        d = isqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)
-        tot += d
-        inside = point_in_any_triangle(x1, y1, triangles)
-        if inside_prev and inside:
-            hw += d
-        inside_prev = inside
-    return tot, hw
+    return segment_walk(points, lambda x, y: point_in_any_triangle(x, y, triangles))
 
 
 def taxed_distance(trail, tris) -> int:
-    pts = list(trail.points) if hasattr(trail, "points") else list(trail)
-    triangles = tris.triangles if hasattr(tris, "triangles") else tris
-    tot, hw = off_road_split(pts, triangles)
+    tot, hw = off_road_split(trail, tris)
     return tot - hw
 
 

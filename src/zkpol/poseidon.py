@@ -19,7 +19,6 @@ fresh security derivation.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -105,36 +104,6 @@ class PoseidonParams:
             )
         if not _is_invertible([list(r) for r in self.mds], p):
             raise PoseidonParamError("MDS matrix is singular")
-
-    # -- serialization (decimal strings so goldens survive re-derivation) --
-
-    def to_json(self) -> dict:
-        return {
-            "prime": str(self.prime),
-            "t": self.t,
-            "alpha": self.alpha,
-            "r_full": self.r_full,
-            "r_partial": self.r_partial,
-            "seed": self.seed.hex(),
-            "round_constants": [str(c) for c in self.round_constants],
-            "mds": [[str(x) for x in row] for row in self.mds],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PoseidonParams":
-        return cls(
-            prime=int(doc["prime"]),
-            t=int(doc["t"]),
-            alpha=int(doc["alpha"]),
-            r_full=int(doc["r_full"]),
-            r_partial=int(doc["r_partial"]),
-            seed=bytes.fromhex(doc["seed"]),
-            round_constants=tuple(int(c) for c in doc["round_constants"]),
-            mds=tuple(tuple(int(x) for x in row) for row in doc["mds"]),
-        )
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json())
 
 
 @lru_cache(maxsize=16)

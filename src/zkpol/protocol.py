@@ -151,7 +151,7 @@ def policy_holds(trail_points, ad: AuthorityData) -> bool:
 
 def trail_hash(trail_points, ad: AuthorityData) -> int:
     trail = Trail(tuple(trail_points))
-    return statements.honest_hash(ad.field_params, ad.pp, trail, ad.n_traj)
+    return statements.honest_hash(ad.pp, trail, ad.n_traj)
 
 
 def _signable_hash(trail_points, ad: AuthorityData) -> int | None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuit import ConstraintSystem, Domain, SatisfactionReport, Wire
+from .circuit import ConstraintSystem, Domain, SatisfactionReport
 from .field import FieldParams
 from . import gadgets, localcalc
 from .poseidon import PoseidonParamError, PoseidonParams, params_for
@@ -124,7 +124,7 @@ def trail_message(trail: Trail, n_traj: int) -> list[int]:
     return [x for x, _ in pts] + [y for _, y in pts]
 
 
-def honest_hash(field_params: FieldParams, pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
+def honest_hash(pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
     return localcalc.poseidon_digest_ref(trail_message(trail, n_traj), pp)
 
 
@@ -174,7 +174,7 @@ def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, 
         except PoseidonParamError as exc:
             raise InstanceError(f"no Poseidon parameters for this field: {exc}") from exc
     if h_ex is None:
-        h_ex = honest_hash(field_params, pp, trail, n_traj)
+        h_ex = honest_hash(pp, trail, n_traj)
     inst = StatementInstance(
         kind=kind,
         field_params=field_params,
@@ -210,7 +210,7 @@ def _wire_trail(cs: ConstraintSystem, inst: StatementInstance):
     return pts, xs, ys, digest_assertion
 
 
-def _segment_sq(cs, xs, ys, i) -> Wire:
+def _segment_sq(cs, xs, ys, i) -> int:
     dx = cs.sub(xs[i], xs[i - 1])
     dy = cs.sub(ys[i], ys[i - 1])
     return cs.add(cs.mul(dx, dx), cs.mul(dy, dy))
@@ -255,7 +255,7 @@ def build_ev_subsidy(
         hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
         d = gadgets.sqrt_floor(cs, sq, k_seg, "both", hint)
         tot = cs.add(tot, d)
-        both = gadgets.and_gate(cs, b_pi, b_in)
+        both = cs.mul(b_pi, b_in)
         cc = cs.oblivious_choice(both, cs.add(cc, d), cc)
         b_pi = b_in
 
@@ -266,7 +266,7 @@ def build_ev_subsidy(
     lhs = cs.mul(tot, p_req)
     rhs = cs.affine([100], [cc])
     gadgets.assert_leq(cs, lhs, rhs, w + 7)
-    return StatementHandle(cs, [w.id for w in xs] + [w.id for w in ys], digest_assertion)
+    return StatementHandle(cs, xs + ys, digest_assertion)
 
 
 def build_highway_tax(
@@ -318,7 +318,7 @@ def build_highway_tax(
             hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
             d = gadgets.sqrt_floor(cs, sq, k_seg, "upper_only", hint)
             tot = cs.add(tot, d)
-            off_road = gadgets.and_gate(cs, c_prev, c_i)
+            off_road = cs.mul(c_prev, c_i)
             hw = cs.oblivious_choice(off_road, cs.add(hw, d), hw)
         c_prev = c_i
 
@@ -328,7 +328,7 @@ def build_highway_tax(
     # comparison in range without changing the verdict.
     d_max = min(inst.policy.d_max, (1 << w) - 1)
     gadgets.assert_leq(cs, taxed, cs.wire_input(d_max, Domain.SHARED), w)
-    return StatementHandle(cs, [w_.id for w_ in xs] + [w_.id for w_ in ys], digest_assertion)
+    return StatementHandle(cs, xs + ys, digest_assertion)
 
 
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, **hints) -> StatementHandle:

@@ -50,18 +50,10 @@ def random_triangles(rng: random.Random, n_tri: int, bound: int = COORD_BOUND) -
 
 
 def _trail_stats_ev(trail: Trail, n_traj: int, circles: CircleSet) -> tuple[int, int]:
-    pts = trail.padded(n_traj)
-    tot = cc = 0
-    prev_in = localcalc.point_in_circles(pts[0][0], pts[0][1], circles.circles)
-    for i in range(1, len(pts)):
-        (x0, y0), (x1, y1) = pts[i - 1], pts[i]
-        d = localcalc.isqrt((x1 - x0) ** 2 + (y1 - y0) ** 2)
-        tot += d
-        cur_in = localcalc.point_in_circles(x1, y1, circles.circles)
-        if prev_in and cur_in:
-            cc += d
-        prev_in = cur_in
-    return tot, cc
+    return localcalc.segment_walk(
+        trail.padded(n_traj), lambda x, y: localcalc.point_in_circles(x, y, circles.circles)
+    )
+
 
 def random_ev_instance(rng: random.Random, max_traj: int = 64, max_circ: int = 8):
     """Random subsidy instance with a policy sampled near the achieved

@@ -291,6 +291,15 @@ def test_cli_cost_csv(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("coord_bits", ["0", "41"])
+def test_cli_cost_bad_coord_bits_exits_two(coord_bits, capsys):
+    # 0 is not positive; 41 needs p > 2^129, above the default 2^127 - 1.
+    argv = ["cost", "--kind", "ev", "--n-traj", "2", "--n-circ", "1", "--coord-bits", coord_bits]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "coord_bits" in err
+
+
 def test_cli_session_honest(tmp_path, capsys):
     path = _write_fixture(tmp_path)
     assert cli_main(["session", path]) == 0

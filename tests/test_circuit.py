@@ -16,9 +16,6 @@ from zkpol.circuit import (
     IncompleteWitness,
     PublicNeedsNoWire,
     SatisfactionReport,
-    Stage,
-    StageViolation,
-    Wire,
 )
 from zkpol.field import FieldParams
 from zkpol.poseidon import params_for
@@ -37,14 +34,14 @@ def test_wire_input_prover():
     cs = fresh()
     w = cs.wire_input(5, Domain.PROVER)
     assert cs.value(w) == 5
-    assert w.domain == Domain.PROVER
+    assert cs._domains[w] == Domain.PROVER
     assert cs.counters.n_prover_inputs == 1
 
 
 def test_wire_input_shared():
     cs = fresh()
     w = cs.wire_input(42, Domain.SHARED)
-    assert w.domain == Domain.SHARED
+    assert cs._domains[w] == Domain.SHARED
     assert cs.counters.n_shared_inputs == 1
 
 
@@ -58,7 +55,7 @@ def test_mul_gate():
     cs = fresh()
     a = cs.wire_input(2, Domain.PROVER)
     b = cs.wire_input(3, Domain.PROVER)
-    assert cs.value(cs.gate("mul", a, b)) == 6
+    assert cs.value(cs.mul(a, b)) == 6
     assert cs.counters.n_mul == 1
 
 
@@ -72,18 +69,8 @@ def test_domain_join_rule():
     cs = fresh()
     a = cs.wire_input(2, Domain.PROVER)
     b = cs.wire_input(3, Domain.SHARED)
-    assert cs.mul(a, b).domain == Domain.PROVER
-    assert cs.add(b, cs.const(1)).domain == Domain.SHARED
-
-
-def test_local_stage_rejected_as_operand():
-    cs = fresh()
-    local = Wire(-1, Domain.PROVER, Stage.LOCAL)
-    a = cs.wire_input(1, Domain.PROVER)
-    with pytest.raises(StageViolation):
-        cs.mul(a, local)
-    with pytest.raises(StageViolation):
-        cs.assert_zero(local)
+    assert cs._domains[cs.mul(a, b)] == Domain.PROVER
+    assert cs._domains[cs.add(b, cs.const(1))] == Domain.SHARED
 
 
 def test_assert_eq_satisfied():
@@ -140,11 +127,11 @@ def test_incomplete_witness():
     cs.wire_input(1, Domain.PROVER)
     first = cs.wire_input(None, Domain.PROVER)
     second = cs.wire_input(None, Domain.PROVER)
-    with pytest.raises(IncompleteWitness, match=f"input wire {first.id} unset"):
+    with pytest.raises(IncompleteWitness, match=f"input wire {first} unset"):
         cs.evaluate_and_check()
-    with pytest.raises(IncompleteWitness, match=f"input wire {first.id} unset"):
-        cs.evaluate_and_check({second.id: 2})
-    assert cs.evaluate_and_check({first.id: 1, second.id: 2}).satisfied
+    with pytest.raises(IncompleteWitness, match=f"input wire {first} unset"):
+        cs.evaluate_and_check({second: 2})
+    assert cs.evaluate_and_check({first: 1, second: 2}).satisfied
 
 
 def test_affine_combo_counts_adds():
@@ -163,7 +150,7 @@ def test_override_reevaluates_downstream():
     prod = cs.mul(a, b)
     cs.assert_eq(prod, cs.const(6))
     assert cs.evaluate_and_check().satisfied
-    assert not cs.evaluate_and_check(overrides={a.id: 5}).satisfied
+    assert not cs.evaluate_and_check(overrides={a: 5}).satisfied
 
 
 @pytest.mark.parametrize("target", ["gate", "const", "out_of_range", "negative"])
@@ -173,7 +160,7 @@ def test_override_must_name_an_input_wire(target):
     prod = cs.mul(a, a)
     four = cs.const(4)
     cs.assert_eq(prod, four)
-    wid = {"gate": prod.id, "const": four.id, "out_of_range": 10**6, "negative": -1}[target]
+    wid = {"gate": prod, "const": four, "out_of_range": 10**6, "negative": -1}[target]
     with pytest.raises(CircuitError, match="not an input wire"):
         cs.evaluate_and_check({wid: 5})
 
@@ -270,7 +257,7 @@ def _unset_lane_system():
     state = [cs.wire_input(v, Domain.PROVER) for v in (1, None, 3)]
     for w, ref in zip(cs.poseidon_rounds(state, pp), localcalc.poseidon_permutation_ref([1, 2, 3], pp)):
         cs.assert_eq(w, cs.const(ref))
-    return cs, state[1].id
+    return cs, state[1]
 
 
 def test_eager_values_match_rederivation():
@@ -320,7 +307,7 @@ def test_overrides_supplying_an_unset_lane_match_reference(data):
 
 
 def _per_gate_decompose(cs, w, k, hint=None):
-    v = cs._values[w.id] if hint is None else hint
+    v = cs._values[w] if hint is None else hint
     one = cs.const(1)
     bits = []
     for i in range(k):
@@ -366,7 +353,7 @@ def test_decompose_matches_per_gate_composition(data):
         bits = decompose(cs, w, k, hint)
         built.append((
             cs._gates, cs._domains, cs._values, cs._assertions, cs.counters,
-            [(b.id, b.domain, b.stage) for b in bits],
+            [(b, cs._domains[b]) for b in bits],
         ))
     assert built[0] == built[1]
 

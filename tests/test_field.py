@@ -3,13 +3,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from zkpol.circuit import ConstraintSystem, Domain
 from zkpol.field import (
     DEFAULT_MODULUS,
-    FieldElement,
     FieldError,
     FieldParams,
     InversionOfZero,
-    OutOfRange,
     f_inv,
     overflow_ledger,
 )
@@ -30,12 +29,21 @@ def _egcd_inverse(a: int, p: int) -> int:
     return old_s % p
 
 
+# Field arithmetic happens on plain int residues inside the circuit's
+# gates, so the arithmetic oracles below check the gates' eager values.
+
+
+def _gate(op, a, b):
+    cs = ConstraintSystem(PARAMS)
+    return cs.value(op(cs, cs.wire_input(a, Domain.PROVER), cs.wire_input(b, Domain.PROVER)))
+
+
 def test_mul_trivial():
-    assert FieldElement(2) * FieldElement(3) == 6
+    assert _gate(ConstraintSystem.mul, 2, 3) == 6
 
 
 def test_minus_one_squared():
-    assert FieldElement(P - 1) * FieldElement(P - 1) == 1
+    assert _gate(ConstraintSystem.mul, P - 1, P - 1) == 1
 
 
 def test_mul_random_against_int_oracle():
@@ -43,54 +51,31 @@ def test_mul_random_against_int_oracle():
     for _ in range(200):
         a = rng.getrandbits(126)
         b = rng.getrandbits(126)
-        assert (FieldElement(a) * FieldElement(b)).value == (a * b) % P
+        assert _gate(ConstraintSystem.mul, a, b) == (a * b) % P
 
 
 def test_inv_of_one():
-    assert FieldElement(1).inv() == 1
+    assert f_inv(P, 1) == 1
 
 
 def test_inv_of_two():
-    assert FieldElement(2).inv() == (P + 1) // 2
+    assert f_inv(P, 2) == (P + 1) // 2
 
 
 def test_inv_random_against_egcd_oracle():
     rng = random.Random(11)
     for _ in range(100):
         a = rng.randrange(1, P)
-        inv = FieldElement(a).inv().value
+        inv = f_inv(P, a)
         assert inv == _egcd_inverse(a, P)
         assert a * inv % P == 1
 
 
 def test_inv_zero_raises():
     with pytest.raises(InversionOfZero):
-        FieldElement(0).inv()
-    with pytest.raises(InversionOfZero):
         f_inv(P, 0)
-
-
-def test_from_signed_examples():
-    assert PARAMS.from_signed(0) == 0
-    assert PARAMS.from_signed(-5) == P - 5
-    assert PARAMS.from_signed(7) == 7
-
-
-def test_from_signed_out_of_range():
-    with pytest.raises(OutOfRange):
-        PARAMS.from_signed(P // 2 + 1)
-    with pytest.raises(OutOfRange):
-        PARAMS.from_signed(-(P // 2) - 1)
-
-
-@given(st.integers(min_value=-(P // 2), max_value=P // 2))
-def test_from_signed_round_trip(n):
-    assert PARAMS.to_signed(PARAMS.from_signed(n)) == n
-
-
-@given(st.integers(min_value=1, max_value=P // 2))
-def test_from_signed_negation(n):
-    assert PARAMS.from_signed(-n) == P - PARAMS.from_signed(n)
+    with pytest.raises(InversionOfZero):
+        f_inv(P, P)
 
 
 @given(
@@ -99,12 +84,17 @@ def test_from_signed_negation(n):
     st.integers(min_value=0, max_value=P - 1),
 )
 def test_ring_axioms(a, b, c):
-    fa, fb, fc = FieldElement(a), FieldElement(b), FieldElement(c)
-    assert fa + fb == fb + fa
-    assert fa * fb == fb * fa
-    assert (fa + fb) + fc == fa + (fb + fc)
-    assert (fa * fb) * fc == fa * (fb * fc)
-    assert fa * (fb + fc) == fa * fb + fa * fc
+    cs = ConstraintSystem(PARAMS)
+    fa, fb, fc = (cs.wire_input(v, Domain.PROVER) for v in (a, b, c))
+    add, mul = cs.add, cs.mul
+    for lhs, rhs in [
+        (add(fa, fb), add(fb, fa)),
+        (mul(fa, fb), mul(fb, fa)),
+        (add(add(fa, fb), fc), add(fa, add(fb, fc))),
+        (mul(mul(fa, fb), fc), mul(fa, mul(fb, fc))),
+        (mul(fa, add(fb, fc)), add(mul(fa, fb), mul(fa, fc))),
+    ]:
+        assert cs.value(lhs) == cs.value(rhs)
 
 
 def test_params_reject_composite_modulus():
@@ -119,7 +109,7 @@ def test_params_reject_insufficient_headroom():
 
 def test_small_prime_with_small_coords_ok():
     fp = FieldParams(modulus=2**61 - 1, coord_bits=12)
-    assert fp.elem(5).value == 5
+    assert (fp.modulus, fp.coord_bits) == (2**61 - 1, 12)
 
 
 def test_overflow_ledger_below_half_p():

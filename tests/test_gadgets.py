@@ -26,15 +26,15 @@ def test_assert_boolean(v, ok):
 def test_decompose_bits_five():
     cs = fresh()
     w = cs.wire_input(5, Domain.PROVER)
-    bv = gadgets.decompose_bits(cs, w, 3)
-    assert [cs.value(b) for b in bv.bits] == [1, 0, 1]
+    bits = gadgets.decompose_bits(cs, w, 3)
+    assert [cs.value(b) for b in bits] == [1, 0, 1]
     assert cs.evaluate_and_check().satisfied
 
 
 def test_decompose_bits_zero():
     cs = fresh()
-    bv = gadgets.decompose_bits(cs, cs.wire_input(0, Domain.PROVER), 4)
-    assert [cs.value(b) for b in bv.bits] == [0, 0, 0, 0]
+    bits = gadgets.decompose_bits(cs, cs.wire_input(0, Domain.PROVER), 4)
+    assert [cs.value(b) for b in bits] == [0, 0, 0, 0]
     assert cs.evaluate_and_check().satisfied
 
 

@@ -12,6 +12,7 @@ from zkpol.statements import (
     TaxPolicy,
     Trail,
     TriangleSet,
+    _dummy_instance,
     build_ev_subsidy,
     build_highway_tax,
     build_statement,
@@ -133,7 +134,7 @@ def test_ev_verdict_matches_oracle():
 
 
 def test_ev_tampered_hash_unsatisfied():
-    good = honest_hash(FP12, _ev(0, 0).pp, EV_TRAIL, 4)
+    good = honest_hash(_ev(0, 0).pp, EV_TRAIL, 4)
     inst = _ev(0, 0, h_ex=(good + 1) % FP12.modulus)
     cs, h = _build(inst)
     report = h.check()
@@ -229,7 +230,7 @@ def test_tax_huge_d_max_clamped_not_rejected():
 
 
 def test_tax_tampered_hash_unsatisfied():
-    good = honest_hash(FP12, _tax(200).pp, TAX_TRAIL, 4)
+    good = honest_hash(_tax(200).pp, TAX_TRAIL, 4)
     inst = _tax(200, h_ex=good ^ 1)
     cs, h = _build(inst)
     assert not h.check().satisfied
@@ -327,3 +328,8 @@ def test_statement_cost_pinned():
         "n_mul": 39696, "n_add": 78243, "n_assert": 17493,
         "n_prover_inputs": 17172, "n_shared_inputs": 98,
     }
+    # Wire counts of the same statements: every wire is one gate.
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 218_111), ("tax", 64, 16, 88_981)):
+        cs = ConstraintSystem(FieldParams())
+        build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
+        assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
