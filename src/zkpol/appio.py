@@ -26,7 +26,6 @@ from .statements import (
 )
 
 SCHEMA_VERSION = 1
-MAX_N_TRAJ = 4096  # desk-scale cap; each trail point adds about 1,200 gates
 
 
 class SchemaError(Exception):
@@ -126,8 +125,8 @@ def instance_from_doc(doc: dict) -> StatementInstance:
         raise SchemaError(f"/poseidon: {exc}")
     sizes = _want(doc, "sizes", "")
     n_traj = _as_int(_want(sizes, "n_traj", "/sizes"), "/sizes/n_traj")
-    if not 1 <= n_traj <= MAX_N_TRAJ:
-        raise SchemaError(f"/sizes/n_traj: outside desk-scale cap [1, {MAX_N_TRAJ}]")
+    if not 1 <= n_traj <= statements.MAX_N_TRAJ:
+        raise SchemaError(f"/sizes/n_traj: outside desk-scale cap [1, {statements.MAX_N_TRAJ}]")
     trail_doc = _want(doc, "trail", "")
     points = []
     for i, pt in enumerate(_want(trail_doc, "points", "/trail")):
@@ -232,8 +231,8 @@ class FixtureSpec:
             raise GenerationFailed(f"unknown kind {self.kind!r}")
         if self.mode not in ("compliant", "non_compliant", "boundary"):
             raise GenerationFailed(f"unknown mode {self.mode!r}")
-        if not 1 <= self.n_traj <= MAX_N_TRAJ:
-            raise GenerationFailed(f"n_traj outside desk-scale cap [1, {MAX_N_TRAJ}]")
+        if not 1 <= self.n_traj <= statements.MAX_N_TRAJ:
+            raise GenerationFailed(f"n_traj outside desk-scale cap [1, {statements.MAX_N_TRAJ}]")
         if self.n_geo < 1:
             raise GenerationFailed("n_geo must be positive")
         try:

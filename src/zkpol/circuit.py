@@ -26,7 +26,7 @@ counter equal to the per-gate composition.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .field import FieldParams
@@ -77,13 +77,7 @@ class Counters:
     n_shared_inputs: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "n_mul": self.n_mul,
-            "n_add": self.n_add,
-            "n_assert": self.n_assert,
-            "n_prover_inputs": self.n_prover_inputs,
-            "n_shared_inputs": self.n_shared_inputs,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -428,16 +422,3 @@ class ConstraintSystem:
             first_failed_assertion=first_fail,
             counters=self.counters,
         )
-
-    def check_domain_monotonicity(self) -> bool:
-        """Structural check: no gate output less secret than any operand."""
-        doms = self._domains
-        for wid, g in enumerate(self._gates):
-            op = g[0]
-            if op in (_ADD, _SUB, _MUL):
-                if doms[wid] < max(doms[g[1]], doms[g[2]]):
-                    return False
-            elif op == _AFFINE:
-                if g[2] and doms[wid] < max(doms[i] for i in g[2]):
-                    return False
-        return True

@@ -13,7 +13,7 @@ import sys
 
 from .circuit import ConstraintSystem
 from .field import FieldError, FieldParams
-from . import appio, protocol, statements
+from . import appio, gadgets, localcalc, protocol, statements
 
 EXIT_OK = 0
 EXIT_UNSAT = 1
@@ -43,10 +43,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    """Build the statement once, then check each trail mutation by
-    overriding the trail inputs.  Only the digest-equality assertion may
-    reject a mutation: passing, or failing anywhere else first, is a
-    binding violation."""
+    """Build the statement once, then check mutations by overriding inputs.
+
+    Each mutation changes one trail coordinate, which only the digest
+    assertion may reject, and gives one segment a wrong root with the bits
+    a prover derives for it, which only that root's assertions may reject
+    (hints further downstream are not re-derived)."""
     inst = appio.load_instance(args.instance)
     rng = random.Random(args.seed)
     handle = statements.build_statement(inst, ConstraintSystem(inst.field_params))
@@ -57,7 +59,9 @@ def _cmd_fuzz(args) -> int:
         violations += 1
         print(f"EQUIVALENCE VIOLATION: circuit={honest} oracle={oracle}")
     bound = 1 << inst.field_params.coord_bits
+    k_seg = statements.seg_width(inst.field_params)
     pts = list(inst.trail.points)
+    padded = inst.trail.padded(inst.n_traj)
     flat = statements.trail_message(inst.trail, inst.n_traj)
     for trial in range(args.mutations):
         i = rng.randrange(len(pts))
@@ -78,6 +82,22 @@ def _cmd_fuzz(args) -> int:
         if report.first_failed_assertion != handle.digest_assertion:
             violations += 1
             print(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
+        if not handle.roots:
+            continue
+        j = rng.randrange(len(handle.roots))
+        inputs, asserts = handle.roots[j]
+        (x0, y0), (x1, y1) = padded[j : j + 2]
+        sq = (x1 - x0) ** 2 + (y1 - y0) ** 2
+        root = localcalc.isqrt(sq)
+        wrong = rng.choice([v for v in (root - 1, root + 1, rng.randrange(1 << k_seg))
+                            if v not in (root, -1)])
+        # The gadget itself, on a scratch system, derives the wrong root's bits.
+        scratch = ConstraintSystem(inst.field_params)
+        _, wired = gadgets.sqrt_floor(scratch, scratch.const(sq), k_seg, wrong)
+        report = handle.check({w: scratch.value(v) for w, v in zip(inputs, wired)})
+        if report.first_failed_assertion not in asserts:
+            violations += 1
+            print(f"ROOT VIOLATION at mutation {trial} (segment {j}, root {wrong} != {root})")
     print(json.dumps({"mutations": args.mutations, "violations": violations}))
     return EXIT_OK if violations == 0 else EXIT_UNSAT
 

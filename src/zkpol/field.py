@@ -19,9 +19,9 @@ trails of up to n_traj points):
 
 All of these stay below p/2 at the defaults (k_c = 24, n_traj <= 4096), so
 a signed quantity of that size, held as its residue mod p, never wraps.
-The square root's range proof also needs sq - d^2, negative for a
-dishonest d < 2^k_seg, not to wrap mod p; that takes p > 2^(2*k_seg + 1),
-which p > 2^(3*k_c + 6) implies.
+The exact square root puts no range proof on d; its two remainder
+decompositions pin d = isqrt(sq) as long as p > 2^(2*k_seg + 5), which
+p > 2^(3*k_c + 6) implies for every k_c >= 1.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Reusable circuit fragments.
 
-Booleanity, bit decomposition, comparisons, the floor square root with
-prover-supplied hint, Poseidon permutation/sponge, circle and triangle
-membership, and the characteristic-vector lookup.  All gadgets append to a
-caller-owned ConstraintSystem; prover-local hint values are derived from
-the builder's eager values unless the caller supplies them explicitly
-(which the adversarial tests do).
+Booleanity, bit decomposition, comparisons, the exact floor square root
+with prover-supplied hint, Poseidon permutation/sponge, circle and
+triangle membership, and the characteristic-vector row lookup.  All
+gadgets append to a caller-owned ConstraintSystem; prover-local hint
+values are derived from the builder's eager values unless the caller
+supplies them explicitly (which the adversarial tests do).
 """
 
 from __future__ import annotations
@@ -54,46 +54,37 @@ def sqrt_floor(
     cs: ConstraintSystem,
     sq: int,
     k: int,
-    mode: str = "both",
     hint: int | None = None,
-) -> int:
-    """Prover-supplied root d of sq in [0, 2^(2k)), range-proved to k bits.
+) -> tuple[int, list[int]]:
+    """Exact floor square root d = isqrt(sq) of an integer sq < 2^(2k).
 
-    In every mode d is wired as a prover input and decomposed into k bits,
-    so d < 2^k as an integer.  mode selects what else is enforced:
+    d = isqrt(sq) iff 0 <= sq - d^2 <= 2d: the prover wires d, and the
+    circuit decomposes r = sq - d*d and 2d - r into k + 1 bits each (2k + 3
+    muls; d gets no range proof).  An honest d has r <= 2d < 2^(k+1).
 
-    "both" (subsidy use) makes d = isqrt(sq), through the identity
-    d = isqrt(sq)  <=>  0 <= sq - d^2 <= 2d.  It sets r = sq - d*d and
-    decomposes r and 2d - r into k + 1 bits each: 1 + k + 2(k + 1) muls.
-    Soundness, for p > 2^(2k+1):
-      - d < 2^k gives r <= 2d < 2^(k+1), so an honest r and 2d - r fit.
-      - The decompositions make the residues r and 2d - r integers in
-        [0, 2^(k+1)).  As integers sq, d^2 < 2^(2k), so sq - d^2 differs
-        from the residue r by less than 2^(2k) + 2^(k+1) <= 2^(2k+1) < p,
-        and 2d - r from its residue by less than 2^(k+2) < p.  Neither
-        congruence can wrap, so 0 <= sq - d^2 <= 2d over the integers,
-        i.e. d^2 <= sq < (d + 1)^2.
+    Soundness, for p > 2^(2k+5): the decompositions make r and 2d - r
+    residues below 2^(k+1), so 2d is congruent to m = r + (2d - r) with
+    m < 2^(k+2), and the residue d is m/2 or (m + p)/2.
+      - m even: d = m/2 < 2^(k+1).  Over the integers sq - d^2 differs
+        from the residue r by less than 2^(2k+2) + 2^(k+1) < p, and 2d - r
+        from its residue by less than 2^(k+2) < p.  Neither congruence
+        wraps, so 0 <= sq - d^2 <= 2d holds over the integers.
+      - m odd: d = (m + p)/2, so 4r is congruent to 4sq - (m + p)^2, i.e.
+        to 4sq - m^2.  Both sides are below 2^(2k+4) in absolute value,
+        so 4r = 4sq - m^2 over the integers once p > 2^(2k+5), and then
+        m^2 = 4(sq - r) is 0 mod 4, which no odd m has.
     The statements use k = coord_bits + 1, and FieldParams guarantees
-    p > 2^(3*coord_bits + 6) = 2^(3k + 3).
+    p > 2^(3*coord_bits + 6) = 2^(3k + 3) >= 2^(2k + 5).
 
-    "upper_only" (tax use) enforces only sq < (d+1)^2, with one 2k-bit
-    comparison; any d in [isqrt(sq), 2^k) satisfies it.
+    Returns d and the prover inputs wired, in order: d, the bits of r,
+    then the bits of 2d - r.
     """
-    if mode not in ("both", "upper_only"):
-        raise ValueError(f"unknown mode {mode!r}")
     d_val = hint if hint is not None else isqrt(cs.value(sq))
     d = cs.wire_input(d_val, Domain.PROVER)
-    decompose_bits(cs, d, k)
-    if mode == "both":
-        r = cs.sub(sq, cs.mul(d, d))
-        decompose_bits(cs, r, k + 1)
-        decompose_bits(cs, cs.affine([2, cs.p - 1], [d, r]), k + 1)
-    else:
-        dp = cs.add(d, cs.const(1))
-        dpsq = cs.mul(dp, dp)
-        # sq < (d+1)^2  <=>  sq <= (d+1)^2 - 1
-        assert_leq(cs, sq, cs.sub(dpsq, cs.const(1)), 2 * k)
-    return d
+    r = cs.sub(sq, cs.mul(d, d))
+    r_bits = decompose_bits(cs, r, k + 1)
+    s_bits = decompose_bits(cs, cs.affine([2, cs.p - 1], [d, r]), k + 1)
+    return d, [d, *r_bits, *s_bits]
 
 
 def or_gate(cs: ConstraintSystem, a: int, b: int) -> int:
@@ -150,21 +141,20 @@ def area_dbl_wire(cs, a1, b1, a2, b2, a3, b3) -> int:
 
 def check_inside_triangle(
     cs: ConstraintSystem,
-    a_wires: tuple[int, int, int],
-    b_wires: tuple[int, int, int],
+    row: tuple[int, int, int, int, int, int],
     x: int,
     y: int,
     bcoords: tuple[int, int],
     coord_bits: int,
 ) -> int:
-    """Boolean: (x, y) inside or on the boundary of the triangle.
+    """Boolean: (x, y) inside or on the boundary of the triangle whose
+    vertex coordinates are row = (x1, x2, x3, y1, y2, y3).
 
     The prover wires the unnormalized barycentric pair (s, t); the circuit
     derives u = A - s - t, asserts the exact Cartesian reconstruction
     identities, and returns the conjunction of the three sign checks.
     """
-    a1, a2, a3 = a_wires
-    b1, b2, b3 = b_wires
+    a1, a2, a3, b1, b2, b3 = row
     A = area_dbl_wire(cs, a1, b1, a2, b2, a3, b3)
     p = cs.p
     s = cs.wire_input(bcoords[0] % p, Domain.PROVER)
@@ -179,25 +169,24 @@ def check_inside_triangle(
     return cs.mul(inside, is_nonneg(cs, u, m))
 
 
-def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[int, int, int]]) -> tuple[int, int, int]:
-    """Oblivious row selection via a prover-supplied characteristic vector.
+def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Oblivious selection of a whole row via one prover-supplied
+    characteristic vector.
 
     t_index is 1-based; the vector is boolean-asserted and must sum to 1,
-    so a malformed vector makes the system unsatisfiable.
+    so a malformed vector makes the system unsatisfiable.  Every column is
+    read through the same vector, so the result is one row of the table as
+    a tuple, never columns mixed from different rows.
     """
     n = len(rows)
-    sel = []
-    for i in range(1, n + 1):
-        xi = cs.wire_input(1 if i == t_index else 0, Domain.PROVER)
+    sel = [cs.wire_input(int(i == t_index), Domain.PROVER) for i in range(1, n + 1)]
+    for xi in sel:
         assert_boolean(cs, xi)
-        sel.append(xi)
-    total = cs.affine([1] * n, sel)
-    cs.assert_eq(total, cs.const(1))
-    out = []
-    for k in range(3):
-        prods = [cs.mul(sel[i], rows[i][k]) for i in range(n)]
-        out.append(cs.affine([1] * n, prods))
-    return tuple(out)
+    cs.assert_eq(cs.affine([1] * n, sel), cs.const(1))
+    return tuple(
+        cs.affine([1] * n, [cs.mul(sel[i], rows[i][k]) for i in range(n)])
+        for k in range(len(rows[0]))
+    )
 
 
 # -- Poseidon gadget ----------------------------------------------------

@@ -138,10 +138,9 @@ class TrailStore:
 def policy_holds(trail_points, ad: AuthorityData) -> bool:
     """The relation R evaluated in plaintext (prover-local)."""
     trail = Trail(tuple(trail_points))
-    if not 0 < trail.declared_len <= ad.n_traj:
-        return False
-    bound = 1 << ad.field_params.coord_bits
-    if any(not (0 <= x < bound and 0 <= y < bound) for x, y in trail_points):
+    try:
+        statements.check_trail(trail, ad.n_traj, ad.field_params.coord_bits)
+    except statements.InstanceError:
         return False
     pts = trail.padded(ad.n_traj)
     if ad.kind == "ev":

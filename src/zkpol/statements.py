@@ -3,9 +3,11 @@
 Each builder lays down the full circuit for one statement instance on a
 caller-supplied ConstraintSystem and returns a handle whose ``check``
 method evaluates the system and reports satisfiability plus gate
-counters.  Hint parameters allow tests to substitute adversarial
-prover-local values (square roots, triangle indices) while keeping the
-rest of the witness honest.
+counters.  Both statements share one circuit segment walk, split by a
+per-point membership bit; a builder supplies only its geometry wiring,
+that bit and its final assertions.  Hint parameters allow tests to
+substitute adversarial prover-local values (square roots, triangle
+indices) while keeping the rest of the witness honest.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from .circuit import ConstraintSystem, Domain, SatisfactionReport
 from .field import FieldParams
 from . import gadgets, localcalc
 from .poseidon import PoseidonParamError, PoseidonParams, params_for
+
+
+MAX_N_TRAJ = 4096  # desk-scale cap on n_traj for every entry point
 
 
 class InstanceError(Exception):
@@ -113,6 +118,11 @@ class StatementInstance:
         return self.geometry.count
 
 
+def seg_width(field_params: FieldParams) -> int:
+    """Bit width k_seg of a segment length: isqrt(2 * (2^k_c - 1)^2) < 2^(k_c+1)."""
+    return field_params.coord_bits + 1
+
+
 def tot_width(field_params: FieldParams, n_traj: int) -> int:
     """Bit width covering the accumulated trail length."""
     return field_params.coord_bits + 1 + max(n_traj, 1).bit_length()
@@ -128,6 +138,17 @@ def honest_hash(pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
     return localcalc.poseidon_digest_ref(trail_message(trail, n_traj), pp)
 
 
+def check_trail(trail: Trail, n_traj: int, coord_bits: int) -> None:
+    """Raise InstanceError unless the trail has 1..n_traj points, each with
+    both coordinates in [0, 2^coord_bits)."""
+    if not 0 < trail.declared_len <= n_traj:
+        raise InstanceError("trail length outside (0, n_traj]")
+    bound = 1 << coord_bits
+    for i, (x, y) in enumerate(trail.points):
+        if not (0 <= x < bound and 0 <= y < bound):
+            raise InstanceError(f"trail point {i} outside [0, 2^{coord_bits})")
+
+
 def validate_instance(inst: StatementInstance) -> None:
     fp = inst.field_params
     bound = 1 << fp.coord_bits
@@ -135,11 +156,7 @@ def validate_instance(inst: StatementInstance) -> None:
         raise InstanceError(f"unknown statement kind {inst.kind!r}")
     if inst.n_traj < 1:
         raise InstanceError("n_traj must be positive")
-    if not 0 < inst.trail.declared_len <= inst.n_traj:
-        raise InstanceError("trail length outside (0, n_traj]")
-    for i, (x, y) in enumerate(inst.trail.points):
-        if not (0 <= x < bound and 0 <= y < bound):
-            raise InstanceError(f"trail point {i} outside [0, 2^{fp.coord_bits})")
+    check_trail(inst.trail, inst.n_traj, fp.coord_bits)
     w = tot_width(fp, inst.n_traj)
     if inst.kind == "ev":
         if not isinstance(inst.geometry, CircleSet) or not isinstance(inst.policy, SubsidyPolicy):
@@ -194,6 +211,7 @@ class StatementHandle:
     cs: ConstraintSystem
     trail_input_ids: list[int]
     digest_assertion: int  # index of the assertion digest == h_ex
+    roots: list[tuple[list[int], range]]  # per segment: root inputs, assertions
 
     def check(self, overrides: dict[int, int] | None = None) -> SatisfactionReport:
         return self.cs.evaluate_and_check(overrides)
@@ -210,10 +228,31 @@ def _wire_trail(cs: ConstraintSystem, inst: StatementInstance):
     return pts, xs, ys, digest_assertion
 
 
-def _segment_sq(cs, xs, ys, i) -> int:
-    dx = cs.sub(xs[i], xs[i - 1])
-    dy = cs.sub(ys[i], ys[i - 1])
-    return cs.add(cs.mul(dx, dx), cs.mul(dy, dy))
+def _segment_walk(cs, xs, ys, inside, sqrt_hints=None):
+    """Circuit twin of ``localcalc.segment_walk``: (tot, both, roots).
+
+    ``inside(i)`` wires point i's membership bit.  Segment lengths are
+    exact roots (``gadgets.sqrt_floor``); both sums the lengths of the
+    segments with both endpoints inside, and roots holds each root's
+    prover inputs and assertion indices.
+    """
+    k_seg = seg_width(cs.params)
+    tot = both = cs.const(0)
+    roots = []
+    in_prev = inside(0)
+    for i in range(1, len(xs)):
+        in_cur = inside(i)
+        dx = cs.sub(xs[i], xs[i - 1])
+        dy = cs.sub(ys[i], ys[i - 1])
+        sq = cs.add(cs.mul(dx, dx), cs.mul(dy, dy))
+        hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
+        first = len(cs._assertions)
+        d, wired = gadgets.sqrt_floor(cs, sq, k_seg, hint)
+        roots.append((wired, range(first, len(cs._assertions))))
+        tot = cs.add(tot, d)
+        both = cs.oblivious_choice(cs.mul(in_prev, in_cur), cs.add(both, d), both)
+        in_prev = in_cur
+    return tot, both, roots
 
 
 def build_ev_subsidy(
@@ -223,42 +262,26 @@ def build_ev_subsidy(
 ) -> StatementHandle:
     """Circuit for the subsidy statement.
 
-    Binds the trail to h_ex, accumulates total length and in-circles
-    length over consecutive segments, and asserts d_req <= tot and
-    tot * p_req <= cc * 100.
-
-    Segment square roots are checked on both sides ("both" mode of
-    ``gadgets.sqrt_floor``, which also range-proves each length d to
-    k_seg bits and so keeps the tot comparison widths honest).  Dropping
-    the upper bound would let a prover understate the lengths of segments
-    outside the circles, shrinking tot while cc stays put and inflating
-    the coverage share; the percentage condition makes the one-sided
-    relaxation unsound here, unlike in the tax statement.
+    Binds the trail to h_ex, walks the segments with circle membership as
+    the inside bit (tot, and cc for the in-circles length), and asserts
+    d_req <= tot and tot * p_req <= cc * 100.  Segment lengths are exact
+    roots: an understated length outside the circles would shrink tot
+    while cc stays put and inflate the coverage share.
     """
     if inst.kind != "ev":
         raise InstanceError("not an ev instance")
     validate_instance(inst)
     fp = inst.field_params
     kc = fp.coord_bits
-    pts, xs, ys, digest_assertion = _wire_trail(cs, inst)
+    _, xs, ys, digest_assertion = _wire_trail(cs, inst)
     us = [cs.wire_input(u, Domain.SHARED) for u, _, _ in inst.geometry.circles]
     vs = [cs.wire_input(v, Domain.SHARED) for _, v, _ in inst.geometry.circles]
     ss = [cs.wire_input(r * r, Domain.SHARED) for _, _, r in inst.geometry.circles]
 
-    tot = cs.const(0)
-    cc = cs.const(0)
-    b_pi = gadgets.check_inside(cs, us, vs, ss, xs[0], ys[0], kc)
-    k_seg = kc + 1
-    for i in range(1, inst.n_traj):
-        b_in = gadgets.check_inside(cs, us, vs, ss, xs[i], ys[i], kc)
-        sq = _segment_sq(cs, xs, ys, i)
-        hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
-        d = gadgets.sqrt_floor(cs, sq, k_seg, "both", hint)
-        tot = cs.add(tot, d)
-        both = cs.mul(b_pi, b_in)
-        cc = cs.oblivious_choice(both, cs.add(cc, d), cc)
-        b_pi = b_in
+    def inside(i):
+        return gadgets.check_inside(cs, us, vs, ss, xs[i], ys[i], kc)
 
+    tot, cc, roots = _segment_walk(cs, xs, ys, inside, sqrt_hints)
     w = tot_width(fp, inst.n_traj)
     d_req = cs.wire_input(inst.policy.d_req, Domain.SHARED)
     gadgets.assert_leq(cs, d_req, tot, w)
@@ -266,7 +289,7 @@ def build_ev_subsidy(
     lhs = cs.mul(tot, p_req)
     rhs = cs.affine([100], [cc])
     gadgets.assert_leq(cs, lhs, rhs, w + 7)
-    return StatementHandle(cs, xs + ys, digest_assertion)
+    return StatementHandle(cs, xs + ys, digest_assertion, roots)
 
 
 def build_highway_tax(
@@ -277,11 +300,11 @@ def build_highway_tax(
 ) -> StatementHandle:
     """Circuit for the highway-tax statement.
 
-    Per point the prover locally finds a containing triangle, the circuit
-    obliviously looks up its vertices and verifies the barycentric
-    membership claim; the accumulator hw counts segment length with both
-    endpoints off the taxed road, and the final assertion bounds
-    tot - hw by d_max.
+    Per point the prover locally finds a containing triangle; the circuit
+    looks up that triangle's whole (x1, x2, x3, y1, y2, y3) row with one
+    selector vector and verifies the barycentric membership claim.  The
+    segment walk's both-inside length hw is the length off the taxed
+    road, and the final assertion bounds tot - hw by d_max.
     """
     if inst.kind != "tax":
         raise InstanceError("not a tax instance")
@@ -290,17 +313,13 @@ def build_highway_tax(
     kc = fp.coord_bits
     tris = inst.geometry.triangles
     pts, xs, ys, digest_assertion = _wire_trail(cs, inst)
-    rows_x = []
-    rows_y = []
-    for tri in tris:
-        rows_x.append(tuple(cs.wire_input(vx, Domain.SHARED) for vx, _ in tri))
-        rows_y.append(tuple(cs.wire_input(vy, Domain.SHARED) for _, vy in tri))
+    rows = [
+        tuple(cs.wire_input(vx, Domain.SHARED) for vx, _ in tri)
+        + tuple(cs.wire_input(vy, Domain.SHARED) for _, vy in tri)
+        for tri in tris
+    ]
 
-    tot = cs.const(0)
-    hw = cs.const(0)
-    k_seg = kc + 1
-    c_prev = None
-    for i in range(inst.n_traj):
+    def inside(i):
         x, y = pts[i]
         if tri_hints is not None and tri_hints[i] is not None:
             t_i = tri_hints[i]
@@ -308,27 +327,17 @@ def build_highway_tax(
             t_i = localcalc.find_triangle(x, y, tris)
         ref = tris[t_i - 1] if 1 <= t_i <= len(tris) else tris[0]
         bc = localcalc.get_bcoords(x, y, *ref[0], *ref[1], *ref[2])
-        a_vec = gadgets.lookup(cs, t_i, rows_x)
-        b_vec = gadgets.lookup(cs, t_i, rows_y)
-        c_i = gadgets.check_inside_triangle(
-            cs, a_vec, b_vec, xs[i], ys[i], (bc.s, bc.t), kc
-        )
-        if i > 0:
-            sq = _segment_sq(cs, xs, ys, i)
-            hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
-            d = gadgets.sqrt_floor(cs, sq, k_seg, "upper_only", hint)
-            tot = cs.add(tot, d)
-            off_road = cs.mul(c_prev, c_i)
-            hw = cs.oblivious_choice(off_road, cs.add(hw, d), hw)
-        c_prev = c_i
+        row = gadgets.lookup(cs, t_i, rows)
+        return gadgets.check_inside_triangle(cs, row, xs[i], ys[i], (bc.s, bc.t), kc)
 
+    tot, hw, roots = _segment_walk(cs, xs, ys, inside, sqrt_hints)
     w = tot_width(fp, inst.n_traj)
     taxed = cs.sub(tot, hw)
     # d_max beyond the accumulator width always satisfies; clamp keeps the
     # comparison in range without changing the verdict.
     d_max = min(inst.policy.d_max, (1 << w) - 1)
     gadgets.assert_leq(cs, taxed, cs.wire_input(d_max, Domain.SHARED), w)
-    return StatementHandle(cs, xs + ys, digest_assertion)
+    return StatementHandle(cs, xs + ys, digest_assertion, roots)
 
 
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, **hints) -> StatementHandle:
@@ -357,8 +366,10 @@ def _dummy_instance(kind: str, n_traj: int, n_geo: int, field_params: FieldParam
 
 def statement_cost(kind: str, n_traj: int, n_geo: int, field_params: FieldParams | None = None, pp=None) -> dict[str, int]:
     """Gate counters of a statement as a function of its sizes only."""
-    if n_traj < 1 or n_geo < 1:
-        raise InstanceError("sizes must be positive")
+    if not 1 <= n_traj <= MAX_N_TRAJ:
+        raise InstanceError(f"n_traj outside desk-scale cap [1, {MAX_N_TRAJ}]")
+    if n_geo < 1:
+        raise InstanceError("n_geo must be positive")
     fp = field_params or FieldParams()
     inst = _dummy_instance(kind, n_traj, n_geo, fp, pp)
     cs = ConstraintSystem(fp)

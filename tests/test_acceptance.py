@@ -70,7 +70,7 @@ def test_criterion_02_oracle_equivalence_tax(capsys):
 def _sqrt_system(v, k, hint=None):
     cs = ConstraintSystem(FP12)
     w = cs.wire_input(v, Domain.PROVER)
-    gadgets.sqrt_floor(cs, w, k, "both", hint)
+    gadgets.sqrt_floor(cs, w, k, hint)
     return cs.evaluate_and_check().satisfied
 
 

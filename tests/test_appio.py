@@ -17,6 +17,7 @@ from zkpol.appio import (
     save_instance,
     serialize_instance,
 )
+from zkpol.circuit import Domain
 from zkpol.cli import main as cli_main
 
 from conftest import random_ev_instance, random_tax_instance
@@ -282,6 +283,42 @@ def test_cli_fuzz_reports_a_hash_that_ignores_the_message(tmp_path, capsys, monk
     assert "EQUIVALENCE VIOLATION" not in "\n".join(lines)
     assert sum("HASH BINDING VIOLATION" in line for line in lines) == 5
     assert json.loads(lines[-1]) == {"mutations": 5, "violations": 5}
+
+
+@pytest.mark.parametrize("dropped", ["r", "2d - r"])
+def test_cli_fuzz_reports_a_root_missing_a_decomposition(tmp_path, capsys, monkeypatch, dropped):
+    # sqrt_floor with the bits of r (or of 2d - r) wired as free inputs:
+    # a wrong root with the bits a prover derives for it then passes.
+    path = _write_fixture(tmp_path)
+    real_sqrt, real_decompose = gadgets.sqrt_floor, gadgets.decompose_bits
+    free = []  # popped once per decomposition: 2d - r's flag, then r's
+
+    def decompose(cs, w, k, hint=None):
+        if free and free.pop():
+            return [cs.wire_input((cs.value(w) >> i) & 1, Domain.PROVER) for i in range(k)]
+        return real_decompose(cs, w, k, hint)
+
+    def loose_sqrt(cs, sq, k, hint=None):
+        free[:] = [dropped == "2d - r", dropped == "r"]
+        return real_sqrt(cs, sq, k, hint)
+
+    monkeypatch.setattr(gadgets, "decompose_bits", decompose)
+    monkeypatch.setattr(gadgets, "sqrt_floor", loose_sqrt)
+    assert cli_main(["fuzz", path, "--mutations", "10", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    roots = sum("ROOT VIOLATION" in line for line in lines)
+    assert roots > 0
+    assert json.loads(lines[-1]) == {"mutations": 10, "violations": roots}
+
+
+def test_cli_cost_n_traj_above_cap_exits_two(capsys, monkeypatch):
+    # Rejected before the dummy trail of 4097 points is hashed.
+    hashed = []
+    monkeypatch.setattr(localcalc, "poseidon_digest_ref", lambda *args: hashed.append(args))
+    argv = ["cost", "--kind", "ev", "--n-traj", "4097", "--n-circ", "1"]
+    assert cli_main(argv) == 2
+    assert "cap" in capsys.readouterr().err
+    assert not hashed
 
 
 def test_cli_cost_csv(capsys):

@@ -71,6 +71,8 @@ def test_domain_join_rule():
     b = cs.wire_input(3, Domain.SHARED)
     assert cs._domains[cs.mul(a, b)] == Domain.PROVER
     assert cs._domains[cs.add(b, cs.const(1))] == Domain.SHARED
+    assert cs._domains[cs.affine([1, 2], [a, b], 5)] == Domain.PROVER
+    assert cs._domains[cs.affine([3], [b], 5)] == Domain.SHARED
 
 
 def test_assert_eq_satisfied():
@@ -163,15 +165,6 @@ def test_override_must_name_an_input_wire(target):
     wid = {"gate": prod, "const": four, "out_of_range": 10**6, "negative": -1}[target]
     with pytest.raises(CircuitError, match="not an input wire"):
         cs.evaluate_and_check({wid: 5})
-
-
-def test_domain_monotonicity_structural():
-    cs = fresh()
-    a = cs.wire_input(2, Domain.PROVER)
-    b = cs.wire_input(3, Domain.SHARED)
-    cs.mul(a, b)
-    cs.affine([1, 2], [a, b], 5)
-    assert cs.check_domain_monotonicity()
 
 
 def test_counter_determinism():

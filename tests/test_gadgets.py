@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 
 from zkpol import gadgets, localcalc
 from zkpol.circuit import _INPUT, ConstraintSystem, Domain
@@ -80,60 +81,75 @@ def test_assert_leq(a, b, ok):
 # -- floor square root ---------------------------------------------------
 
 
-def _sqrt_system(sq, k, mode, hint=None):
+def _sqrt_system(sq, k, hint=None):
     cs = fresh()
     w = cs.wire_input(sq, Domain.PROVER)
-    d = gadgets.sqrt_floor(cs, w, k, mode, hint)
+    d, _ = gadgets.sqrt_floor(cs, w, k, hint)
     return cs, d
 
 
 def test_sqrt_perfect_square():
-    cs, d = _sqrt_system(25, 4, "both")
+    cs, d = _sqrt_system(25, 4)
     assert cs.value(d) == 5
     assert cs.evaluate_and_check().satisfied
 
 
 def test_sqrt_rounds_down():
-    cs, d = _sqrt_system(24, 4, "both")
+    cs, d = _sqrt_system(24, 4)
     assert cs.value(d) == 4
     assert cs.evaluate_and_check().satisfied
 
 
 def test_sqrt_adversarial_over_rejected():
-    cs, _ = _sqrt_system(25, 4, "both", hint=6)
+    cs, _ = _sqrt_system(25, 4, hint=6)
     assert not cs.evaluate_and_check().satisfied
 
 
-def test_sqrt_upper_only_allows_overstatement():
-    cs, _ = _sqrt_system(25, 4, "upper_only", hint=7)
-    assert cs.evaluate_and_check().satisfied
-    cs, _ = _sqrt_system(25, 4, "upper_only", hint=4)
-    assert not cs.evaluate_and_check().satisfied
+def _sqrt_witness(p, sq, d, k):
+    # Values of the inputs sqrt_floor returns: d, bits of r, bits of 2d - r.
+    r = (sq - d * d) % p
+    s = (2 * d - r) % p
+    return [d] + [(r >> i) & 1 for i in range(k + 1)] + [(s >> i) & 1 for i in range(k + 1)]
 
 
-def test_sqrt_modes_exhaustive_small_k():
-    # Every sq < 2^(2k) against every in-range hint and two wrapped ones:
-    # p - d (same square as d) and (p+1)/2 (the field's 1/2, so 2d = 1).
-    k = 4
-    p = FP.modulus
-    wrapped = [p - d for d in range(1, 1 << k)] + [(p + 1) // 2]
-    for sq in range(1 << (2 * k)):
-        root = localcalc.isqrt(sq)
-        for d in list(range(1 << k)) + wrapped:
-            both, _ = _sqrt_system(sq, k, "both", hint=d)
-            assert both.evaluate_and_check().satisfied == (d == root), (sq, d)
-            upper, _ = _sqrt_system(sq, k, "upper_only", hint=d)
-            assert upper.evaluate_and_check().satisfied == (root <= d < 1 << k), (sq, d)
+def test_sqrt_exact_at_smallest_admitted_primes():
+    # For coord_bits c = 1..4 at the smallest prime FieldParams admits
+    # (p > 2^(3c+6)), width k = c + 1 and every squared segment length a
+    # c-bit trail can produce, the gadget holds iff the hint is isqrt(sq).
+    # Hints: all of [0, p) for c <= 2; otherwise d < 2^(k+3), the wrapped
+    # p - d and the halves (m + p)/2 of odd m < 2^(k+2), the only residues
+    # besides m/2 whose double is below 2^(k+2).  One system per prime is
+    # checked with overrides: sq, the hint and the bits a prover derives
+    # for it, the best witness for that hint.
+    for c in (1, 2, 3, 4):
+        p = sympy.nextprime(1 << (3 * c + 6))
+        k = c + 1
+        cs = ConstraintSystem(FieldParams(modulus=p, coord_bits=c))
+        w = cs.wire_input(5, Domain.PROVER)
+        _, inputs = gadgets.sqrt_floor(cs, w, k)
+        assert [cs.value(i) for i in inputs] == _sqrt_witness(p, 5, 2, k)
+        if c <= 2:
+            hints = range(p)
+        else:
+            window = range(1, 1 << (k + 3))
+            odd = range(1, 1 << (k + 2), 2)
+            hints = {0, *window, *(p - d for d in window), *((m + p) // 2 for m in odd)}
+        squares = {dx * dx + dy * dy for dx in range(1 << c) for dy in range(1 << c)}
+        for sq in squares:
+            root = localcalc.isqrt(sq)
+            for d in hints:
+                overrides = dict(zip(inputs, _sqrt_witness(p, sq, d, k)))
+                overrides[w] = sq
+                assert cs.evaluate_and_check(overrides).satisfied == (d == root), (p, sq, d)
 
 
 def test_sqrt_range_proves_root_in_every_mode():
-    # d is decomposed to k bits in both modes: k + (k+1) + (k+1) muls plus
-    # d*d in "both"; k plus the (2k+1)-bit comparison and (d+1)^2 otherwise.
+    # d*d plus the (k+1)-bit decompositions of r and 2d - r; d itself gets
+    # no range proof.
     k = 10
-    for mode, n_mul in (("both", 1 + k + 2 * (k + 1)), ("upper_only", k + 1 + 2 * k + 1)):
-        cs, _ = _sqrt_system(200, k, mode)
-        assert cs.n_mul == n_mul
-        assert cs.evaluate_and_check().satisfied
+    cs, _ = _sqrt_system(200, k)
+    assert cs.n_mul == 2 * k + 3
+    assert cs.evaluate_and_check().satisfied
 
 
 def test_sqrt_totality_small_exhaustive():
@@ -142,15 +158,9 @@ def test_sqrt_totality_small_exhaustive():
         assert d * d <= v < (d + 1) * (d + 1)
     # Circuit-level spot checks across the range.
     for v in (0, 1, 2, 255, 1023, 65535, 2**20 - 1):
-        cs, d = _sqrt_system(v, 10, "both")
+        cs, d = _sqrt_system(v, 10)
         assert cs.value(d) == localcalc.isqrt(v)
         assert cs.evaluate_and_check().satisfied
-
-
-def test_sqrt_bad_mode():
-    for mode in ("sideways", "lower_only"):
-        with pytest.raises(ValueError):
-            _sqrt_system(4, 4, mode)
 
 
 # -- circle membership ---------------------------------------------------
@@ -206,14 +216,13 @@ def test_circle_gadget_matches_oracle_randomly():
 def _triangle_system(tri, x, y, bcoords=None):
     cs = fresh()
     (a1, b1), (a2, b2), (a3, b3) = tri
-    aw = tuple(cs.wire_input(v, Domain.SHARED) for v in (a1, a2, a3))
-    bw = tuple(cs.wire_input(v, Domain.SHARED) for v in (b1, b2, b3))
+    row = tuple(cs.wire_input(v, Domain.SHARED) for v in (a1, a2, a3, b1, b2, b3))
     wx = cs.wire_input(x, Domain.PROVER)
     wy = cs.wire_input(y, Domain.PROVER)
     if bcoords is None:
         bc = localcalc.get_bcoords(x, y, a1, b1, a2, b2, a3, b3)
         bcoords = (bc.s, bc.t)
-    out = gadgets.check_inside_triangle(cs, aw, bw, wx, wy, bcoords, FP.coord_bits)
+    out = gadgets.check_inside_triangle(cs, row, wx, wy, bcoords, FP.coord_bits)
     return cs, out
 
 
@@ -322,3 +331,15 @@ def test_lookup_two_ones_unsatisfiable():
     report = cs.evaluate_and_check(overrides={sel_ids[0]: 1})
     assert not report.satisfied
     assert report.first_failed_assertion == len(TABLE)
+
+
+def test_lookup_reads_every_column_through_one_vector():
+    # A six-column triangle row (x1, x2, x3, y1, y2, y3): one selector per
+    # row, booleanity plus one product per cell.
+    table = [tuple(range(6 * i, 6 * i + 6)) for i in range(4)]
+    for t in range(1, len(table) + 1):
+        cs, out = _lookup_system(t, table)
+        assert tuple(cs.value(w) for w in out) == table[t - 1]
+        assert cs.n_prover_inputs == len(table)
+        assert cs.n_mul == len(table) * (1 + 6)
+        assert cs.evaluate_and_check().satisfied

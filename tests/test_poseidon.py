@@ -215,7 +215,6 @@ def test_bulk_mixed_domain_state_matches_per_gate_composition():
     for w in out:
         bulk.assert_eq(w, bulk.const(bulk.value(w)))
     assert bulk.evaluate_and_check().satisfied
-    assert bulk.check_domain_monotonicity()
 
 
 def test_bulk_output_domain_is_most_secret_lane():

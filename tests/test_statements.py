@@ -1,9 +1,12 @@
+import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from zkpol import localcalc
-from zkpol.circuit import ConstraintSystem
+from zkpol import gadgets, localcalc
+from zkpol.circuit import ConstraintSystem, Domain
 from zkpol.field import FieldParams
 from zkpol.statements import (
     CircleSet,
@@ -196,8 +199,9 @@ def test_ev_random_instances_agree_with_oracle():
 
 
 def test_ev_domain_monotonicity():
+    # Every assertion constrains a value derived from prover data.
     cs, _ = _build(_ev(10, 100))
-    assert cs.check_domain_monotonicity()
+    assert {cs._domains[a] for a in cs._assertions} == {Domain.PROVER}
 
 
 # -- highway-tax statement -----------------------------------------------
@@ -246,12 +250,66 @@ def test_tax_wrong_triangle_hint_never_decreases_taxed_distance():
         hints[i] = 1  # triangle 1 is also the only one; use the degraded path
         cs, h = _build(inst, tri_hints=hints)
         assert h.check().satisfied  # honest hint: nothing changes
-    # Overstating an on-road hop inflates tot and hw equally: no effect.
+    # Square roots are exact: overstating an on-road hop and understating
+    # the off-road hop are both rejected.
     cs, h = _build(inst, sqrt_hints=[6, 97, 5])
-    assert h.check().satisfied
-    # Understating the off-road hop would shrink the taxed distance; the
-    # upper-only square-root bound rejects it.
+    assert not h.check().satisfied
     cs, h = _build(inst, sqrt_hints=[5, 96, 5])
+    assert not h.check().satisfied
+
+
+def _mixed_row_witness(tri_1, tri_2, trail):
+    """Build a tax statement (d_max 0) whose prover alternates its lookups
+    between triangles 1 and 2 and claims barycentric coordinates in the
+    mixed triangle: x coordinates of tri_1, y coordinates of tri_2.  A
+    lookup that selected columns separately would take x from triangle 1
+    and y from triangle 2 at every point."""
+    mixed = tuple((x, y) for (x, _), (_, y) in zip(tri_1, tri_2))
+    inst = make_instance(
+        "tax", FP12, len(trail), TaxPolicy(0), TriangleSet((tri_1, tri_2)), Trail(trail)
+    )
+    real_lookup = gadgets.lookup
+    real_bcoords = localcalc.get_bcoords
+    picks = itertools.cycle((1, 2))
+    with mock.patch.object(
+        gadgets, "lookup", lambda cs, t, rows: real_lookup(cs, next(picks), rows)
+    ), mock.patch.object(
+        localcalc, "get_bcoords",
+        lambda x, y, *_: real_bcoords(x, y, *mixed[0], *mixed[1], *mixed[2]),
+    ):
+        _, h = _build(inst)
+    return inst, h
+
+
+def test_tax_mixed_triangle_row_unsatisfiable():
+    # Two tax-free triangles and a trail inside neither, but inside the
+    # mixed triangle ((0,100), (10,100), (0,110)).
+    tri_1 = ((0, 0), (10, 0), (0, 10))
+    tri_2 = ((100, 100), (110, 100), (100, 110))
+    inst, h = _mixed_row_witness(tri_1, tri_2, ((1, 101), (2, 102), (3, 103)))
+    assert localcalc.taxed_distance(inst.trail.points, inst.geometry.triangles) == 2
+    assert not oracle_verdict(inst)
+    assert not _build(inst)[1].check().satisfied
+    assert not h.check().satisfied
+
+
+_POINT = st.tuples(st.integers(0, 1023), st.integers(0, 1023))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_POINT, _POINT, _POINT), st.integers(1, 2), st.integers(1, 2))
+def test_tax_mixed_triangle_row_unsatisfiable_on_disjoint_pairs(tri, sx, sy):
+    # tri_1 lies in [0, 1024)^2 and tri_2, its image under
+    # (x, y) -> (sx*x + 2048, sy*y + 2048), in [2048, 4096)^2.  The mixed
+    # triangle (x from tri_1, y from tri_2) lies in [0, 1024) x [2048, 4096),
+    # apart from both, so a trail through its vertices is taxed in full and
+    # d_max 0 fails.  The scaling keeps all three positively oriented.
+    assume(localcalc.area_dbl_sgn(*tri[0], *tri[1], *tri[2]) != 0)
+    (tri_1,) = TriangleSet.oriented([tri]).triangles
+    tri_2 = tuple((sx * x + 2048, sy * y + 2048) for x, y in tri_1)
+    mixed = tuple((x, y) for (x, _), (_, y) in zip(tri_1, tri_2))
+    inst, h = _mixed_row_witness(tri_1, tri_2, mixed)
+    assert not oracle_verdict(inst)
     assert not h.check().satisfied
 
 
@@ -318,18 +376,19 @@ def test_statement_cost_rejects_bad_sizes():
 
 def test_statement_cost_pinned():
     # Counters of the round-by-round Poseidon construction; the bulk
-    # permutation must reproduce them exactly.  The ev row is that of the
-    # range-proof square root.
+    # permutation must reproduce them exactly.  Both rows are those of the
+    # exact square root (2k + 3 muls) and, for tax, of one selector vector
+    # per point over whole triangle rows.
     assert statement_cost("ev", 256, 1, FieldParams()) == {
-        "n_mul": 95996, "n_add": 217086, "n_assert": 33538,
-        "n_prover_inputs": 33279, "n_shared_inputs": 6,
+        "n_mul": 89621, "n_add": 204336, "n_assert": 26908,
+        "n_prover_inputs": 26904, "n_shared_inputs": 6,
     }
     assert statement_cost("tax", 64, 16, FieldParams()) == {
-        "n_mul": 39696, "n_add": 78243, "n_assert": 17493,
-        "n_prover_inputs": 17172, "n_shared_inputs": 98,
+        "n_mul": 37160, "n_add": 72982, "n_assert": 14830,
+        "n_prover_inputs": 14636, "n_shared_inputs": 98,
     }
     # Wire counts of the same statements: every wire is one gate.
-    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 218_111), ("tax", 64, 16, 88_981)):
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 198_476), ("tax", 64, 16, 81_119)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
