@@ -167,6 +167,23 @@ def test_override_must_name_an_input_wire(target):
         cs.evaluate_and_check({wid: 5})
 
 
+def test_domain_monotonicity_structural():
+    # No gate output is less secret than any of its operands, on the
+    # per-gate path and on the bulk decomposition path.
+    cs = fresh()
+    a = cs.wire_input(2, Domain.PROVER)
+    b = cs.wire_input(3, Domain.SHARED)
+    cs.mul(a, b)
+    cs.affine([1, 2], [a, b], 5)
+    cs.decompose(cs.add(b, cs.const(4)), 4)
+    doms = cs._domains
+    for wid, g in enumerate(cs._gates):
+        if g[0] in (_ADD, _SUB, _MUL):
+            assert doms[wid] >= max(doms[g[1]], doms[g[2]]), wid
+        elif g[0] == _AFFINE and g[2]:
+            assert doms[wid] >= max(doms[i] for i in g[2]), wid
+
+
 def test_counter_determinism():
     def build():
         cs = fresh()
