@@ -1,7 +1,7 @@
 """Zero-knowledge proof-of-location statement library and protocol simulator.
 
 Subpackages:
-    field      prime-field parameters and the overflow ledger
+    field      prime-field parameters and the bit-width ledger
     circuit    visibility-tagged constraint system builder / checker
     gadgets    reusable circuit fragments (comparison, sqrt, hash, geometry)
     poseidon   Poseidon-style permutation parameters

@@ -56,6 +56,13 @@ def _as_int(value, ptr: str) -> int:
         raise SchemaError(f"{ptr}: not an integer (decimal string expected)")
 
 
+def _tuple(value, n: int, ptr: str, item=_as_int) -> tuple:
+    """A list of exactly n entries, each read by ``item``, as a tuple."""
+    if not isinstance(value, list) or len(value) != n:
+        raise SchemaError(f"{ptr}: expected a list of {n}")
+    return tuple(item(v, f"{ptr}/{i}") for i, v in enumerate(value))
+
+
 def serialize_instance(inst: StatementInstance) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -125,57 +132,37 @@ def instance_from_doc(doc: dict) -> StatementInstance:
         raise SchemaError(f"/poseidon: {exc}")
     sizes = _want(doc, "sizes", "")
     n_traj = _as_int(_want(sizes, "n_traj", "/sizes"), "/sizes/n_traj")
-    if not 1 <= n_traj <= statements.MAX_N_TRAJ:
-        raise SchemaError(f"/sizes/n_traj: outside desk-scale cap [1, {statements.MAX_N_TRAJ}]")
     trail_doc = _want(doc, "trail", "")
-    points = []
-    for i, pt in enumerate(_want(trail_doc, "points", "/trail")):
-        if len(pt) != 2:
-            raise SchemaError(f"/trail/points/{i}: expected [x, y]")
-        points.append(
-            (_as_int(pt[0], f"/trail/points/{i}/0"), _as_int(pt[1], f"/trail/points/{i}/1"))
-        )
-    trail = Trail(tuple(points))
-    if "declared_len" in trail_doc and int(trail_doc["declared_len"]) != len(points):
+    points = [
+        _tuple(pt, 2, f"/trail/points/{i}")
+        for i, pt in enumerate(_want(trail_doc, "points", "/trail"))
+    ]
+    declared = trail_doc.get("declared_len", len(points))
+    if _as_int(declared, "/trail/declared_len") != len(points):
         raise SchemaError("/trail/declared_len: does not match point count")
     pol_doc = _want(doc, "policy", "")
     geo_doc = _want(doc, "geometry", "")
-    bound = 1 << fp.coord_bits
-    if kind == "ev":
-        policy = SubsidyPolicy(
-            d_req=_as_int(_want(pol_doc, "d_req", "/policy"), "/policy/d_req"),
-            p_req=_as_int(_want(pol_doc, "p_req", "/policy"), "/policy/p_req"),
-        )
-        circles = []
-        for i, c in enumerate(_want(geo_doc, "circles", "/geometry")):
-            u, v, r = (_as_int(x, f"/geometry/circles/{i}") for x in c)
-            if not (0 <= u < bound and 0 <= v < bound and 0 < r < bound):
-                raise SchemaError(f"/geometry/circles/{i}: out of coordinate range")
-            circles.append((u, v, r))
-        geometry = CircleSet(tuple(circles))
-        if "n_circ" in sizes and int(sizes["n_circ"]) != len(circles):
-            raise SchemaError("/sizes/n_circ: does not match geometry")
-    else:
-        policy = TaxPolicy(d_max=_as_int(_want(pol_doc, "d_max", "/policy"), "/policy/d_max"))
-        tris = []
-        for j, tri in enumerate(_want(geo_doc, "triangles", "/geometry")):
-            if len(tri) != 3:
-                raise SchemaError(f"/geometry/triangles/{j}: expected 3 vertices")
-            verts = []
-            for k, pt in enumerate(tri):
-                x, y = (_as_int(v, f"/geometry/triangles/{j}/{k}") for v in pt)
-                if not (0 <= x < bound and 0 <= y < bound):
-                    raise SchemaError(f"/geometry/triangles/{j}/{k}: out of range")
-                verts.append((x, y))
-            tris.append(tuple(verts))
-        try:
-            geometry = TriangleSet.oriented(tris)
-        except InstanceError as exc:
-            raise SchemaError(f"/geometry/triangles: {exc}")
-        if "n_tri" in sizes and int(sizes["n_tri"]) != len(tris):
-            raise SchemaError("/sizes/n_tri: does not match geometry")
     h_ex = _as_int(_want(doc, "h_ex", ""), "/h_ex")
     try:
+        if kind == "ev":
+            policy = SubsidyPolicy(
+                d_req=_as_int(_want(pol_doc, "d_req", "/policy"), "/policy/d_req"),
+                p_req=_as_int(_want(pol_doc, "p_req", "/policy"), "/policy/p_req"),
+            )
+            geo = [
+                _tuple(c, 3, f"/geometry/circles/{i}")
+                for i, c in enumerate(_want(geo_doc, "circles", "/geometry"))
+            ]
+            geometry, size_key = CircleSet(tuple(geo)), "n_circ"
+        else:
+            policy = TaxPolicy(d_max=_as_int(_want(pol_doc, "d_max", "/policy"), "/policy/d_max"))
+            geo = [
+                _tuple(tri, 3, f"/geometry/triangles/{j}", lambda pt, ptr: _tuple(pt, 2, ptr))
+                for j, tri in enumerate(_want(geo_doc, "triangles", "/geometry"))
+            ]
+            geometry, size_key = TriangleSet.oriented(geo), "n_tri"
+        if size_key in sizes and _as_int(sizes[size_key], f"/sizes/{size_key}") != len(geo):
+            raise SchemaError(f"/sizes/{size_key}: does not match geometry")
         inst = StatementInstance(
             kind=kind,
             field_params=fp,
@@ -183,12 +170,12 @@ def instance_from_doc(doc: dict) -> StatementInstance:
             n_traj=n_traj,
             policy=policy,
             geometry=geometry,
-            trail=trail,
+            trail=Trail(tuple(points)),
             h_ex=h_ex,
         )
         statements.validate_instance(inst)
     except InstanceError as exc:
-        raise SchemaError(f"/: {exc}")
+        raise SchemaError(str(exc)) from exc
     return inst
 
 

@@ -12,7 +12,7 @@ import random
 import sys
 
 from .circuit import ConstraintSystem
-from .field import FieldError, FieldParams
+from .field import FieldError, FieldParams, widths
 from . import appio, gadgets, localcalc, protocol, statements
 
 EXIT_OK = 0
@@ -59,7 +59,7 @@ def _cmd_fuzz(args) -> int:
         violations += 1
         print(f"EQUIVALENCE VIOLATION: circuit={honest} oracle={oracle}")
     bound = 1 << inst.field_params.coord_bits
-    k_seg = statements.seg_width(inst.field_params)
+    k_seg = widths(inst.field_params.coord_bits, inst.n_traj).seg
     pts = list(inst.trail.points)
     padded = inst.trail.padded(inst.n_traj)
     flat = statements.trail_message(inst.trail, inst.n_traj)

@@ -1,33 +1,19 @@
-"""Prime-field parameters and the overflow ledger.
+"""Prime-field parameters and the bit-width ledger.
 
 Everything in the circuit and gadget layers computes in GF(p), on plain
 int residues, for a single configurable prime p.  The default is the
-Mersenne prime 2^127 - 1, which leaves ample headroom above every
-intermediate value produced by the location statements.  The headroom
-requirement is captured as a hard invariant on ``FieldParams``:
-p > 2^(3*k_c + 6) where k_c bounds the bit-length of any coordinate or
-radius.
-
-Overflow ledger (all bounds for inputs with coordinates/radii < 2^k_c,
-trails of up to n_traj points):
-
-    squared segment/center distance   < 2^(2*k_c + 1)
-    doubled triangle area             < 2^(2*k_c + 3)
-    barycentric reconstruction term   < 2^(3*k_c + 4)
-    tot * P_req                       < 2^(k_c + 1 + log2(n_traj) + 7)
-    sqrt remainder r=sq-d^2 and 2d-r  < 2^(k_seg + 1), k_seg = k_c + 1
-
-All of these stay below p/2 at the defaults (k_c = 24, n_traj <= 4096), so
-a signed quantity of that size, held as its residue mod p, never wraps.
-The exact square root puts no range proof on d; its two remainder
-decompositions pin d = isqrt(sq) as long as p > 2^(2*k_seg + 5), which
-p > 2^(3*k_c + 6) implies for every k_c >= 1.
+Mersenne prime 2^127 - 1.  ``FieldParams`` requires p > 2^(3*k_c + 6),
+where k_c bounds the bit-length of any coordinate or radius; ``widths``
+derives every bit width the statements compare or decompose at, and
+``statements.validate_instance`` rejects a shape whose widest comparison
+does not fit below p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import sympy
 
@@ -48,15 +34,35 @@ def _checked_prime(p: int) -> bool:
     return bool(sympy.isprime(p))
 
 
-def overflow_ledger(coord_bits: int, n_traj: int = 4096) -> dict[str, int]:
-    """Bit-length bounds of the largest intermediates, as a constant table."""
-    k = coord_bits
-    return {
-        "squared_distance": 2 * k + 1,
-        "doubled_area": 2 * k + 3,
-        "barycentric_term": 3 * k + 4,
-        "tot_times_preq": k + 1 + max(n_traj, 1).bit_length() + 7,
-    }
+class Widths(NamedTuple):
+    seg: int
+    tot: int
+    cover: int
+    circle: int
+    bary: int
+
+
+def widths(coord_bits: int, n_traj: int) -> Widths:
+    """Every bit width the statements use, for coordinates and radii below
+    2^k (k = coord_bits) and trails of 1..n_traj points:
+
+        seg     k + 1                  segment length isqrt(dx^2 + dy^2)
+        tot     k + 1 + bitlen(n_traj) accumulated length (tot, cc, hw, d_req)
+        cover   tot + 7                tot * p_req and 100 * cc (p_req <= 100)
+        circle  2k + 1                 squared center distance and r^2
+        bary    2k + 3                 signed barycentric weights s, t, u
+
+    A comparison at width m (``gadgets.leq``, ``gadgets.is_nonneg``)
+    decomposes m + 1 bits and decides correctly only while 2^(m+1) < p.
+    The exact root decomposes its remainders at seg + 1 bits and pins
+    d = isqrt(sq) while p > 2^(2*seg + 5).  ``FieldParams`` guarantees
+    p > 2^(3k + 6), which covers seg, circle, bary and the barycentric
+    reconstruction terms (below 2^(3k + 4)); tot and cover grow with
+    n_traj and are checked per instance by ``validate_instance``.
+    """
+    seg = coord_bits + 1
+    tot = seg + n_traj.bit_length()
+    return Widths(seg, tot, cover=tot + 7, circle=2 * coord_bits + 1, bary=2 * coord_bits + 3)
 
 
 @dataclass(frozen=True)

@@ -73,8 +73,8 @@ def sqrt_floor(
         to 4sq - m^2.  Both sides are below 2^(2k+4) in absolute value,
         so 4r = 4sq - m^2 over the integers once p > 2^(2k+5), and then
         m^2 = 4(sq - r) is 0 mod 4, which no odd m has.
-    The statements use k = coord_bits + 1, and FieldParams guarantees
-    p > 2^(3*coord_bits + 6) = 2^(3k + 3) >= 2^(2k + 5).
+    The statements pass k = ``field.widths(...).seg`` = coord_bits + 1, and
+    FieldParams guarantees p > 2^(3*coord_bits + 6) = 2^(3k + 3) >= 2^(2k + 5).
 
     Returns d and the prover inputs wired, in order: d, the bits of r,
     then the bits of 2d - r.
@@ -105,15 +105,16 @@ def check_inside(
     ss: list[int],
     x: int,
     y: int,
-    coord_bits: int,
+    width: int,
 ) -> int:
     """Boolean: (x, y) lies inside at least one circle.
 
     ss holds the squared radii; membership per circle is the non-strict
-    inequality (x-u)^2 + (y-v)^2 <= s checked at width 2*coord_bits + 1.
+    inequality (x-u)^2 + (y-v)^2 <= s, compared with ``leq`` at ``width``
+    bits, which must bound both sides (the statements pass
+    ``field.widths(...).circle``).
     """
     acc = cs.const(0)
-    width = 2 * coord_bits + 1
     for u, v, s in zip(us, vs, ss):
         dx = cs.sub(x, u)
         dy = cs.sub(y, v)
@@ -145,14 +146,16 @@ def check_inside_triangle(
     x: int,
     y: int,
     bcoords: tuple[int, int],
-    coord_bits: int,
+    width: int,
 ) -> int:
     """Boolean: (x, y) inside or on the boundary of the triangle whose
     vertex coordinates are row = (x1, x2, x3, y1, y2, y3).
 
     The prover wires the unnormalized barycentric pair (s, t); the circuit
     derives u = A - s - t, asserts the exact Cartesian reconstruction
-    identities, and returns the conjunction of the three sign checks.
+    identities, and returns the conjunction of the three sign checks, each
+    an ``is_nonneg`` at ``width`` bits, which must bound |s|, |t| and |u|
+    (the statements pass ``field.widths(...).bary``).
     """
     a1, a2, a3, b1, b2, b3 = row
     A = area_dbl_wire(cs, a1, b1, a2, b2, a3, b3)
@@ -164,9 +167,8 @@ def check_inside_triangle(
     y_rec = cs.affine([1, 1, 1], [cs.mul(u, b1), cs.mul(s, b2), cs.mul(t, b3)])
     cs.assert_eq(x_rec, cs.mul(x, A))
     cs.assert_eq(y_rec, cs.mul(y, A))
-    m = 2 * coord_bits + 3
-    inside = cs.mul(is_nonneg(cs, s, m), is_nonneg(cs, t, m))
-    return cs.mul(inside, is_nonneg(cs, u, m))
+    inside = cs.mul(is_nonneg(cs, s, width), is_nonneg(cs, t, width))
+    return cs.mul(inside, is_nonneg(cs, u, width))
 
 
 def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:

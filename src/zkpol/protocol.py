@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 from .circuit import ConstraintSystem
 from .field import FieldParams
-from . import localcalc, statements
-from .poseidon import PoseidonParams, params_for
+from . import statements
+from .poseidon import PoseidonParams
 from .statements import (
     CircleSet,
     StatementInstance,
@@ -136,16 +136,17 @@ class TrailStore:
 
 
 def policy_holds(trail_points, ad: AuthorityData) -> bool:
-    """The relation R evaluated in plaintext (prover-local)."""
-    trail = Trail(tuple(trail_points))
+    """The relation R evaluated in plaintext (prover-local): the instance
+    validates and the oracle accepts it.  R does not involve the hash."""
+    inst = StatementInstance(
+        ad.kind, ad.field_params, ad.pp, ad.n_traj, ad.policy, ad.geometry,
+        Trail(tuple(trail_points)), h_ex=0,
+    )
     try:
-        statements.check_trail(trail, ad.n_traj, ad.field_params.coord_bits)
+        statements.validate_instance(inst)
     except statements.InstanceError:
         return False
-    pts = trail.padded(ad.n_traj)
-    if ad.kind == "ev":
-        return localcalc.oracle_ev(pts, ad.geometry.circles, ad.policy)
-    return localcalc.oracle_hwtax(pts, ad.geometry.triangles, ad.policy)
+    return statements.oracle_verdict(inst)
 
 
 def trail_hash(trail_points, ad: AuthorityData) -> int:

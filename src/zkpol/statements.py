@@ -12,10 +12,10 @@ indices) while keeping the rest of the witness honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .circuit import ConstraintSystem, Domain, SatisfactionReport
-from .field import FieldParams
+from .field import FieldParams, widths
 from . import gadgets, localcalc
 from .poseidon import PoseidonParamError, PoseidonParams, params_for
 
@@ -70,11 +70,11 @@ class TriangleSet:
         """Re-orient clockwise triangles (swap vertices 2 and 3); reject
         degenerate ones."""
         out = []
-        for tri in triangles:
+        for j, tri in enumerate(triangles):
             (x1, y1), (x2, y2), (x3, y3) = tri
             a = localcalc.area_dbl_sgn(x1, y1, x2, y2, x3, y3)
             if a == 0:
-                raise InstanceError(f"degenerate triangle {tri}")
+                raise InstanceError(f"/geometry/triangles/{j}: degenerate triangle {tri}")
             if a < 0:
                 tri = ((x1, y1), (x3, y3), (x2, y2))
             out.append(tuple(tuple(v) for v in tri))
@@ -88,9 +88,9 @@ class SubsidyPolicy:
 
     def __post_init__(self):
         if not 0 <= self.p_req <= 100:
-            raise InstanceError("p_req must be in [0, 100]")
+            raise InstanceError("/policy/p_req: must be in [0, 100]")
         if self.d_req < 0:
-            raise InstanceError("d_req must be non-negative")
+            raise InstanceError("/policy/d_req: must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class TaxPolicy:
 
     def __post_init__(self):
         if self.d_max < 0:
-            raise InstanceError("d_max must be non-negative")
+            raise InstanceError("/policy/d_max: must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,6 @@ class StatementInstance:
         return self.geometry.count
 
 
-def seg_width(field_params: FieldParams) -> int:
-    """Bit width k_seg of a segment length: isqrt(2 * (2^k_c - 1)^2) < 2^(k_c+1)."""
-    return field_params.coord_bits + 1
-
-
-def tot_width(field_params: FieldParams, n_traj: int) -> int:
-    """Bit width covering the accumulated trail length."""
-    return field_params.coord_bits + 1 + max(n_traj, 1).bit_length()
-
-
 def trail_message(trail: Trail, n_traj: int) -> list[int]:
     """The padded trail as it is hashed and wired: every x, then every y."""
     pts = trail.padded(n_traj)
@@ -138,60 +128,67 @@ def honest_hash(pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
     return localcalc.poseidon_digest_ref(trail_message(trail, n_traj), pp)
 
 
-def check_trail(trail: Trail, n_traj: int, coord_bits: int) -> None:
-    """Raise InstanceError unless the trail has 1..n_traj points, each with
-    both coordinates in [0, 2^coord_bits)."""
-    if not 0 < trail.declared_len <= n_traj:
-        raise InstanceError("trail length outside (0, n_traj]")
-    bound = 1 << coord_bits
-    for i, (x, y) in enumerate(trail.points):
-        if not (0 <= x < bound and 0 <= y < bound):
-            raise InstanceError(f"trail point {i} outside [0, 2^{coord_bits})")
-
-
 def validate_instance(inst: StatementInstance) -> None:
+    """Raise InstanceError unless the circuit decides inst exactly as the
+    oracle does.  Each message starts with the JSON pointer of the
+    offending field in the instance file format.
+
+    Beyond the ranges of the sizes, coordinates, radii and d_req, the
+    statement's widest comparison m must fit below p, 2^(m+1) < p: for ev
+    that is ``widths(...).cover``, for tax the wider of tot and bary (see
+    ``field.widths``).  A small prime with a long trail fails this check.
+    """
     fp = inst.field_params
-    bound = 1 << fp.coord_bits
+    k = fp.coord_bits
+    bound = 1 << k
     if inst.kind not in ("ev", "tax"):
-        raise InstanceError(f"unknown statement kind {inst.kind!r}")
-    if inst.n_traj < 1:
-        raise InstanceError("n_traj must be positive")
-    check_trail(inst.trail, inst.n_traj, fp.coord_bits)
-    w = tot_width(fp, inst.n_traj)
+        raise InstanceError(f"/kind: unknown statement kind {inst.kind!r}")
+    if not 1 <= inst.n_traj <= MAX_N_TRAJ:
+        raise InstanceError(f"/sizes/n_traj: outside desk-scale cap [1, {MAX_N_TRAJ}]")
+    if not 0 < inst.trail.declared_len <= inst.n_traj:
+        raise InstanceError("/trail/points: trail length outside (0, n_traj]")
+    for i, (x, y) in enumerate(inst.trail.points):
+        if not (0 <= x < bound and 0 <= y < bound):
+            raise InstanceError(f"/trail/points/{i}: outside [0, 2^{k})")
+    w = widths(k, inst.n_traj)
     if inst.kind == "ev":
         if not isinstance(inst.geometry, CircleSet) or not isinstance(inst.policy, SubsidyPolicy):
-            raise InstanceError("ev instance needs CircleSet + SubsidyPolicy")
+            raise InstanceError("/geometry: ev instance needs CircleSet + SubsidyPolicy")
         if inst.geometry.count < 1:
-            raise InstanceError("need at least one circle")
+            raise InstanceError("/geometry/circles: need at least one circle")
         for i, (u, v, r) in enumerate(inst.geometry.circles):
-            if not (0 <= u < bound and 0 <= v < bound):
-                raise InstanceError(f"circle {i} center out of range")
-            if not 0 < r < bound:
-                raise InstanceError(f"circle {i} radius out of range")
-        if inst.policy.d_req >= 1 << w:
-            raise InstanceError("d_req exceeds the accumulator width")
+            if not (0 <= u < bound and 0 <= v < bound and 0 < r < bound):
+                raise InstanceError(f"/geometry/circles/{i}: out of coordinate range")
+        if inst.policy.d_req >= 1 << w.tot:
+            raise InstanceError("/policy/d_req: exceeds the accumulator width")
+        m = w.cover
     else:
         if not isinstance(inst.geometry, TriangleSet) or not isinstance(inst.policy, TaxPolicy):
-            raise InstanceError("tax instance needs TriangleSet + TaxPolicy")
+            raise InstanceError("/geometry: tax instance needs TriangleSet + TaxPolicy")
         if inst.geometry.count < 1:
-            raise InstanceError("need at least one triangle")
+            raise InstanceError("/geometry/triangles: need at least one triangle")
         for j, tri in enumerate(inst.geometry.triangles):
-            for (x, y) in tri:
+            for v, (x, y) in enumerate(tri):
                 if not (0 <= x < bound and 0 <= y < bound):
-                    raise InstanceError(f"triangle {j} vertex out of range")
+                    raise InstanceError(f"/geometry/triangles/{j}/{v}: out of range")
             if localcalc.area_dbl_sgn(*tri[0], *tri[1], *tri[2]) <= 0:
-                raise InstanceError(f"triangle {j} not positively oriented")
+                raise InstanceError(f"/geometry/triangles/{j}: not positively oriented")
+        m = max(w.tot, w.bary)
+    if 1 << (m + 1) >= fp.modulus:
+        raise InstanceError(
+            f"/field_params/modulus: too small for a {m}-bit comparison "
+            f"(coord_bits={k}, n_traj={inst.n_traj}); need p > 2^{m + 1}"
+        )
 
 
 def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, h_ex=None) -> StatementInstance:
-    """Assemble an instance, computing the honest trail hash by default."""
+    """Assemble and validate an instance, then compute the honest trail
+    hash unless h_ex is given."""
     if pp is None:
         try:
             pp = params_for(field_params)
         except PoseidonParamError as exc:
             raise InstanceError(f"no Poseidon parameters for this field: {exc}") from exc
-    if h_ex is None:
-        h_ex = honest_hash(pp, trail, n_traj)
     inst = StatementInstance(
         kind=kind,
         field_params=field_params,
@@ -203,6 +200,8 @@ def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, 
         h_ex=h_ex,
     )
     validate_instance(inst)
+    if h_ex is None:
+        inst = replace(inst, h_ex=honest_hash(pp, trail, n_traj))
     return inst
 
 
@@ -228,15 +227,14 @@ def _wire_trail(cs: ConstraintSystem, inst: StatementInstance):
     return pts, xs, ys, digest_assertion
 
 
-def _segment_walk(cs, xs, ys, inside, sqrt_hints=None):
+def _segment_walk(cs, xs, ys, inside, k_seg, sqrt_hints=None):
     """Circuit twin of ``localcalc.segment_walk``: (tot, both, roots).
 
     ``inside(i)`` wires point i's membership bit.  Segment lengths are
-    exact roots (``gadgets.sqrt_floor``); both sums the lengths of the
+    exact roots (``gadgets.sqrt_floor`` at k_seg bits); both sums the lengths of the
     segments with both endpoints inside, and roots holds each root's
     prover inputs and assertion indices.
     """
-    k_seg = seg_width(cs.params)
     tot = both = cs.const(0)
     roots = []
     in_prev = inside(0)
@@ -271,24 +269,22 @@ def build_ev_subsidy(
     if inst.kind != "ev":
         raise InstanceError("not an ev instance")
     validate_instance(inst)
-    fp = inst.field_params
-    kc = fp.coord_bits
+    w = widths(inst.field_params.coord_bits, inst.n_traj)
     _, xs, ys, digest_assertion = _wire_trail(cs, inst)
     us = [cs.wire_input(u, Domain.SHARED) for u, _, _ in inst.geometry.circles]
     vs = [cs.wire_input(v, Domain.SHARED) for _, v, _ in inst.geometry.circles]
     ss = [cs.wire_input(r * r, Domain.SHARED) for _, _, r in inst.geometry.circles]
 
     def inside(i):
-        return gadgets.check_inside(cs, us, vs, ss, xs[i], ys[i], kc)
+        return gadgets.check_inside(cs, us, vs, ss, xs[i], ys[i], w.circle)
 
-    tot, cc, roots = _segment_walk(cs, xs, ys, inside, sqrt_hints)
-    w = tot_width(fp, inst.n_traj)
+    tot, cc, roots = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
     d_req = cs.wire_input(inst.policy.d_req, Domain.SHARED)
-    gadgets.assert_leq(cs, d_req, tot, w)
+    gadgets.assert_leq(cs, d_req, tot, w.tot)
     p_req = cs.wire_input(inst.policy.p_req, Domain.SHARED)
     lhs = cs.mul(tot, p_req)
     rhs = cs.affine([100], [cc])
-    gadgets.assert_leq(cs, lhs, rhs, w + 7)
+    gadgets.assert_leq(cs, lhs, rhs, w.cover)
     return StatementHandle(cs, xs + ys, digest_assertion, roots)
 
 
@@ -309,8 +305,7 @@ def build_highway_tax(
     if inst.kind != "tax":
         raise InstanceError("not a tax instance")
     validate_instance(inst)
-    fp = inst.field_params
-    kc = fp.coord_bits
+    w = widths(inst.field_params.coord_bits, inst.n_traj)
     tris = inst.geometry.triangles
     pts, xs, ys, digest_assertion = _wire_trail(cs, inst)
     rows = [
@@ -328,15 +323,14 @@ def build_highway_tax(
         ref = tris[t_i - 1] if 1 <= t_i <= len(tris) else tris[0]
         bc = localcalc.get_bcoords(x, y, *ref[0], *ref[1], *ref[2])
         row = gadgets.lookup(cs, t_i, rows)
-        return gadgets.check_inside_triangle(cs, row, xs[i], ys[i], (bc.s, bc.t), kc)
+        return gadgets.check_inside_triangle(cs, row, xs[i], ys[i], (bc.s, bc.t), w.bary)
 
-    tot, hw, roots = _segment_walk(cs, xs, ys, inside, sqrt_hints)
-    w = tot_width(fp, inst.n_traj)
+    tot, hw, roots = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
     taxed = cs.sub(tot, hw)
     # d_max beyond the accumulator width always satisfies; clamp keeps the
     # comparison in range without changing the verdict.
-    d_max = min(inst.policy.d_max, (1 << w) - 1)
-    gadgets.assert_leq(cs, taxed, cs.wire_input(d_max, Domain.SHARED), w)
+    d_max = min(inst.policy.d_max, (1 << w.tot) - 1)
+    gadgets.assert_leq(cs, taxed, cs.wire_input(d_max, Domain.SHARED), w.tot)
     return StatementHandle(cs, xs + ys, digest_assertion, roots)
 
 
@@ -354,22 +348,18 @@ def oracle_verdict(inst: StatementInstance) -> bool:
 
 
 def _dummy_instance(kind: str, n_traj: int, n_geo: int, field_params: FieldParams, pp=None) -> StatementInstance:
-    trail = Trail(tuple((1, 1) for _ in range(n_traj)))
+    trail = Trail(((1, 1),))  # padded to n_traj copies of (1, 1)
     if kind == "ev":
         geometry = CircleSet(tuple((1, 1, 1) for _ in range(n_geo)))
         policy = SubsidyPolicy(d_req=0, p_req=0)
     else:
-        geometry = TriangleSet.oriented([((0, 0), (3, 0), (0, 3))] * n_geo)
+        geometry = TriangleSet.oriented([((0, 0), (1, 0), (0, 1))] * n_geo)
         policy = TaxPolicy(d_max=0)
     return make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=pp)
 
 
 def statement_cost(kind: str, n_traj: int, n_geo: int, field_params: FieldParams | None = None, pp=None) -> dict[str, int]:
     """Gate counters of a statement as a function of its sizes only."""
-    if not 1 <= n_traj <= MAX_N_TRAJ:
-        raise InstanceError(f"n_traj outside desk-scale cap [1, {MAX_N_TRAJ}]")
-    if n_geo < 1:
-        raise InstanceError("n_geo must be positive")
     fp = field_params or FieldParams()
     inst = _dummy_instance(kind, n_traj, n_geo, fp, pp)
     cs = ConstraintSystem(fp)

@@ -8,12 +8,15 @@ import pytest
 
 from zkpol import localcalc
 from zkpol.field import FieldParams
+from zkpol.poseidon import params_for
 from zkpol.statements import (
     CircleSet,
+    StatementInstance,
     SubsidyPolicy,
     TaxPolicy,
     Trail,
     TriangleSet,
+    honest_hash,
     make_instance,
 )
 
@@ -24,6 +27,22 @@ COORD_BOUND = 1 << 12
 @pytest.fixture(scope="session")
 def fp12() -> FieldParams:
     return FP12
+
+
+def small_prime_ev_instance() -> StatementInstance:
+    """An ev instance that validation rejects: at 1-bit coordinates and
+    p = 1009 the coverage comparison tot * p_req <= 100 * cc is 11 bits
+    wide, and 2^12 >= p.  Built without validation, with its honest hash,
+    as a stray authority or instance file might carry it.  Left
+    unvalidated, the oracle accepts it (tot = cc = 0) and the circuit,
+    whose comparison wraps mod p, rejects it."""
+    fp = FieldParams(modulus=1009, coord_bits=1)
+    pp = params_for(fp)
+    trail = Trail(((0, 1), (0, 1)))
+    return StatementInstance(
+        "ev", fp, pp, 2, SubsidyPolicy(d_req=0, p_req=100), CircleSet(((1, 1, 1),)),
+        trail, honest_hash(pp, trail, 2),
+    )
 
 
 def random_trail(rng: random.Random, n_traj: int, bound: int = COORD_BOUND) -> Trail:

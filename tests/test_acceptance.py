@@ -22,7 +22,6 @@ from zkpol.statements import (
     make_instance,
     oracle_verdict,
     statement_cost,
-    tot_width,
 )
 
 from conftest import FP12, random_ev_instance, random_tax_instance

@@ -20,7 +20,7 @@ from zkpol.appio import (
 from zkpol.circuit import Domain
 from zkpol.cli import main as cli_main
 
-from conftest import random_ev_instance, random_tax_instance
+from conftest import random_ev_instance, random_tax_instance, small_prime_ev_instance
 
 
 # -- serialization -------------------------------------------------------
@@ -90,6 +90,22 @@ def test_schema_rejects_out_of_range_circle():
         instance_from_doc(doc)
 
 
+@pytest.mark.parametrize("where, value", [
+    (("geometry", "triangles"), [5]),
+    (("geometry", "triangles"), [[["0", "0"], ["1", "0"]]]),
+    (("sizes", "n_tri"), "x"),
+    (("trail", "declared_len"), "x"),
+])
+def test_schema_rejects_malformed_shapes(tmp_path, where, value):
+    doc = serialize_instance(random_tax_instance(random.Random(89), max_traj=4, max_tri=1))
+    doc[where[0]][where[1]] = value
+    with pytest.raises(SchemaError, match=f"^/{where[0]}/{where[1]}"):
+        instance_from_doc(doc)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["check", str(path)]) == 2
+
+
 @pytest.mark.parametrize("n_traj", [0, 4097])
 def test_schema_rejects_n_traj_outside_cap(tmp_path, n_traj):
     doc = _doc()
@@ -99,6 +115,14 @@ def test_schema_rejects_n_traj_outside_cap(tmp_path, n_traj):
     path = tmp_path / "sized.json"
     path.write_text(json.dumps(doc))
     assert cli_main(["check", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_cli_rejects_prime_too_small_for_the_shape(tmp_path, capsys, command):
+    path = tmp_path / "small_prime.json"
+    save_instance(small_prime_ev_instance(), path)
+    assert cli_main([command, str(path)]) == 2
+    assert "/field_params/modulus" in capsys.readouterr().err
 
 
 def test_load_reorients_clockwise_triangles():

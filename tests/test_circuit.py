@@ -17,9 +17,9 @@ from zkpol.circuit import (
     PublicNeedsNoWire,
     SatisfactionReport,
 )
-from zkpol.field import FieldParams
+from zkpol.field import FieldParams, widths
 from zkpol.poseidon import params_for
-from zkpol.statements import build_statement
+from zkpol.statements import _dummy_instance, build_statement
 
 from conftest import random_ev_instance, random_tax_instance
 
@@ -182,6 +182,33 @@ def test_domain_monotonicity_structural():
             assert doms[wid] >= max(doms[g[1]], doms[g[2]]), wid
         elif g[0] == _AFFINE and g[2]:
             assert doms[wid] >= max(doms[i] for i in g[2]), wid
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+@pytest.mark.parametrize(
+    "coord_bits, n_traj, modulus",
+    # The default prime, and the smallest prime that admits the ev shape
+    # and has Poseidon parameters.
+    [(1, 2, None), (12, 64, None), (24, 300, None), (2, 4, 16417), (3, 8, 65537)],
+)
+def test_decompositions_at_ledger_widths(kind, coord_bits, n_traj, modulus):
+    # Every recomposition affine (coefficients 1, 2, 4, ... over input bits)
+    # decomposes at w + 1 bits for a width w that field.widths names, and
+    # fits below p.
+    fp = FieldParams(coord_bits=coord_bits, **({"modulus": modulus} if modulus else {}))
+    cs = ConstraintSystem(fp)
+    build_statement(_dummy_instance(kind, n_traj, 2, fp), cs)
+    w = widths(coord_bits, n_traj)
+    used = set()
+    for g in cs._gates:
+        if (g[0] == _AFFINE and len(g[1]) > 1 and g[3] == 0
+                and g[1] == tuple(1 << i for i in range(len(g[1])))
+                and all(cs._gates[i][0] == _INPUT for i in g[2])):
+            bits = len(g[1])
+            assert bits <= max(w) + 1 and 2**bits < fp.modulus
+            used.add(bits - 1)
+    named = {w.seg, w.tot, w.cover, w.circle} if kind == "ev" else {w.seg, w.tot, w.bary}
+    assert used == named
 
 
 def test_counter_determinism():

@@ -10,7 +10,7 @@ from zkpol.field import (
     FieldParams,
     InversionOfZero,
     f_inv,
-    overflow_ledger,
+    widths,
 )
 
 P = DEFAULT_MODULUS
@@ -112,7 +112,8 @@ def test_small_prime_with_small_coords_ok():
     assert (fp.modulus, fp.coord_bits) == (2**61 - 1, 12)
 
 
-def test_overflow_ledger_below_half_p():
-    ledger = overflow_ledger(PARAMS.coord_bits, 4096)
-    for bits in ledger.values():
+def test_widths_below_half_p_at_defaults():
+    w = widths(PARAMS.coord_bits, 4096)
+    assert w == (25, 38, 45, 49, 51)  # seg, tot, cover, circle, bary
+    for bits in w:
         assert 2**bits < P // 2

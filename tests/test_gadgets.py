@@ -5,7 +5,7 @@ import sympy
 
 from zkpol import gadgets, localcalc
 from zkpol.circuit import _INPUT, ConstraintSystem, Domain
-from zkpol.field import FieldParams
+from zkpol.field import FieldParams, widths
 
 FP = FieldParams(coord_bits=12)
 
@@ -173,7 +173,7 @@ def _circle_system(circles, x, y):
     ss = [cs.wire_input(r * r, Domain.SHARED) for _, _, r in circles]
     wx = cs.wire_input(x, Domain.PROVER)
     wy = cs.wire_input(y, Domain.PROVER)
-    out = gadgets.check_inside(cs, us, vs, ss, wx, wy, FP.coord_bits)
+    out = gadgets.check_inside(cs, us, vs, ss, wx, wy, widths(FP.coord_bits, 2).circle)
     return cs, out
 
 
@@ -222,7 +222,7 @@ def _triangle_system(tri, x, y, bcoords=None):
     if bcoords is None:
         bc = localcalc.get_bcoords(x, y, a1, b1, a2, b2, a3, b3)
         bcoords = (bc.s, bc.t)
-    out = gadgets.check_inside_triangle(cs, row, wx, wy, bcoords, FP.coord_bits)
+    out = gadgets.check_inside_triangle(cs, row, wx, wy, bcoords, widths(FP.coord_bits, 2).bary)
     return cs, out
 
 

@@ -24,7 +24,7 @@ from zkpol.protocol import (
 )
 from zkpol.statements import CircleSet, SubsidyPolicy, TaxPolicy, TriangleSet
 
-from conftest import FP12
+from conftest import FP12, small_prime_ev_instance
 
 PP12 = params_for(FP12)
 
@@ -298,3 +298,17 @@ def test_policy_holds_bounds_checking():
     assert not policy_holds([], AD_EV)
     assert not policy_holds([(1 << 12, 0)], AD_EV)
     assert not policy_holds([(0, 0)] * 10, AD_EV)
+
+
+def test_small_prime_session_matches_ideal_outputs():
+    # The oracle accepts this trail but the field is too small for the
+    # statement's comparisons; policy_holds validates first, so the
+    # session and the ideal functionality both end not_ok.
+    inst = small_prime_ev_instance()
+    ad = AuthorityData(
+        inst.kind, inst.n_traj, inst.policy, inst.geometry, inst.field_params, inst.pp
+    )
+    moves = list(inst.trail.points)
+    t = run_session("honest", ad, moves)
+    assert t.outputs == ideal_outputs(moves, ad, ad)
+    assert t.outputs == {"prover": "not_ok", "verifier": "not_ok"}

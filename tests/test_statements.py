@@ -3,12 +3,15 @@ import random
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from zkpol import gadgets, localcalc
 from zkpol.circuit import ConstraintSystem, Domain
-from zkpol.field import FieldParams
+from zkpol.field import FieldParams, widths
+from zkpol.poseidon import PoseidonParamError, params_for
 from zkpol.statements import (
+    MAX_N_TRAJ,
     CircleSet,
     InstanceError,
     SubsidyPolicy,
@@ -23,10 +26,17 @@ from zkpol.statements import (
     make_instance,
     oracle_verdict,
     statement_cost,
-    tot_width,
 )
 
-from conftest import FP12, random_ev_instance, random_tax_instance
+from conftest import (
+    FP12,
+    random_circles,
+    random_ev_instance,
+    random_tax_instance,
+    random_trail,
+    random_triangles,
+    small_prime_ev_instance,
+)
 
 
 def _build(inst, **hints):
@@ -80,7 +90,7 @@ def test_instance_rejects_out_of_range_coordinates():
 
 
 def test_instance_rejects_oversized_d_req():
-    w = tot_width(FP12, 2)
+    w = widths(FP12.coord_bits, 2).tot
     trail = Trail(((1, 1),))
     with pytest.raises(InstanceError):
         make_instance(
@@ -96,6 +106,26 @@ def test_instance_rejects_prime_without_poseidon_parameters():
         make_instance(
             "ev", fp, 2, SubsidyPolicy(d_req=0, p_req=0),
             CircleSet(((1, 1, 1),)), Trail(((0, 0), (1, 1))),
+        )
+
+
+def test_make_instance_caps_n_traj_before_hashing(monkeypatch):
+    def no_hash(*args):
+        raise AssertionError("the trail was hashed before validation")
+
+    monkeypatch.setattr(localcalc, "poseidon_digest_ref", no_hash)
+    with pytest.raises(InstanceError, match="^/sizes/n_traj"):
+        make_instance(
+            "ev", FieldParams(coord_bits=12), MAX_N_TRAJ + 1, SubsidyPolicy(0, 0),
+            CircleSet(((1, 1, 1),)), Trail(((0, 0), (1, 1))),
+        )
+
+
+def test_instance_rejects_prime_too_small_for_its_shape():
+    inst = small_prime_ev_instance()
+    with pytest.raises(InstanceError, match="^/field_params/modulus"):
+        make_instance(
+            inst.kind, inst.field_params, inst.n_traj, inst.policy, inst.geometry, inst.trail
         )
 
 
@@ -228,7 +258,7 @@ def test_tax_bound_exceeded_unsatisfied():
 
 
 def test_tax_huge_d_max_clamped_not_rejected():
-    w = tot_width(FP12, 4)
+    w = widths(FP12.coord_bits, 4).tot
     cs, h = _build(_tax(1 << (w + 5)))
     assert h.check().satisfied
 
@@ -392,3 +422,72 @@ def test_statement_cost_pinned():
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
+
+
+# -- small primes --------------------------------------------------------
+
+
+def _small_prime_instance(rng, k, p_bits, kind, n_traj):
+    """A random instance at k-bit coordinates over the first prime above a
+    random (p_bits + 1)-bit number that has Poseidon parameters, or None
+    where validation rejects the shape."""
+    p = sympy.nextprime(rng.randrange(1 << p_bits, 1 << (p_bits + 1)))
+    while True:
+        fp = FieldParams(modulus=p, coord_bits=k)
+        try:
+            params_for(fp)
+            break
+        except PoseidonParamError:
+            p = sympy.nextprime(p)
+    bound = 1 << k
+    trail = random_trail(rng, n_traj, bound)
+    pts = trail.padded(n_traj)
+    if kind == "ev":
+        geometry = random_circles(rng, rng.randint(1, 3), bound)
+        tot, cc = localcalc.segment_walk(
+            pts, lambda x, y: localcalc.point_in_circles(x, y, geometry.circles)
+        )
+        pct = (cc * 100) // tot if tot else 100
+        policy = SubsidyPolicy(
+            max(0, tot + rng.randint(-2, 2)), min(100, max(0, pct + rng.randint(-3, 3)))
+        )
+    else:
+        geometry = random_triangles(rng, rng.randint(1, 3), bound)
+        taxed = localcalc.taxed_distance(pts, geometry.triangles)
+        policy = TaxPolicy(max(0, taxed + rng.randint(-2, 2)))
+    try:
+        return make_instance(kind, fp, n_traj, policy, geometry, trail)
+    except InstanceError:
+        return None
+
+
+@st.composite
+def _small_prime_shapes(draw):
+    """k in 1..4, a prime p in (2^(3k+6), 2^(3k+14)), ev or tax, n_traj
+    2..8, and for tax at k = 1 up to 512."""
+    k = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["ev", "tax"]))
+    p_bits = draw(st.integers(3 * k + 6, 3 * k + 13))
+    n_traj = draw(st.integers(2, 512 if kind == "tax" and k == 1 else 8))
+    return k, p_bits, kind, n_traj
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_prime_shapes(), st.randoms(use_true_random=False))
+def test_small_prime_circuit_matches_oracle_whenever_validation_accepts(shape, rng):
+    inst = _small_prime_instance(rng, *shape)
+    if inst is not None:
+        assert _build(inst)[1].check().satisfied == oracle_verdict(inst)
+
+
+def test_small_prime_shapes_are_both_accepted_and_rejected():
+    # The property above says nothing unless validation accepts some of
+    # its shapes and rejects others.
+    rng = random.Random(67)
+    verdicts = set()
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        kind = rng.choice(["ev", "tax"])
+        shape = (k, rng.randint(3 * k + 6, 3 * k + 13), kind, rng.randint(2, 8))
+        verdicts.add(_small_prime_instance(rng, *shape) is not None)
+    assert verdicts == {True, False}
