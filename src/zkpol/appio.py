@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .field import FieldError, FieldParams
 from . import localcalc, statements
-from .poseidon import PoseidonParams, params_for
+from .poseidon import PoseidonParams
 from .statements import (
     CircleSet,
     InstanceError,
@@ -26,6 +26,11 @@ from .statements import (
 )
 
 SCHEMA_VERSION = 1
+
+# The Poseidon parameters of files written before the width became 9; a
+# /poseidon block that leaves a key out means the key's v1 value.
+V1_POSEIDON = {"t": 3, "alpha": 5, "r_full": 8, "r_partial": 56,
+               "seed": b"zk-pol-poseidon-v1".hex()}
 
 
 class SchemaError(Exception):
@@ -43,10 +48,15 @@ class Unsupported(Exception):
 # -- instance (de)serialization -----------------------------------------
 
 
-def _want(doc: dict, key: str, ptr: str):
+def _want(doc: dict, key: str, ptr: str, kind: type | None = None):
+    """doc[key], which must be present and, if ``kind`` is given, a JSON
+    object (dict) or array (list)."""
     if key not in doc:
         raise SchemaError(f"{ptr}/{key}: missing")
-    return doc[key]
+    value = doc[key]
+    if kind is not None and not isinstance(value, kind):
+        raise SchemaError(f"{ptr}/{key}: expected {'an object' if kind is dict else 'a list'}")
+    return value
 
 
 def _as_int(value, ptr: str) -> int:
@@ -108,7 +118,7 @@ def instance_from_doc(doc: dict) -> StatementInstance:
     kind = _want(doc, "kind", "")
     if kind not in ("ev", "tax"):
         raise SchemaError("/kind: must be 'ev' or 'tax'")
-    fp_doc = _want(doc, "field_params", "")
+    fp_doc = _want(doc, "field_params", "", dict)
     try:
         fp = FieldParams(
             modulus=_as_int(_want(fp_doc, "modulus", "/field_params"), "/field_params/modulus"),
@@ -118,30 +128,30 @@ def instance_from_doc(doc: dict) -> StatementInstance:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"/field_params: {exc}")
-    ps_doc = _want(doc, "poseidon", "")
+    ps_doc = {**V1_POSEIDON, **_want(doc, "poseidon", "", dict)}
     try:
         pp = PoseidonParams(
             prime=fp.modulus,
-            t=int(ps_doc.get("t", 3)),
-            alpha=int(ps_doc.get("alpha", 5)),
-            r_full=int(ps_doc.get("r_full", 8)),
-            r_partial=int(ps_doc.get("r_partial", 56)),
-            seed=bytes.fromhex(ps_doc.get("seed", "")) or params_for(fp).seed,
+            t=int(ps_doc["t"]),
+            alpha=int(ps_doc["alpha"]),
+            r_full=int(ps_doc["r_full"]),
+            r_partial=int(ps_doc["r_partial"]),
+            seed=bytes.fromhex(ps_doc["seed"]),
         )
     except Exception as exc:
         raise SchemaError(f"/poseidon: {exc}")
-    sizes = _want(doc, "sizes", "")
+    sizes = _want(doc, "sizes", "", dict)
     n_traj = _as_int(_want(sizes, "n_traj", "/sizes"), "/sizes/n_traj")
-    trail_doc = _want(doc, "trail", "")
+    trail_doc = _want(doc, "trail", "", dict)
     points = [
         _tuple(pt, 2, f"/trail/points/{i}")
-        for i, pt in enumerate(_want(trail_doc, "points", "/trail"))
+        for i, pt in enumerate(_want(trail_doc, "points", "/trail", list))
     ]
     declared = trail_doc.get("declared_len", len(points))
     if _as_int(declared, "/trail/declared_len") != len(points):
         raise SchemaError("/trail/declared_len: does not match point count")
-    pol_doc = _want(doc, "policy", "")
-    geo_doc = _want(doc, "geometry", "")
+    pol_doc = _want(doc, "policy", "", dict)
+    geo_doc = _want(doc, "geometry", "", dict)
     h_ex = _as_int(_want(doc, "h_ex", ""), "/h_ex")
     try:
         if kind == "ev":
@@ -151,14 +161,14 @@ def instance_from_doc(doc: dict) -> StatementInstance:
             )
             geo = [
                 _tuple(c, 3, f"/geometry/circles/{i}")
-                for i, c in enumerate(_want(geo_doc, "circles", "/geometry"))
+                for i, c in enumerate(_want(geo_doc, "circles", "/geometry", list))
             ]
             geometry, size_key = CircleSet(tuple(geo)), "n_circ"
         else:
             policy = TaxPolicy(d_max=_as_int(_want(pol_doc, "d_max", "/policy"), "/policy/d_max"))
             geo = [
                 _tuple(tri, 3, f"/geometry/triangles/{j}", lambda pt, ptr: _tuple(pt, 2, ptr))
-                for j, tri in enumerate(_want(geo_doc, "triangles", "/geometry"))
+                for j, tri in enumerate(_want(geo_doc, "triangles", "/geometry", list))
             ]
             geometry, size_key = TriangleSet.oriented(geo), "n_tri"
         if size_key in sizes and _as_int(sizes[size_key], f"/sizes/{size_key}") != len(geo):

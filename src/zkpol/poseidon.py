@@ -8,12 +8,40 @@ Round constants are derived deterministically from a byte seed:
 
 The j-th constant is the first candidate (i = 0, 1, ...) below p.  The MDS
 matrix is the Cauchy matrix M[i][j] = 1/(x_i + y_j) with x_i = i and
-y_j = t + j, which is invertible for distinct x and y.
+y_j = t + j, which is invertible for distinct x and y.  No byte
+compatibility with any external Poseidon instance is intended.
 
-These parameters are self-consistent by construction; no byte
-compatibility with any external Poseidon instance is intended, and the
-round numbers follow the usual ballpark for ~128-bit fields without a
-fresh security derivation.
+Round numbers.  ``round_numbers`` derives (R_F, R_P) for a prime p of
+n = bitlen(p) bits, width t, S-box x^alpha and M bits of security from the
+inequalities of the Poseidon paper (Grassi et al., USENIX Security 2021,
+eprint 2019/458, and its round-number script), with the binomial bound
+that eprint 2023/537 added.  Writing log_a for the logarithm to base
+alpha, a pair (R_F, R_P) is secure when
+
+    statistical    R_F >= 6 if M <= floor(log2 p - (alpha-1)/2) * (t+1), else 10
+    interpolation  R_F >= 1 + ceil(log_a 2 * min(M, n)) + ceil(log_a t) - R_P
+    Groebner 1     R_F >= log_a 2 * min(M, log2 p) - R_P
+    Groebner 2     R_F >= t - 1 + log_a 2 * min(M/(t+1), log2(p)/2) - R_P
+    Groebner 3     R_F >= (t - 2 + M/(2 log2 alpha) - R_P) / (t - 1)
+    binomial       ceil(2 log2 C(v, u)) >= M, with r = floor(t/3),
+                   v = (R_F - 1) t + 2 R_P + r + r R_F/2 + alpha and
+                   u = r R_F/2 + R_P + alpha
+
+with the right-hand sides of the Groebner bounds rounded up.  The search
+takes the secure pair with the fewest S-boxes, t R_F + R_P, then adds the
+paper's margin: R_F + 2 and ceil(1.075 R_P).  For p = 2^127 - 1,
+alpha = 5 and M = 128:
+
+    t    fewest S-boxes    with margin (R_F, R_P)
+    3    (6, 51)           (8, 55)
+    5    (6, 51)           (8, 55)
+    9    (6, 52)           (8, 56)
+
+The default width is t = 9 (rate 8), the width Filecoin uses for its
+arity-8 Poseidon trees: 64 permutations of 3 (9 R_F + R_P) = 384
+multiplications hash a 256-point trail, against 256 of 240 at t = 3.
+Instance files written with the v1 parameters (t = 3, R_F = 8, R_P = 56,
+seed ``zk-pol-poseidon-v1``) keep them; see ``appio.instance_from_doc``.
 """
 
 from __future__ import annotations
@@ -25,7 +53,7 @@ from functools import lru_cache
 
 from .field import FieldParams, f_inv
 
-DEFAULT_SEED = b"zk-pol-poseidon-v1"
+DEFAULT_SEED = b"zk-pol-poseidon-v2"
 
 
 class PoseidonParamError(Exception):
@@ -41,6 +69,55 @@ def _derive_constant(seed: bytes, j: int, p: int) -> int:
         if c < p:
             return c
     raise PoseidonParamError("constant derivation failed to terminate")
+
+
+def _statistical_r_full(prime: int, t: int, alpha: int, security: int) -> int:
+    fits = security <= math.floor(math.log2(prime) - (alpha - 1) / 2) * (t + 1)
+    return 6 if fits else 10
+
+
+def _secure(prime: int, t: int, alpha: int, security: int, r_full: int, r_partial: int) -> bool:
+    """Whether (r_full, r_partial), before the margin, meets every bound in
+    the module docstring."""
+    m, log2p, log_a2 = security, math.log2(prime), math.log(2, alpha)
+    log_a_t = next(k for k in range(t) if alpha**k >= t)  # ceil(log_alpha t), exact
+    lower = (
+        _statistical_r_full(prime, t, alpha, m),
+        1 + math.ceil(log_a2 * min(m, prime.bit_length())) + log_a_t - r_partial,
+        math.ceil(log_a2 * min(m, log2p) - r_partial),
+        math.ceil(t - 1 + log_a2 * min(m / (t + 1), log2p / 2) - r_partial),
+        math.ceil((t - 2 + m / (2 * math.log2(alpha)) - r_partial) / (t - 1)),
+    )
+    if r_full < max(lower):
+        return False
+    r = t // 3
+    over = (r_full - 1) * t + 2 * r_partial + r + r * (r_full // 2) + alpha
+    under = r * (r_full // 2) + r_partial + alpha
+    return math.ceil(2 * math.log2(math.comb(over, under))) >= m
+
+
+def _fewest_sboxes(prime: int, t: int, alpha: int, security: int) -> tuple[int, int]:
+    """The secure (R_F, R_P) with the fewest S-boxes t R_F + R_P, before the
+    margin.  R_F runs over four even values from the statistical bound up
+    (6..12 or 10..16); each R_F takes the least R_P that is secure, which
+    exists because every other bound loosens as R_P grows."""
+    lowest = _statistical_r_full(prime, t, alpha, security)
+    best = None
+    for r_full in range(lowest, lowest + 8, 2):
+        r_partial = 1
+        while not _secure(prime, t, alpha, security, r_full, r_partial):
+            r_partial += 1
+        if best is None or t * r_full + r_partial < t * best[0] + best[1]:
+            best = (r_full, r_partial)
+    return best
+
+
+@lru_cache(maxsize=64)
+def round_numbers(prime: int, t: int, alpha: int, security: int = 128) -> tuple[int, int]:
+    """(R_F, R_P) for ``security`` bits: the fewest S-boxes that meet every
+    bound, plus the margin R_F + 2 and ceil(1.075 R_P) = ceil(43 R_P / 40)."""
+    r_full, r_partial = _fewest_sboxes(prime, t, alpha, security)
+    return r_full + 2, -(-43 * r_partial // 40)
 
 
 def _cauchy_mds(t: int, p: int) -> list[list[int]]:
@@ -67,10 +144,10 @@ def _is_invertible(m: list[list[int]], p: int) -> bool:
 @dataclass(frozen=True)
 class PoseidonParams:
     prime: int
-    t: int = 3
+    t: int = 9
     alpha: int = 5
-    r_full: int = 8
-    r_partial: int = 56
+    r_full: int | None = None  # None: from round_numbers
+    r_partial: int | None = None  # None: from round_numbers
     seed: bytes = DEFAULT_SEED
     round_constants: tuple[int, ...] = field(default=(), repr=False)
     mds: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
@@ -89,6 +166,12 @@ class PoseidonParams:
             raise PoseidonParamError(f"alpha={self.alpha} not coprime with p-1")
         if self.t < 2:
             raise PoseidonParamError("state width must be at least 2")
+        if self.r_full is None or self.r_partial is None:
+            r_full, r_partial = round_numbers(p, self.t, self.alpha)
+            if self.r_full is None:
+                object.__setattr__(self, "r_full", r_full)
+            if self.r_partial is None:
+                object.__setattr__(self, "r_partial", r_partial)
         if self.r_full % 2 != 0:
             raise PoseidonParamError("r_full must be even")
         if not self.round_constants:

@@ -19,6 +19,8 @@ from zkpol.appio import (
 )
 from zkpol.circuit import Domain
 from zkpol.cli import main as cli_main
+from zkpol.field import FieldParams
+from zkpol.poseidon import PoseidonParams, params_for
 
 from conftest import random_ev_instance, random_tax_instance, small_prime_ev_instance
 
@@ -104,6 +106,65 @@ def test_schema_rejects_malformed_shapes(tmp_path, where, value):
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(doc))
     assert cli_main(["check", str(path)]) == 2
+
+
+@pytest.mark.parametrize("where, value", [
+    (("sizes",), 5),
+    (("trail",), 5),
+    (("policy",), 5),
+    (("poseidon",), 5),
+    (("trail", "points"), 5),
+    (("geometry", "circles"), 5),
+])
+def test_schema_rejects_wrong_container_types(tmp_path, capsys, where, value):
+    doc = _doc()
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    pointer = "/" + "/".join(where)
+    with pytest.raises(SchemaError, match=f"^{pointer}: expected"):
+        instance_from_doc(doc)
+    path = tmp_path / "container.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["check", str(path)]) == 2
+    assert pointer in capsys.readouterr().err
+
+
+# A v1 instance file, written out by hand: its digest is that of the v1
+# sponge (t = 3, R_F = 8, R_P = 56, seed zk-pol-poseidon-v1).  The trail
+# walks 100 units, all inside the circle, and d_req = 100 is just met.
+V1_PARAMS = {"seed": b"zk-pol-poseidon-v1".hex(), "t": 3, "alpha": 5, "r_full": 8, "r_partial": 56}
+V1_POINTS = ((100, 100), (130, 140), (160, 180))
+
+
+def _v1_doc(poseidon, d_req):
+    pp = PoseidonParams(prime=2**127 - 1, t=3, alpha=5, r_full=8, r_partial=56,
+                        seed=b"zk-pol-poseidon-v1")
+    message = statements.trail_message(statements.Trail(V1_POINTS), 4)
+    h_ex = localcalc.poseidon_digest_ref(message, pp)
+    assert h_ex != localcalc.poseidon_digest_ref(message, params_for(FieldParams()))
+    return {
+        "schema_version": 1,
+        "kind": "ev",
+        "field_params": {"modulus": str(2**127 - 1), "coord_bits": 12},
+        "poseidon": poseidon,
+        "sizes": {"n_traj": 4, "n_circ": 1},
+        "h_ex": str(h_ex),
+        "trail": {"declared_len": 3, "points": [[str(x), str(y)] for x, y in V1_POINTS]},
+        "policy": {"d_req": str(d_req), "p_req": "100"},
+        "geometry": {"circles": [["130", "140", "100"]]},
+    }
+
+
+@pytest.mark.parametrize("poseidon", [V1_PARAMS, {}], ids=["explicit", "no-keys"])
+@pytest.mark.parametrize("d_req, code", [(100, 0), (101, 1)])
+def test_v1_instance_file_keeps_its_verdict(tmp_path, capsys, poseidon, d_req, code):
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(_v1_doc(dict(poseidon), d_req)))
+    assert load_instance(path).pp.t == 3
+    assert cli_main(["check", str(path)]) == code
+    assert json.loads(capsys.readouterr().out)["satisfied"] is (code == 0)
 
 
 @pytest.mark.parametrize("n_traj", [0, 4097])

@@ -288,11 +288,12 @@ SYSTEMS = _statement_systems()
 
 def _unset_lane_system():
     """A Poseidon permutation over a lane wired without a witness, with its
-    outputs asserted equal to the reference permutation of (1, 2, 3)."""
+    outputs asserted equal to the reference permutation of (1, 2, 3, ...)."""
     pp = params_for(FP)
     cs = fresh()
-    state = [cs.wire_input(v, Domain.PROVER) for v in (1, None, 3)]
-    for w, ref in zip(cs.poseidon_rounds(state, pp), localcalc.poseidon_permutation_ref([1, 2, 3], pp)):
+    values = list(range(1, pp.t + 1))
+    state = [cs.wire_input(None if i == 1 else v, Domain.PROVER) for i, v in enumerate(values)]
+    for w, ref in zip(cs.poseidon_rounds(state, pp), localcalc.poseidon_permutation_ref(values, pp)):
         cs.assert_eq(w, cs.const(ref))
     return cs, state[1]
 

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from zkpol import gadgets, localcalc
+from zkpol import gadgets, localcalc, statements
 from zkpol.circuit import ConstraintSystem, Domain, IncompleteWitness
 from zkpol.field import DEFAULT_MODULUS, FieldParams
 from zkpol.poseidon import (
     PoseidonParamError,
     PoseidonParams,
+    _fewest_sboxes,
+    _secure,
     default_poseidon_params,
     params_for,
+    round_numbers,
 )
 
 FP = FieldParams(coord_bits=12)
@@ -66,7 +69,7 @@ def test_constants_in_field():
 
 
 def test_singular_mds_rejected():
-    zero_mds = tuple(tuple(0 for _ in range(3)) for _ in range(3))
+    zero_mds = tuple(tuple(0 for _ in range(PP.t)) for _ in range(PP.t))
     with pytest.raises(PoseidonParamError):
         PoseidonParams(prime=DEFAULT_MODULUS, mds=zero_mds)
 
@@ -74,13 +77,13 @@ def test_singular_mds_rejected():
 def test_reference_permutation_zero_state_frozen():
     # Expected values computed by the independent straight-line
     # reimplementation above and frozen.
-    expected = _independent_permutation([0, 0, 0], PP)
-    got = localcalc.poseidon_permutation_ref([0, 0, 0], PP)
+    expected = _independent_permutation([0] * PP.t, PP)
+    got = localcalc.poseidon_permutation_ref([0] * PP.t, PP)
     assert got == expected
 
 
 def test_permutation_determinism():
-    state = [123, 456, 789]
+    state = [123 * (i + 1) for i in range(PP.t)]
     assert localcalc.poseidon_permutation_ref(state, PP) == localcalc.poseidon_permutation_ref(
         state, PP
     )
@@ -89,7 +92,7 @@ def test_permutation_determinism():
 def test_reference_matches_independent_on_random_states():
     rng = random.Random(21)
     for _ in range(50):
-        state = [rng.randrange(PP.prime) for _ in range(3)]
+        state = [rng.randrange(PP.prime) for _ in range(PP.t)]
         assert localcalc.poseidon_permutation_ref(state, PP) == _independent_permutation(
             state, PP
         )
@@ -98,7 +101,7 @@ def test_reference_matches_independent_on_random_states():
 def test_gadget_matches_reference_on_random_states():
     rng = random.Random(22)
     for _ in range(20):
-        state = [rng.randrange(PP.prime) for _ in range(3)]
+        state = [rng.randrange(PP.prime) for _ in range(PP.t)]
         cs = ConstraintSystem(FP)
         wires = [cs.wire_input(v, Domain.PROVER) for v in state]
         out = gadgets.poseidon_permute(cs, wires, PP)
@@ -126,13 +129,55 @@ def test_sponge_empty_message_rejected():
 
 def test_gadget_sponge_matches_reference():
     rng = random.Random(24)
-    for n in (1, 2, 3, 7):
+    for n in (1, 2, 3, 7, 8, 9, 17):
         msg = [rng.randrange(PP.prime) for _ in range(n)]
         cs = ConstraintSystem(FP)
         wires = [cs.wire_input(v, Domain.PROVER) for v in msg]
         out = gadgets.poseidon_hash(cs, wires, PP)
         assert cs.value(out) == localcalc.poseidon_digest_ref(msg, PP)
         assert cs.evaluate_and_check().satisfied
+
+
+# -- round numbers -------------------------------------------------------
+
+
+@pytest.mark.parametrize("t", range(2, 17))
+def test_fewest_sboxes_are_secure_and_least_in_r_partial(t):
+    r_full, r_partial = _fewest_sboxes(DEFAULT_MODULUS, t, 5, 128)
+    assert _secure(DEFAULT_MODULUS, t, 5, 128, r_full, r_partial)
+    assert not _secure(DEFAULT_MODULUS, t, 5, 128, r_full, r_partial - 1)
+
+
+def test_round_numbers_at_default_modulus_pinned():
+    # The table in the poseidon module docstring.
+    assert [_fewest_sboxes(DEFAULT_MODULUS, t, 5, 128) for t in (3, 5, 9)] == [
+        (6, 51), (6, 51), (6, 52)]
+    assert [round_numbers(DEFAULT_MODULUS, t, 5) for t in (3, 5, 9)] == [
+        (8, 55), (8, 55), (8, 56)]
+    assert (PP.t, PP.r_full, PP.r_partial) == (9, 8, 56)
+
+
+def test_given_round_numbers_are_kept():
+    pp = PoseidonParams(prime=DEFAULT_MODULUS, t=3, r_full=8, r_partial=56)
+    assert (pp.r_full, pp.r_partial) == (8, 56)
+    assert PoseidonParams(prime=DEFAULT_MODULUS, r_full=10).r_partial == 56
+
+
+def test_small_prime_derives_and_builds():
+    # 32779 is prime with 5 not dividing p - 1 (32771, the prime below it,
+    # has 5 | p - 1 and no alpha = 5 parameters).  Here floor(log2 p - 2) =
+    # 13, so the statistical bound allows R_F = 6 only from t = 9 up, where
+    # 13 (t + 1) >= 128.
+    fp = FieldParams(modulus=32779, coord_bits=2)
+    pp = params_for(fp)
+    assert (pp.t, pp.r_full, pp.r_partial) == (9, 8, 9)
+    trail = statements.Trail(((0, 0), (3, 0), (3, 3)))
+    inst = statements.make_instance(
+        "ev", fp, 3, statements.SubsidyPolicy(d_req=6, p_req=100),
+        statements.CircleSet(((2, 1, 3),)), trail)
+    assert inst.pp is pp
+    handle = statements.build_statement(inst, ConstraintSystem(fp))
+    assert handle.check().satisfied == statements.oracle_verdict(inst) is True
 
 
 def test_default_params_cached():
@@ -143,7 +188,7 @@ def test_default_params_cached():
 
 # 2^80 + 13 is prime with gcd(3, p - 1) = 1, so it admits alpha = 3.
 FP_A3 = FieldParams(modulus=2**80 + 13, coord_bits=8)
-PP_A3 = PoseidonParams(prime=FP_A3.modulus, alpha=3, r_partial=10)
+PP_A3 = PoseidonParams(prime=FP_A3.modulus, t=3, alpha=3, r_full=8, r_partial=10)
 
 
 def _per_gate_permutation(cs, state, pp):
@@ -191,7 +236,7 @@ def _build_both(fp, pp, values, make_state):
 def test_bulk_gates_evaluate_to_reference_and_bind_every_input():
     rng = random.Random(25)
     for _ in range(3):
-        state = [rng.randrange(PP.prime) for _ in range(3)]
+        state = [rng.randrange(PP.prime) for _ in range(PP.t)]
         cs = ConstraintSystem(FP)
         wires = [cs.wire_input(v, Domain.PROVER) for v in state]
         out = gadgets.poseidon_permute(cs, wires, PP)
@@ -204,12 +249,12 @@ def test_bulk_gates_evaluate_to_reference_and_bind_every_input():
 
 def test_bulk_mixed_domain_state_matches_per_gate_composition():
     rng = random.Random(26)
-    values = [2] + [rng.randrange(PP.prime) for _ in range(2)]
+    values = [2] + [rng.randrange(PP.prime) for _ in range(PP.t - 1)]
     (bulk, _, out), (ref, _, ref_out) = _build_both(FP, PP, values, _sponge_state)
     assert bulk.counters == ref.counters
     assert [bulk.value(w) for w in out] == [ref.value(w) for w in ref_out]
     assert [bulk.value(w) for w in out] == localcalc.poseidon_permutation_ref(values, PP)
-    assert [bulk._domains[w] for w in out] == [ref._domains[w] for w in ref_out] == [Domain.PROVER] * 3
+    assert [bulk._domains[w] for w in out] == [ref._domains[w] for w in ref_out] == [Domain.PROVER] * PP.t
     # Folding the constants leaves n_rounds - 1 sets of t affines out.
     assert len(ref._gates) - len(bulk._gates) == (PP.n_rounds - 1) * PP.t
     for w in out:
@@ -219,10 +264,12 @@ def test_bulk_mixed_domain_state_matches_per_gate_composition():
 
 def test_bulk_output_domain_is_most_secret_lane():
     def state(cs, values):
-        return [cs.const(values[0]), cs.wire_input(values[1], Domain.SHARED), cs.const(values[2])]
+        return ([cs.const(values[0]), cs.wire_input(values[1], Domain.SHARED)]
+                + [cs.const(v) for v in values[2:]])
 
-    (bulk, _, out), (ref, _, ref_out) = _build_both(FP, PP, [1, 2, 3], state)
-    assert [bulk._domains[w] for w in out] == [ref._domains[w] for w in ref_out] == [Domain.SHARED] * 3
+    values = list(range(1, PP.t + 1))
+    (bulk, _, out), (ref, _, ref_out) = _build_both(FP, PP, values, state)
+    assert [bulk._domains[w] for w in out] == [ref._domains[w] for w in ref_out] == [Domain.SHARED] * PP.t
     assert bulk.counters == ref.counters
 
 
@@ -241,15 +288,16 @@ def test_bulk_general_alpha_matches_per_gate_composition():
 
 def test_bulk_default_alpha_keeps_three_muls_per_sbox():
     cs = ConstraintSystem(FP)
-    gadgets.poseidon_permute(cs, [cs.wire_input(v, Domain.PROVER) for v in (1, 2, 3)], PP)
-    assert cs.n_mul == 3 * (PP.r_full * PP.t + PP.r_partial) == 240
+    gadgets.poseidon_permute(cs, [cs.wire_input(v, Domain.PROVER) for v in range(1, PP.t + 1)], PP)
+    assert cs.n_mul == 3 * (PP.r_full * PP.t + PP.r_partial) == 3 * (8 * 9 + 56) == 384
 
 
 def test_bulk_missing_input_builds_then_check_raises():
     cs = ConstraintSystem(FP)
-    state = [cs.const(1), cs.wire_input(None, Domain.PROVER), cs.wire_input(4, Domain.PROVER)]
+    state = ([cs.const(1), cs.wire_input(None, Domain.PROVER), cs.wire_input(4, Domain.PROVER)]
+             + [cs.const(0)] * (PP.t - 3))
     out = gadgets.poseidon_permute(cs, state, PP)
-    assert cs.n_mul == 240
+    assert cs.n_mul == 384
     with pytest.raises(IncompleteWitness):
         cs.value(out[0])
     with pytest.raises(IncompleteWitness):

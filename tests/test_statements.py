@@ -407,18 +407,19 @@ def test_statement_cost_rejects_bad_sizes():
 def test_statement_cost_pinned():
     # Counters of the round-by-round Poseidon construction; the bulk
     # permutation must reproduce them exactly.  Both rows are those of the
-    # exact square root (2k + 3 muls) and, for tax, of one selector vector
-    # per point over whole triangle rows.
+    # exact square root (2k + 3 muls), for tax of one selector vector per
+    # point over whole triangle rows, and of the t = 9 sponge (rate 8,
+    # R_F = 8, R_P = 56: 384 muls per permutation).
     assert statement_cost("ev", 256, 1, FieldParams()) == {
-        "n_mul": 89621, "n_add": 204336, "n_assert": 26908,
+        "n_mul": 52757, "n_add": 388656, "n_assert": 26908,
         "n_prover_inputs": 26904, "n_shared_inputs": 6,
     }
     assert statement_cost("tax", 64, 16, FieldParams()) == {
-        "n_mul": 37160, "n_add": 72982, "n_assert": 14830,
+        "n_mul": 27944, "n_add": 119062, "n_assert": 14830,
         "n_prover_inputs": 14636, "n_shared_inputs": 98,
     }
     # Wire counts of the same statements: every wire is one gate.
-    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 198_476), ("tax", 64, 16, 81_119)):
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 149_132), ("tax", 64, 16, 68_783)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
