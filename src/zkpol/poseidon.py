@@ -12,10 +12,10 @@ y_j = t + j, which is invertible for distinct x and y.  No byte
 compatibility with any external Poseidon instance is intended.
 
 Round numbers.  ``round_numbers`` derives (R_F, R_P) for a prime p of
-n = bitlen(p) bits, width t, S-box x^alpha and M bits of security from the
-inequalities of the Poseidon paper (Grassi et al., USENIX Security 2021,
-eprint 2019/458, and its round-number script), with the binomial bound
-that eprint 2023/537 added.  Writing log_a for the logarithm to base
+n = bitlen(p) bits, width t and S-box x^alpha at M = ``SECURITY`` = 128
+bits of security from the inequalities of the Poseidon paper (Grassi et
+al., USENIX Security 2021, eprint 2019/458, and its round-number script),
+with the binomial bound that eprint 2023/537 added.  Writing log_a for the logarithm to base
 alpha, a pair (R_F, R_P) is secure when
 
     statistical    R_F >= 6 if M <= floor(log2 p - (alpha-1)/2) * (t+1), else 10
@@ -54,6 +54,7 @@ from functools import lru_cache
 from .field import FieldParams, f_inv
 
 DEFAULT_SEED = b"zk-pol-poseidon-v2"
+SECURITY = 128  # M, bits of security the round numbers are derived for
 
 
 class PoseidonParamError(Exception):
@@ -71,18 +72,18 @@ def _derive_constant(seed: bytes, j: int, p: int) -> int:
     raise PoseidonParamError("constant derivation failed to terminate")
 
 
-def _statistical_r_full(prime: int, t: int, alpha: int, security: int) -> int:
-    fits = security <= math.floor(math.log2(prime) - (alpha - 1) / 2) * (t + 1)
+def _statistical_r_full(prime: int, t: int, alpha: int) -> int:
+    fits = SECURITY <= math.floor(math.log2(prime) - (alpha - 1) / 2) * (t + 1)
     return 6 if fits else 10
 
 
-def _secure(prime: int, t: int, alpha: int, security: int, r_full: int, r_partial: int) -> bool:
+def _secure(prime: int, t: int, alpha: int, r_full: int, r_partial: int) -> bool:
     """Whether (r_full, r_partial), before the margin, meets every bound in
     the module docstring."""
-    m, log2p, log_a2 = security, math.log2(prime), math.log(2, alpha)
+    m, log2p, log_a2 = SECURITY, math.log2(prime), math.log(2, alpha)
     log_a_t = next(k for k in range(t) if alpha**k >= t)  # ceil(log_alpha t), exact
     lower = (
-        _statistical_r_full(prime, t, alpha, m),
+        _statistical_r_full(prime, t, alpha),
         1 + math.ceil(log_a2 * min(m, prime.bit_length())) + log_a_t - r_partial,
         math.ceil(log_a2 * min(m, log2p) - r_partial),
         math.ceil(t - 1 + log_a2 * min(m / (t + 1), log2p / 2) - r_partial),
@@ -96,16 +97,16 @@ def _secure(prime: int, t: int, alpha: int, security: int, r_full: int, r_partia
     return math.ceil(2 * math.log2(math.comb(over, under))) >= m
 
 
-def _fewest_sboxes(prime: int, t: int, alpha: int, security: int) -> tuple[int, int]:
+def _fewest_sboxes(prime: int, t: int, alpha: int) -> tuple[int, int]:
     """The secure (R_F, R_P) with the fewest S-boxes t R_F + R_P, before the
     margin.  R_F runs over four even values from the statistical bound up
     (6..12 or 10..16); each R_F takes the least R_P that is secure, which
     exists because every other bound loosens as R_P grows."""
-    lowest = _statistical_r_full(prime, t, alpha, security)
+    lowest = _statistical_r_full(prime, t, alpha)
     best = None
     for r_full in range(lowest, lowest + 8, 2):
         r_partial = 1
-        while not _secure(prime, t, alpha, security, r_full, r_partial):
+        while not _secure(prime, t, alpha, r_full, r_partial):
             r_partial += 1
         if best is None or t * r_full + r_partial < t * best[0] + best[1]:
             best = (r_full, r_partial)
@@ -113,10 +114,10 @@ def _fewest_sboxes(prime: int, t: int, alpha: int, security: int) -> tuple[int, 
 
 
 @lru_cache(maxsize=64)
-def round_numbers(prime: int, t: int, alpha: int, security: int = 128) -> tuple[int, int]:
-    """(R_F, R_P) for ``security`` bits: the fewest S-boxes that meet every
+def round_numbers(prime: int, t: int, alpha: int) -> tuple[int, int]:
+    """(R_F, R_P) for ``SECURITY`` bits: the fewest S-boxes that meet every
     bound, plus the margin R_F + 2 and ceil(1.075 R_P) = ceil(43 R_P / 40)."""
-    r_full, r_partial = _fewest_sboxes(prime, t, alpha, security)
+    r_full, r_partial = _fewest_sboxes(prime, t, alpha)
     return r_full + 2, -(-43 * r_partial // 40)
 
 
@@ -146,8 +147,8 @@ class PoseidonParams:
     prime: int
     t: int = 9
     alpha: int = 5
-    r_full: int | None = None  # None: from round_numbers
-    r_partial: int | None = None  # None: from round_numbers
+    r_full: int | None = None  # both None: from round_numbers
+    r_partial: int | None = None
     seed: bytes = DEFAULT_SEED
     round_constants: tuple[int, ...] = field(default=(), repr=False)
     mds: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
@@ -166,12 +167,12 @@ class PoseidonParams:
             raise PoseidonParamError(f"alpha={self.alpha} not coprime with p-1")
         if self.t < 2:
             raise PoseidonParamError("state width must be at least 2")
-        if self.r_full is None or self.r_partial is None:
+        if (self.r_full is None) != (self.r_partial is None):
+            raise PoseidonParamError("give both r_full and r_partial, or neither")
+        if self.r_full is None:
             r_full, r_partial = round_numbers(p, self.t, self.alpha)
-            if self.r_full is None:
-                object.__setattr__(self, "r_full", r_full)
-            if self.r_partial is None:
-                object.__setattr__(self, "r_partial", r_partial)
+            object.__setattr__(self, "r_full", r_full)
+            object.__setattr__(self, "r_partial", r_partial)
         if self.r_full % 2 != 0:
             raise PoseidonParamError("r_full must be even")
         if not self.round_constants:

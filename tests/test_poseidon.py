@@ -143,14 +143,14 @@ def test_gadget_sponge_matches_reference():
 
 @pytest.mark.parametrize("t", range(2, 17))
 def test_fewest_sboxes_are_secure_and_least_in_r_partial(t):
-    r_full, r_partial = _fewest_sboxes(DEFAULT_MODULUS, t, 5, 128)
-    assert _secure(DEFAULT_MODULUS, t, 5, 128, r_full, r_partial)
-    assert not _secure(DEFAULT_MODULUS, t, 5, 128, r_full, r_partial - 1)
+    r_full, r_partial = _fewest_sboxes(DEFAULT_MODULUS, t, 5)
+    assert _secure(DEFAULT_MODULUS, t, 5, r_full, r_partial)
+    assert not _secure(DEFAULT_MODULUS, t, 5, r_full, r_partial - 1)
 
 
 def test_round_numbers_at_default_modulus_pinned():
     # The table in the poseidon module docstring.
-    assert [_fewest_sboxes(DEFAULT_MODULUS, t, 5, 128) for t in (3, 5, 9)] == [
+    assert [_fewest_sboxes(DEFAULT_MODULUS, t, 5) for t in (3, 5, 9)] == [
         (6, 51), (6, 51), (6, 52)]
     assert [round_numbers(DEFAULT_MODULUS, t, 5) for t in (3, 5, 9)] == [
         (8, 55), (8, 55), (8, 56)]
@@ -160,7 +160,13 @@ def test_round_numbers_at_default_modulus_pinned():
 def test_given_round_numbers_are_kept():
     pp = PoseidonParams(prime=DEFAULT_MODULUS, t=3, r_full=8, r_partial=56)
     assert (pp.r_full, pp.r_partial) == (8, 56)
-    assert PoseidonParams(prime=DEFAULT_MODULUS, r_full=10).r_partial == 56
+
+
+@pytest.mark.parametrize("given", [{"r_full": 10}, {"r_partial": 1}])
+def test_one_round_number_alone_is_rejected(given):
+    # The derived pair is secure only as a pair; half of it is not derived.
+    with pytest.raises(PoseidonParamError, match="both"):
+        PoseidonParams(prime=DEFAULT_MODULUS, **given)
 
 
 def test_small_prime_derives_and_builds():
