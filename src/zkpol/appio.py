@@ -213,6 +213,8 @@ def save_instance(inst: StatementInstance, path) -> None:
 
 # -- fixture generation --------------------------------------------------
 
+FIXTURE_TRIES = 20  # draws gen_fixture makes before it gives up
+
 
 @dataclass(frozen=True)
 class FixtureSpec:
@@ -334,11 +336,11 @@ def _gen_tax(spec: FixtureSpec, rng: random.Random) -> StatementInstance:
     return statements.make_instance("tax", fp, spec.n_traj, policy, tri_set, trail)
 
 
-def gen_fixture(spec: FixtureSpec, max_retries: int = 20) -> StatementInstance:
+def gen_fixture(spec: FixtureSpec) -> StatementInstance:
     """Deterministic fixture whose oracle verdict matches the mode flag."""
     rng = random.Random(spec.seed)
     last_err = None
-    for _ in range(max_retries):
+    for _ in range(FIXTURE_TRIES):
         try:
             inst = _gen_ev(spec, rng) if spec.kind == "ev" else _gen_tax(spec, rng)
         except (GenerationFailed, InstanceError) as exc:
@@ -349,7 +351,7 @@ def gen_fixture(spec: FixtureSpec, max_retries: int = 20) -> StatementInstance:
         if verdict == want:
             return inst
         last_err = GenerationFailed(f"verdict {verdict} != wanted {want}")
-    raise GenerationFailed(f"no fixture after {max_retries} tries: {last_err}")
+    raise GenerationFailed(f"no fixture after {FIXTURE_TRIES} tries: {last_err}")
 
 
 # -- corridor triangulation ---------------------------------------------

@@ -6,10 +6,12 @@ construction-time value and ``_domains[w]`` its visibility domain
 (prover-only / shared / public).  The domain of a gate output is the most
 secret domain among its operands.
 
-Construction is eager: every gate's value is computed as it is appended,
-so gadget code can derive prover-local hints (bit decompositions, square
-roots, characteristic vectors) from intermediate values.  This mirrors the
-prover's side of a real backend.  Input witnesses are fixed once wired, so
+Every wire has a value from the moment it is appended: an input is
+wired with its witness (an int; ``wire_input(None, ...)`` fails at
+wiring) and every gate's value is computed as it is appended, so gadget
+code can derive prover-local hints (bit decompositions, square roots,
+characteristic vectors) from intermediate values.  This mirrors the
+prover's side of a real backend, which holds the whole witness.
 ``evaluate_and_check``, standing in for the verifier-side protocol run,
 checks the assertions against the eager values and re-evaluates only the
 forward cone of any input witnesses it is asked to override.
@@ -39,10 +41,6 @@ class CircuitError(Exception):
 
 class PublicNeedsNoWire(CircuitError):
     """Public constants enter through ``const``, not ``wire_input``."""
-
-
-class IncompleteWitness(CircuitError):
-    """An input wire has no witness value at evaluation time."""
 
 
 class Domain(enum.IntEnum):
@@ -95,9 +93,8 @@ class ConstraintSystem:
         self.p = self.params.modulus
         self._gates: list[tuple] = []
         self._domains: list[int] = []
-        self._values: list[int | None] = []
+        self._values: list[int] = []
         self._assertions: list[int] = []  # wire ids asserted == 0
-        self._unset_inputs: list[int] = []  # input wire ids wired without a witness
         self.n_mul = 0
         self.n_add = 0
         self.n_prover_inputs = 0
@@ -106,25 +103,22 @@ class ConstraintSystem:
 
     # -- wire creation -------------------------------------------------
 
-    def _new_wire(self, gate: tuple, domain: int, value: int | None) -> int:
+    def _new_wire(self, gate: tuple, domain: int, value: int) -> int:
         wid = len(self._gates)
         self._gates.append(gate)
         self._domains.append(domain)
         self._values.append(value)
         return wid
 
-    def wire_input(self, value: int | None, domain: Domain) -> int:
+    def wire_input(self, value: int, domain: Domain) -> int:
         """Inject a local value into the circuit as a protocol input."""
         if domain == Domain.PUBLIC:
             raise PublicNeedsNoWire("public constants use const()")
+        value = int(value) % self.p
         if domain == Domain.PROVER:
             self.n_prover_inputs += 1
         else:
             self.n_shared_inputs += 1
-        if value is None:
-            self._unset_inputs.append(len(self._gates))
-        else:
-            value = int(value) % self.p
         return self._new_wire((_INPUT,), int(domain), value)
 
     def const(self, value: int) -> int:
@@ -136,24 +130,21 @@ class ConstraintSystem:
 
     # -- gates ---------------------------------------------------------
 
-    def _binary(self, op: int, a: int, b: int, v: int | None) -> int:
+    def _binary(self, op: int, a: int, b: int, v: int) -> int:
         doms = self._domains
-        return self._new_wire((op, a, b), max(doms[a], doms[b]), v)
+        return self._new_wire((op, a, b), max(doms[a], doms[b]), v % self.p)
 
     def add(self, a: int, b: int) -> int:
         self.n_add += 1
-        va, vb = self._values[a], self._values[b]
-        return self._binary(_ADD, a, b, None if va is None or vb is None else (va + vb) % self.p)
+        return self._binary(_ADD, a, b, self._values[a] + self._values[b])
 
     def sub(self, a: int, b: int) -> int:
         self.n_add += 1
-        va, vb = self._values[a], self._values[b]
-        return self._binary(_SUB, a, b, None if va is None or vb is None else (va - vb) % self.p)
+        return self._binary(_SUB, a, b, self._values[a] - self._values[b])
 
     def mul(self, a: int, b: int) -> int:
         self.n_mul += 1
-        va, vb = self._values[a], self._values[b]
-        return self._binary(_MUL, a, b, None if va is None or vb is None else (va * vb) % self.p)
+        return self._binary(_MUL, a, b, self._values[a] * self._values[b])
 
     def affine(self, coeffs: list[int], wires: list[int], const: int = 0) -> int:
         """Linear combination sum(c_i * w_i) + const; counts len(coeffs)-1 adds.
@@ -170,16 +161,10 @@ class ConstraintSystem:
         self.n_add += len(coeffs) - 1 + (1 if const else 0)
         cs = tuple(c if 0 <= c < p else c % p for c in coeffs)
         vals = self._values
-        v: int | None = const % p
+        v = const
         for c, i in zip(cs, ids):
-            vi = vals[i]
-            if vi is None:
-                v = None
-                break
-            v += c * vi
-        if v is not None:
-            v %= p
-        return self._new_wire((_AFFINE, cs, ids, const % p), dom, v)
+            v += c * vals[i]
+        return self._new_wire((_AFFINE, cs, ids, const % p), dom, v % p)
 
     # -- assertions ----------------------------------------------------
 
@@ -196,11 +181,11 @@ class ConstraintSystem:
         """
         return self.add(y, self.mul(b, self.sub(x, y)))
 
-    def decompose(self, w: int, k: int, hint: int | None = None) -> range:
+    def decompose(self, w: int, k: int) -> range:
         """Bulk primitive behind bit decomposition: k prover-only input
-        bits b_i = (v >> i) & 1 of w's value v (or of ``hint``), each
-        boolean-asserted as b*(b-1) = 0, then the recomposition
-        affine sum(2^i * b_i) asserted equal to w.
+        bits b_i = (v >> i) & 1 of w's value v, each boolean-asserted as
+        b*(b-1) = 0, then the recomposition affine sum(2^i * b_i) asserted
+        equal to w.
 
         Gates, domains, values, assertion order and counters are those of
         the per-gate composition wire_input / sub / mul / assert_zero per
@@ -212,9 +197,7 @@ class ConstraintSystem:
         first."""
         if k < 1:
             raise CircuitError("decompose needs k >= 1 bits")
-        v = self._values[w] if hint is None else hint
-        if v is None:
-            raise IncompleteWitness(f"wire {w} has no value to decompose")
+        v = self._values[w]
         p = self.p
         one = self.const(1)
         gates = self._gates
@@ -233,9 +216,8 @@ class ConstraintSystem:
         gates.append((_AFFINE, _pow2_coeffs(k, p), tuple(ids), 0))
         gates.append((_SUB, rid, w))
         rec = low % p
-        vw = self._values[w]
         self._values.append(rec)
-        self._values.append(None if vw is None else (rec - vw) % p)
+        self._values.append((rec - v) % p)
         self._assertions.append(rid + 1)
         self.n_prover_inputs += k
         self.n_mul += k
@@ -251,9 +233,11 @@ class ConstraintSystem:
         round's MDS affines.  The S-boxes are the same chained mul gates a
         per-gate composition emits (3 for alpha = 5, alpha - 1 otherwise),
         an S-box output keeps its lane's domain and an MDS output takes
-        the most secret lane domain.  Counters equal those of the per-gate
-        composition with unfolded constants: a non-zero const counts one
-        add on whichever affine carries it.  Returns the t output ids."""
+        the most secret lane domain.  Every lane has a value, so each
+        gate's value is computed as it is appended, as on the per-gate
+        path.  Counters equal those of the per-gate composition with
+        unfolded constants: a non-zero const counts one add on whichever
+        affine carries it.  Returns the t output ids."""
         t = pp.t
         if len(state) != t:
             raise ValueError(f"state width must be {t}")
@@ -266,13 +250,10 @@ class ConstraintSystem:
         add_gate = gates.append
         add_dom = self._domains.append
         add_val = vals.append
-        start = wid = len(gates)
+        wid = len(gates)
         ids = list(state)
         doms = [self._domains[i] for i in ids]
         xs = [vals[i] for i in ids]
-        known = None not in xs
-        if not known:
-            xs = [0] * t  # placeholder arithmetic; values are cleared below
         n_add = 0
         n_mul = 0
         for i in range(t):
@@ -345,8 +326,6 @@ class ConstraintSystem:
             ids = list(range(wid, wid + t))
             doms = [dmax] * t
             wid += t
-        if not known:
-            vals[start:] = [None] * (wid - start)
         self.n_mul += n_mul
         self.n_add += n_add
         return ids
@@ -355,10 +334,7 @@ class ConstraintSystem:
 
     def value(self, w: int) -> int:
         """Construction-time value of a wire (the prover's local view)."""
-        v = self._values[w]
-        if v is None:
-            raise IncompleteWitness(f"wire {w} has no value")
-        return v
+        return self._values[w]
 
     # -- evaluation ----------------------------------------------------
 
@@ -374,10 +350,11 @@ class ConstraintSystem:
 
     def evaluate_and_check(self, overrides: dict[int, int] | None = None) -> SatisfactionReport:
         """Check the assertions in order against the eager values, stopping
-        at the first that fails.  ``overrides`` maps input wire ids to
-        replacement witnesses; only gates with a changed operand or no eager
-        value (``poseidon_rounds`` over an unset lane) are re-evaluated, in
-        id order and no further than the assertions walked so far reach."""
+        at the first that fails.  Every wire has an eager value, so with no
+        ``overrides`` nothing is re-evaluated.  ``overrides`` maps input
+        wire ids to replacement witnesses; only gates with a changed operand
+        are re-evaluated, in id order and no further than the assertions
+        walked so far reach."""
         p, gates, stored = self.p, self._gates, self._values
         overrides = overrides or {}
         new: dict[int, int] = {}  # wire id -> value differing from the eager one
@@ -386,9 +363,6 @@ class ConstraintSystem:
                 raise CircuitError(f"override key {wid!r} is not an input wire id")
             if v % p != stored[wid]:
                 new[wid] = v % p
-        for wid in self._unset_inputs:
-            if wid not in overrides:
-                raise IncompleteWitness(f"input wire {wid} unset")
         done = min(new, default=len(gates))  # gates below keep their eager values
         first_fail = None
         for idx, aw in enumerate(self._assertions):
@@ -396,14 +370,13 @@ class ConstraintSystem:
                 for wid, g in enumerate(gates[done : aw + 1], done):
                     op = g[0]
                     if op == _AFFINE:
-                        # None only in a poseidon_rounds batch over an unset lane
-                        if stored[wid] is not None and new.keys().isdisjoint(g[2]):
+                        if new.keys().isdisjoint(g[2]):
                             continue
                         v = g[3]
                         for c, i in zip(g[1], g[2]):
                             v += c * new.get(i, stored[i])
                     elif op <= _CONST:
-                        continue  # inputs are settled above; constants never change
+                        continue  # overridden inputs are in new; constants never change
                     else:
                         a, b = g[1], g[2]
                         if a not in new and b not in new:

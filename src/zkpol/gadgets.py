@@ -24,7 +24,7 @@ def assert_boolean(cs: ConstraintSystem, w: int) -> None:
     cs.assert_zero(cs.mul(w, cs.sub(w, cs.const(1))))
 
 
-def decompose_bits(cs: ConstraintSystem, w: int, k: int, hint: int | None = None) -> range:
+def decompose_bits(cs: ConstraintSystem, w: int, k: int) -> range:
     """Split w into k boolean-asserted bits with a recomposition assertion;
     returns the bit ids, low bit first.
 
@@ -32,7 +32,7 @@ def decompose_bits(cs: ConstraintSystem, w: int, k: int, hint: int | None = None
     value of w; if that value does not fit k bits the recomposition
     assertion fails and the system is unsatisfiable.
     """
-    return cs.decompose(w, k, hint)
+    return cs.decompose(w, k)
 
 
 def leq(cs: ConstraintSystem, a: int, b: int, k: int) -> int:

@@ -8,8 +8,9 @@ Round constants are derived deterministically from a byte seed:
 
 The j-th constant is the first candidate (i = 0, 1, ...) below p.  The MDS
 matrix is the Cauchy matrix M[i][j] = 1/(x_i + y_j) with x_i = i and
-y_j = t + j, which is invertible for distinct x and y.  No byte
-compatibility with any external Poseidon instance is intended.
+y_j = t + j (see ``_cauchy_mds`` for why it is invertible).  Both are
+always derived, never given.  No byte compatibility with any external
+Poseidon instance is intended.
 
 Round numbers.  ``round_numbers`` derives (R_F, R_P) for a prime p of
 n = bitlen(p) bits, width t and S-box x^alpha at M = ``SECURITY`` = 128
@@ -55,6 +56,7 @@ from .field import FieldParams, f_inv
 
 DEFAULT_SEED = b"zk-pol-poseidon-v2"
 SECURITY = 128  # M, bits of security the round numbers are derived for
+MAX_T = 16  # widest state: round_numbers is verified and tested for t = 2..16
 
 
 class PoseidonParamError(Exception):
@@ -122,24 +124,13 @@ def round_numbers(prime: int, t: int, alpha: int) -> tuple[int, int]:
 
 
 def _cauchy_mds(t: int, p: int) -> list[list[int]]:
+    """M[i][j] = 1/(x_i + y_j) with x_i = i and y_j = t + j, invertible with
+    no check: the x_i are distinct, and so are the y_j, and every x_i + y_j
+    lies in [t, 3t - 2], within [2, 46] for t <= MAX_T, so it is non-zero
+    mod any prime FieldParams admits (p > 2^9, so p >= 521).  The Cauchy
+    determinant, prod (x_j - x_i)(y_j - y_i) over i < j divided by
+    prod (x_i + y_j), is then non-zero."""
     return [[f_inv(p, i + t + j) for j in range(t)] for i in range(t)]
-
-
-def _is_invertible(m: list[list[int]], p: int) -> bool:
-    # Gaussian elimination mod p.
-    a = [row[:] for row in m]
-    n = len(a)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % p != 0), None)
-        if piv is None:
-            return False
-        a[col], a[piv] = a[piv], a[col]
-        inv = f_inv(p, a[col][col])
-        for r in range(col + 1, n):
-            f = a[r][col] * inv % p
-            if f:
-                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-    return True
 
 
 @dataclass(frozen=True)
@@ -150,8 +141,8 @@ class PoseidonParams:
     r_full: int | None = None  # both None: from round_numbers
     r_partial: int | None = None
     seed: bytes = DEFAULT_SEED
-    round_constants: tuple[int, ...] = field(default=(), repr=False)
-    mds: tuple[tuple[int, ...], ...] = field(default=(), repr=False)
+    round_constants: tuple[int, ...] = field(init=False, repr=False)
+    mds: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     @property
     def rate(self) -> int:
@@ -163,37 +154,29 @@ class PoseidonParams:
 
     def __post_init__(self):
         p = self.prime
+        if not 2 <= self.t <= MAX_T:
+            raise PoseidonParamError(f"state width t={self.t} outside 2..{MAX_T}")
         if math.gcd(self.alpha, p - 1) != 1:
             raise PoseidonParamError(f"alpha={self.alpha} not coprime with p-1")
-        if self.t < 2:
-            raise PoseidonParamError("state width must be at least 2")
         if (self.r_full is None) != (self.r_partial is None):
             raise PoseidonParamError("give both r_full and r_partial, or neither")
         if self.r_full is None:
             r_full, r_partial = round_numbers(p, self.t, self.alpha)
             object.__setattr__(self, "r_full", r_full)
             object.__setattr__(self, "r_partial", r_partial)
-        if self.r_full % 2 != 0:
-            raise PoseidonParamError("r_full must be even")
-        if not self.round_constants:
-            rc = tuple(
-                _derive_constant(self.seed, j, p) for j in range(self.t * self.n_rounds)
-            )
-            object.__setattr__(self, "round_constants", rc)
-        if len(self.round_constants) != self.t * self.n_rounds:
-            raise PoseidonParamError("wrong number of round constants")
-        if not self.mds:
-            object.__setattr__(
-                self, "mds", tuple(tuple(r) for r in _cauchy_mds(self.t, p))
-            )
-        if not _is_invertible([list(r) for r in self.mds], p):
-            raise PoseidonParamError("MDS matrix is singular")
+        if self.r_full < 2 or self.r_full % 2 != 0:
+            raise PoseidonParamError(f"r_full={self.r_full} must be positive and even")
+        if self.r_partial < 0:
+            raise PoseidonParamError(f"r_partial={self.r_partial} must be >= 0")
+        rc = tuple(_derive_constant(self.seed, j, p) for j in range(self.t * self.n_rounds))
+        object.__setattr__(self, "round_constants", rc)
+        object.__setattr__(self, "mds", tuple(tuple(r) for r in _cauchy_mds(self.t, p)))
 
 
 @lru_cache(maxsize=16)
-def default_poseidon_params(prime: int, seed: bytes = DEFAULT_SEED) -> PoseidonParams:
-    return PoseidonParams(prime=prime, seed=seed)
+def default_poseidon_params(prime: int) -> PoseidonParams:
+    return PoseidonParams(prime=prime)
 
 
-def params_for(field_params: FieldParams, seed: bytes = DEFAULT_SEED) -> PoseidonParams:
-    return default_poseidon_params(field_params.modulus, seed)
+def params_for(field_params: FieldParams) -> PoseidonParams:
+    return default_poseidon_params(field_params.modulus)

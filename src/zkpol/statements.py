@@ -347,7 +347,7 @@ def oracle_verdict(inst: StatementInstance) -> bool:
     return localcalc.oracle_hwtax(pts, inst.geometry.triangles, inst.policy)
 
 
-def _dummy_instance(kind: str, n_traj: int, n_geo: int, field_params: FieldParams, pp=None) -> StatementInstance:
+def _dummy_instance(kind: str, n_traj: int, n_geo: int, field_params: FieldParams) -> StatementInstance:
     trail = Trail(((1, 1),))  # padded to n_traj copies of (1, 1)
     if kind == "ev":
         geometry = CircleSet(tuple((1, 1, 1) for _ in range(n_geo)))
@@ -355,13 +355,13 @@ def _dummy_instance(kind: str, n_traj: int, n_geo: int, field_params: FieldParam
     else:
         geometry = TriangleSet.oriented([((0, 0), (1, 0), (0, 1))] * n_geo)
         policy = TaxPolicy(d_max=0)
-    return make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=pp)
+    return make_instance(kind, field_params, n_traj, policy, geometry, trail)
 
 
-def statement_cost(kind: str, n_traj: int, n_geo: int, field_params: FieldParams | None = None, pp=None) -> dict[str, int]:
+def statement_cost(kind: str, n_traj: int, n_geo: int, field_params: FieldParams | None = None) -> dict[str, int]:
     """Gate counters of a statement as a function of its sizes only."""
     fp = field_params or FieldParams()
-    inst = _dummy_instance(kind, n_traj, n_geo, fp, pp)
+    inst = _dummy_instance(kind, n_traj, n_geo, fp)
     cs = ConstraintSystem(fp)
     build_statement(inst, cs)
     return cs.counters.as_dict()

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from zkpol import localcalc
+from zkpol import localcalc, poseidon
 from zkpol.field import FieldParams
 from zkpol.poseidon import params_for
 from zkpol.statements import (
@@ -27,6 +27,21 @@ COORD_BOUND = 1 << 12
 @pytest.fixture(scope="session")
 def fp12() -> FieldParams:
     return FP12
+
+
+class Derived(BaseException):
+    """Raised by a Poseidon derivation a test forbids; escapes every
+    ``except Exception``, the CLI's included."""
+
+
+@pytest.fixture
+def no_poseidon_derivation(monkeypatch):
+    """Make deriving round numbers or round constants raise ``Derived``."""
+    def derive(*args):
+        raise Derived(args)
+
+    monkeypatch.setattr(poseidon, "_derive_constant", derive)
+    monkeypatch.setattr(poseidon, "round_numbers", derive)
 
 
 def small_prime_ev_instance() -> StatementInstance:

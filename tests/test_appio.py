@@ -378,10 +378,10 @@ def test_cli_fuzz_reports_a_root_missing_a_decomposition(tmp_path, capsys, monke
     real_sqrt, real_decompose = gadgets.sqrt_floor, gadgets.decompose_bits
     free = []  # popped once per decomposition: 2d - r's flag, then r's
 
-    def decompose(cs, w, k, hint=None):
+    def decompose(cs, w, k):
         if free and free.pop():
             return [cs.wire_input((cs.value(w) >> i) & 1, Domain.PROVER) for i in range(k)]
-        return real_decompose(cs, w, k, hint)
+        return real_decompose(cs, w, k)
 
     def loose_sqrt(cs, sq, k, hint=None):
         free[:] = [dropped == "2d - r", dropped == "r"]
@@ -394,6 +394,32 @@ def test_cli_fuzz_reports_a_root_missing_a_decomposition(tmp_path, capsys, monke
     roots = sum("ROOT VIOLATION" in line for line in lines)
     assert roots > 0
     assert json.loads(lines[-1]) == {"mutations": 10, "violations": roots}
+
+
+def _rewrite_poseidon(tmp_path, **keys):
+    path = _write_fixture(tmp_path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["poseidon"].update(keys)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.mark.parametrize("keys", [{"r_full": 0, "r_partial": 0}, {"r_partial": -1}],
+                         ids=["no-rounds", "negative-partial"])
+def test_cli_rejects_round_numbers_below_the_floor(tmp_path, capsys, keys):
+    path = _rewrite_poseidon(tmp_path, **keys)
+    assert cli_main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert "/poseidon: r_" in err
+    assert "internal error" not in err
+
+
+def test_cli_rejects_a_state_too_wide_before_deriving(tmp_path, capsys, no_poseidon_derivation):
+    path = _rewrite_poseidon(tmp_path, t=4000)
+    assert cli_main(["check", path]) == 2
+    assert "/poseidon: state width t=4000" in capsys.readouterr().err
 
 
 def test_cli_cost_n_traj_above_cap_exits_two(capsys, monkeypatch):

@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zkpol import localcalc
 from zkpol.circuit import (
     _ADD,
     _AFFINE,
@@ -13,12 +12,10 @@ from zkpol.circuit import (
     CircuitError,
     ConstraintSystem,
     Domain,
-    IncompleteWitness,
     PublicNeedsNoWire,
     SatisfactionReport,
 )
 from zkpol.field import FieldParams, widths
-from zkpol.poseidon import params_for
 from zkpol.statements import _dummy_instance, build_statement
 
 from conftest import random_ev_instance, random_tax_instance
@@ -124,16 +121,16 @@ def test_empty_system_report():
     assert report.counters.n_assert == 0
 
 
-def test_incomplete_witness():
+def test_wire_input_needs_a_value():
+    # Every wire has a value from the moment it is appended: an input
+    # without a witness fails at wiring and leaves the system as it was.
     cs = fresh()
     cs.wire_input(1, Domain.PROVER)
-    first = cs.wire_input(None, Domain.PROVER)
-    second = cs.wire_input(None, Domain.PROVER)
-    with pytest.raises(IncompleteWitness, match=f"input wire {first} unset"):
-        cs.evaluate_and_check()
-    with pytest.raises(IncompleteWitness, match=f"input wire {first} unset"):
-        cs.evaluate_and_check({second: 2})
-    assert cs.evaluate_and_check({first: 1, second: 2}).satisfied
+    before = (list(cs._gates), cs.counters)
+    for domain in (Domain.PROVER, Domain.SHARED):
+        with pytest.raises(TypeError):
+            cs.wire_input(None, domain)
+    assert (cs._gates, cs.counters) == before
 
 
 def test_affine_combo_counts_adds():
@@ -248,10 +245,7 @@ def _rederive(cs, overrides=None):
             if overrides is not None and wid in overrides:
                 vals[wid] = overrides[wid] % p
             else:
-                v = cs._values[wid]
-                if v is None:
-                    raise IncompleteWitness(f"input wire {wid} unset")
-                vals[wid] = v
+                vals[wid] = cs._values[wid]
         else:  # _CONST
             vals[wid] = g[1]
     return vals
@@ -286,18 +280,6 @@ def _statement_systems():
 SYSTEMS = _statement_systems()
 
 
-def _unset_lane_system():
-    """A Poseidon permutation over a lane wired without a witness, with its
-    outputs asserted equal to the reference permutation of (1, 2, 3, ...)."""
-    pp = params_for(FP)
-    cs = fresh()
-    values = list(range(1, pp.t + 1))
-    state = [cs.wire_input(None if i == 1 else v, Domain.PROVER) for i, v in enumerate(values)]
-    for w, ref in zip(cs.poseidon_rounds(state, pp), localcalc.poseidon_permutation_ref(values, pp)):
-        cs.assert_eq(w, cs.const(ref))
-    return cs, state[1]
-
-
 def test_eager_values_match_rederivation():
     verdicts = set()
     for cs in SYSTEMS:
@@ -308,12 +290,12 @@ def test_eager_values_match_rederivation():
     assert verdicts == {True, False}
 
 
-def _draw_overrides(data, cs, forced=()):
+def _draw_overrides(data, cs):
     inputs = [wid for wid, g in enumerate(cs._gates) if g[0] == _INPUT]
     picks = data.draw(st.lists(st.sampled_from(inputs), min_size=1, max_size=3, unique=True))
     overrides = {}
-    for wid in sorted(set(picks) | set(forced)):
-        old = cs._values[wid] or 0
+    for wid in sorted(picks):
+        old = cs._values[wid]
         overrides[wid] = data.draw(st.one_of(
             st.sampled_from([old, old ^ 1, old + 1, old - 1, 0, 1]),
             st.integers(min_value=0, max_value=cs.p - 1),
@@ -329,23 +311,11 @@ def test_overrides_match_reference_evaluator(data):
     assert cs.evaluate_and_check(overrides) == _reference_report(cs, overrides)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_overrides_supplying_an_unset_lane_match_reference(data):
-    cs, missing = _unset_lane_system()
-    overrides = _draw_overrides(data, cs, forced=[missing])
-    assert cs.evaluate_and_check(overrides) == _reference_report(cs, overrides)
-    assert cs.evaluate_and_check({missing: 2}).satisfied
-    del overrides[missing]
-    with pytest.raises(IncompleteWitness):
-        cs.evaluate_and_check(overrides)
-
-
 # -- bulk bit decomposition against the per-gate composition ---------------
 
 
-def _per_gate_decompose(cs, w, k, hint=None):
-    v = cs._values[w] if hint is None else hint
+def _per_gate_decompose(cs, w, k):
+    v = cs._values[w]
     one = cs.const(1)
     bits = []
     for i in range(k):
@@ -364,18 +334,15 @@ SMALL_FP = FieldParams(modulus=521, coord_bits=1)
 def test_decompose_matches_per_gate_composition(data):
     fp = data.draw(st.sampled_from([FP, SMALL_FP]))
     k = data.draw(st.integers(min_value=1, max_value=40))
+    # In range, any residue, out of range by up to 2^45, and negative: the
+    # residue p - x of a small x, whose low k bits do not recompose it.
     v = data.draw(st.one_of(
         st.integers(min_value=0, max_value=(1 << k) - 1),
         st.integers(min_value=0, max_value=fp.modulus - 1),
+        st.integers(min_value=1 << k, max_value=(1 << k) + (1 << 45)),
+        st.integers(min_value=-(1 << 45), max_value=-1),
     ))
-    hint = data.draw(st.one_of(
-        st.none(),
-        st.integers(min_value=-(1 << 45), max_value=1 << 45),
-        st.integers(min_value=fp.modulus - 4, max_value=fp.modulus + 4),
-    ))
-    source = data.draw(st.sampled_from(["prover", "shared", "const", "unset"]))
-    if source == "unset" and hint is None:
-        hint = v
+    source = data.draw(st.sampled_from(["prover", "shared", "const"]))
     one_first = data.draw(st.booleans())
     built = []
     for decompose in (ConstraintSystem.decompose, _per_gate_decompose):
@@ -384,11 +351,9 @@ def test_decompose_matches_per_gate_composition(data):
             cs.const(1)
         if source == "const":
             w = cs.const(v)
-        elif source == "unset":
-            w = cs.wire_input(None, Domain.PROVER)
         else:
             w = cs.wire_input(v, Domain.PROVER if source == "prover" else Domain.SHARED)
-        bits = decompose(cs, w, k, hint)
+        bits = decompose(cs, w, k)
         built.append((
             cs._gates, cs._domains, cs._values, cs._assertions, cs.counters,
             [(b, cs._domains[b]) for b in bits],

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from zkpol import gadgets, localcalc, statements
-from zkpol.circuit import ConstraintSystem, Domain, IncompleteWitness
+from zkpol.circuit import ConstraintSystem, Domain
 from zkpol.field import DEFAULT_MODULUS, FieldParams
 from zkpol.poseidon import (
+    MAX_T,
     PoseidonParamError,
     PoseidonParams,
+    _cauchy_mds,
     _fewest_sboxes,
     _secure,
     default_poseidon_params,
@@ -66,12 +68,6 @@ def test_different_seed_different_constants():
 def test_constants_in_field():
     assert all(0 <= c < PP.prime for c in PP.round_constants)
     assert len(PP.round_constants) == PP.t * (PP.r_full + PP.r_partial)
-
-
-def test_singular_mds_rejected():
-    zero_mds = tuple(tuple(0 for _ in range(PP.t)) for _ in range(PP.t))
-    with pytest.raises(PoseidonParamError):
-        PoseidonParams(prime=DEFAULT_MODULUS, mds=zero_mds)
 
 
 def test_reference_permutation_zero_state_frozen():
@@ -141,7 +137,7 @@ def test_gadget_sponge_matches_reference():
 # -- round numbers -------------------------------------------------------
 
 
-@pytest.mark.parametrize("t", range(2, 17))
+@pytest.mark.parametrize("t", range(2, MAX_T + 1))
 def test_fewest_sboxes_are_secure_and_least_in_r_partial(t):
     r_full, r_partial = _fewest_sboxes(DEFAULT_MODULUS, t, 5)
     assert _secure(DEFAULT_MODULUS, t, 5, r_full, r_partial)
@@ -167,6 +163,58 @@ def test_one_round_number_alone_is_rejected(given):
     # The derived pair is secure only as a pair; half of it is not derived.
     with pytest.raises(PoseidonParamError, match="both"):
         PoseidonParams(prime=DEFAULT_MODULUS, **given)
+
+
+@pytest.mark.parametrize("r_full, r_partial", [(0, 0), (0, 56), (3, 56), (-2, 56), (8, -1)])
+def test_round_numbers_below_the_floor_are_rejected(r_full, r_partial):
+    with pytest.raises(PoseidonParamError, match="r_full|r_partial"):
+        PoseidonParams(prime=DEFAULT_MODULUS, t=3, r_full=r_full, r_partial=r_partial)
+
+
+def test_fewest_admitted_round_numbers_match_the_reference():
+    pp = PoseidonParams(prime=DEFAULT_MODULUS, t=3, r_full=2, r_partial=0)
+    cs = ConstraintSystem(FP)
+    values = [1, 2, 3]
+    out = gadgets.poseidon_permute(cs, [cs.wire_input(v, Domain.PROVER) for v in values], pp)
+    assert cs.n_mul == 3 * 2 * 3
+    assert ([cs.value(w) for w in out] == localcalc.poseidon_permutation_ref(values, pp)
+            == _independent_permutation(values, pp))
+
+
+@pytest.mark.parametrize("t", [-1, 0, 1, MAX_T + 1, 4000])
+def test_width_outside_range_rejected_before_any_derivation(no_poseidon_derivation, t):
+    with pytest.raises(PoseidonParamError, match=f"width t={t} outside 2..{MAX_T}"):
+        PoseidonParams(prime=DEFAULT_MODULUS, t=t)
+
+
+def _invertible(m, p):
+    # Gaussian elimination mod p.
+    a = [list(row) for row in m]
+    for col in range(len(a)):
+        piv = next((r for r in range(col, len(a)) if a[r][col] % p), None)
+        if piv is None:
+            return False
+        a[col], a[piv] = a[piv], a[col]
+        inv = pow(a[col][col], -1, p)
+        for r in range(col + 1, len(a)):
+            f = a[r][col] * inv % p
+            a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+    return True
+
+
+@pytest.mark.parametrize("t", range(2, MAX_T + 1))
+def test_every_admitted_width_has_an_invertible_mds(t):
+    # The argument in _cauchy_mds's docstring, checked at the smallest prime
+    # FieldParams admits and on the parameters derived at the default one.
+    assert _invertible(_cauchy_mds(t, 521), 521)
+    assert _invertible(PoseidonParams(prime=DEFAULT_MODULUS, t=t).mds, DEFAULT_MODULUS)
+
+
+def test_constants_are_derived_not_given():
+    with pytest.raises(TypeError):
+        PoseidonParams(prime=DEFAULT_MODULUS, mds=PP.mds)
+    with pytest.raises(TypeError):
+        PoseidonParams(prime=DEFAULT_MODULUS, round_constants=PP.round_constants)
 
 
 def test_small_prime_derives_and_builds():
@@ -296,19 +344,6 @@ def test_bulk_default_alpha_keeps_three_muls_per_sbox():
     cs = ConstraintSystem(FP)
     gadgets.poseidon_permute(cs, [cs.wire_input(v, Domain.PROVER) for v in range(1, PP.t + 1)], PP)
     assert cs.n_mul == 3 * (PP.r_full * PP.t + PP.r_partial) == 3 * (8 * 9 + 56) == 384
-
-
-def test_bulk_missing_input_builds_then_check_raises():
-    cs = ConstraintSystem(FP)
-    state = ([cs.const(1), cs.wire_input(None, Domain.PROVER), cs.wire_input(4, Domain.PROVER)]
-             + [cs.const(0)] * (PP.t - 3))
-    out = gadgets.poseidon_permute(cs, state, PP)
-    assert cs.n_mul == 384
-    with pytest.raises(IncompleteWitness):
-        cs.value(out[0])
-    with pytest.raises(IncompleteWitness):
-        cs.evaluate_and_check()
-    assert cs.evaluate_and_check({state[1]: 2}).satisfied
 
 
 def test_bulk_rejects_wrong_state_width():
