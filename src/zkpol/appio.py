@@ -183,7 +183,6 @@ def instance_from_doc(doc: dict) -> StatementInstance:
             trail=Trail(tuple(points)),
             h_ex=h_ex,
         )
-        statements.validate_instance(inst)
     except InstanceError as exc:
         raise SchemaError(str(exc)) from exc
     return inst
@@ -191,11 +190,13 @@ def instance_from_doc(doc: dict) -> StatementInstance:
 
 def _read_object(path) -> dict:
     """The JSON object stored at ``path``."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError("/: expected an object")
     return doc

@@ -230,20 +230,24 @@ class ConstraintSystem:
 
         Round 0 adds its constants with t one-term affines; every later
         round's constants are folded into the ``const`` of the previous
-        round's MDS affines.  The S-boxes are the same chained mul gates a
-        per-gate composition emits (3 for alpha = 5, alpha - 1 otherwise),
-        an S-box output keeps its lane's domain and an MDS output takes
-        the most secret lane domain.  Every lane has a value, so each
-        gate's value is computed as it is appended, as on the per-gate
-        path.  Counters equal those of the per-gate composition with
-        unfolded constants: a non-zero const counts one add on whichever
-        affine carries it.  Returns the t output ids."""
+        round's MDS affines.  Each S-box x^alpha is a left-to-right
+        square-and-multiply over alpha's bits: a squaring per bit below
+        the top one, then a mul by x for each such bit that is set (2 muls
+        for alpha = 3, 3 for 5, 4 for 7).  An S-box output keeps its
+        lane's domain and an MDS output takes the most secret lane domain.
+        Every lane has a value, so each gate's value is computed as it is
+        appended, as on the per-gate path.  Counters equal those of the
+        per-gate composition with unfolded constants: a non-zero const
+        counts one add on whichever affine carries it.  Returns the t
+        output ids."""
         t = pp.t
         if len(state) != t:
             raise ValueError(f"state width must be {t}")
         p = self.p
         rc = pp.round_constants
-        alpha = pp.alpha
+        # Per bit of alpha below the top one: square (False), then multiply
+        # by x (True) if the bit is set.
+        chain = [by_x for bit in bin(pp.alpha)[3:] for by_x in (False, True)[: 1 + int(bit)]]
         mds = [tuple(c % p for c in row) for row in pp.mds]
         gates = self._gates
         vals = self._values
@@ -273,36 +277,19 @@ class ConstraintSystem:
         last = pp.n_rounds - 1
         for rnd in range(pp.n_rounds):
             for i in (0,) if first_partial <= rnd < last_partial else all_lanes:
-                a = ids[i]
-                x = xs[i]
+                a = w = ids[i]
+                x = y = xs[i]
                 d = doms[i]
-                if alpha == 5:
-                    x2 = x * x % p
-                    x4 = x2 * x2 % p
-                    y = x4 * x % p
-                    add_gate((_MUL, a, a))
-                    add_gate((_MUL, wid, wid))
-                    add_gate((_MUL, wid + 1, a))
+                for by_x in chain:
+                    y = y * (x if by_x else y) % p
+                    add_gate((_MUL, w, a if by_x else w))
                     add_dom(d)
-                    add_dom(d)
-                    add_dom(d)
-                    add_val(x2)
-                    add_val(x4)
                     add_val(y)
-                    ids[i] = wid + 2
-                    wid += 3
-                    n_mul += 3
-                else:
-                    y = x
-                    for _ in range(alpha - 1):
-                        y = y * x % p
-                        add_gate((_MUL, ids[i], a))
-                        add_dom(d)
-                        add_val(y)
-                        ids[i] = wid
-                        wid += 1
-                    n_mul += alpha - 1
+                    w = wid
+                    wid += 1
+                ids[i] = w
                 xs[i] = y
+                n_mul += len(chain)
             lanes = tuple(ids)
             dmax = max(doms)
             off = (rnd + 1) * t

@@ -221,7 +221,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (appio.SchemaError, appio.GenerationFailed, appio.Unsupported,
-            statements.InstanceError, FieldError, FileNotFoundError, KeyError) as exc:
+            statements.InstanceError, FieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # internal invariant violation

@@ -4,9 +4,9 @@ Everything in the circuit and gadget layers computes in GF(p), on plain
 int residues, for a single configurable prime p.  The default is the
 Mersenne prime 2^127 - 1.  ``FieldParams`` requires p > 2^(3*k_c + 6),
 where k_c bounds the bit-length of any coordinate or radius; ``widths``
-derives every bit width the statements compare or decompose at, and
-``statements.validate_instance`` rejects a shape whose widest comparison
-does not fit below p.
+derives every bit width the statements compare or decompose at, and a
+``statements.StatementInstance`` whose widest comparison does not fit
+below p fails validation when it is constructed.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def widths(coord_bits: int, n_traj: int) -> Widths:
     d = isqrt(sq) while p > 2^(2*seg + 5).  ``FieldParams`` guarantees
     p > 2^(3k + 6), which covers seg, circle, bary and the barycentric
     reconstruction terms (below 2^(3k + 4)); tot and cover grow with
-    n_traj and are checked per instance by ``validate_instance``.
+    n_traj and are checked as each instance is constructed, by
+    ``statements.validate_instance``.
     """
     seg = coord_bits + 1
     tot = seg + n_traj.bit_length()

@@ -1,7 +1,7 @@
 """Reusable circuit fragments.
 
 Booleanity, bit decomposition, comparisons, the exact floor square root
-with prover-supplied hint, Poseidon permutation/sponge, circle and
+with prover-supplied hint, the Poseidon sponge, circle and
 triangle membership, and the characteristic-vector row lookup.  All
 gadgets append to a caller-owned ConstraintSystem; prover-local hint
 values are derived from the builder's eager values unless the caller
@@ -194,16 +194,8 @@ def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[int, ...]]) -> t
 # -- Poseidon gadget ----------------------------------------------------
 
 
-def poseidon_permute(cs: ConstraintSystem, state: list[int], pp: PoseidonParams) -> list[int]:
-    """In-circuit Poseidon permutation; computes the reference round
-    structure exactly.
-
-    A thin wrapper over the bulk primitive ``cs.poseidon_rounds``, which
-    appends all rounds in one batch and folds each round's constants into
-    the previous round's MDS affines; the gate counters equal those of
-    the round-by-round composition.
-    """
-    return cs.poseidon_rounds(state, pp)
+# The acceptance battery's name for the bulk permutation.
+poseidon_permute = ConstraintSystem.poseidon_rounds
 
 
 def poseidon_hash(cs: ConstraintSystem, msg: list[int], pp: PoseidonParams) -> int:
@@ -216,5 +208,5 @@ def poseidon_hash(cs: ConstraintSystem, msg: list[int], pp: PoseidonParams) -> i
         chunk = msg[start : start + pp.rate]
         for i, m in enumerate(chunk):
             state[1 + i] = cs.add(state[1 + i], m)
-        state = poseidon_permute(cs, state, pp)
+        state = cs.poseidon_rounds(state, pp)
     return state[0]

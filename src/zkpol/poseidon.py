@@ -156,6 +156,8 @@ class PoseidonParams:
         p = self.prime
         if not 2 <= self.t <= MAX_T:
             raise PoseidonParamError(f"state width t={self.t} outside 2..{MAX_T}")
+        if self.alpha < 3:
+            raise PoseidonParamError(f"alpha={self.alpha} must be >= 3")
         if math.gcd(self.alpha, p - 1) != 1:
             raise PoseidonParamError(f"alpha={self.alpha} not coprime with p-1")
         if (self.r_full is None) != (self.r_partial is None):

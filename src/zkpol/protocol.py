@@ -138,12 +138,11 @@ class TrailStore:
 def policy_holds(trail_points, ad: AuthorityData) -> bool:
     """The relation R evaluated in plaintext (prover-local): the instance
     validates and the oracle accepts it.  R does not involve the hash."""
-    inst = StatementInstance(
-        ad.kind, ad.field_params, ad.pp, ad.n_traj, ad.policy, ad.geometry,
-        Trail(tuple(trail_points)), h_ex=0,
-    )
     try:
-        statements.validate_instance(inst)
+        inst = StatementInstance(
+            ad.kind, ad.field_params, ad.pp, ad.n_traj, ad.policy, ad.geometry,
+            Trail(tuple(trail_points)), h_ex=0,
+        )
     except statements.InstanceError:
         return False
     return statements.oracle_verdict(inst)

@@ -5,14 +5,16 @@ caller-supplied ConstraintSystem and returns a handle whose ``check``
 method evaluates the system and reports satisfiability plus gate
 counters.  Both statements share one circuit segment walk, split by a
 per-point membership bit; a builder supplies only its geometry wiring,
-that bit and its final assertions.  Hint parameters allow tests to
+that bit and its final assertions.  A ``StatementInstance`` checks itself
+with ``validate_instance`` when it is constructed, so builders, loaders
+and the protocol take it as valid.  Hint parameters allow tests to
 substitute adversarial prover-local values (square roots, triangle
 indices) while keeping the rest of the witness honest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .circuit import ConstraintSystem, Domain, SatisfactionReport
 from .field import FieldParams, widths
@@ -39,12 +41,8 @@ class Trail:
         return len(self.points)
 
     def padded(self, n_traj: int) -> list[tuple[int, int]]:
-        if not 0 < self.declared_len <= n_traj:
-            raise InstanceError(
-                f"trail length {self.declared_len} outside (0, {n_traj}]"
-            )
         pts = list(self.points)
-        pts.extend([pts[-1]] * (n_traj - len(pts)))
+        pts.extend(pts[-1:] * (n_traj - len(pts)))
         return pts
 
 
@@ -67,15 +65,12 @@ class TriangleSet:
 
     @classmethod
     def oriented(cls, triangles) -> "TriangleSet":
-        """Re-orient clockwise triangles (swap vertices 2 and 3); reject
-        degenerate ones."""
+        """Re-orient clockwise triangles (swap vertices 2 and 3);
+        degenerate ones stay as they are, for validation to reject."""
         out = []
-        for j, tri in enumerate(triangles):
+        for tri in triangles:
             (x1, y1), (x2, y2), (x3, y3) = tri
-            a = localcalc.area_dbl_sgn(x1, y1, x2, y2, x3, y3)
-            if a == 0:
-                raise InstanceError(f"/geometry/triangles/{j}: degenerate triangle {tri}")
-            if a < 0:
+            if localcalc.area_dbl_sgn(x1, y1, x2, y2, x3, y3) < 0:
                 tri = ((x1, y1), (x3, y3), (x2, y2))
             out.append(tuple(tuple(v) for v in tri))
         return cls(tuple(out))
@@ -86,24 +81,18 @@ class SubsidyPolicy:
     d_req: int
     p_req: int
 
-    def __post_init__(self):
-        if not 0 <= self.p_req <= 100:
-            raise InstanceError("/policy/p_req: must be in [0, 100]")
-        if self.d_req < 0:
-            raise InstanceError("/policy/d_req: must be non-negative")
-
 
 @dataclass(frozen=True)
 class TaxPolicy:
     d_max: int
 
-    def __post_init__(self):
-        if self.d_max < 0:
-            raise InstanceError("/policy/d_max: must be non-negative")
-
 
 @dataclass(frozen=True)
 class StatementInstance:
+    """A statement over authority data and a trail.  Constructing one runs
+    ``validate_instance``, so every instance that exists is valid; an h_ex
+    of None is then replaced by the honest hash of the trail."""
+
     kind: str  # "ev" | "tax"
     field_params: FieldParams
     pp: PoseidonParams
@@ -111,7 +100,12 @@ class StatementInstance:
     policy: SubsidyPolicy | TaxPolicy
     geometry: CircleSet | TriangleSet
     trail: Trail
-    h_ex: int
+    h_ex: int | None = None
+
+    def __post_init__(self):
+        validate_instance(self)
+        if self.h_ex is None:
+            object.__setattr__(self, "h_ex", honest_hash(self.pp, self.trail, self.n_traj))
 
     @property
     def n_geo(self) -> int:
@@ -130,12 +124,14 @@ def honest_hash(pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
 
 def validate_instance(inst: StatementInstance) -> None:
     """Raise InstanceError unless the circuit decides inst exactly as the
-    oracle does.  Each message starts with the JSON pointer of the
+    oracle does; ``StatementInstance`` runs it when it is constructed, and
+    no one else does.  Each message starts with the JSON pointer of the
     offending field in the instance file format.
 
-    Beyond the ranges of the sizes, coordinates, radii and d_req, the
-    statement's widest comparison m must fit below p, 2^(m+1) < p: for ev
-    that is ``widths(...).cover``, for tax the wider of tot and bary (see
+    Beyond the ranges of the sizes, trail length, coordinates, radii,
+    triangle orientation and policy values, the statement's widest
+    comparison m must fit below p, 2^(m+1) < p: for ev that is
+    ``widths(...).cover``, for tax the wider of tot and bary (see
     ``field.widths``).  A small prime with a long trail fails this check.
     """
     fp = inst.field_params
@@ -159,6 +155,10 @@ def validate_instance(inst: StatementInstance) -> None:
         for i, (u, v, r) in enumerate(inst.geometry.circles):
             if not (0 <= u < bound and 0 <= v < bound and 0 < r < bound):
                 raise InstanceError(f"/geometry/circles/{i}: out of coordinate range")
+        if not 0 <= inst.policy.p_req <= 100:
+            raise InstanceError("/policy/p_req: must be in [0, 100]")
+        if inst.policy.d_req < 0:
+            raise InstanceError("/policy/d_req: must be non-negative")
         if inst.policy.d_req >= 1 << w.tot:
             raise InstanceError("/policy/d_req: exceeds the accumulator width")
         m = w.cover
@@ -171,8 +171,13 @@ def validate_instance(inst: StatementInstance) -> None:
             for v, (x, y) in enumerate(tri):
                 if not (0 <= x < bound and 0 <= y < bound):
                     raise InstanceError(f"/geometry/triangles/{j}/{v}: out of range")
-            if localcalc.area_dbl_sgn(*tri[0], *tri[1], *tri[2]) <= 0:
+            a = localcalc.area_dbl_sgn(*tri[0], *tri[1], *tri[2])
+            if a == 0:
+                raise InstanceError(f"/geometry/triangles/{j}: degenerate triangle {tri}")
+            if a < 0:
                 raise InstanceError(f"/geometry/triangles/{j}: not positively oriented")
+        if inst.policy.d_max < 0:
+            raise InstanceError("/policy/d_max: must be non-negative")
         m = max(w.tot, w.bary)
     if 1 << (m + 1) >= fp.modulus:
         raise InstanceError(
@@ -182,27 +187,14 @@ def validate_instance(inst: StatementInstance) -> None:
 
 
 def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, h_ex=None) -> StatementInstance:
-    """Assemble and validate an instance, then compute the honest trail
-    hash unless h_ex is given."""
+    """A validated instance, with the Poseidon parameters of the field
+    unless pp is given and the honest trail hash unless h_ex is given."""
     if pp is None:
         try:
             pp = params_for(field_params)
         except PoseidonParamError as exc:
             raise InstanceError(f"no Poseidon parameters for this field: {exc}") from exc
-    inst = StatementInstance(
-        kind=kind,
-        field_params=field_params,
-        pp=pp,
-        n_traj=n_traj,
-        policy=policy,
-        geometry=geometry,
-        trail=trail,
-        h_ex=h_ex,
-    )
-    validate_instance(inst)
-    if h_ex is None:
-        inst = replace(inst, h_ex=honest_hash(pp, trail, n_traj))
-    return inst
+    return StatementInstance(kind, field_params, pp, n_traj, policy, geometry, trail, h_ex)
 
 
 @dataclass
@@ -268,7 +260,6 @@ def build_ev_subsidy(
     """
     if inst.kind != "ev":
         raise InstanceError("not an ev instance")
-    validate_instance(inst)
     w = widths(inst.field_params.coord_bits, inst.n_traj)
     _, xs, ys, digest_assertion = _wire_trail(cs, inst)
     us = [cs.wire_input(u, Domain.SHARED) for u, _, _ in inst.geometry.circles]
@@ -304,7 +295,6 @@ def build_highway_tax(
     """
     if inst.kind != "tax":
         raise InstanceError("not a tax instance")
-    validate_instance(inst)
     w = widths(inst.field_params.coord_bits, inst.n_traj)
     tris = inst.geometry.triangles
     pts, xs, ys, digest_assertion = _wire_trail(cs, inst)

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from zkpol import localcalc, poseidon
+from zkpol.appio import serialize_instance
 from zkpol.field import FieldParams
 from zkpol.poseidon import params_for
+from zkpol.protocol import AuthorityData
 from zkpol.statements import (
     CircleSet,
-    StatementInstance,
     SubsidyPolicy,
     TaxPolicy,
     Trail,
@@ -44,20 +46,35 @@ def no_poseidon_derivation(monkeypatch):
     monkeypatch.setattr(poseidon, "round_numbers", derive)
 
 
-def small_prime_ev_instance() -> StatementInstance:
-    """An ev instance that validation rejects: at 1-bit coordinates and
-    p = 1009 the coverage comparison tot * p_req <= 100 * cc is 11 bits
-    wide, and 2^12 >= p.  Built without validation, with its honest hash,
-    as a stray authority or instance file might carry it.  Left
-    unvalidated, the oracle accepts it (tot = cc = 0) and the circuit,
-    whose comparison wraps mod p, rejects it."""
+def unvalidated_doc(kind, field_params, n_traj, policy, geometry, trail, h_ex) -> dict:
+    """The instance file a stray writer would produce for these fields:
+    serialized as they are, with no ``StatementInstance`` (which would
+    validate them) ever constructed."""
+    return serialize_instance(SimpleNamespace(
+        kind=kind, field_params=field_params, pp=params_for(field_params), n_traj=n_traj,
+        policy=policy, geometry=geometry, trail=trail, h_ex=h_ex,
+    ))
+
+
+def small_prime_ev() -> tuple[AuthorityData, list[tuple[int, int]]]:
+    """Authority data that validation rejects, and a trail for it: at
+    1-bit coordinates and p = 1009 the coverage comparison
+    tot * p_req <= 100 * cc is 11 bits wide, and 2^12 >= p.  Left
+    unvalidated, the oracle accepts the trail (tot = cc = 0) and the
+    circuit, whose comparison wraps mod p, rejects it."""
     fp = FieldParams(modulus=1009, coord_bits=1)
-    pp = params_for(fp)
-    trail = Trail(((0, 1), (0, 1)))
-    return StatementInstance(
-        "ev", fp, pp, 2, SubsidyPolicy(d_req=0, p_req=100), CircleSet(((1, 1, 1),)),
-        trail, honest_hash(pp, trail, 2),
-    )
+    ad = AuthorityData("ev", 2, SubsidyPolicy(d_req=0, p_req=100), CircleSet(((1, 1, 1),)),
+                       fp, params_for(fp))
+    return ad, [(0, 1), (0, 1)]
+
+
+def small_prime_ev_doc() -> dict:
+    """``small_prime_ev`` as a stray instance file carries it, with the
+    trail's honest hash."""
+    ad, moves = small_prime_ev()
+    trail = Trail(tuple(moves))
+    return unvalidated_doc(ad.kind, ad.field_params, ad.n_traj, ad.policy, ad.geometry, trail,
+                           honest_hash(ad.pp, trail, ad.n_traj))
 
 
 def random_trail(rng: random.Random, n_traj: int, bound: int = COORD_BOUND) -> Trail:

@@ -22,7 +22,7 @@ from zkpol.cli import main as cli_main
 from zkpol.field import FieldParams
 from zkpol.poseidon import PoseidonParams, params_for
 
-from conftest import random_ev_instance, random_tax_instance, small_prime_ev_instance
+from conftest import random_ev_instance, random_tax_instance, small_prime_ev_doc
 
 
 # -- serialization -------------------------------------------------------
@@ -181,7 +181,7 @@ def test_schema_rejects_n_traj_outside_cap(tmp_path, n_traj):
 @pytest.mark.parametrize("command", ["check", "oracle"])
 def test_cli_rejects_prime_too_small_for_the_shape(tmp_path, capsys, command):
     path = tmp_path / "small_prime.json"
-    save_instance(small_prime_ev_instance(), path)
+    path.write_text(json.dumps(small_prime_ev_doc()))
     assert cli_main([command, str(path)]) == 2
     assert "/field_params/modulus" in capsys.readouterr().err
 
@@ -422,6 +422,17 @@ def test_cli_rejects_a_state_too_wide_before_deriving(tmp_path, capsys, no_posei
     assert "/poseidon: state width t=4000" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "oracle"])
+@pytest.mark.parametrize("alpha", [1, -1])
+def test_cli_rejects_an_sbox_exponent_below_three(tmp_path, capsys, alpha, command):
+    # x^1 makes the permutation linear; x^-1 has no mul chain in the
+    # circuit while the reference inverts.
+    path = _rewrite_poseidon(tmp_path, alpha=alpha)
+    assert cli_main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert f"/poseidon: alpha={alpha} must be >= 3" in err
+
+
 def test_cli_cost_n_traj_above_cap_exits_two(capsys, monkeypatch):
     # Rejected before the dummy trail of 4097 points is hashed.
     hashed = []
@@ -478,6 +489,27 @@ def test_cli_usage_errors_exit_two(tmp_path, capsys):
     bad.write_text("{}")
     assert cli_main(["check", str(bad)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("bad", ["latin-1", "directory"])
+@pytest.mark.parametrize("command", ["check", "oracle", "fuzz", "session", "gen"])
+def test_cli_unreadable_input_exits_two(tmp_path, capsys, command, bad):
+    path = tmp_path / "input.json"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"kind": "ev", "n_traj": 8, "n_geo": 2, "mode": "é"}'.encode("latin-1"))
+    assert cli_main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal error" not in err
+
+
+def test_cli_gen_into_a_directory_exits_two(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "ev", "seed": 1, "n_traj": 8, "n_geo": 2}))
+    assert cli_main(["gen", str(spec_path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal error" not in err
 
 
 def test_cli_gen_malformed_spec_exits_two(tmp_path, capsys):

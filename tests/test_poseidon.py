@@ -100,7 +100,7 @@ def test_gadget_matches_reference_on_random_states():
         state = [rng.randrange(PP.prime) for _ in range(PP.t)]
         cs = ConstraintSystem(FP)
         wires = [cs.wire_input(v, Domain.PROVER) for v in state]
-        out = gadgets.poseidon_permute(cs, wires, PP)
+        out = cs.poseidon_rounds(wires, PP)
         assert [cs.value(w) for w in out] == localcalc.poseidon_permutation_ref(state, PP)
 
 
@@ -175,7 +175,7 @@ def test_fewest_admitted_round_numbers_match_the_reference():
     pp = PoseidonParams(prime=DEFAULT_MODULUS, t=3, r_full=2, r_partial=0)
     cs = ConstraintSystem(FP)
     values = [1, 2, 3]
-    out = gadgets.poseidon_permute(cs, [cs.wire_input(v, Domain.PROVER) for v in values], pp)
+    out = cs.poseidon_rounds([cs.wire_input(v, Domain.PROVER) for v in values], pp)
     assert cs.n_mul == 3 * 2 * 3
     assert ([cs.value(w) for w in out] == localcalc.poseidon_permutation_ref(values, pp)
             == _independent_permutation(values, pp))
@@ -280,7 +280,7 @@ def _sponge_state(cs, values):
 
 def _build_both(fp, pp, values, make_state):
     built = []
-    for permute in (gadgets.poseidon_permute, _per_gate_permutation):
+    for permute in (ConstraintSystem.poseidon_rounds, _per_gate_permutation):
         cs = ConstraintSystem(fp)
         state = make_state(cs, values)
         built.append((cs, state, permute(cs, state, pp)))
@@ -293,7 +293,7 @@ def test_bulk_gates_evaluate_to_reference_and_bind_every_input():
         state = [rng.randrange(PP.prime) for _ in range(PP.t)]
         cs = ConstraintSystem(FP)
         wires = [cs.wire_input(v, Domain.PROVER) for v in state]
-        out = gadgets.poseidon_permute(cs, wires, PP)
+        out = cs.poseidon_rounds(wires, PP)
         for w, ref in zip(out, localcalc.poseidon_permutation_ref(state, PP)):
             cs.assert_eq(w, cs.const(ref))
         assert cs.evaluate_and_check().satisfied
@@ -340,13 +340,25 @@ def test_bulk_general_alpha_matches_per_gate_composition():
     assert bulk.evaluate_and_check().satisfied
 
 
+def test_alpha_seven_squares_and_multiplies():
+    # x^7 = ((x^2 x)^2) x: 4 muls per S-box where a chain of x's takes 6.
+    pp = PoseidonParams(prime=FP_A3.modulus, t=3, alpha=7, r_full=8, r_partial=10)
+    rng = random.Random(28)
+    values = [rng.randrange(pp.prime) for _ in range(3)]
+    cs = ConstraintSystem(FP_A3)
+    out = cs.poseidon_rounds([cs.wire_input(v, Domain.PROVER) for v in values], pp)
+    assert cs.n_mul == 4 * (pp.r_full * pp.t + pp.r_partial) == 136
+    assert ([cs.value(w) for w in out] == localcalc.poseidon_permutation_ref(values, pp)
+            == _independent_permutation(values, pp))
+
+
 def test_bulk_default_alpha_keeps_three_muls_per_sbox():
     cs = ConstraintSystem(FP)
-    gadgets.poseidon_permute(cs, [cs.wire_input(v, Domain.PROVER) for v in range(1, PP.t + 1)], PP)
+    cs.poseidon_rounds([cs.wire_input(v, Domain.PROVER) for v in range(1, PP.t + 1)], PP)
     assert cs.n_mul == 3 * (PP.r_full * PP.t + PP.r_partial) == 3 * (8 * 9 + 56) == 384
 
 
 def test_bulk_rejects_wrong_state_width():
     cs = ConstraintSystem(FP)
     with pytest.raises(ValueError):
-        gadgets.poseidon_permute(cs, [cs.const(1)] * 2, PP)
+        cs.poseidon_rounds([cs.const(1)] * 2, PP)

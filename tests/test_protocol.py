@@ -24,7 +24,7 @@ from zkpol.protocol import (
 )
 from zkpol.statements import CircleSet, SubsidyPolicy, TaxPolicy, TriangleSet
 
-from conftest import FP12, small_prime_ev_instance
+from conftest import FP12, small_prime_ev
 
 PP12 = params_for(FP12)
 
@@ -304,11 +304,7 @@ def test_small_prime_session_matches_ideal_outputs():
     # The oracle accepts this trail but the field is too small for the
     # statement's comparisons; policy_holds validates first, so the
     # session and the ideal functionality both end not_ok.
-    inst = small_prime_ev_instance()
-    ad = AuthorityData(
-        inst.kind, inst.n_traj, inst.policy, inst.geometry, inst.field_params, inst.pp
-    )
-    moves = list(inst.trail.points)
+    ad, moves = small_prime_ev()
     t = run_session("honest", ad, moves)
     assert t.outputs == ideal_outputs(moves, ad, ad)
     assert t.outputs == {"prover": "not_ok", "verifier": "not_ok"}

@@ -7,9 +7,11 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from zkpol import gadgets, localcalc
+from zkpol.appio import SchemaError, instance_from_doc
 from zkpol.circuit import ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
 from zkpol.poseidon import PoseidonParamError, params_for
+from zkpol.protocol import AuthorityData, ideal_outputs, run_session
 from zkpol.statements import (
     MAX_N_TRAJ,
     CircleSet,
@@ -35,8 +37,12 @@ from conftest import (
     random_tax_instance,
     random_trail,
     random_triangles,
-    small_prime_ev_instance,
+    small_prime_ev,
+    unvalidated_doc,
 )
+
+CIRCLE = CircleSet(((1, 1, 1),))
+TRIANGLE = TriangleSet((((0, 0), (3, 0), (0, 3)),))
 
 
 def _build(inst, **hints):
@@ -55,17 +61,18 @@ def test_trail_padding_repeats_last_point():
 
 def test_trail_too_long_rejected():
     with pytest.raises(InstanceError):
-        Trail(((0, 0),) * 5).padded(4)
+        make_instance("ev", FP12, 4, SubsidyPolicy(0, 0), CIRCLE, Trail(((0, 0),) * 5))
 
 
 def test_empty_trail_rejected():
     with pytest.raises(InstanceError):
-        Trail(()).padded(4)
+        make_instance("ev", FP12, 4, SubsidyPolicy(0, 0), CIRCLE, Trail(()))
 
 
 def test_oriented_rejects_degenerate():
     with pytest.raises(InstanceError):
-        TriangleSet.oriented([((0, 0), (1, 1), (2, 2))])
+        make_instance("tax", FP12, 4, TaxPolicy(0),
+                      TriangleSet.oriented([((0, 0), (1, 1), (2, 2))]), Trail(((1, 1),)))
 
 
 def test_oriented_fixes_clockwise():
@@ -75,12 +82,41 @@ def test_oriented_fixes_clockwise():
 
 
 def test_policy_validation():
+    trail = Trail(((1, 1),))
     with pytest.raises(InstanceError):
-        SubsidyPolicy(d_req=-1, p_req=50)
+        make_instance("ev", FP12, 4, SubsidyPolicy(d_req=-1, p_req=50), CIRCLE, trail)
     with pytest.raises(InstanceError):
-        SubsidyPolicy(d_req=0, p_req=101)
+        make_instance("ev", FP12, 4, SubsidyPolicy(d_req=0, p_req=101), CIRCLE, trail)
     with pytest.raises(InstanceError):
-        TaxPolicy(d_max=-1)
+        make_instance("tax", FP12, 4, TaxPolicy(d_max=-1), TRIANGLE, trail)
+
+
+# Each check that used to live in a policy, Trail.padded or
+# TriangleSet.oriented, as (kind, policy, geometry, trail, pointer).
+MOVED_CHECKS = {
+    "p_req-above-100": ("ev", SubsidyPolicy(0, 101), CIRCLE, Trail(((1, 1), (2, 2))), "/policy/p_req"),
+    "p_req-negative": ("ev", SubsidyPolicy(0, -1), CIRCLE, Trail(((1, 1), (2, 2))), "/policy/p_req"),
+    "d_req-negative": ("ev", SubsidyPolicy(-1, 50), CIRCLE, Trail(((1, 1), (2, 2))), "/policy/d_req"),
+    "d_max-negative": ("tax", TaxPolicy(-1), TRIANGLE, Trail(((1, 1), (2, 2))), "/policy/d_max"),
+    "trail-too-long": ("ev", SubsidyPolicy(0, 0), CIRCLE, Trail(((0, 0),) * 5), "/trail/points"),
+    "trail-empty": ("ev", SubsidyPolicy(0, 0), CIRCLE, Trail(()), "/trail/points"),
+    "degenerate-triangle": ("tax", TaxPolicy(0), TriangleSet.oriented([((0, 0), (1, 1), (2, 2))]),
+                            Trail(((1, 1), (2, 2))), "/geometry/triangles/0: degenerate"),
+}
+
+
+@pytest.mark.parametrize("case", MOVED_CHECKS.values(), ids=MOVED_CHECKS.keys())
+def test_moved_check_rejects_through_every_entry_point(case):
+    kind, policy, geometry, trail, pointer = case
+    with pytest.raises(InstanceError, match=f"^{pointer}"):
+        make_instance(kind, FP12, 4, policy, geometry, trail)
+    doc = unvalidated_doc(kind, FP12, 4, policy, geometry, trail, h_ex=0)
+    with pytest.raises(SchemaError, match=f"^{pointer}"):
+        instance_from_doc(doc)
+    ad = AuthorityData(kind, 4, policy, geometry, FP12, params_for(FP12))
+    moves = list(trail.points)
+    outputs = run_session("honest", ad, moves).outputs
+    assert outputs == ideal_outputs(moves, ad, ad) == {"prover": "not_ok", "verifier": "not_ok"}
 
 
 def test_instance_rejects_out_of_range_coordinates():
@@ -122,11 +158,9 @@ def test_make_instance_caps_n_traj_before_hashing(monkeypatch):
 
 
 def test_instance_rejects_prime_too_small_for_its_shape():
-    inst = small_prime_ev_instance()
+    ad, moves = small_prime_ev()
     with pytest.raises(InstanceError, match="^/field_params/modulus"):
-        make_instance(
-            inst.kind, inst.field_params, inst.n_traj, inst.policy, inst.geometry, inst.trail
-        )
+        make_instance(ad.kind, ad.field_params, ad.n_traj, ad.policy, ad.geometry, Trail(tuple(moves)))
 
 
 def test_instance_rejects_mismatched_geometry():
