@@ -1,9 +1,10 @@
 """Instance file formats, fixture generation, and corridor triangulation.
 
-Instances travel as JSON with every integer encoded as a decimal string
-(field elements exceed 64-bit ranges).  Loading validates against the
-statement invariants and re-orients clockwise triangles; errors carry a
-JSON-pointer-style path to the offending field.
+Instances travel as JSON.  An integer is written as a decimal string
+(field elements exceed 64-bit ranges) or, for small parameters, a JSON
+int; any other number is rejected, not truncated.  Loading validates
+against the statement invariants and re-orients clockwise triangles;
+errors carry a JSON-pointer-style path to the offending field.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .field import FieldError, FieldParams
 from . import localcalc, statements
 from .poseidon import PoseidonParams
 from .statements import (
+    AuthorityData,
     CircleSet,
     InstanceError,
     StatementInstance,
@@ -60,10 +62,17 @@ def _want(doc: dict, key: str, ptr: str, kind: type | None = None):
 
 
 def _as_int(value, ptr: str) -> int:
+    """A JSON int that is not a bool, or a string of ASCII digits with an
+    optional leading '-'.  Anything else, a non-integral number included,
+    is rejected, never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{ptr}: not an integer (decimal string expected)")
+        if isinstance(value, str) and value.isascii() and value.removeprefix("-").isdigit():
+            return int(value)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise SchemaError(f"{ptr}: not an integer (decimal string expected)")
 
 
 def _tuple(value, n: int, ptr: str, item=_as_int) -> tuple:
@@ -74,39 +83,40 @@ def _tuple(value, n: int, ptr: str, item=_as_int) -> tuple:
 
 
 def serialize_instance(inst: StatementInstance) -> dict:
+    ad = inst.ad
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "kind": inst.kind,
+        "kind": ad.kind,
         "field_params": {
-            "modulus": str(inst.field_params.modulus),
-            "coord_bits": inst.field_params.coord_bits,
+            "modulus": str(ad.field_params.modulus),
+            "coord_bits": ad.field_params.coord_bits,
         },
         "poseidon": {
-            "seed": inst.pp.seed.hex(),
-            "t": inst.pp.t,
-            "alpha": inst.pp.alpha,
-            "r_full": inst.pp.r_full,
-            "r_partial": inst.pp.r_partial,
+            "seed": ad.pp.seed.hex(),
+            "t": ad.pp.t,
+            "alpha": ad.pp.alpha,
+            "r_full": ad.pp.r_full,
+            "r_partial": ad.pp.r_partial,
         },
-        "sizes": {"n_traj": inst.n_traj},
+        "sizes": {"n_traj": ad.n_traj},
         "h_ex": str(inst.h_ex),
         "trail": {
             "declared_len": inst.trail.declared_len,
             "points": [[str(x), str(y)] for x, y in inst.trail.points],
         },
     }
-    if inst.kind == "ev":
-        doc["sizes"]["n_circ"] = inst.geometry.count
-        doc["policy"] = {"d_req": str(inst.policy.d_req), "p_req": str(inst.policy.p_req)}
+    if ad.kind == "ev":
+        doc["sizes"]["n_circ"] = ad.geometry.count
+        doc["policy"] = {"d_req": str(ad.policy.d_req), "p_req": str(ad.policy.p_req)}
         doc["geometry"] = {
-            "circles": [[str(u), str(v), str(r)] for u, v, r in inst.geometry.circles]
+            "circles": [[str(u), str(v), str(r)] for u, v, r in ad.geometry.circles]
         }
     else:
-        doc["sizes"]["n_tri"] = inst.geometry.count
-        doc["policy"] = {"d_max": str(inst.policy.d_max)}
+        doc["sizes"]["n_tri"] = ad.geometry.count
+        doc["policy"] = {"d_max": str(ad.policy.d_max)}
         doc["geometry"] = {
             "triangles": [
-                [[str(x), str(y)] for x, y in tri] for tri in inst.geometry.triangles
+                [[str(x), str(y)] for x, y in tri] for tri in ad.geometry.triangles
             ]
         }
     return doc
@@ -129,15 +139,10 @@ def instance_from_doc(doc: dict) -> StatementInstance:
             raise
         raise SchemaError(f"/field_params: {exc}")
     ps_doc = {**V1_POSEIDON, **_want(doc, "poseidon", "", dict)}
+    ps_ints = {key: _as_int(ps_doc[key], f"/poseidon/{key}")
+               for key in ("t", "alpha", "r_full", "r_partial")}
     try:
-        pp = PoseidonParams(
-            prime=fp.modulus,
-            t=int(ps_doc["t"]),
-            alpha=int(ps_doc["alpha"]),
-            r_full=int(ps_doc["r_full"]),
-            r_partial=int(ps_doc["r_partial"]),
-            seed=bytes.fromhex(ps_doc["seed"]),
-        )
+        pp = PoseidonParams(prime=fp.modulus, seed=bytes.fromhex(ps_doc["seed"]), **ps_ints)
     except Exception as exc:
         raise SchemaError(f"/poseidon: {exc}")
     sizes = _want(doc, "sizes", "", dict)
@@ -173,19 +178,10 @@ def instance_from_doc(doc: dict) -> StatementInstance:
             geometry, size_key = TriangleSet.oriented(geo), "n_tri"
         if size_key in sizes and _as_int(sizes[size_key], f"/sizes/{size_key}") != len(geo):
             raise SchemaError(f"/sizes/{size_key}: does not match geometry")
-        inst = StatementInstance(
-            kind=kind,
-            field_params=fp,
-            pp=pp,
-            n_traj=n_traj,
-            policy=policy,
-            geometry=geometry,
-            trail=Trail(tuple(points)),
-            h_ex=h_ex,
-        )
+        ad = AuthorityData(kind, n_traj, policy, geometry, fp, pp)
+        return StatementInstance(ad, Trail(tuple(points)), h_ex)
     except InstanceError as exc:
         raise SchemaError(str(exc)) from exc
-    return inst
 
 
 def _read_object(path) -> dict:
@@ -233,8 +229,8 @@ class FixtureSpec:
             raise GenerationFailed(f"unknown mode {self.mode!r}")
         if not 1 <= self.n_traj <= statements.MAX_N_TRAJ:
             raise GenerationFailed(f"n_traj outside desk-scale cap [1, {statements.MAX_N_TRAJ}]")
-        if self.n_geo < 1:
-            raise GenerationFailed("n_geo must be positive")
+        if not 1 <= self.n_geo <= statements.MAX_N_GEO:
+            raise GenerationFailed(f"n_geo outside desk-scale cap [1, {statements.MAX_N_GEO}]")
         try:
             _field_for(self.coord_bits)
         except FieldError as exc:

@@ -59,10 +59,10 @@ def _cmd_fuzz(args) -> int:
         violations += 1
         print(f"EQUIVALENCE VIOLATION: circuit={honest} oracle={oracle}")
     bound = 1 << inst.field_params.coord_bits
-    k_seg = widths(inst.field_params.coord_bits, inst.n_traj).seg
+    k_seg = widths(inst.field_params.coord_bits, inst.ad.n_traj).seg
     pts = list(inst.trail.points)
-    padded = inst.trail.padded(inst.n_traj)
-    flat = statements.trail_message(inst.trail, inst.n_traj)
+    padded = inst.trail.padded(inst.ad.n_traj)
+    flat = statements.trail_message(inst.trail, inst.ad.n_traj)
     for trial in range(args.mutations):
         i = rng.randrange(len(pts))
         axis = rng.randrange(2)
@@ -74,7 +74,7 @@ def _cmd_fuzz(args) -> int:
         mutated[i] = (new_coord, old[1]) if axis == 0 else (old[0], new_coord)
         # Padding repeats the last point, so a mutated last point moves its
         # padded copies too.
-        m_flat = statements.trail_message(statements.Trail(tuple(mutated)), inst.n_traj)
+        m_flat = statements.trail_message(statements.Trail(tuple(mutated)), inst.ad.n_traj)
         overrides = {
             wid: v for wid, v, o in zip(handle.trail_input_ids, m_flat, flat) if v != o
         }
@@ -122,14 +122,6 @@ def _cmd_cost(args) -> int:
 
 def _cmd_session(args) -> int:
     inst = appio.load_instance(args.instance)
-    ad = protocol.AuthorityData(
-        kind=inst.kind,
-        n_traj=inst.n_traj,
-        policy=inst.policy,
-        geometry=inst.geometry,
-        field_params=inst.field_params,
-        pp=inst.pp,
-    )
     scenario = args.scenario.replace("-", "_")
     prover_tamper = None
     verifier_tamper = None
@@ -147,7 +139,7 @@ def _cmd_session(args) -> int:
             return (ad_v, (h + 1) % ad_v.field_params.modulus)
     transcript = protocol.run_session(
         scenario,
-        ad,
+        inst.ad,
         list(inst.trail.points),
         sid=args.sid,
         seed=args.seed,

@@ -194,10 +194,6 @@ def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[int, ...]]) -> t
 # -- Poseidon gadget ----------------------------------------------------
 
 
-# The acceptance battery's name for the bulk permutation.
-poseidon_permute = ConstraintSystem.poseidon_rounds
-
-
 def poseidon_hash(cs: ConstraintSystem, msg: list[int], pp: PoseidonParams) -> int:
     """Sponge digest of a non-empty wire message; lane 0 is the capacity
     lane seeded with the public message length and squeezed at the end."""

@@ -1,11 +1,14 @@
 """Executable model of the Witness / Prover / Verifier system.
 
 Three machines communicate through a deterministic single-threaded
-scheduler.  The zero-knowledge sub-protocol is realized by the
-constraint-check stand-in (the circuit is built from the authority's data
-and the prover-submitted witness and evaluated for satisfiability); the
-verifier machine itself never reads prover-only witness values, which an
-access audit on the trail store enforces.
+scheduler.  The parties exchange authority data (``AuthorityData``, the
+public half of a statement, defined in ``statements``), never a
+``StatementInstance``, which would carry the trail.  The zero-knowledge
+sub-protocol is realized by the constraint-check stand-in (the circuit is
+built from the authority's data and the prover-submitted witness and
+evaluated for satisfiability); the verifier machine itself never reads
+prover-only witness values, which an access audit on the trail store
+enforces.
 
 An executable reference of the ideal functionality is provided so tests
 can compare per-party outputs of the real system against it under the
@@ -19,17 +22,8 @@ import random
 from dataclasses import dataclass, field
 
 from .circuit import ConstraintSystem
-from .field import FieldParams
 from . import statements
-from .poseidon import PoseidonParams
-from .statements import (
-    CircleSet,
-    StatementInstance,
-    SubsidyPolicy,
-    TaxPolicy,
-    Trail,
-    TriangleSet,
-)
+from .statements import AuthorityData, StatementInstance, SubsidyPolicy, TaxPolicy, Trail
 
 
 class ProtocolOrderViolation(Exception):
@@ -106,20 +100,7 @@ def signing_bytes(sid: str, h: int) -> bytes:
     return b"zkpol-sig-v1" + len(sid_b).to_bytes(4, "big") + sid_b + h.to_bytes(32, "big")
 
 
-# -- authority data and witness store -----------------------------------
-
-
-@dataclass(frozen=True)
-class AuthorityData:
-    """Everything the verifier knows about the statement: policy, geometry,
-    sizes, and hash parameters.  Never contains prover-only material."""
-
-    kind: str
-    n_traj: int
-    policy: SubsidyPolicy | TaxPolicy
-    geometry: CircleSet | TriangleSet
-    field_params: FieldParams
-    pp: PoseidonParams
+# -- witness store and relation ------------------------------------------
 
 
 class TrailStore:
@@ -139,10 +120,7 @@ def policy_holds(trail_points, ad: AuthorityData) -> bool:
     """The relation R evaluated in plaintext (prover-local): the instance
     validates and the oracle accepts it.  R does not involve the hash."""
     try:
-        inst = StatementInstance(
-            ad.kind, ad.field_params, ad.pp, ad.n_traj, ad.policy, ad.geometry,
-            Trail(tuple(trail_points)), h_ex=0,
-        )
+        inst = StatementInstance(ad, Trail(tuple(trail_points)), h_ex=0)
     except statements.InstanceError:
         return False
     return statements.oracle_verdict(inst)
@@ -167,16 +145,7 @@ def fzk_check(ad: AuthorityData, h: int, store: TrailStore) -> bool:
     statement circuit from (AD, h) and the submitted witness, evaluate."""
     points = store.read("fzk")
     try:
-        inst = statements.make_instance(
-            ad.kind,
-            ad.field_params,
-            ad.n_traj,
-            ad.policy,
-            ad.geometry,
-            Trail(points),
-            pp=ad.pp,
-            h_ex=h,
-        )
+        inst = StatementInstance(ad, Trail(points), h)
         cs = ConstraintSystem(ad.field_params)
         handle = statements.build_statement(inst, cs)
     except statements.InstanceError:

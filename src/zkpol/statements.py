@@ -5,10 +5,14 @@ caller-supplied ConstraintSystem and returns a handle whose ``check``
 method evaluates the system and reports satisfiability plus gate
 counters.  Both statements share one circuit segment walk, split by a
 per-point membership bit; a builder supplies only its geometry wiring,
-that bit and its final assertions.  A ``StatementInstance`` checks itself
-with ``validate_instance`` when it is constructed, so builders, loaders
-and the protocol take it as valid.  Hint parameters allow tests to
-substitute adversarial prover-local values (square roots, triangle
+that bit and its final assertions.
+
+The paper's relation is R(AD, h; trail).  ``AuthorityData`` is AD, the
+public half that both parties hold; it checks nothing when it is
+constructed.  A ``StatementInstance`` is (AD, trail, h_ex), and it checks
+itself with ``validate_instance`` when it is constructed, so builders,
+loaders and the protocol take it as valid.  Hint parameters allow tests
+to substitute adversarial prover-local values (square roots, triangle
 indices) while keeping the rest of the witness honest.
 """
 
@@ -23,6 +27,7 @@ from .poseidon import PoseidonParamError, PoseidonParams, params_for
 
 
 MAX_N_TRAJ = 4096  # desk-scale cap on n_traj for every entry point
+MAX_N_GEO = 4096  # desk-scale cap on the number of circles or triangles
 
 
 class InstanceError(Exception):
@@ -88,28 +93,40 @@ class TaxPolicy:
 
 
 @dataclass(frozen=True)
+class AuthorityData:
+    """AD: everything the verifier knows about the statement (policy,
+    geometry, sizes, field and hash parameters), never prover-only
+    material.  It checks nothing on construction: a session over invalid
+    authority data ends not_ok, when the instance over it fails to
+    validate."""
+
+    kind: str  # "ev" | "tax"
+    n_traj: int
+    policy: SubsidyPolicy | TaxPolicy
+    geometry: CircleSet | TriangleSet
+    field_params: FieldParams
+    pp: PoseidonParams
+
+
+@dataclass(frozen=True)
 class StatementInstance:
     """A statement over authority data and a trail.  Constructing one runs
     ``validate_instance``, so every instance that exists is valid; an h_ex
     of None is then replaced by the honest hash of the trail."""
 
-    kind: str  # "ev" | "tax"
-    field_params: FieldParams
-    pp: PoseidonParams
-    n_traj: int
-    policy: SubsidyPolicy | TaxPolicy
-    geometry: CircleSet | TriangleSet
+    ad: AuthorityData
     trail: Trail
     h_ex: int | None = None
 
     def __post_init__(self):
         validate_instance(self)
         if self.h_ex is None:
-            object.__setattr__(self, "h_ex", honest_hash(self.pp, self.trail, self.n_traj))
+            object.__setattr__(self, "h_ex", honest_hash(self.ad.pp, self.trail, self.ad.n_traj))
 
     @property
-    def n_geo(self) -> int:
-        return self.geometry.count
+    def field_params(self) -> FieldParams:
+        """The field a circuit over this instance is built in."""
+        return self.ad.field_params
 
 
 def trail_message(trail: Trail, n_traj: int) -> list[int]:
@@ -134,40 +151,41 @@ def validate_instance(inst: StatementInstance) -> None:
     ``widths(...).cover``, for tax the wider of tot and bary (see
     ``field.widths``).  A small prime with a long trail fails this check.
     """
-    fp = inst.field_params
+    ad = inst.ad
+    fp = ad.field_params
     k = fp.coord_bits
     bound = 1 << k
-    if inst.kind not in ("ev", "tax"):
-        raise InstanceError(f"/kind: unknown statement kind {inst.kind!r}")
-    if not 1 <= inst.n_traj <= MAX_N_TRAJ:
+    if ad.kind not in ("ev", "tax"):
+        raise InstanceError(f"/kind: unknown statement kind {ad.kind!r}")
+    if not 1 <= ad.n_traj <= MAX_N_TRAJ:
         raise InstanceError(f"/sizes/n_traj: outside desk-scale cap [1, {MAX_N_TRAJ}]")
-    if not 0 < inst.trail.declared_len <= inst.n_traj:
+    if not 0 < inst.trail.declared_len <= ad.n_traj:
         raise InstanceError("/trail/points: trail length outside (0, n_traj]")
     for i, (x, y) in enumerate(inst.trail.points):
         if not (0 <= x < bound and 0 <= y < bound):
             raise InstanceError(f"/trail/points/{i}: outside [0, 2^{k})")
-    w = widths(k, inst.n_traj)
-    if inst.kind == "ev":
-        if not isinstance(inst.geometry, CircleSet) or not isinstance(inst.policy, SubsidyPolicy):
+    w = widths(k, ad.n_traj)
+    if ad.kind == "ev":
+        if not isinstance(ad.geometry, CircleSet) or not isinstance(ad.policy, SubsidyPolicy):
             raise InstanceError("/geometry: ev instance needs CircleSet + SubsidyPolicy")
-        if inst.geometry.count < 1:
-            raise InstanceError("/geometry/circles: need at least one circle")
-        for i, (u, v, r) in enumerate(inst.geometry.circles):
+        if not 1 <= ad.geometry.count <= MAX_N_GEO:
+            raise InstanceError(f"/geometry/circles: outside desk-scale cap [1, {MAX_N_GEO}]")
+        for i, (u, v, r) in enumerate(ad.geometry.circles):
             if not (0 <= u < bound and 0 <= v < bound and 0 < r < bound):
                 raise InstanceError(f"/geometry/circles/{i}: out of coordinate range")
-        if not 0 <= inst.policy.p_req <= 100:
+        if not 0 <= ad.policy.p_req <= 100:
             raise InstanceError("/policy/p_req: must be in [0, 100]")
-        if inst.policy.d_req < 0:
+        if ad.policy.d_req < 0:
             raise InstanceError("/policy/d_req: must be non-negative")
-        if inst.policy.d_req >= 1 << w.tot:
+        if ad.policy.d_req >= 1 << w.tot:
             raise InstanceError("/policy/d_req: exceeds the accumulator width")
         m = w.cover
     else:
-        if not isinstance(inst.geometry, TriangleSet) or not isinstance(inst.policy, TaxPolicy):
+        if not isinstance(ad.geometry, TriangleSet) or not isinstance(ad.policy, TaxPolicy):
             raise InstanceError("/geometry: tax instance needs TriangleSet + TaxPolicy")
-        if inst.geometry.count < 1:
-            raise InstanceError("/geometry/triangles: need at least one triangle")
-        for j, tri in enumerate(inst.geometry.triangles):
+        if not 1 <= ad.geometry.count <= MAX_N_GEO:
+            raise InstanceError(f"/geometry/triangles: outside desk-scale cap [1, {MAX_N_GEO}]")
+        for j, tri in enumerate(ad.geometry.triangles):
             for v, (x, y) in enumerate(tri):
                 if not (0 <= x < bound and 0 <= y < bound):
                     raise InstanceError(f"/geometry/triangles/{j}/{v}: out of range")
@@ -176,13 +194,13 @@ def validate_instance(inst: StatementInstance) -> None:
                 raise InstanceError(f"/geometry/triangles/{j}: degenerate triangle {tri}")
             if a < 0:
                 raise InstanceError(f"/geometry/triangles/{j}: not positively oriented")
-        if inst.policy.d_max < 0:
+        if ad.policy.d_max < 0:
             raise InstanceError("/policy/d_max: must be non-negative")
         m = max(w.tot, w.bary)
     if 1 << (m + 1) >= fp.modulus:
         raise InstanceError(
             f"/field_params/modulus: too small for a {m}-bit comparison "
-            f"(coord_bits={k}, n_traj={inst.n_traj}); need p > 2^{m + 1}"
+            f"(coord_bits={k}, n_traj={ad.n_traj}); need p > 2^{m + 1}"
         )
 
 
@@ -194,7 +212,8 @@ def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, 
             pp = params_for(field_params)
         except PoseidonParamError as exc:
             raise InstanceError(f"no Poseidon parameters for this field: {exc}") from exc
-    return StatementInstance(kind, field_params, pp, n_traj, policy, geometry, trail, h_ex)
+    ad = AuthorityData(kind, n_traj, policy, geometry, field_params, pp)
+    return StatementInstance(ad, trail, h_ex)
 
 
 @dataclass
@@ -209,10 +228,10 @@ class StatementHandle:
 
 
 def _wire_trail(cs: ConstraintSystem, inst: StatementInstance):
-    pts = inst.trail.padded(inst.n_traj)
+    pts = inst.trail.padded(inst.ad.n_traj)
     xs = [cs.wire_input(x, Domain.PROVER) for x, _ in pts]
     ys = [cs.wire_input(y, Domain.PROVER) for _, y in pts]
-    digest = gadgets.poseidon_hash(cs, xs + ys, inst.pp)
+    digest = gadgets.poseidon_hash(cs, xs + ys, inst.ad.pp)
     h_ex = cs.wire_input(inst.h_ex, Domain.SHARED)
     digest_assertion = len(cs._assertions)
     cs.assert_eq(digest, h_ex)
@@ -258,21 +277,22 @@ def build_ev_subsidy(
     roots: an understated length outside the circles would shrink tot
     while cc stays put and inflate the coverage share.
     """
-    if inst.kind != "ev":
+    ad = inst.ad
+    if ad.kind != "ev":
         raise InstanceError("not an ev instance")
-    w = widths(inst.field_params.coord_bits, inst.n_traj)
+    w = widths(ad.field_params.coord_bits, ad.n_traj)
     _, xs, ys, digest_assertion = _wire_trail(cs, inst)
-    us = [cs.wire_input(u, Domain.SHARED) for u, _, _ in inst.geometry.circles]
-    vs = [cs.wire_input(v, Domain.SHARED) for _, v, _ in inst.geometry.circles]
-    ss = [cs.wire_input(r * r, Domain.SHARED) for _, _, r in inst.geometry.circles]
+    us = [cs.wire_input(u, Domain.SHARED) for u, _, _ in ad.geometry.circles]
+    vs = [cs.wire_input(v, Domain.SHARED) for _, v, _ in ad.geometry.circles]
+    ss = [cs.wire_input(r * r, Domain.SHARED) for _, _, r in ad.geometry.circles]
 
     def inside(i):
         return gadgets.check_inside(cs, us, vs, ss, xs[i], ys[i], w.circle)
 
     tot, cc, roots = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
-    d_req = cs.wire_input(inst.policy.d_req, Domain.SHARED)
+    d_req = cs.wire_input(ad.policy.d_req, Domain.SHARED)
     gadgets.assert_leq(cs, d_req, tot, w.tot)
-    p_req = cs.wire_input(inst.policy.p_req, Domain.SHARED)
+    p_req = cs.wire_input(ad.policy.p_req, Domain.SHARED)
     lhs = cs.mul(tot, p_req)
     rhs = cs.affine([100], [cc])
     gadgets.assert_leq(cs, lhs, rhs, w.cover)
@@ -293,10 +313,11 @@ def build_highway_tax(
     segment walk's both-inside length hw is the length off the taxed
     road, and the final assertion bounds tot - hw by d_max.
     """
-    if inst.kind != "tax":
+    ad = inst.ad
+    if ad.kind != "tax":
         raise InstanceError("not a tax instance")
-    w = widths(inst.field_params.coord_bits, inst.n_traj)
-    tris = inst.geometry.triangles
+    w = widths(ad.field_params.coord_bits, ad.n_traj)
+    tris = ad.geometry.triangles
     pts, xs, ys, digest_assertion = _wire_trail(cs, inst)
     rows = [
         tuple(cs.wire_input(vx, Domain.SHARED) for vx, _ in tri)
@@ -319,22 +340,23 @@ def build_highway_tax(
     taxed = cs.sub(tot, hw)
     # d_max beyond the accumulator width always satisfies; clamp keeps the
     # comparison in range without changing the verdict.
-    d_max = min(inst.policy.d_max, (1 << w.tot) - 1)
+    d_max = min(ad.policy.d_max, (1 << w.tot) - 1)
     gadgets.assert_leq(cs, taxed, cs.wire_input(d_max, Domain.SHARED), w.tot)
     return StatementHandle(cs, xs + ys, digest_assertion, roots)
 
 
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, **hints) -> StatementHandle:
-    if inst.kind == "ev":
+    if inst.ad.kind == "ev":
         return build_ev_subsidy(inst, cs, **hints)
     return build_highway_tax(inst, cs, **hints)
 
 
 def oracle_verdict(inst: StatementInstance) -> bool:
-    pts = inst.trail.padded(inst.n_traj)
-    if inst.kind == "ev":
-        return localcalc.oracle_ev(pts, inst.geometry.circles, inst.policy)
-    return localcalc.oracle_hwtax(pts, inst.geometry.triangles, inst.policy)
+    ad = inst.ad
+    pts = inst.trail.padded(ad.n_traj)
+    if ad.kind == "ev":
+        return localcalc.oracle_ev(pts, ad.geometry.circles, ad.policy)
+    return localcalc.oracle_hwtax(pts, ad.geometry.triangles, ad.policy)
 
 
 def _dummy_instance(kind: str, n_traj: int, n_geo: int, field_params: FieldParams) -> StatementInstance:
@@ -350,6 +372,8 @@ def _dummy_instance(kind: str, n_traj: int, n_geo: int, field_params: FieldParam
 
 def statement_cost(kind: str, n_traj: int, n_geo: int, field_params: FieldParams | None = None) -> dict[str, int]:
     """Gate counters of a statement as a function of its sizes only."""
+    if not 1 <= n_geo <= MAX_N_GEO:
+        raise InstanceError(f"n_geo: outside desk-scale cap [1, {MAX_N_GEO}]")
     fp = field_params or FieldParams()
     inst = _dummy_instance(kind, n_traj, n_geo, fp)
     cs = ConstraintSystem(fp)

@@ -11,8 +11,8 @@ from zkpol import localcalc, poseidon
 from zkpol.appio import serialize_instance
 from zkpol.field import FieldParams
 from zkpol.poseidon import params_for
-from zkpol.protocol import AuthorityData
 from zkpol.statements import (
+    AuthorityData,
     CircleSet,
     SubsidyPolicy,
     TaxPolicy,
@@ -46,14 +46,11 @@ def no_poseidon_derivation(monkeypatch):
     monkeypatch.setattr(poseidon, "round_numbers", derive)
 
 
-def unvalidated_doc(kind, field_params, n_traj, policy, geometry, trail, h_ex) -> dict:
-    """The instance file a stray writer would produce for these fields:
-    serialized as they are, with no ``StatementInstance`` (which would
-    validate them) ever constructed."""
-    return serialize_instance(SimpleNamespace(
-        kind=kind, field_params=field_params, pp=params_for(field_params), n_traj=n_traj,
-        policy=policy, geometry=geometry, trail=trail, h_ex=h_ex,
-    ))
+def unvalidated_doc(ad: AuthorityData, trail: Trail, h_ex: int) -> dict:
+    """The instance file a stray writer would produce for (ad, trail,
+    h_ex): serialized as it is, with no ``StatementInstance`` (which would
+    validate it) ever constructed."""
+    return serialize_instance(SimpleNamespace(ad=ad, trail=trail, h_ex=h_ex))
 
 
 def small_prime_ev() -> tuple[AuthorityData, list[tuple[int, int]]]:
@@ -73,8 +70,7 @@ def small_prime_ev_doc() -> dict:
     trail's honest hash."""
     ad, moves = small_prime_ev()
     trail = Trail(tuple(moves))
-    return unvalidated_doc(ad.kind, ad.field_params, ad.n_traj, ad.policy, ad.geometry, trail,
-                           honest_hash(ad.pp, trail, ad.n_traj))
+    return unvalidated_doc(ad, trail, honest_hash(ad.pp, trail, ad.n_traj))
 
 
 def random_trail(rng: random.Random, n_traj: int, bound: int = COORD_BOUND) -> Trail:

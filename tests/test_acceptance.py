@@ -6,6 +6,7 @@ reruns are reproducible.
 """
 
 import random
+from dataclasses import replace
 from math import gcd
 
 from zkpol import gadgets, localcalc, protocol, statements
@@ -153,7 +154,7 @@ def test_criterion_05_hash_binding(capsys):
         handle = build_statement(inst, cs)
         assert handle.check().satisfied
         # trail_input_ids lists the x wires then the y wires, in trail order.
-        padded = inst.trail.padded(inst.n_traj)
+        padded = inst.trail.padded(inst.ad.n_traj)
         coords = [x for x, _ in padded] + [y for _, y in padded]
         j = rng.randrange(len(coords))
         wid = handle.trail_input_ids[j]
@@ -170,7 +171,7 @@ def test_criterion_06_poseidon_self_consistency(capsys):
         state = [rng.randrange(PP12.prime) for _ in range(PP12.t)]
         cs = ConstraintSystem(FP12)
         wires = [cs.wire_input(v, Domain.PROVER) for v in state]
-        out = gadgets.poseidon_permute(cs, wires, PP12)
+        out = cs.poseidon_rounds(wires, PP12)
         if [cs.value(w) for w in out] != localcalc.poseidon_permutation_ref(state, PP12):
             failures += 1
     for _ in range(1000):
@@ -190,7 +191,7 @@ def test_criterion_06_poseidon_self_consistency(capsys):
 
 
 def _segment_data(inst):
-    pts = inst.trail.padded(inst.n_traj)
+    pts = inst.trail.padded(inst.ad.n_traj)
     dists = []
     for i in range(1, len(pts)):
         (x0, y0), (x1, y1) = pts[i - 1], pts[i]
@@ -203,14 +204,14 @@ def _ev_adversarial_hint_sets(inst, rng):
     conditions: shrink tot towards d_req and starve uncovered segments to
     inflate the coverage ratio."""
     pts, dists = _segment_data(inst)
-    flags = [localcalc.point_in_circles(x, y, inst.geometry.circles) for x, y in pts]
+    flags = [localcalc.point_in_circles(x, y, inst.ad.geometry.circles) for x, y in pts]
     covered = [flags[i] and flags[i + 1] for i in range(len(dists))]
     yield [max(0, d - 1) for d in dists]
     yield [rng.randrange(d + 1) for d in dists]
     # Targeted ratio attack: honest covered hints, zeroed uncovered hints,
     # then pay back just enough uncovered distance to clear d_req.
     targeted = [d if c else 0 for d, c in zip(dists, covered)]
-    shortfall = inst.policy.d_req - sum(targeted)
+    shortfall = inst.ad.policy.d_req - sum(targeted)
     for i, c in enumerate(covered):
         if shortfall <= 0:
             break
@@ -226,7 +227,7 @@ def _tax_adversarial_hint_sets(inst, rng):
     pts, dists = _segment_data(inst)
     k_seg = inst.field_params.coord_bits + 1
     cap = (1 << k_seg) - 1
-    flags = [localcalc.point_in_any_triangle(x, y, inst.geometry.triangles) for x, y in pts]
+    flags = [localcalc.point_in_any_triangle(x, y, inst.ad.geometry.triangles) for x, y in pts]
     untaxed = [flags[i] and flags[i + 1] for i in range(len(dists))]
     yield [min(cap, d + 1) for d in dists]
     yield [rng.randrange(d, cap + 1) for d in dists]
@@ -304,24 +305,18 @@ def test_criterion_09_protocol_battery(capsys):
         return gen_fixture(FixtureSpec(kind=kind, seed=seed, n_traj=8,
                                        n_geo=n_geo, mode=mode))
 
-    def authority(inst):
-        return protocol.AuthorityData(
-            kind=inst.kind, n_traj=inst.n_traj, policy=inst.policy,
-            geometry=inst.geometry, field_params=inst.field_params, pp=inst.pp,
-        )
-
     for i in range(100):
         kind = "ev" if i % 2 == 0 else "tax"
         seed = i // 2
 
         inst = fixture(kind, seed, "compliant")
-        t = protocol.run_session("honest", authority(inst), list(inst.trail.points))
+        t = protocol.run_session("honest", inst.ad, list(inst.trail.points))
         logs.append(t.witness_access_log)
         if t.outputs != {"prover": "ok", "verifier": "ok"}:
             failures += 1
 
         inst = fixture(kind, seed, "non_compliant")
-        t = protocol.run_session("honest", authority(inst), list(inst.trail.points))
+        t = protocol.run_session("honest", inst.ad, list(inst.trail.points))
         logs.append(t.witness_access_log)
         if t.outputs != {"prover": "not_ok", "verifier": "not_ok"}:
             failures += 1
@@ -336,22 +331,19 @@ def test_criterion_09_protocol_battery(capsys):
             forged = [(x ^ 1, y) for x, y in points]
             return (ad, h, tuple(forged))
 
-        t = protocol.run_session("corrupt_prover", authority(inst),
+        t = protocol.run_session("corrupt_prover", inst.ad,
                                  list(inst.trail.points), prover_tamper=substitute)
         logs.append(t.witness_access_log)
         if t.outputs["verifier"] != "not_ok":
             failures += 1
 
         # Authority-data disagreement between the parties.
-        ad_p = authority(inst)
+        ad_p = inst.ad
         if kind == "ev":
-            stricter = SubsidyPolicy(d_req=inst.policy.d_req + 1, p_req=inst.policy.p_req)
+            stricter = SubsidyPolicy(d_req=ad_p.policy.d_req + 1, p_req=ad_p.policy.p_req)
         else:
-            stricter = statements.TaxPolicy(d_max=inst.policy.d_max + 1)
-        ad_v = protocol.AuthorityData(
-            kind=ad_p.kind, n_traj=ad_p.n_traj, policy=stricter,
-            geometry=ad_p.geometry, field_params=ad_p.field_params, pp=ad_p.pp,
-        )
+            stricter = statements.TaxPolicy(d_max=ad_p.policy.d_max + 1)
+        ad_v = replace(ad_p, policy=stricter)
         t = protocol.run_session("honest", ad_p, list(inst.trail.points), ad_v=ad_v)
         logs.append(t.witness_access_log)
         if t.outputs["verifier"] != "not_ok":

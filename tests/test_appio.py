@@ -162,7 +162,7 @@ def _v1_doc(poseidon, d_req):
 def test_v1_instance_file_keeps_its_verdict(tmp_path, capsys, poseidon, d_req, code):
     path = tmp_path / "v1.json"
     path.write_text(json.dumps(_v1_doc(dict(poseidon), d_req)))
-    assert load_instance(path).pp.t == 3
+    assert load_instance(path).ad.pp.t == 3
     assert cli_main(["check", str(path)]) == code
     assert json.loads(capsys.readouterr().out)["satisfied"] is (code == 0)
 
@@ -192,7 +192,7 @@ def test_load_reorients_clockwise_triangles():
     tri = doc["geometry"]["triangles"][0]
     doc["geometry"]["triangles"][0] = [tri[0], tri[2], tri[1]]  # flip orientation
     again = instance_from_doc(doc)
-    for t in again.geometry.triangles:
+    for t in again.ad.geometry.triangles:
         assert localcalc.area_dbl_sgn(*t[0], *t[1], *t[2]) > 0
 
 
@@ -343,7 +343,7 @@ def test_cli_fuzz_builds_the_statement_once(tmp_path, capsys, monkeypatch):
     real_build = statements.build_statement
 
     def counting_build(*args, **kwargs):
-        builds.append(args[0].kind)
+        builds.append(args[0].ad.kind)
         return real_build(*args, **kwargs)
 
     monkeypatch.setattr(statements, "build_statement", counting_build)
@@ -518,6 +518,7 @@ def test_cli_gen_malformed_spec_exits_two(tmp_path, capsys):
         "{bad",
         "[1, 2]",
         json.dumps({**good, "n_traj": "eight"}),
+        json.dumps({**good, "n_traj": 8.5}),
         json.dumps({**good, "seed": [1]}),
         json.dumps({**good, "coord_bits": 0}),
         json.dumps({"kind": "ev", "n_traj": 8}),
@@ -537,3 +538,79 @@ def test_load_spec_error_carries_json_pointer(tmp_path):
     path.write_text(json.dumps({"kind": "ev", "n_traj": 8, "n_geo": "two"}))
     with pytest.raises(SchemaError, match="/n_geo"):
         load_spec(path)
+
+
+# -- integers are read, never truncated ----------------------------------
+
+
+# Each of these is neither a JSON int nor ASCII digits with an optional
+# leading '-', though int() would convert it.
+@pytest.mark.parametrize("value", [2907.75, 12.0, True, False, " 12", "1_000", "+5", "١٢"])
+def test_as_int_rejects_what_int_would_convert(value):
+    with pytest.raises(SchemaError, match="^/x: not an integer"):
+        appio._as_int(value, "/x")
+
+
+def _set_first_x(doc):
+    doc["trail"]["points"][0][0] = int(doc["trail"]["points"][0][0]) + 0.75
+    return "/trail/points/0/0"
+
+
+def _set_p_req(doc):
+    doc["policy"]["p_req"] = int(doc["policy"]["p_req"]) + 0.9
+    return "/policy/p_req"
+
+
+def _set_poseidon_t(doc):
+    doc["poseidon"]["t"] = 9.6
+    return "/poseidon/t"
+
+
+def _set_schema_version(doc):
+    doc["schema_version"] = True
+    return "/schema_version"
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+@pytest.mark.parametrize(
+    "rewrite", [_set_first_x, _set_p_req, _set_poseidon_t, _set_schema_version],
+    ids=["first-x", "p_req", "poseidon-t", "schema_version"])
+def test_cli_rejects_a_number_that_is_not_an_integer(tmp_path, capsys, command, rewrite):
+    # The fixture is compliant, so a truncating reader would exit 0.
+    path = _write_fixture(tmp_path)
+    with open(path) as fh:
+        doc = json.load(fh)
+    pointer = rewrite(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert cli_main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pointer}: not an integer")
+
+
+# -- geometry count cap ---------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_cli_gen_n_geo_above_cap_exits_two(tmp_path, capsys, monkeypatch, kind):
+    # Rejected before any geometry is drawn.
+    def drawn(*args):
+        raise AssertionError("geometry drawn")
+
+    monkeypatch.setattr(appio, "_gen_ev", drawn)
+    monkeypatch.setattr(appio, "_gen_tax", drawn)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": kind, "seed": 1, "n_traj": 8, "n_geo": 4097}))
+    assert cli_main(["gen", str(spec_path)]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_cli_cost_n_geo_above_cap_exits_two(capsys, monkeypatch):
+    # Rejected before the 4097 dummy circles are allocated.
+    def allocated(*args):
+        raise AssertionError("dummy geometry allocated")
+
+    monkeypatch.setattr(statements, "_dummy_instance", allocated)
+    argv = ["cost", "--kind", "ev", "--n-traj", "2", "--n-circ", "4097"]
+    assert cli_main(argv) == 2
+    assert "cap" in capsys.readouterr().err

@@ -265,10 +265,10 @@ def _statement_systems():
     for make in (random_ev_instance, random_tax_instance):
         for _ in range(3):
             inst = make(rng, 6, 3)
-            n = inst.n_traj
+            n = inst.ad.n_traj
             hint_sets = [{}, {"sqrt_hints": [rng.randrange(1 << 14) for _ in range(n - 1)]}]
-            if inst.kind == "tax":
-                n_tri = inst.geometry.count
+            if inst.ad.kind == "tax":
+                n_tri = inst.ad.geometry.count
                 hint_sets.append({"tri_hints": [rng.randrange(n_tri + 2) for _ in range(n)]})
             for hints in hint_sets:
                 cs = ConstraintSystem(inst.field_params)

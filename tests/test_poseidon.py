@@ -229,7 +229,7 @@ def test_small_prime_derives_and_builds():
     inst = statements.make_instance(
         "ev", fp, 3, statements.SubsidyPolicy(d_req=6, p_req=100),
         statements.CircleSet(((2, 1, 3),)), trail)
-    assert inst.pp is pp
+    assert inst.ad.pp is pp
     handle = statements.build_statement(inst, ConstraintSystem(fp))
     assert handle.check().satisfied == statements.oracle_verdict(inst) is True
 

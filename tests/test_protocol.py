@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from sympy import isprime
@@ -177,14 +178,7 @@ def test_honest_session_tax_statement():
 
 
 def test_session_authority_data_mismatch():
-    stricter = AuthorityData(
-        kind="ev",
-        n_traj=4,
-        policy=SubsidyPolicy(d_req=11, p_req=100),
-        geometry=AD_EV.geometry,
-        field_params=FP12,
-        pp=PP12,
-    )
+    stricter = replace(AD_EV, policy=SubsidyPolicy(d_req=11, p_req=100))
     t = run_session("honest", AD_EV, GOOD_EV_MOVES, ad_v=stricter)
     # The prover believes its relaxed policy, but the verifier's F_ZK
     # submission check fails on the differing authority data.

@@ -11,11 +11,14 @@ from zkpol.appio import SchemaError, instance_from_doc
 from zkpol.circuit import ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
 from zkpol.poseidon import PoseidonParamError, params_for
-from zkpol.protocol import AuthorityData, ideal_outputs, run_session
+from zkpol.protocol import ideal_outputs, run_session
 from zkpol.statements import (
+    MAX_N_GEO,
     MAX_N_TRAJ,
+    AuthorityData,
     CircleSet,
     InstanceError,
+    StatementInstance,
     SubsidyPolicy,
     TaxPolicy,
     Trail,
@@ -110,10 +113,9 @@ def test_moved_check_rejects_through_every_entry_point(case):
     kind, policy, geometry, trail, pointer = case
     with pytest.raises(InstanceError, match=f"^{pointer}"):
         make_instance(kind, FP12, 4, policy, geometry, trail)
-    doc = unvalidated_doc(kind, FP12, 4, policy, geometry, trail, h_ex=0)
-    with pytest.raises(SchemaError, match=f"^{pointer}"):
-        instance_from_doc(doc)
     ad = AuthorityData(kind, 4, policy, geometry, FP12, params_for(FP12))
+    with pytest.raises(SchemaError, match=f"^{pointer}"):
+        instance_from_doc(unvalidated_doc(ad, trail, h_ex=0))
     moves = list(trail.points)
     outputs = run_session("honest", ad, moves).outputs
     assert outputs == ideal_outputs(moves, ad, ad) == {"prover": "not_ok", "verifier": "not_ok"}
@@ -157,10 +159,20 @@ def test_make_instance_caps_n_traj_before_hashing(monkeypatch):
         )
 
 
+@pytest.mark.parametrize("kind, policy, geometry", [
+    ("ev", SubsidyPolicy(0, 0), CircleSet(CIRCLE.circles * (MAX_N_GEO + 1))),
+    ("tax", TaxPolicy(0), TriangleSet(TRIANGLE.triangles * (MAX_N_GEO + 1))),
+], ids=["circles", "triangles"])
+def test_make_instance_caps_the_geometry_count(kind, policy, geometry):
+    pointer = "/geometry/circles" if kind == "ev" else "/geometry/triangles"
+    with pytest.raises(InstanceError, match=f"^{pointer}: outside desk-scale cap"):
+        make_instance(kind, FP12, 4, policy, geometry, Trail(((1, 1),)))
+
+
 def test_instance_rejects_prime_too_small_for_its_shape():
     ad, moves = small_prime_ev()
     with pytest.raises(InstanceError, match="^/field_params/modulus"):
-        make_instance(ad.kind, ad.field_params, ad.n_traj, ad.policy, ad.geometry, Trail(tuple(moves)))
+        StatementInstance(ad, Trail(tuple(moves)))
 
 
 def test_instance_rejects_mismatched_geometry():
@@ -201,7 +213,7 @@ def test_ev_verdict_matches_oracle():
 
 
 def test_ev_tampered_hash_unsatisfied():
-    good = honest_hash(_ev(0, 0).pp, EV_TRAIL, 4)
+    good = honest_hash(_ev(0, 0).ad.pp, EV_TRAIL, 4)
     inst = _ev(0, 0, h_ex=(good + 1) % FP12.modulus)
     cs, h = _build(inst)
     report = h.check()
@@ -298,7 +310,7 @@ def test_tax_huge_d_max_clamped_not_rejected():
 
 
 def test_tax_tampered_hash_unsatisfied():
-    good = honest_hash(_tax(200).pp, TAX_TRAIL, 4)
+    good = honest_hash(_tax(200).ad.pp, TAX_TRAIL, 4)
     inst = _tax(200, h_ex=good ^ 1)
     cs, h = _build(inst)
     assert not h.check().satisfied
@@ -351,7 +363,7 @@ def test_tax_mixed_triangle_row_unsatisfiable():
     tri_1 = ((0, 0), (10, 0), (0, 10))
     tri_2 = ((100, 100), (110, 100), (100, 110))
     inst, h = _mixed_row_witness(tri_1, tri_2, ((1, 101), (2, 102), (3, 103)))
-    assert localcalc.taxed_distance(inst.trail.points, inst.geometry.triangles) == 2
+    assert localcalc.taxed_distance(inst.trail.points, inst.ad.geometry.triangles) == 2
     assert not oracle_verdict(inst)
     assert not _build(inst)[1].check().satisfied
     assert not h.check().satisfied
@@ -418,7 +430,7 @@ def test_statement_cost_independent_of_witness():
     rng = random.Random(61)
     inst = random_ev_instance(rng, max_traj=8, max_circ=2)
     cs, _ = _build(inst)
-    expected = statement_cost("ev", inst.n_traj, inst.n_geo, FP12)
+    expected = statement_cost("ev", inst.ad.n_traj, inst.ad.geometry.count, FP12)
     assert cs.counters.as_dict() == expected
 
 
