@@ -189,10 +189,10 @@ def _read_object(path) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}")
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8: {exc}")
+        except ValueError as exc:  # JSONDecodeError, or an int past the interpreter's digit limit
+            raise SchemaError(f"{path}: invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError("/: expected an object")
     return doc
@@ -231,6 +231,8 @@ class FixtureSpec:
             raise GenerationFailed(f"n_traj outside desk-scale cap [1, {statements.MAX_N_TRAJ}]")
         if not 1 <= self.n_geo <= statements.MAX_N_GEO:
             raise GenerationFailed(f"n_geo outside desk-scale cap [1, {statements.MAX_N_GEO}]")
+        if self.n_traj * self.n_geo > statements.MAX_N_PAIRS:
+            raise GenerationFailed(f"n_traj x n_geo above desk-scale cap {statements.MAX_N_PAIRS}")
         try:
             _field_for(self.coord_bits)
         except FieldError as exc:

@@ -19,20 +19,23 @@ forward cone of any input witnesses it is asked to override.
 Two hot gadgets append through bulk primitives instead of one method call
 per gate: ``decompose`` (bit decomposition, whose per-bit gates, domains,
 values and booleanity assertions each go in with one ``list.extend``) and
-``poseidon_rounds`` (the Poseidon permutation, with each round's constants
-folded into the previous round's MDS affines).  They write the same gate
-kinds straight into the gate, domain and value lists and keep every
-counter equal to the per-gate composition.
+``poseidon_rounds`` (the Poseidon permutation in the factored form of
+``PoseidonParams.factored``: t affines per round, sparse two-term ones on
+lanes 1..t-1 of a partial round, with each round's constants folded into
+the previous round's affines).  They write the same gate kinds straight
+into the gate, domain and value lists and keep every counter equal to the
+per-gate composition.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .field import FieldParams
-from .poseidon import PoseidonParams
+from .poseidon import FactoredRounds, PoseidonParams
 
 
 class CircuitError(Exception):
@@ -64,6 +67,13 @@ _AFFINE = 5  # (op, coeffs, wire_ids, const)
 def _pow2_coeffs(k: int, p: int) -> tuple[int, ...]:
     """Recomposition coefficients 2^0 .. 2^(k-1), reduced mod p."""
     return tuple((1 << i) % p for i in range(k))
+
+
+@lru_cache(maxsize=16)
+def _partial_round_coeffs(f: FactoredRounds) -> tuple:
+    """Per partial round of ``f``, the coefficient tuples of its affines:
+    row0 for lane 0 and (1, col_i) for lane i >= 1."""
+    return tuple((row0, tuple((1, c) for c in col)) for row0, col in f.sparse)
 
 
 @dataclass(frozen=True)
@@ -226,16 +236,25 @@ class ConstraintSystem:
 
     def poseidon_rounds(self, state: list[int], pp: PoseidonParams) -> list[int]:
         """Bulk primitive behind the Poseidon permutation: every round of
-        ``pp`` applied to ``state``, appended in one batch.
+        ``pp`` applied to ``state`` in the factored form of ``pp.factored``
+        (see the ``poseidon`` module docstring), appended in one batch.
 
         Round 0 adds its constants with t one-term affines; every later
         round's constants are folded into the ``const`` of the previous
-        round's MDS affines.  Each S-box x^alpha is a left-to-right
+        round's affines.  Each S-box x^alpha is a left-to-right
         square-and-multiply over alpha's bits: a squaring per bit below
         the top one, then a mul by x for each such bit that is set (2 muls
-        for alpha = 3, 3 for 5, 4 for 7).  An S-box output keeps its
-        lane's domain and an MDS output takes the most secret lane domain.
-        Every lane has a value, so each gate's value is computed as it is
+        for alpha = 3, 3 for 5, 4 for 7).  A full round then appends t
+        dense t-term affines; a partial round appends one t-term affine
+        for lane 0 and, for each lane i >= 1, the two-term affine
+        s_i + col_i * s_0, whose coefficient tuples are built once per
+        parameter set and shared by every permutation.  So every round
+        appends t affines, as the dense form did, and wire ids and n_mul
+        do not depend on the form; a partial round costs 2(t - 1) adds
+        instead of t(t - 1).  An S-box output keeps its lane's domain and
+        an affine output takes the most secret lane domain (a partial
+        round follows a full one, so its lanes share one domain).  Every
+        lane has a value, so each gate's value is computed as it is
         appended, as on the per-gate path.  Counters equal those of the
         per-gate composition with unfolded constants: a non-zero const
         counts one add on whichever affine carries it.  Returns the t
@@ -244,11 +263,12 @@ class ConstraintSystem:
         if len(state) != t:
             raise ValueError(f"state width must be {t}")
         p = self.p
-        rc = pp.round_constants
+        f = pp.factored
+        sparse = _partial_round_coeffs(f)
+        consts = f.constants
         # Per bit of alpha below the top one: square (False), then multiply
         # by x (True) if the bit is set.
         chain = [by_x for bit in bin(pp.alpha)[3:] for by_x in (False, True)[: 1 + int(bit)]]
-        mds = [tuple(c % p for c in row) for row in pp.mds]
         gates = self._gates
         vals = self._values
         add_gate = gates.append
@@ -258,13 +278,9 @@ class ConstraintSystem:
         ids = list(state)
         doms = [self._domains[i] for i in ids]
         xs = [vals[i] for i in ids]
-        n_add = 0
+        n_add = t - consts[0].count(0)
         n_mul = 0
-        for i in range(t):
-            c = rc[i]
-            if c:
-                n_add += 1
-            c %= p
+        for i, c in enumerate(consts[0]):
             add_gate((_AFFINE, (1,), (ids[i],), c))
             add_dom(doms[i])
             xs[i] = (xs[i] + c) % p
@@ -275,8 +291,10 @@ class ConstraintSystem:
         first_partial = pp.r_full // 2
         last_partial = first_partial + pp.r_partial
         last = pp.n_rounds - 1
+        no_consts = (0,) * t
         for rnd in range(pp.n_rounds):
-            for i in (0,) if first_partial <= rnd < last_partial else all_lanes:
+            partial = first_partial <= rnd < last_partial
+            for i in (0,) if partial else all_lanes:
                 a = w = ids[i]
                 x = y = xs[i]
                 d = doms[i]
@@ -290,25 +308,25 @@ class ConstraintSystem:
                 ids[i] = w
                 xs[i] = y
                 n_mul += len(chain)
+            nxt = consts[rnd + 1] if rnd < last else no_consts
+            n_add += t - nxt.count(0)
             lanes = tuple(ids)
+            if partial:
+                row0, pairs = sparse[rnd - first_partial]
+                w0, x0 = ids[0], xs[0]
+                new_xs = [(nxt[0] + sum(map(operator.mul, row0, xs))) % p]
+                new_xs += [(x + c * x0 + k) % p for x, (_, c), k in zip(xs[1:], pairs, nxt[1:])]
+                add_gate((_AFFINE, row0, lanes, nxt[0]))
+                gates.extend([(_AFFINE, pr, (i, w0), k) for pr, i, k in zip(pairs, lanes[1:], nxt[1:])])
+                n_add += 2 * (t - 1)
+            else:
+                rows = f.bridge if rnd == first_partial - 1 else pp.mds
+                new_xs = [(k + sum(map(operator.mul, row, xs))) % p for row, k in zip(rows, nxt)]
+                gates.extend([(_AFFINE, row, lanes, k) for row, k in zip(rows, nxt)])
+                n_add += t * (t - 1)
             dmax = max(doms)
-            off = (rnd + 1) * t
-            n_add += t * (t - 1)
-            new_xs = []
-            for i in range(t):
-                c = rc[off + i] if rnd < last else 0
-                if c:
-                    n_add += 1
-                c %= p
-                row = mds[i]
-                acc = c
-                for cj, xj in zip(row, xs):
-                    acc += cj * xj
-                acc %= p
-                add_gate((_AFFINE, row, lanes, c))
-                add_dom(dmax)
-                add_val(acc)
-                new_xs.append(acc)
+            self._domains.extend([dmax] * t)
+            vals.extend(new_xs)
             xs = new_xs
             ids = list(range(wid, wid + t))
             doms = [dmax] * t

@@ -5,7 +5,10 @@ search and barycentric conversion are the helper computations a prover
 performs before wiring hints into the circuit; the ``oracle_*`` functions
 are independent straight-line evaluations of the two policies, used as
 ground truth when checking circuit satisfiability.  They deliberately do
-not share code with the gadget implementations.
+not share code with the gadget implementations.  The reference Poseidon
+permutation shares only the derived parameters with the circuit (the
+factored form of ``PoseidonParams.factored``); the tests check both
+against a straight-line dense permutation.
 """
 
 from __future__ import annotations
@@ -142,12 +145,16 @@ def oracle_hwtax(trail, tris, policy) -> bool:
 
 
 def poseidon_permutation_ref(state, pp: PoseidonParams) -> list[int]:
-    """Straight-line reference permutation on plain residues.
+    """Reference permutation on plain residues, in the factored form of
+    ``pp.factored`` (see the ``poseidon`` module docstring).
 
     Round structure: half the full rounds, all partial rounds, then the
-    remaining full rounds.  Each round adds constants, applies x^alpha to
-    every lane (full) or lane 0 only (partial), then multiplies by the MDS
-    matrix.
+    remaining full rounds.  A full round adds its constants, applies
+    x^alpha to every lane and multiplies by the dense MDS matrix (by the
+    bridge matrix in the last full round before the partial rounds).  A
+    partial round adds its one constant and applies x^alpha to lane 0,
+    then its sparse matrix: a t-term row for lane 0 and s_i + col_i * s_0
+    for each other lane.
     """
     p = pp.prime
     t = pp.t
@@ -155,16 +162,19 @@ def poseidon_permutation_ref(state, pp: PoseidonParams) -> list[int]:
         raise ValueError(f"state width must be {t}")
     s = [v % p for v in state]
     alpha = pp.alpha
-    partial = range(pp.r_full // 2, pp.r_full // 2 + pp.r_partial)
-    # Constants are added unreduced; the MDS row sums reduce every lane
+    f = pp.factored
+    half = pp.r_full // 2
+    # Constants are added unreduced; the matrix rows reduce every lane
     # once per round.
-    for rnd, c in enumerate(zip(*[iter(pp.round_constants)] * t)):
-        if rnd in partial:
-            s = list(map(operator.add, s, c))
-            s[0] = pow(s[0], alpha, p)
+    for rnd, c in enumerate(f.constants):
+        j = rnd - half
+        if 0 <= j < pp.r_partial:
+            row0, col = f.sparse[j]
+            s[0] = x0 = pow(s[0] + c[0], alpha, p)
+            s = [sum(map(operator.mul, row0, s)) % p] + [(v + ci * x0) % p for v, ci in zip(s[1:], col)]
         else:
             s = [pow(v + ci, alpha, p) for v, ci in zip(s, c)]
-        s = [sum(map(operator.mul, row, s)) % p for row in pp.mds]
+            s = [sum(map(operator.mul, row, s)) % p for row in (f.bridge if j == -1 else pp.mds)]
     return s
 
 

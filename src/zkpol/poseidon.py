@@ -43,12 +43,36 @@ arity-8 Poseidon trees: 64 permutations of 3 (9 R_F + R_P) = 384
 multiplications hash a 256-point trail, against 256 of 240 at t = 3.
 Instance files written with the v1 parameters (t = 3, R_F = 8, R_P = 56,
 seed ``zk-pol-poseidon-v1``) keep them; see ``appio.instance_from_doc``.
+
+Factored form.  The permutation is R_F/2 full rounds, R_P partial rounds
+and R_F/2 full rounds; each adds t constants, applies x^alpha to every
+lane (full) or to lane 0 only (partial), then multiplies by the MDS
+matrix M.  Both the reference (``localcalc.poseidon_permutation_ref``)
+and the circuit (``ConstraintSystem.poseidon_rounds``) run the same
+permutation rewritten as in Appendix B of eprint 2019/458, derived once
+per parameter set into ``PoseidonParams.factored`` by ``_factor_rounds``:
+
+- each partial round adds one constant, on lane 0; the others are pushed
+  forward through M, and the residue lands on the first full round after
+  the partial rounds;
+- each partial round multiplies by a sparse matrix [[m00, row0],
+  [col, I]], which costs 2(t - 1) additions instead of t(t - 1);
+- the last full round before the partial rounds multiplies by the dense
+  diag(1, A^R_P) M, A being the lower-right (t-1) x (t-1) block of M;
+  every other full round by M.
+
+Outputs are those of the dense form (the tests check them against a
+straight-line dense permutation); intermediate states differ.  Per
+permutation the circuit counts R_F t (t - 1) + 2 R_P (t - 1) linear adds
+plus one per non-zero constant (t per full round, one per partial round):
+1,600 at t = 9, R_F = 8, R_P = 56, against 5,184 for the dense form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -133,6 +157,99 @@ def _cauchy_mds(t: int, p: int) -> list[list[int]]:
     return [[f_inv(p, i + t + j) for j in range(t)] for i in range(t)]
 
 
+def _mat_vec(m, v, p: int) -> tuple[int, ...]:
+    return tuple(sum(map(operator.mul, row, v)) % p for row in m)
+
+
+def _mat_mul(a, b, p: int) -> tuple[tuple[int, ...], ...]:
+    cols = tuple(zip(*b))
+    return tuple(_mat_vec(cols, row, p) for row in a)
+
+
+def _mat_pow(m, e: int, p: int) -> tuple[tuple[int, ...], ...]:
+    out = tuple(tuple(int(i == j) for j in range(len(m))) for i in range(len(m)))
+    while e:
+        if e & 1:
+            out = _mat_mul(out, m, p)
+        m = _mat_mul(m, m, p)
+        e >>= 1
+    return out
+
+
+def _mat_inv(m, p: int) -> tuple[tuple[int, ...], ...]:
+    """Gauss-Jordan inverse of an invertible square matrix mod p."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] % p)
+        a[col], a[piv] = a[piv], a[col]
+        inv = f_inv(p, a[col][col])
+        a[col] = [x * inv % p for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+@dataclass(frozen=True, eq=False)
+class FactoredRounds:
+    """The permutation of a ``PoseidonParams`` in the factored form of the
+    module docstring.  Round r adds ``constants[r]`` (a partial round's
+    are 0 off lane 0), applies its S-boxes, then multiplies by ``pp.mds``
+    (a full round), ``bridge`` (the last full round before the partial
+    rounds) or the sparse matrix [[row0], [col | I]] of ``sparse[j]`` (the
+    j-th partial round), which sets lane 0 to row0 . s and lane i to
+    s_i + col[i-1] * s_0."""
+
+    constants: tuple[tuple[int, ...], ...]
+    bridge: tuple[tuple[int, ...], ...]
+    sparse: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]  # (row0, col)
+
+
+def _factor_rounds(mds, rc, t: int, r_full: int, r_partial: int, p: int) -> FactoredRounds:
+    """Appendix B of eprint 2019/458, in two passes.
+
+    Constants, forward: a partial round's lanes 1..t-1 pass its S-box
+    unchanged, so their constants can be added after it instead, where M
+    carries them into the next round's constants.  Each partial round
+    keeps its lane-0 constant; the residue of the last lands on the first
+    full round after the partial rounds.
+
+    Matrices, backward from the last partial round: with M = [[m00, m0],
+    [m1, A]] split into its first row and column and the lower-right block
+    A, a round matrix N_j = diag(1, A^j) M (N_0 = M) factors as
+
+        N_j = [[m00, m0 A^-(j+1)], [A^j m1, I]] . diag(1, A^(j+1)),
+
+    and diag(1, A^(j+1)) commutes with the partial round's S-box and its
+    lane-0 constant, so it moves into the round before, giving N_(j+1).
+    The last full round before the partial rounds keeps
+    diag(1, A^R_P) M.  A is invertible: it is the Cauchy matrix on
+    x_1..x_(t-1) and y_1..y_(t-1), and every square submatrix of a Cauchy
+    matrix is a Cauchy matrix, non-singular by the argument of
+    ``_cauchy_mds``; every carried block A^(j+1) is a power of it.  So
+    one inversion of A and O(R_P t^2) vector steps give every sparse
+    round, and O(t^3 log R_P) steps the power for the bridge."""
+    half = r_full // 2
+    consts = [list(rc[r * t : (r + 1) * t]) for r in range(r_full + r_partial)]
+    for r in range(half, half + r_partial):
+        rest = [0] + consts[r][1:]
+        consts[r][1:] = [0] * (t - 1)
+        consts[r + 1] = [(c + d) % p for c, d in zip(consts[r + 1], _mat_vec(mds, rest, p))]
+    block = tuple(row[1:] for row in mds[1:])
+    block_inv_cols = tuple(zip(*_mat_inv(block, p)))  # v A^-1 = (A^-1)^T v
+    row, col = mds[0][1:], tuple(r[0] for r in mds[1:])
+    sparse = []
+    for _ in range(r_partial):
+        row = _mat_vec(block_inv_cols, row, p)
+        sparse.append(((mds[0][0], *row), col))
+        col = _mat_vec(block, col, p)
+    sparse.reverse()
+    bridge = (mds[0], *_mat_mul(_mat_pow(block, r_partial, p), mds[1:], p))
+    return FactoredRounds(tuple(map(tuple, consts)), bridge, tuple(sparse))
+
+
 @dataclass(frozen=True)
 class PoseidonParams:
     prime: int
@@ -143,6 +260,7 @@ class PoseidonParams:
     seed: bytes = DEFAULT_SEED
     round_constants: tuple[int, ...] = field(init=False, repr=False)
     mds: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    factored: FactoredRounds = field(init=False, repr=False, compare=False)
 
     @property
     def rate(self) -> int:
@@ -173,6 +291,8 @@ class PoseidonParams:
         rc = tuple(_derive_constant(self.seed, j, p) for j in range(self.t * self.n_rounds))
         object.__setattr__(self, "round_constants", rc)
         object.__setattr__(self, "mds", tuple(tuple(r) for r in _cauchy_mds(self.t, p)))
+        object.__setattr__(self, "factored", _factor_rounds(
+            self.mds, rc, self.t, self.r_full, self.r_partial, p))
 
 
 @lru_cache(maxsize=16)

@@ -28,6 +28,12 @@ from .poseidon import PoseidonParamError, PoseidonParams, params_for
 
 MAX_N_TRAJ = 4096  # desk-scale cap on n_traj for every entry point
 MAX_N_GEO = 4096  # desk-scale cap on the number of circles or triangles
+# Desk-scale cap on n_traj x (circles or triangles).  At the widest
+# coordinates the default field admits (40 bits), an ev point costs about
+# 185 muls and each (point, circle) pair 85 more, so the worst shape under
+# the caps, ev 4096 points x 4 circles, is about 2.2 M muls (4096 x 4096
+# would be about 1.4 G); tax costs 453 per point and 7 per pair.
+MAX_N_PAIRS = 16_384
 
 
 class InstanceError(Exception):
@@ -139,17 +145,27 @@ def honest_hash(pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
     return localcalc.poseidon_digest_ref(trail_message(trail, n_traj), pp)
 
 
+def _check_geometry_count(ad: AuthorityData, pointer: str) -> None:
+    n_geo = ad.geometry.count
+    if not 1 <= n_geo <= MAX_N_GEO:
+        raise InstanceError(f"{pointer}: outside desk-scale cap [1, {MAX_N_GEO}]")
+    if ad.n_traj * n_geo > MAX_N_PAIRS:
+        raise InstanceError(
+            f"{pointer}: n_traj x count = {ad.n_traj * n_geo} above desk-scale cap {MAX_N_PAIRS}")
+
+
 def validate_instance(inst: StatementInstance) -> None:
     """Raise InstanceError unless the circuit decides inst exactly as the
     oracle does; ``StatementInstance`` runs it when it is constructed, and
     no one else does.  Each message starts with the JSON pointer of the
     offending field in the instance file format.
 
-    Beyond the ranges of the sizes, trail length, coordinates, radii,
-    triangle orientation and policy values, the statement's widest
-    comparison m must fit below p, 2^(m+1) < p: for ev that is
-    ``widths(...).cover``, for tax the wider of tot and bary (see
-    ``field.widths``).  A small prime with a long trail fails this check.
+    Beyond the ranges of the sizes (and of n_traj x the geometry count),
+    trail length, coordinates, radii, triangle orientation and policy
+    values, the statement's widest comparison m must fit below p,
+    2^(m+1) < p: for ev that is ``widths(...).cover``, for tax the wider
+    of tot and bary (see ``field.widths``).  A small prime with a long
+    trail fails this check.
     """
     ad = inst.ad
     fp = ad.field_params
@@ -168,8 +184,7 @@ def validate_instance(inst: StatementInstance) -> None:
     if ad.kind == "ev":
         if not isinstance(ad.geometry, CircleSet) or not isinstance(ad.policy, SubsidyPolicy):
             raise InstanceError("/geometry: ev instance needs CircleSet + SubsidyPolicy")
-        if not 1 <= ad.geometry.count <= MAX_N_GEO:
-            raise InstanceError(f"/geometry/circles: outside desk-scale cap [1, {MAX_N_GEO}]")
+        _check_geometry_count(ad, "/geometry/circles")
         for i, (u, v, r) in enumerate(ad.geometry.circles):
             if not (0 <= u < bound and 0 <= v < bound and 0 < r < bound):
                 raise InstanceError(f"/geometry/circles/{i}: out of coordinate range")
@@ -183,8 +198,7 @@ def validate_instance(inst: StatementInstance) -> None:
     else:
         if not isinstance(ad.geometry, TriangleSet) or not isinstance(ad.policy, TaxPolicy):
             raise InstanceError("/geometry: tax instance needs TriangleSet + TaxPolicy")
-        if not 1 <= ad.geometry.count <= MAX_N_GEO:
-            raise InstanceError(f"/geometry/triangles: outside desk-scale cap [1, {MAX_N_GEO}]")
+        _check_geometry_count(ad, "/geometry/triangles")
         for j, tri in enumerate(ad.geometry.triangles):
             for v, (x, y) in enumerate(tri):
                 if not (0 <= x < bound and 0 <= y < bound):
@@ -374,6 +388,8 @@ def statement_cost(kind: str, n_traj: int, n_geo: int, field_params: FieldParams
     """Gate counters of a statement as a function of its sizes only."""
     if not 1 <= n_geo <= MAX_N_GEO:
         raise InstanceError(f"n_geo: outside desk-scale cap [1, {MAX_N_GEO}]")
+    if n_traj * n_geo > MAX_N_PAIRS:
+        raise InstanceError(f"n_traj x n_geo: {n_traj * n_geo} above desk-scale cap {MAX_N_PAIRS}")
     fp = field_params or FieldParams()
     inst = _dummy_instance(kind, n_traj, n_geo, fp)
     cs = ConstraintSystem(fp)

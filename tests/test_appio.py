@@ -588,6 +588,27 @@ def test_cli_rejects_a_number_that_is_not_an_integer(tmp_path, capsys, command, 
     assert err.startswith(f"error: {pointer}: not an integer")
 
 
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_cli_integer_literal_past_the_digit_limit_exits_two(tmp_path, capsys, command):
+    # json.load raises a plain ValueError for an int of more than 4,300
+    # digits (the interpreter's int-string limit), not a JSONDecodeError.
+    path = _write_fixture(tmp_path)
+    with open(path) as fh:
+        text = fh.read()
+    assert '"coord_bits": 12' in text
+    with open(path, "w") as fh:
+        fh.write(text.replace('"coord_bits": 12', '"coord_bits": ' + "9" * 5001))
+    assert cli_main([command, path]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_cli_gen_integer_literal_past_the_digit_limit_exits_two(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"kind": "ev", "n_traj": ' + "9" * 5001 + ', "n_geo": 1}')
+    assert cli_main(["gen", str(spec_path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 # -- geometry count cap ---------------------------------------------------
 
 
@@ -601,6 +622,27 @@ def test_cli_gen_n_geo_above_cap_exits_two(tmp_path, capsys, monkeypatch, kind):
     monkeypatch.setattr(appio, "_gen_tax", drawn)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"kind": kind, "seed": 1, "n_traj": 8, "n_geo": 4097}))
+    assert cli_main(["gen", str(spec_path)]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_cli_cost_n_traj_times_n_geo_above_cap_exits_two(capsys, monkeypatch):
+    # Each size is within its own cap; their product is not.  Nothing is built.
+    def built(*args, **kwargs):
+        raise AssertionError("statement built")
+
+    monkeypatch.setattr(statements, "_dummy_instance", built)
+    monkeypatch.setattr(statements, "build_statement", built)
+    argv = ["cost", "--kind", "ev", "--n-traj", "4096", "--n-circ", "4096"]
+    assert cli_main(argv) == 2
+    assert "n_traj x n_geo" in capsys.readouterr().err
+
+
+def test_fixture_spec_caps_n_traj_times_n_geo(tmp_path, capsys):
+    with pytest.raises(GenerationFailed, match="n_traj x n_geo"):
+        FixtureSpec(kind="tax", seed=0, n_traj=4096, n_geo=5)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "ev", "seed": 1, "n_traj": 4096, "n_geo": 4096}))
     assert cli_main(["gen", str(spec_path)]) == 2
     assert "cap" in capsys.readouterr().err
 

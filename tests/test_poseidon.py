@@ -246,9 +246,9 @@ PP_A3 = PoseidonParams(prime=FP_A3.modulus, t=3, alpha=3, r_full=8, r_partial=10
 
 
 def _per_gate_permutation(cs, state, pp):
-    """The permutation composed one method call per gate, with t one-term
-    constant affines in every round: the construction that
-    ``ConstraintSystem.poseidon_rounds`` replaces."""
+    """The factored permutation of ``pp.factored`` composed one method call
+    per gate, with t one-term constant affines in every round: the
+    construction that ``ConstraintSystem.poseidon_rounds`` replaces."""
 
     def sbox(w):
         if pp.alpha == 5:
@@ -259,16 +259,18 @@ def _per_gate_permutation(cs, state, pp):
             out = cs.mul(out, w)
         return out
 
-    t = pp.t
+    f = pp.factored
     s = list(state)
     half = pp.r_full // 2
-    for rnd in range(pp.n_rounds):
-        s = [cs.affine([1], [s[i]], pp.round_constants[rnd * t + i]) for i in range(t)]
+    for rnd, consts in enumerate(f.constants):
+        s = [cs.affine([1], [w], c) for w, c in zip(s, consts)]
         if half <= rnd < half + pp.r_partial:
             s[0] = sbox(s[0])
+            row0, col = f.sparse[rnd - half]
+            s = [cs.affine(list(row0), s)] + [cs.affine([1, c], [w, s[0]]) for w, c in zip(s[1:], col)]
         else:
             s = [sbox(v) for v in s]
-        s = [cs.affine(list(pp.mds[i]), s) for i in range(t)]
+            s = [cs.affine(list(row), s) for row in (f.bridge if rnd == half - 1 else pp.mds)]
     return s
 
 
@@ -338,6 +340,64 @@ def test_bulk_general_alpha_matches_per_gate_composition():
     for w in out:
         bulk.assert_eq(w, bulk.const(bulk.value(w)))
     assert bulk.evaluate_and_check().satisfied
+
+
+# -- the factored form against the dense permutation ---------------------
+
+# (prime, alpha): the default field, two small primes with gcd(5, p - 1) = 1
+# and a prime that admits alpha = 3.
+FACTORED_FIELDS = [(DEFAULT_MODULUS, 5), (1009, 5), (32779, 5), (2**80 + 13, 3)]
+
+
+def _check_factored_form(pp, seed, n_states=3):
+    """The reference and the bulk circuit equal the dense independent
+    permutation on random states, and the bulk circuit's counters, values
+    and output domains equal the per-gate composition's."""
+    fp = FieldParams(modulus=pp.prime, coord_bits=1)
+    rng = random.Random(seed)
+    for _ in range(n_states):
+        values = [rng.randrange(pp.prime) for _ in range(pp.t)]
+        expected = _independent_permutation(values, pp)
+        assert localcalc.poseidon_permutation_ref(values, pp) == expected
+        (bulk, _, out), (ref, _, ref_out) = _build_both(fp, pp, values, _sponge_state)
+        assert [bulk.value(w) for w in out] == [ref.value(w) for w in ref_out] == expected
+        assert bulk.counters == ref.counters
+        assert [bulk._domains[w] for w in out] == [ref._domains[w] for w in ref_out]
+
+
+@pytest.mark.parametrize("t", [2, 3, 9, 16])
+@pytest.mark.parametrize("prime, alpha", FACTORED_FIELDS, ids=["2^127-1", "1009", "32779", "2^80+13"])
+def test_factored_form_matches_dense_permutation(prime, alpha, t):
+    _check_factored_form(PoseidonParams(prime=prime, t=t, alpha=alpha), seed=t * prime)
+
+
+def test_factored_form_without_partial_rounds():
+    pp = PoseidonParams(prime=DEFAULT_MODULUS, t=5, r_full=4, r_partial=0)
+    assert pp.factored.sparse == () and pp.factored.bridge == pp.mds
+    _check_factored_form(pp, seed=29)
+
+
+def test_factored_form_of_the_v1_parameters():
+    pp = PoseidonParams(prime=DEFAULT_MODULUS, t=3, r_full=8, r_partial=56, seed=b"zk-pol-poseidon-v1")
+    _check_factored_form(pp, seed=30)
+
+
+def test_factored_partial_rounds_keep_one_constant():
+    f = PP.factored
+    half = PP.r_full // 2
+    partial = f.constants[half : half + PP.r_partial]
+    assert all(c[1:] == (0,) * (PP.t - 1) and c[0] for c in partial)
+    assert f.constants[:half] == tuple(zip(*[iter(PP.round_constants)] * PP.t))[:half]
+
+
+def test_bulk_n_add_per_permutation():
+    # R_F t (t - 1) dense adds, R_P 2 (t - 1) sparse adds and one add per
+    # non-zero constant: t in each full round, one in each partial round,
+    # none after the last round.
+    cs = ConstraintSystem(FP)
+    cs.poseidon_rounds([cs.wire_input(v, Domain.PROVER) for v in range(1, PP.t + 1)], PP)
+    t, n_consts = PP.t, PP.r_full * PP.t + PP.r_partial
+    assert cs.n_add == PP.r_full * t * (t - 1) + PP.r_partial * 2 * (t - 1) + n_consts == 1600
 
 
 def test_alpha_seven_squares_and_multiplies():

@@ -14,6 +14,7 @@ from zkpol.poseidon import PoseidonParamError, params_for
 from zkpol.protocol import ideal_outputs, run_session
 from zkpol.statements import (
     MAX_N_GEO,
+    MAX_N_PAIRS,
     MAX_N_TRAJ,
     AuthorityData,
     CircleSet,
@@ -167,6 +168,31 @@ def test_make_instance_caps_the_geometry_count(kind, policy, geometry):
     pointer = "/geometry/circles" if kind == "ev" else "/geometry/triangles"
     with pytest.raises(InstanceError, match=f"^{pointer}: outside desk-scale cap"):
         make_instance(kind, FP12, 4, policy, geometry, Trail(((1, 1),)))
+
+
+@pytest.mark.parametrize("kind, policy, geometry", [
+    ("ev", SubsidyPolicy(0, 0), CIRCLE), ("tax", TaxPolicy(0), TRIANGLE),
+], ids=["circles", "triangles"])
+def test_instance_caps_n_traj_times_the_geometry_count(kind, policy, geometry):
+    # Checked before the trail is hashed: h_ex is given, so only validation runs.
+    pointer, items = (("/geometry/circles", geometry.circles) if kind == "ev"
+                      else ("/geometry/triangles", geometry.triangles))
+    n_geo = MAX_N_PAIRS // MAX_N_TRAJ
+
+    def instance(count):
+        ad = AuthorityData(kind, MAX_N_TRAJ, policy, type(geometry)(items * count), FP12,
+                           params_for(FP12))
+        return StatementInstance(ad, Trail(((1, 1),)), h_ex=0)
+
+    instance(n_geo)
+    with pytest.raises(InstanceError, match=f"^{pointer}: n_traj x count = {MAX_N_PAIRS + MAX_N_TRAJ} above"):
+        instance(n_geo + 1)
+
+
+def test_statement_cost_caps_n_traj_times_n_geo(monkeypatch):
+    monkeypatch.setattr("zkpol.statements._dummy_instance", mock.Mock(side_effect=AssertionError))
+    with pytest.raises(InstanceError, match="^n_traj x n_geo"):
+        statement_cost("ev", MAX_N_TRAJ, MAX_N_PAIRS // MAX_N_TRAJ + 1, FP12)
 
 
 def test_instance_rejects_prime_too_small_for_its_shape():
@@ -455,13 +481,14 @@ def test_statement_cost_pinned():
     # permutation must reproduce them exactly.  Both rows are those of the
     # exact square root (2k + 3 muls), for tax of one selector vector per
     # point over whole triangle rows, and of the t = 9 sponge (rate 8,
-    # R_F = 8, R_P = 56: 384 muls per permutation).
+    # R_F = 8, R_P = 56: 384 muls and, with sparse partial rounds, 1,600
+    # adds per permutation).
     assert statement_cost("ev", 256, 1, FieldParams()) == {
-        "n_mul": 52757, "n_add": 388656, "n_assert": 26908,
+        "n_mul": 52757, "n_add": 159280, "n_assert": 26908,
         "n_prover_inputs": 26904, "n_shared_inputs": 6,
     }
     assert statement_cost("tax", 64, 16, FieldParams()) == {
-        "n_mul": 27944, "n_add": 119062, "n_assert": 14830,
+        "n_mul": 27944, "n_add": 61718, "n_assert": 14830,
         "n_prover_inputs": 14636, "n_shared_inputs": 98,
     }
     # Wire counts of the same statements: every wire is one gate.
