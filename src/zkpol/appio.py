@@ -101,7 +101,7 @@ def serialize_instance(inst: StatementInstance) -> dict:
         "sizes": {"n_traj": ad.n_traj},
         "h_ex": str(inst.h_ex),
         "trail": {
-            "declared_len": inst.trail.declared_len,
+            "declared_len": len(inst.trail.points),
             "points": [[str(x), str(y)] for x, y in inst.trail.points],
         },
     }
@@ -134,9 +134,7 @@ def instance_from_doc(doc: dict) -> StatementInstance:
             modulus=_as_int(_want(fp_doc, "modulus", "/field_params"), "/field_params/modulus"),
             coord_bits=_as_int(_want(fp_doc, "coord_bits", "/field_params"), "/field_params/coord_bits"),
         )
-    except Exception as exc:
-        if isinstance(exc, SchemaError):
-            raise
+    except FieldError as exc:
         raise SchemaError(f"/field_params: {exc}")
     ps_doc = {**V1_POSEIDON, **_want(doc, "poseidon", "", dict)}
     ps_ints = {key: _as_int(ps_doc[key], f"/poseidon/{key}")
@@ -227,16 +225,11 @@ class FixtureSpec:
             raise GenerationFailed(f"unknown kind {self.kind!r}")
         if self.mode not in ("compliant", "non_compliant", "boundary"):
             raise GenerationFailed(f"unknown mode {self.mode!r}")
-        if not 1 <= self.n_traj <= statements.MAX_N_TRAJ:
-            raise GenerationFailed(f"n_traj outside desk-scale cap [1, {statements.MAX_N_TRAJ}]")
-        if not 1 <= self.n_geo <= statements.MAX_N_GEO:
-            raise GenerationFailed(f"n_geo outside desk-scale cap [1, {statements.MAX_N_GEO}]")
-        if self.n_traj * self.n_geo > statements.MAX_N_PAIRS:
-            raise GenerationFailed(f"n_traj x n_geo above desk-scale cap {statements.MAX_N_PAIRS}")
         try:
-            _field_for(self.coord_bits)
-        except FieldError as exc:
-            raise GenerationFailed(f"coord_bits: {exc}")
+            statements.check_sizes(self.n_traj, self.n_geo, "/n_traj", "/n_geo")
+            FieldParams(coord_bits=self.coord_bits)
+        except (InstanceError, FieldError) as exc:
+            raise GenerationFailed(str(exc))
 
 
 def load_spec(path) -> FixtureSpec:
@@ -253,12 +246,8 @@ def load_spec(path) -> FixtureSpec:
     )
 
 
-def _field_for(coord_bits: int) -> FieldParams:
-    return FieldParams(coord_bits=coord_bits)
-
-
 def _gen_ev(spec: FixtureSpec, rng: random.Random) -> StatementInstance:
-    fp = _field_for(spec.coord_bits)
+    fp = FieldParams(coord_bits=spec.coord_bits)
     bound = 1 << spec.coord_bits
     span = bound // 4
     circles = []
@@ -290,7 +279,7 @@ def _gen_ev(spec: FixtureSpec, rng: random.Random) -> StatementInstance:
 
 
 def _gen_tax(spec: FixtureSpec, rng: random.Random) -> StatementInstance:
-    fp = _field_for(spec.coord_bits)
+    fp = FieldParams(coord_bits=spec.coord_bits)
     bound = 1 << spec.coord_bits
     side = bound - 1
     road_y = side // 2

@@ -25,10 +25,14 @@ lanes 1..t-1 of a partial round, with each round's constants folded into
 the previous round's affines).  They write the same gate kinds straight
 into the gate, domain and value lists and keep every counter equal to the
 per-gate composition.
+
+``scope(name)`` opens a named region that runs to the next ``scope`` call;
+it costs one mark, and ``scope_of`` and ``region`` read the marks.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import operator
 from dataclasses import asdict, dataclass
@@ -110,6 +114,8 @@ class ConstraintSystem:
         self.n_prover_inputs = 0
         self.n_shared_inputs = 0
         self._const_cache: dict[int, int] = {}  # value -> wire id
+        self._marks: list[tuple[int, int, str]] = []  # per region: first gate, first assertion, name
+        self._scopes: dict[str, int] = {}  # region name -> index into _marks
 
     # -- wire creation -------------------------------------------------
 
@@ -334,6 +340,28 @@ class ConstraintSystem:
         self.n_mul += n_mul
         self.n_add += n_add
         return ids
+
+    # -- named regions --------------------------------------------------
+
+    def scope(self, name: str) -> None:
+        """Open region ``name``: every gate and assertion appended until the
+        next ``scope`` call.  Names are unique within a system."""
+        if self._scopes.setdefault(name, len(self._marks)) != len(self._marks):
+            raise CircuitError(f"scope {name!r} already opened")
+        self._marks.append((len(self._gates), len(self._assertions), name))
+
+    def scope_of(self, assertion: int | None) -> str | None:
+        """The region holding assertion index ``assertion``; None for None
+        (no failed assertion) or an assertion before the first region."""
+        i = 0 if assertion is None else bisect.bisect_right(self._marks, assertion, key=operator.itemgetter(1))
+        return self._marks[i - 1][2] if i else None
+
+    def region(self, name: str) -> tuple[range, range, list[int]]:
+        """Region ``name``'s gate ids, assertion indices and input wire ids."""
+        end = (len(self._gates), len(self._assertions), None)
+        i = self._scopes[name]
+        (g0, a0, _), (g1, a1, _) = (self._marks + [end])[i : i + 2]
+        return range(g0, g1), range(a0, a1), [w for w in range(g0, g1) if self._gates[w][0] == _INPUT]
 
     # -- prover-local access -------------------------------------------
 

@@ -29,6 +29,7 @@ def _cmd_check(args) -> int:
     out = {
         "satisfied": report.satisfied,
         "first_failed_assertion": report.first_failed_assertion,
+        "failed_scope": cs.scope_of(report.first_failed_assertion),
         **report.counters.as_dict(),
     }
     print(json.dumps(out, indent=2))
@@ -45,10 +46,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_fuzz(args) -> int:
     """Build the statement once, then check mutations by overriding inputs.
 
-    Each mutation changes one trail coordinate, which only the digest
-    assertion may reject, and gives one segment a wrong root with the bits
-    a prover derives for it, which only that root's assertions may reject
-    (hints further downstream are not re-derived)."""
+    Each mutation changes one trail coordinate, which only region digest
+    may reject, and gives segment j a wrong root with the bits a prover
+    derives for it, which only region segment[j] may reject (hints further
+    downstream are not re-derived; a first failure before it is not judged)."""
     inst = appio.load_instance(args.instance)
     rng = random.Random(args.seed)
     handle = statements.build_statement(inst, ConstraintSystem(inst.field_params))
@@ -59,33 +60,28 @@ def _cmd_fuzz(args) -> int:
         violations += 1
         print(f"EQUIVALENCE VIOLATION: circuit={honest} oracle={oracle}")
     bound = 1 << inst.field_params.coord_bits
-    k_seg = widths(inst.field_params.coord_bits, inst.ad.n_traj).seg
+    n = inst.ad.n_traj
+    k_seg = widths(inst.field_params.coord_bits, n).seg
     pts = list(inst.trail.points)
-    padded = inst.trail.padded(inst.ad.n_traj)
-    flat = statements.trail_message(inst.trail, inst.ad.n_traj)
+    padded = inst.trail.padded(n)
     for trial in range(args.mutations):
         i = rng.randrange(len(pts))
         axis = rng.randrange(2)
-        old = pts[i]
         new_coord = rng.randrange(bound)
-        while new_coord == old[axis]:
+        while new_coord == pts[i][axis]:
             new_coord = rng.randrange(bound)
-        mutated = list(pts)
-        mutated[i] = (new_coord, old[1]) if axis == 0 else (old[0], new_coord)
         # Padding repeats the last point, so a mutated last point moves its
         # padded copies too.
-        m_flat = statements.trail_message(statements.Trail(tuple(mutated)), inst.ad.n_traj)
-        overrides = {
-            wid: v for wid, v, o in zip(handle.trail_input_ids, m_flat, flat) if v != o
-        }
+        moved = range(i, n if i == len(pts) - 1 else i + 1)
+        overrides = {handle.trail_input_ids[axis * n + c]: new_coord for c in moved}
         report = handle.check(overrides=overrides)
-        if report.first_failed_assertion != handle.digest_assertion:
+        if handle.cs.scope_of(report.first_failed_assertion) != "digest":
             violations += 1
             print(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
-        if not handle.roots:
+        if n < 2:
             continue
-        j = rng.randrange(len(handle.roots))
-        inputs, asserts = handle.roots[j]
+        j = rng.randrange(n - 1)
+        _, asserts, inputs = handle.cs.region(f"segment[{j}]")
         (x0, y0), (x1, y1) = padded[j : j + 2]
         sq = (x1 - x0) ** 2 + (y1 - y0) ** 2
         root = localcalc.isqrt(sq)
@@ -93,9 +89,13 @@ def _cmd_fuzz(args) -> int:
                             if v not in (root, -1)])
         # The gadget itself, on a scratch system, derives the wrong root's bits.
         scratch = ConstraintSystem(inst.field_params)
-        _, wired = gadgets.sqrt_floor(scratch, scratch.const(sq), k_seg, wrong)
+        scratch.scope("root")
+        gadgets.sqrt_floor(scratch, scratch.const(sq), k_seg, wrong)
+        wired = scratch.region("root")[2]
         report = handle.check({w: scratch.value(v) for w, v in zip(inputs, wired)})
-        if report.first_failed_assertion not in asserts:
+        first = report.first_failed_assertion
+        reached = first is None or first >= asserts.start
+        if reached and handle.cs.scope_of(first) != f"segment[{j}]":
             violations += 1
             print(f"ROOT VIOLATION at mutation {trial} (segment {j}, root {wrong} != {root})")
     print(json.dumps({"mutations": args.mutations, "violations": violations}))
@@ -111,10 +111,9 @@ def _cmd_cost(args) -> int:
             )
             rows.append({"kind": args.kind, "n_traj": n_traj, "n_geo": n_geo, **counters})
     if args.csv:
-        cols = ["kind", "n_traj", "n_geo", "n_mul", "n_add", "n_assert", "n_prover_inputs", "n_shared_inputs"]
-        print(",".join(cols))
+        print(",".join(rows[0]))
         for row in rows:
-            print(",".join(str(row[c]) for c in cols))
+            print(",".join(map(str, row.values())))
     else:
         print(json.dumps(rows, indent=2))
     return EXIT_OK

@@ -55,7 +55,7 @@ def sqrt_floor(
     sq: int,
     k: int,
     hint: int | None = None,
-) -> tuple[int, list[int]]:
+) -> int:
     """Exact floor square root d = isqrt(sq) of an integer sq < 2^(2k).
 
     d = isqrt(sq) iff 0 <= sq - d^2 <= 2d: the prover wires d, and the
@@ -76,20 +76,15 @@ def sqrt_floor(
     The statements pass k = ``field.widths(...).seg`` = coord_bits + 1, and
     FieldParams guarantees p > 2^(3*coord_bits + 6) = 2^(3k + 3) >= 2^(2k + 5).
 
-    Returns d and the prover inputs wired, in order: d, the bits of r,
-    then the bits of 2d - r.
+    Returns d; its prover inputs, in wire order, are d, the bits of r,
+    then the bits of 2d - r (read them from a ``ConstraintSystem.region``).
     """
     d_val = hint if hint is not None else isqrt(cs.value(sq))
     d = cs.wire_input(d_val, Domain.PROVER)
     r = cs.sub(sq, cs.mul(d, d))
-    r_bits = decompose_bits(cs, r, k + 1)
-    s_bits = decompose_bits(cs, cs.affine([2, cs.p - 1], [d, r]), k + 1)
-    return d, [d, *r_bits, *s_bits]
-
-
-def or_gate(cs: ConstraintSystem, a: int, b: int) -> int:
-    """Boolean OR as a + b - a*b."""
-    return cs.sub(cs.add(a, b), cs.mul(a, b))
+    decompose_bits(cs, r, k + 1)
+    decompose_bits(cs, cs.affine([2, cs.p - 1], [d, r]), k + 1)
+    return d
 
 
 def is_nonneg(cs: ConstraintSystem, v: int, m: int) -> int:
@@ -119,7 +114,8 @@ def check_inside(
         dx = cs.sub(x, u)
         dy = cs.sub(y, v)
         sqdist = cs.add(cs.mul(dx, dx), cs.mul(dy, dy))
-        acc = or_gate(cs, acc, leq(cs, sqdist, s, width))
+        ok = leq(cs, sqdist, s, width)
+        acc = cs.sub(cs.add(acc, ok), cs.mul(acc, ok))  # boolean OR: a + b - a*b
     return acc
 
 

@@ -24,11 +24,7 @@ class DegenerateTriangle(Exception):
     pass
 
 
-def isqrt(v: int) -> int:
-    """Integer square root, rounded toward zero."""
-    if v < 0:
-        raise ValueError("negative input")
-    return math.isqrt(v)
+isqrt = math.isqrt  # rounded toward zero; ValueError on a negative input
 
 
 def area_dbl_sgn(a1: int, b1: int, a2: int, b2: int, a3: int, b3: int) -> int:

@@ -146,11 +146,9 @@ def fzk_check(ad: AuthorityData, h: int, store: TrailStore) -> bool:
     points = store.read("fzk")
     try:
         inst = StatementInstance(ad, Trail(points), h)
-        cs = ConstraintSystem(ad.field_params)
-        handle = statements.build_statement(inst, cs)
     except statements.InstanceError:
         return False
-    return handle.check().satisfied
+    return statements.build_statement(inst, ConstraintSystem(ad.field_params)).check().satisfied
 
 
 # -- machines ------------------------------------------------------------
@@ -272,8 +270,7 @@ def run_session(
     store = TrailStore(points)
 
     prover_out = "not_ok"
-    sig_msg = None
-    fzk_submission = None
+    sig_msg = fzk_submission = None
     h = _signable_hash(store.read("prover"), ad_p)
     if (
         h is not None
@@ -281,14 +278,12 @@ def run_session(
         and policy_holds(store.read("prover"), ad_p)
     ):
         prover_out = "ok"
-        sig_payload = (h, sigma)
-        fzk_payload = (ad_p, h, store.read("prover"))
+        sig_msg = (h, sigma)
+        fzk_submission = (ad_p, h, store.read("prover"))
         if prover_tamper is not None:
-            sig_payload = prover_tamper("sig", sig_payload)
-            fzk_payload = prover_tamper("fzk", fzk_payload)
-        sig_msg = sig_payload
-        fzk_submission = fzk_payload
-        transcript.record("prover", "verifier", ("sig", sid, sig_payload[0], "sigma"))
+            sig_msg = prover_tamper("sig", sig_msg)
+            fzk_submission = prover_tamper("fzk", fzk_submission)
+        transcript.record("prover", "verifier", ("sig", sid, sig_msg[0], "sigma"))
         transcript.record("prover", "fzk", ("prove!", sid))
 
     # Verifier turn.
@@ -333,14 +328,12 @@ def ideal_outputs(
     """
     if corrupted not in (None, "prover", "verifier"):
         raise InvalidScenario(f"unknown corruption {corrupted!r}")
-    res_p = 1 if policy_holds(trail_points, ad_p) else 0
-    res_v = 1
-    if ad_p != ad_v or not policy_holds(trail_points, ad_v):
-        res_v = 0
+    res_p = policy_holds(trail_points, ad_p)
+    res_v = ad_p == ad_v and policy_holds(trail_points, ad_v)
     if corrupted == "prover" and adversary_result is not None:
-        res_p = 1 if adversary_result == "ok" else 0
+        res_p = adversary_result == "ok"
     if corrupted == "verifier" and adversary_result is not None:
-        res_v = 1 if adversary_result == "ok" else 0
+        res_v = adversary_result == "ok"
     return {
         "prover": "ok" if res_p else "not_ok",
         "verifier": "ok" if res_v else "not_ok",

@@ -1,11 +1,13 @@
 """The two proof statements: EV subsidy and highway tax.
 
-Each builder lays down the full circuit for one statement instance on a
-caller-supplied ConstraintSystem and returns a handle whose ``check``
-method evaluates the system and reports satisfiability plus gate
-counters.  Both statements share one circuit segment walk, split by a
-per-point membership bit; a builder supplies only its geometry wiring,
-that bit and its final assertions.
+``build_statement`` lays down the full circuit for one statement
+instance on a caller-supplied ConstraintSystem and returns a handle whose
+``check`` method evaluates the system and reports satisfiability plus
+gate counters.  Both statements share one circuit segment walk, split by
+a per-point membership bit; a builder supplies only its geometry wiring,
+that bit and its final assertions.  Every assertion lies in one named
+region (``ConstraintSystem.scope``): trail, digest, geometry, point[0],
+then point[i] and segment[i - 1] for each later point i, and policy.
 
 The paper's relation is R(AD, h; trail).  ``AuthorityData`` is AD, the
 public half that both parties hold; it checks nothing when it is
@@ -40,16 +42,33 @@ class InstanceError(Exception):
     pass
 
 
+def check_sizes(n_traj: int, n_geo: int, traj_at: str, geo_at: str) -> None:
+    """Raise InstanceError unless n_traj, the count n_geo of circles or
+    triangles and n_traj x n_geo are within the desk-scale caps; messages
+    start with the pointer ``traj_at`` or ``geo_at``."""
+    if not 1 <= n_traj <= MAX_N_TRAJ:
+        raise InstanceError(f"{traj_at}: outside desk-scale cap [1, {MAX_N_TRAJ}]")
+    if not 1 <= n_geo <= MAX_N_GEO:
+        raise InstanceError(f"{geo_at}: outside desk-scale cap [1, {MAX_N_GEO}]")
+    if n_traj * n_geo > MAX_N_PAIRS:
+        raise InstanceError(
+            f"{geo_at}: n_traj x n_geo = {n_traj * n_geo} above desk-scale cap {MAX_N_PAIRS}")
+
+
+def _check_ints(pointer: str, values, lo: int = 0, hi: float = float("inf")) -> None:
+    """Raise InstanceError unless each of ``values`` is an int in [lo, hi]
+    and not a bool: wired, a float would be truncated; the oracle would not."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int) or not lo <= v <= hi:
+            raise InstanceError(f"{pointer}: {v!r} is not an integer in [{lo}, {hi}]")
+
+
 @dataclass(frozen=True)
 class Trail:
     """Raw coordinate trail; padding repeats the last real point, so padded
     segments have zero length and never change tot/cc/hw."""
 
     points: tuple[tuple[int, int], ...]
-
-    @property
-    def declared_len(self) -> int:
-        return len(self.points)
 
     def padded(self, n_traj: int) -> list[tuple[int, int]]:
         pts = list(self.points)
@@ -145,71 +164,56 @@ def honest_hash(pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
     return localcalc.poseidon_digest_ref(trail_message(trail, n_traj), pp)
 
 
-def _check_geometry_count(ad: AuthorityData, pointer: str) -> None:
-    n_geo = ad.geometry.count
-    if not 1 <= n_geo <= MAX_N_GEO:
-        raise InstanceError(f"{pointer}: outside desk-scale cap [1, {MAX_N_GEO}]")
-    if ad.n_traj * n_geo > MAX_N_PAIRS:
-        raise InstanceError(
-            f"{pointer}: n_traj x count = {ad.n_traj * n_geo} above desk-scale cap {MAX_N_PAIRS}")
-
-
 def validate_instance(inst: StatementInstance) -> None:
     """Raise InstanceError unless the circuit decides inst exactly as the
     oracle does; ``StatementInstance`` runs it when it is constructed, and
     no one else does.  Each message starts with the JSON pointer of the
     offending field in the instance file format.
 
-    Beyond the ranges of the sizes (and of n_traj x the geometry count),
-    trail length, coordinates, radii, triangle orientation and policy
-    values, the statement's widest comparison m must fit below p,
-    2^(m+1) < p: for ev that is ``widths(...).cover``, for tax the wider
-    of tot and bary (see ``field.widths``).  A small prime with a long
-    trail fails this check.
+    Beyond the sizes (``check_sizes``), the Poseidon prime (the field
+    modulus), trail length, coordinates, radii, triangle orientation and
+    policy values, every number must be an int, and the statement's
+    widest comparison m must fit below p, 2^(m+1) < p: for ev that is
+    ``widths(...).cover``, for tax the wider of tot and bary (see
+    ``field.widths``).  A small prime with a long trail fails this check.
     """
     ad = inst.ad
     fp = ad.field_params
     k = fp.coord_bits
-    bound = 1 << k
+    top = (1 << k) - 1
     if ad.kind not in ("ev", "tax"):
         raise InstanceError(f"/kind: unknown statement kind {ad.kind!r}")
-    if not 1 <= ad.n_traj <= MAX_N_TRAJ:
-        raise InstanceError(f"/sizes/n_traj: outside desk-scale cap [1, {MAX_N_TRAJ}]")
-    if not 0 < inst.trail.declared_len <= ad.n_traj:
+    ev = ad.kind == "ev"
+    geo_type, pol_type = (CircleSet, SubsidyPolicy) if ev else (TriangleSet, TaxPolicy)
+    if not isinstance(ad.geometry, geo_type) or not isinstance(ad.policy, pol_type):
+        raise InstanceError(f"/geometry: {ad.kind} instance needs {geo_type.__name__} + {pol_type.__name__}")
+    _check_ints("/sizes/n_traj", [ad.n_traj])
+    check_sizes(ad.n_traj, ad.geometry.count, "/sizes/n_traj",
+                "/geometry/circles" if ev else "/geometry/triangles")
+    if ad.pp.prime != fp.modulus:
+        raise InstanceError(f"/poseidon: prime {ad.pp.prime} is not the field modulus {fp.modulus}")
+    if not 0 < len(inst.trail.points) <= ad.n_traj:
         raise InstanceError("/trail/points: trail length outside (0, n_traj]")
     for i, (x, y) in enumerate(inst.trail.points):
-        if not (0 <= x < bound and 0 <= y < bound):
-            raise InstanceError(f"/trail/points/{i}: outside [0, 2^{k})")
+        _check_ints(f"/trail/points/{i}", (x, y), 0, top)
     w = widths(k, ad.n_traj)
-    if ad.kind == "ev":
-        if not isinstance(ad.geometry, CircleSet) or not isinstance(ad.policy, SubsidyPolicy):
-            raise InstanceError("/geometry: ev instance needs CircleSet + SubsidyPolicy")
-        _check_geometry_count(ad, "/geometry/circles")
+    if ev:
         for i, (u, v, r) in enumerate(ad.geometry.circles):
-            if not (0 <= u < bound and 0 <= v < bound and 0 < r < bound):
-                raise InstanceError(f"/geometry/circles/{i}: out of coordinate range")
-        if not 0 <= ad.policy.p_req <= 100:
-            raise InstanceError("/policy/p_req: must be in [0, 100]")
-        if ad.policy.d_req < 0:
-            raise InstanceError("/policy/d_req: must be non-negative")
-        if ad.policy.d_req >= 1 << w.tot:
-            raise InstanceError("/policy/d_req: exceeds the accumulator width")
+            _check_ints(f"/geometry/circles/{i}", (u, v), 0, top)
+            _check_ints(f"/geometry/circles/{i}", (r,), 1, top)
+        _check_ints("/policy/p_req", [ad.policy.p_req], 0, 100)
+        _check_ints("/policy/d_req", [ad.policy.d_req], 0, (1 << w.tot) - 1)  # the accumulator width
         m = w.cover
     else:
-        if not isinstance(ad.geometry, TriangleSet) or not isinstance(ad.policy, TaxPolicy):
-            raise InstanceError("/geometry: tax instance needs TriangleSet + TaxPolicy")
-        _check_geometry_count(ad, "/geometry/triangles")
         for j, tri in enumerate(ad.geometry.triangles):
             for v, (x, y) in enumerate(tri):
-                if not (0 <= x < bound and 0 <= y < bound):
-                    raise InstanceError(f"/geometry/triangles/{j}/{v}: out of range")
+                _check_ints(f"/geometry/triangles/{j}/{v}", (x, y), 0, top)
             a = localcalc.area_dbl_sgn(*tri[0], *tri[1], *tri[2])
             if a == 0:
                 raise InstanceError(f"/geometry/triangles/{j}: degenerate triangle {tri}")
             if a < 0:
                 raise InstanceError(f"/geometry/triangles/{j}: not positively oriented")
-        if ad.policy.d_max < 0:
-            raise InstanceError("/policy/d_max: must be non-negative")
+        _check_ints("/policy/d_max", [ad.policy.d_max])
         m = max(w.tot, w.bary)
     if 1 << (m + 1) >= fp.modulus:
         raise InstanceError(
@@ -233,56 +237,56 @@ def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, 
 @dataclass
 class StatementHandle:
     cs: ConstraintSystem
-    trail_input_ids: list[int]
-    digest_assertion: int  # index of the assertion digest == h_ex
-    roots: list[tuple[list[int], range]]  # per segment: root inputs, assertions
+    trail_input_ids: list[int]  # the inputs of region trail: every x, then every y
 
     def check(self, overrides: dict[int, int] | None = None) -> SatisfactionReport:
         return self.cs.evaluate_and_check(overrides)
 
 
 def _wire_trail(cs: ConstraintSystem, inst: StatementInstance):
+    """Regions trail (the coordinates) and digest (their hash == h_ex)."""
     pts = inst.trail.padded(inst.ad.n_traj)
+    cs.scope("trail")
     xs = [cs.wire_input(x, Domain.PROVER) for x, _ in pts]
     ys = [cs.wire_input(y, Domain.PROVER) for _, y in pts]
+    cs.scope("digest")
     digest = gadgets.poseidon_hash(cs, xs + ys, inst.ad.pp)
-    h_ex = cs.wire_input(inst.h_ex, Domain.SHARED)
-    digest_assertion = len(cs._assertions)
-    cs.assert_eq(digest, h_ex)
-    return pts, xs, ys, digest_assertion
+    cs.assert_eq(digest, cs.wire_input(inst.h_ex, Domain.SHARED))
+    return pts, xs, ys
 
 
 def _segment_walk(cs, xs, ys, inside, k_seg, sqrt_hints=None):
-    """Circuit twin of ``localcalc.segment_walk``: (tot, both, roots).
+    """Circuit twin of ``localcalc.segment_walk``: (tot, both).
 
-    ``inside(i)`` wires point i's membership bit.  Segment lengths are
-    exact roots (``gadgets.sqrt_floor`` at k_seg bits); both sums the lengths of the
-    segments with both endpoints inside, and roots holds each root's
-    prover inputs and assertion indices.
+    ``inside(i)`` wires point i's membership bit, in region point[i].
+    Region segment[j] holds the exact root (``gadgets.sqrt_floor`` at k_seg
+    bits: the region's only inputs and assertions) that is the length of
+    the segment from point j to j + 1; both sums the lengths of the
+    segments with both endpoints inside.
     """
     tot = both = cs.const(0)
-    roots = []
+    cs.scope("point[0]")
     in_prev = inside(0)
     for i in range(1, len(xs)):
+        cs.scope(f"point[{i}]")
         in_cur = inside(i)
+        cs.scope(f"segment[{i - 1}]")
         dx = cs.sub(xs[i], xs[i - 1])
         dy = cs.sub(ys[i], ys[i - 1])
         sq = cs.add(cs.mul(dx, dx), cs.mul(dy, dy))
         hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
-        first = len(cs._assertions)
-        d, wired = gadgets.sqrt_floor(cs, sq, k_seg, hint)
-        roots.append((wired, range(first, len(cs._assertions))))
+        d = gadgets.sqrt_floor(cs, sq, k_seg, hint)
         tot = cs.add(tot, d)
         both = cs.oblivious_choice(cs.mul(in_prev, in_cur), cs.add(both, d), both)
         in_prev = in_cur
-    return tot, both, roots
+    return tot, both
 
 
-def build_ev_subsidy(
+def _build_ev_subsidy(
     inst: StatementInstance,
     cs: ConstraintSystem,
     sqrt_hints: list[int] | None = None,
-) -> StatementHandle:
+) -> None:
     """Circuit for the subsidy statement.
 
     Binds the trail to h_ex, walks the segments with circle membership as
@@ -292,10 +296,9 @@ def build_ev_subsidy(
     while cc stays put and inflate the coverage share.
     """
     ad = inst.ad
-    if ad.kind != "ev":
-        raise InstanceError("not an ev instance")
     w = widths(ad.field_params.coord_bits, ad.n_traj)
-    _, xs, ys, digest_assertion = _wire_trail(cs, inst)
+    _, xs, ys = _wire_trail(cs, inst)
+    cs.scope("geometry")
     us = [cs.wire_input(u, Domain.SHARED) for u, _, _ in ad.geometry.circles]
     vs = [cs.wire_input(v, Domain.SHARED) for _, v, _ in ad.geometry.circles]
     ss = [cs.wire_input(r * r, Domain.SHARED) for _, _, r in ad.geometry.circles]
@@ -303,22 +306,22 @@ def build_ev_subsidy(
     def inside(i):
         return gadgets.check_inside(cs, us, vs, ss, xs[i], ys[i], w.circle)
 
-    tot, cc, roots = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
+    tot, cc = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
+    cs.scope("policy")
     d_req = cs.wire_input(ad.policy.d_req, Domain.SHARED)
     gadgets.assert_leq(cs, d_req, tot, w.tot)
     p_req = cs.wire_input(ad.policy.p_req, Domain.SHARED)
     lhs = cs.mul(tot, p_req)
     rhs = cs.affine([100], [cc])
     gadgets.assert_leq(cs, lhs, rhs, w.cover)
-    return StatementHandle(cs, xs + ys, digest_assertion, roots)
 
 
-def build_highway_tax(
+def _build_highway_tax(
     inst: StatementInstance,
     cs: ConstraintSystem,
     sqrt_hints: list[int] | None = None,
     tri_hints: list[int] | None = None,
-) -> StatementHandle:
+) -> None:
     """Circuit for the highway-tax statement.
 
     Per point the prover locally finds a containing triangle; the circuit
@@ -328,11 +331,10 @@ def build_highway_tax(
     road, and the final assertion bounds tot - hw by d_max.
     """
     ad = inst.ad
-    if ad.kind != "tax":
-        raise InstanceError("not a tax instance")
     w = widths(ad.field_params.coord_bits, ad.n_traj)
     tris = ad.geometry.triangles
-    pts, xs, ys, digest_assertion = _wire_trail(cs, inst)
+    pts, xs, ys = _wire_trail(cs, inst)
+    cs.scope("geometry")
     rows = [
         tuple(cs.wire_input(vx, Domain.SHARED) for vx, _ in tri)
         + tuple(cs.wire_input(vy, Domain.SHARED) for _, vy in tri)
@@ -350,19 +352,20 @@ def build_highway_tax(
         row = gadgets.lookup(cs, t_i, rows)
         return gadgets.check_inside_triangle(cs, row, xs[i], ys[i], (bc.s, bc.t), w.bary)
 
-    tot, hw, roots = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
+    tot, hw = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
+    cs.scope("policy")
     taxed = cs.sub(tot, hw)
     # d_max beyond the accumulator width always satisfies; clamp keeps the
     # comparison in range without changing the verdict.
     d_max = min(ad.policy.d_max, (1 << w.tot) - 1)
     gadgets.assert_leq(cs, taxed, cs.wire_input(d_max, Domain.SHARED), w.tot)
-    return StatementHandle(cs, xs + ys, digest_assertion, roots)
 
 
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, **hints) -> StatementHandle:
-    if inst.ad.kind == "ev":
-        return build_ev_subsidy(inst, cs, **hints)
-    return build_highway_tax(inst, cs, **hints)
+    """Lay down inst's statement on cs; ``hints`` (sqrt_hints, and
+    tri_hints for tax) replace the prover's honest local values."""
+    (_build_ev_subsidy if inst.ad.kind == "ev" else _build_highway_tax)(inst, cs, **hints)
+    return StatementHandle(cs, cs.region("trail")[2])
 
 
 def oracle_verdict(inst: StatementInstance) -> bool:
@@ -386,12 +389,7 @@ def _dummy_instance(kind: str, n_traj: int, n_geo: int, field_params: FieldParam
 
 def statement_cost(kind: str, n_traj: int, n_geo: int, field_params: FieldParams | None = None) -> dict[str, int]:
     """Gate counters of a statement as a function of its sizes only."""
-    if not 1 <= n_geo <= MAX_N_GEO:
-        raise InstanceError(f"n_geo: outside desk-scale cap [1, {MAX_N_GEO}]")
-    if n_traj * n_geo > MAX_N_PAIRS:
-        raise InstanceError(f"n_traj x n_geo: {n_traj * n_geo} above desk-scale cap {MAX_N_PAIRS}")
+    check_sizes(n_traj, n_geo, "n_traj", "n_geo")
     fp = field_params or FieldParams()
-    inst = _dummy_instance(kind, n_traj, n_geo, fp)
-    cs = ConstraintSystem(fp)
-    build_statement(inst, cs)
-    return cs.counters.as_dict()
+    handle = build_statement(_dummy_instance(kind, n_traj, n_geo, fp), ConstraintSystem(fp))
+    return handle.cs.counters.as_dict()

@@ -324,6 +324,42 @@ def test_cli_check_non_compliant_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["satisfied"] is False
 
 
+def _tamper_h_ex(path):
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["h_ex"] = str(int(doc["h_ex"]) + 1)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_cli_check_names_the_failed_scope(tmp_path, capsys, kind):
+    cases = [
+        (_write_fixture(tmp_path, kind=kind), 0, None),
+        (_write_fixture(tmp_path, "non_compliant", kind), 1, "policy"),
+        (_tamper_h_ex(_write_fixture(tmp_path, "boundary", kind)), 1, "digest"),
+    ]
+    for path, code, scope in cases:
+        assert cli_main(["check", path]) == code
+        out = json.loads(capsys.readouterr().out)
+        assert out["failed_scope"] == scope
+        assert (out["first_failed_assertion"] is None) == (scope is None)
+
+
+def test_cli_fuzz_does_not_judge_roots_behind_a_failed_digest(tmp_path, capsys):
+    # Every mutation fails at the digest first, before any root's own
+    # assertions are reached: only the circuit/oracle disagreement counts.
+    inst = gen_fixture(FixtureSpec(kind="ev", seed=1, n_traj=8, n_geo=2))
+    path = tmp_path / "tampered.json"
+    save_instance(inst, path)
+    assert cli_main(["fuzz", str(_tamper_h_ex(path)), "--mutations", "4"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "EQUIVALENCE VIOLATION: circuit=False oracle=True"
+    assert not any("ROOT VIOLATION" in line for line in lines)
+    assert json.loads(lines[-1]) == {"mutations": 4, "violations": 1}
+
+
 def test_cli_oracle_agrees_with_check(tmp_path, capsys):
     for mode, code in [("compliant", 0), ("non_compliant", 1)]:
         path = _write_fixture(tmp_path, mode=mode)

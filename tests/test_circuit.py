@@ -365,3 +365,33 @@ def test_decompose_needs_a_bit():
     cs = fresh()
     with pytest.raises(CircuitError):
         cs.decompose(cs.wire_input(0, Domain.PROVER), 0)
+
+
+# -- named regions -------------------------------------------------------
+
+
+def test_scope_regions_run_to_the_next_mark():
+    cs = fresh()
+    before = cs.wire_input(1, Domain.PROVER)
+    cs.assert_zero(cs.sub(before, cs.const(1)))
+    cs.scope("a")
+    x = cs.wire_input(3, Domain.PROVER)
+    y = cs.wire_input(4, Domain.SHARED)
+    cs.assert_eq(cs.mul(x, y), cs.const(12))
+    cs.scope("empty")
+    cs.scope("b")
+    z = cs.wire_input(5, Domain.PROVER)
+    cs.assert_zero(z)
+    a, empty, b = cs.region("a"), cs.region("empty"), cs.region("b")
+    assert (a[2], empty[2], b[2]) == ([x, y], [], [z])
+    assert (a[1], empty[1], b[1]) == (range(1, 2), range(2, 2), range(2, 3))
+    assert (a[0], empty[0], b[0]) == (range(x, z), range(z, z), range(z, len(cs._gates)))
+    assert [cs.scope_of(i) for i in (None, 0, 1, 2)] == [None, None, "a", "b"]
+
+
+def test_scope_adds_no_gates_and_names_are_unique():
+    cs = fresh()
+    cs.scope("a")
+    assert cs._gates == [] and cs.counters.as_dict() == fresh().counters.as_dict()
+    with pytest.raises(CircuitError, match="already opened"):
+        cs.scope("a")

@@ -84,7 +84,7 @@ def test_assert_leq(a, b, ok):
 def _sqrt_system(sq, k, hint=None):
     cs = fresh()
     w = cs.wire_input(sq, Domain.PROVER)
-    d, _ = gadgets.sqrt_floor(cs, w, k, hint)
+    d = gadgets.sqrt_floor(cs, w, k, hint)
     return cs, d
 
 
@@ -106,7 +106,7 @@ def test_sqrt_adversarial_over_rejected():
 
 
 def _sqrt_witness(p, sq, d, k):
-    # Values of the inputs sqrt_floor returns: d, bits of r, bits of 2d - r.
+    # Values of the inputs sqrt_floor wires: d, bits of r, bits of 2d - r.
     r = (sq - d * d) % p
     s = (2 * d - r) % p
     return [d] + [(r >> i) & 1 for i in range(k + 1)] + [(s >> i) & 1 for i in range(k + 1)]
@@ -126,7 +126,9 @@ def test_sqrt_exact_at_smallest_admitted_primes():
         k = c + 1
         cs = ConstraintSystem(FieldParams(modulus=p, coord_bits=c))
         w = cs.wire_input(5, Domain.PROVER)
-        _, inputs = gadgets.sqrt_floor(cs, w, k)
+        cs.scope("root")
+        gadgets.sqrt_floor(cs, w, k)
+        inputs = cs.region("root")[2]
         assert [cs.value(i) for i in inputs] == _sqrt_witness(p, 5, 2, k)
         if c <= 2:
             hints = range(p)

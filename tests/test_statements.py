@@ -7,10 +7,10 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from zkpol import gadgets, localcalc
-from zkpol.appio import SchemaError, instance_from_doc
+from zkpol.appio import FixtureSpec, SchemaError, gen_fixture, instance_from_doc
 from zkpol.circuit import ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
-from zkpol.poseidon import PoseidonParamError, params_for
+from zkpol.poseidon import PoseidonParamError, PoseidonParams, params_for
 from zkpol.protocol import ideal_outputs, run_session
 from zkpol.statements import (
     MAX_N_GEO,
@@ -25,8 +25,6 @@ from zkpol.statements import (
     Trail,
     TriangleSet,
     _dummy_instance,
-    build_ev_subsidy,
-    build_highway_tax,
     build_statement,
     honest_hash,
     make_instance,
@@ -185,13 +183,13 @@ def test_instance_caps_n_traj_times_the_geometry_count(kind, policy, geometry):
         return StatementInstance(ad, Trail(((1, 1),)), h_ex=0)
 
     instance(n_geo)
-    with pytest.raises(InstanceError, match=f"^{pointer}: n_traj x count = {MAX_N_PAIRS + MAX_N_TRAJ} above"):
+    with pytest.raises(InstanceError, match=f"^{pointer}: n_traj x n_geo = {MAX_N_PAIRS + MAX_N_TRAJ} above"):
         instance(n_geo + 1)
 
 
 def test_statement_cost_caps_n_traj_times_n_geo(monkeypatch):
     monkeypatch.setattr("zkpol.statements._dummy_instance", mock.Mock(side_effect=AssertionError))
-    with pytest.raises(InstanceError, match="^n_traj x n_geo"):
+    with pytest.raises(InstanceError, match="^n_geo: n_traj x n_geo"):
         statement_cost("ev", MAX_N_TRAJ, MAX_N_PAIRS // MAX_N_TRAJ + 1, FP12)
 
 
@@ -205,6 +203,38 @@ def test_instance_rejects_mismatched_geometry():
     trail = Trail(((1, 1),))
     with pytest.raises(InstanceError):
         make_instance("ev", FP12, 2, SubsidyPolicy(0, 0), TriangleSet.oriented([((0, 0), (3, 0), (0, 3))]), trail)
+
+
+def test_instance_rejects_a_poseidon_prime_other_than_the_modulus():
+    # Hashed mod 32779 by the reference and mod 2^127 - 1 by the circuit,
+    # the digest would fail while the oracle says True.
+    with pytest.raises(InstanceError, match="^/poseidon: prime 32779"):
+        make_instance("ev", FieldParams(coord_bits=4), 4, SubsidyPolicy(0, 0), CircleSet(((1, 1, 1),)),
+                      Trail(((1, 1), (2, 2))), pp=PoseidonParams(prime=32779))
+
+
+# Numbers that are not ints: wired, a float would be truncated (p_req 33.5
+# as 33, so the circuit accepts what the oracle rejects) or fail in the
+# reference hash.  Each as (kind, n_traj, policy, geometry, trail, pointer).
+_LINE = Trail(((0, 0), (100, 0), (200, 0), (300, 0)))
+NON_INTEGERS = {
+    "p_req-float": ("ev", 4, SubsidyPolicy(0, 33.5), CircleSet(((50, 0, 60),)), _LINE, "/policy/p_req"),
+    "d_req-float": ("ev", 4, SubsidyPolicy(0.5, 0), CircleSet(((50, 0, 60),)), _LINE, "/policy/d_req"),
+    "d_max-float": ("tax", 4, TaxPolicy(2.5), TRIANGLE, _LINE, "/policy/d_max"),
+    "trail-float": ("ev", 4, SubsidyPolicy(0, 0), CIRCLE, Trail(((0.5, 0), (100, 0))), "/trail/points/0"),
+    "trail-bool": ("ev", 4, SubsidyPolicy(0, 0), CIRCLE, Trail(((1, 1), (2, True))), "/trail/points/1"),
+    "n_traj-float": ("ev", 4.0, SubsidyPolicy(0, 0), CIRCLE, _LINE, "/sizes/n_traj"),
+    "radius-bool": ("ev", 4, SubsidyPolicy(0, 0), CircleSet(((1, 1, True),)), _LINE, "/geometry/circles/0"),
+    "vertex-float": ("tax", 4, TaxPolicy(0), TriangleSet((((0, 0), (3.0, 0), (0, 3)),)), _LINE,
+                     "/geometry/triangles/0/1"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+def test_instance_rejects_numbers_that_are_not_integers(case):
+    kind, n_traj, policy, geometry, trail, pointer = case
+    with pytest.raises(InstanceError, match=f"^{pointer}: .* is not an integer"):
+        make_instance(kind, FieldParams(coord_bits=12), n_traj, policy, geometry, trail)
 
 
 # -- subsidy statement ---------------------------------------------------
@@ -496,6 +526,41 @@ def test_statement_cost_pinned():
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
+
+
+# -- named regions -------------------------------------------------------
+
+
+REGION_CASES = {
+    **{f"dummy-{k}-{n}x{g}-{b}": (k, n, g, b) for k, n, g, b in (
+        ("ev", 256, 1, 24), ("ev", 64, 4, 12), ("tax", 64, 16, 12), ("tax", 8, 3, 24))},
+    **{f"{k}-{mode}": (k, 16, g, mode) for k, g in (("ev", 4), ("tax", 16))
+       for mode in ("compliant", "non_compliant", "boundary")},
+}
+
+
+@pytest.mark.parametrize("case", REGION_CASES.values(), ids=REGION_CASES.keys())
+def test_every_assertion_lies_in_exactly_one_named_region(case):
+    kind, n_traj, n_geo, bits_or_mode = case
+    if isinstance(bits_or_mode, int):
+        inst = _dummy_instance(kind, n_traj, n_geo, FieldParams(coord_bits=bits_or_mode))
+    else:
+        inst = gen_fixture(FixtureSpec(kind=kind, seed=7, n_traj=n_traj, n_geo=n_geo, mode=bits_or_mode))
+    cs, h = _build(inst)
+    n = inst.ad.n_traj
+    names = ["trail", "digest", "geometry", "point[0]",
+             *(r for i in range(1, n) for r in (f"point[{i}]", f"segment[{i - 1}]")), "policy"]
+    owner = {}
+    for name in names:
+        for a in cs.region(name)[1]:
+            assert a not in owner, (a, owner.get(a), name)
+            owner[a] = name
+    assert sorted(owner) == list(range(cs.counters.n_assert))
+    assert all(cs.scope_of(a) == name for a, name in owner.items())
+    assert cs.region("digest")[1] == range(1) and owner[cs.counters.n_assert - 1] == "policy"
+    assert h.trail_input_ids == cs.region("trail")[2] and len(h.trail_input_ids) == 2 * n
+    failed = cs.scope_of(h.check().first_failed_assertion)
+    assert failed == (None if oracle_verdict(inst) else "policy")
 
 
 # -- small primes --------------------------------------------------------
