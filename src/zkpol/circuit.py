@@ -190,13 +190,6 @@ class ConstraintSystem:
     def assert_eq(self, a: int, b: int) -> None:
         self.assert_zero(self.sub(a, b))
 
-    def oblivious_choice(self, b: int, x: int, y: int) -> int:
-        """Branch-free select: y + b*(x - y); exactly one mul gate.
-
-        Callers must separately assert that b is boolean.
-        """
-        return self.add(y, self.mul(b, self.sub(x, y)))
-
     def decompose(self, w: int, k: int) -> range:
         """Bulk primitive behind bit decomposition: k prover-only input
         bits b_i = (v >> i) & 1 of w's value v, each boolean-asserted as

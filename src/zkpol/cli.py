@@ -47,22 +47,41 @@ def _cmd_fuzz(args) -> int:
     """Build the statement once, then check mutations by overriding inputs.
 
     Each mutation changes one trail coordinate, which only region digest
-    may reject, and gives segment j a wrong root with the bits a prover
-    derives for it, which only region segment[j] may reject (hints further
-    downstream are not re-derived; a first failure before it is not judged)."""
+    may reject; zeroes the row the prover names at point i, with the bits
+    a prover derives for the all-zero selector, which only region point[i]
+    may reject; and gives segment j a wrong root with the bits a prover
+    derives for it, which only region segment[j] may reject.  Hints
+    further downstream are not re-derived, so a mutation whose first
+    failure comes before its region is not judged."""
     inst = appio.load_instance(args.instance)
     rng = random.Random(args.seed)
-    handle = statements.build_statement(inst, ConstraintSystem(inst.field_params))
+    cs = ConstraintSystem(inst.field_params)
+    handle = statements.build_statement(inst, cs)
     honest = handle.check().satisfied
     oracle = statements.oracle_verdict(inst)
     violations = 0
     if honest != oracle:
         violations += 1
         print(f"EQUIVALENCE VIOLATION: circuit={honest} oracle={oracle}")
+
+    def passes(region, overrides):
+        """True if the mutation reaches region and region does not reject it."""
+        first = handle.check(overrides).first_failed_assertion
+        reached = first is None or first >= cs.region(region)[1].start
+        return reached and cs.scope_of(first) != region
+
+    def rederived(wire):
+        """The values of the prover inputs that ``wire`` wires on a scratch
+        system: the gadgets themselves derive a mutation's bits."""
+        scratch = ConstraintSystem(inst.field_params)
+        scratch.scope("mutated")
+        wire(scratch)
+        return [scratch.value(w) for w in scratch.region("mutated")[2]]
+
     bound = 1 << inst.field_params.coord_bits
     n = inst.ad.n_traj
     k_seg = widths(inst.field_params.coord_bits, n).seg
-    pts = list(inst.trail.points)
+    pts = inst.trail.points
     padded = inst.trail.padded(n)
     for trial in range(args.mutations):
         i = rng.randrange(len(pts))
@@ -73,29 +92,26 @@ def _cmd_fuzz(args) -> int:
         # Padding repeats the last point, so a mutated last point moves its
         # padded copies too.
         moved = range(i, n if i == len(pts) - 1 else i + 1)
-        overrides = {handle.trail_input_ids[axis * n + c]: new_coord for c in moved}
-        report = handle.check(overrides=overrides)
-        if handle.cs.scope_of(report.first_failed_assertion) != "digest":
+        if passes("digest", {handle.trail_input_ids[axis * n + c]: new_coord for c in moved}):
             violations += 1
             print(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
+        i = rng.randrange(n)
+        x, y = padded[i]
+        wired = rederived(
+            lambda sc: statements.point_inside(sc, inst.ad, sc.const(x), sc.const(y), (x, y), 0))
+        if passes(f"point[{i}]", dict(zip(cs.region(f"point[{i}]")[2], wired))):
+            violations += 1
+            print(f"SELECTOR VIOLATION at mutation {trial} (point {i})")
         if n < 2:
             continue
         j = rng.randrange(n - 1)
-        _, asserts, inputs = handle.cs.region(f"segment[{j}]")
         (x0, y0), (x1, y1) = padded[j : j + 2]
         sq = (x1 - x0) ** 2 + (y1 - y0) ** 2
         root = localcalc.isqrt(sq)
         wrong = rng.choice([v for v in (root - 1, root + 1, rng.randrange(1 << k_seg))
                             if v not in (root, -1)])
-        # The gadget itself, on a scratch system, derives the wrong root's bits.
-        scratch = ConstraintSystem(inst.field_params)
-        scratch.scope("root")
-        gadgets.sqrt_floor(scratch, scratch.const(sq), k_seg, wrong)
-        wired = scratch.region("root")[2]
-        report = handle.check({w: scratch.value(v) for w, v in zip(inputs, wired)})
-        first = report.first_failed_assertion
-        reached = first is None or first >= asserts.start
-        if reached and handle.cs.scope_of(first) != f"segment[{j}]":
+        wired = rederived(lambda sc: gadgets.sqrt_floor(sc, sc.const(sq), k_seg, wrong))
+        if passes(f"segment[{j}]", dict(zip(cs.region(f"segment[{j}]")[2], wired))):
             violations += 1
             print(f"ROOT VIOLATION at mutation {trial} (segment {j}, root {wrong} != {root})")
     print(json.dumps({"mutations": args.mutations, "violations": violations}))

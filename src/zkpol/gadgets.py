@@ -1,8 +1,9 @@
 """Reusable circuit fragments.
 
 Booleanity, bit decomposition, comparisons, the exact floor square root
-with prover-supplied hint, the Poseidon sponge, circle and
-triangle membership, and the characteristic-vector row lookup.  All
+with prover-supplied hint, the Poseidon sponge, the characteristic-vector
+lookup of a row of a public table, and circle and triangle membership in
+one such row.  All
 gadgets append to a caller-owned ConstraintSystem; prover-local hint
 values are derived from the builder's eager values unless the caller
 supplies them explicitly (which the adversarial tests do).
@@ -93,30 +94,18 @@ def is_nonneg(cs: ConstraintSystem, v: int, m: int) -> int:
     return decompose_bits(cs, shifted, m + 1)[m]
 
 
-def check_inside(
-    cs: ConstraintSystem,
-    us: list[int],
-    vs: list[int],
-    ss: list[int],
-    x: int,
-    y: int,
-    width: int,
-) -> int:
-    """Boolean: (x, y) lies inside at least one circle.
+def check_inside(cs: ConstraintSystem, row: tuple[int, int, int], x: int, y: int, width: int) -> int:
+    """Boolean: (x, y) lies inside the circle row = (u, v, s), s the squared
+    radius.
 
-    ss holds the squared radii; membership per circle is the non-strict
-    inequality (x-u)^2 + (y-v)^2 <= s, compared with ``leq`` at ``width``
-    bits, which must bound both sides (the statements pass
-    ``field.widths(...).circle``).
+    Membership is the non-strict inequality (x-u)^2 + (y-v)^2 <= s,
+    compared with ``leq`` at ``width`` bits, which must bound both sides
+    (the statements pass ``field.widths(...).circle``).
     """
-    acc = cs.const(0)
-    for u, v, s in zip(us, vs, ss):
-        dx = cs.sub(x, u)
-        dy = cs.sub(y, v)
-        sqdist = cs.add(cs.mul(dx, dx), cs.mul(dy, dy))
-        ok = leq(cs, sqdist, s, width)
-        acc = cs.sub(cs.add(acc, ok), cs.mul(acc, ok))  # boolean OR: a + b - a*b
-    return acc
+    u, v, s = row
+    dx = cs.sub(x, u)
+    dy = cs.sub(y, v)
+    return leq(cs, cs.add(cs.mul(dx, dx), cs.mul(dy, dy)), s, width)
 
 
 def area_dbl_wire(cs, a1, b1, a2, b2, a3, b3) -> int:
@@ -167,24 +156,23 @@ def check_inside_triangle(
     return cs.mul(inside, is_nonneg(cs, u, width))
 
 
-def lookup(cs: ConstraintSystem, t_index: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Oblivious selection of a whole row via one prover-supplied
-    characteristic vector.
+def lookup(cs: ConstraintSystem, index: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """Row ``index`` (1-based) of a public table of ints, read through one
+    prover-supplied characteristic vector.
 
-    t_index is 1-based; the vector is boolean-asserted and must sum to 1,
-    so a malformed vector makes the system unsatisfiable.  Every column is
-    read through the same vector, so the result is one row of the table as
-    a tuple, never columns mixed from different rows.
+    The vector's entries are boolean-asserted and must sum to 1, so an
+    index outside [1, len(rows)] or any vector that is not one-hot makes
+    the system unsatisfiable.  Each column is one affine over the vector
+    with the column's entries as coefficients, so the lookup costs one
+    mul per row (the booleanity), whatever the row width, and the result
+    is one row of the table, never columns mixed from different rows.
     """
     n = len(rows)
-    sel = [cs.wire_input(int(i == t_index), Domain.PROVER) for i in range(1, n + 1)]
+    sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, n + 1)]
     for xi in sel:
         assert_boolean(cs, xi)
-    cs.assert_eq(cs.affine([1] * n, sel), cs.const(1))
-    return tuple(
-        cs.affine([1] * n, [cs.mul(sel[i], rows[i][k]) for i in range(n)])
-        for k in range(len(rows[0]))
-    )
+    cs.assert_zero(cs.affine([1] * n, sel, -1))
+    return tuple(cs.affine(col, sel) for col in zip(*rows))
 
 
 # -- Poseidon gadget ----------------------------------------------------

@@ -1,11 +1,11 @@
 """Prover-local computations and plaintext oracles.
 
-Everything here runs on plain Python integers, off-circuit.  The triangle
-search and barycentric conversion are the helper computations a prover
-performs before wiring hints into the circuit; the ``oracle_*`` functions
-are independent straight-line evaluations of the two policies, used as
-ground truth when checking circuit satisfiability.  They deliberately do
-not share code with the gadget implementations.  The reference Poseidon
+Everything here runs on plain Python integers, off-circuit.  The circle
+and triangle searches and the barycentric conversion are the helper
+computations a prover performs before wiring hints into the circuit; the
+``oracle_*`` functions are independent straight-line evaluations of the
+two policies, used as ground truth when checking circuit satisfiability.
+They deliberately do not share code with the gadget implementations.  The reference Poseidon
 permutation shares only the derived parameters with the circuit (the
 factored form of ``PoseidonParams.factored``); the tests check both
 against a straight-line dense permutation.
@@ -49,6 +49,15 @@ def find_triangle(x: int, y: int, triangles) -> int:
         c = area_dbl(x1, y1, x, y, x3, y3)
         d = area_dbl(x, y, x2, y2, x3, y3)
         if a == b + c + d:
+            return i
+    return 1
+
+
+def find_circle(x: int, y: int, circles) -> int:
+    """1-based index of the first circle (u, v, r) containing (x, y), or 1
+    if none does; the boundary counts as inside."""
+    for i, (u, v, r) in enumerate(circles, start=1):
+        if (x - u) ** 2 + (y - v) ** 2 <= r * r:
             return i
     return 1
 

@@ -4,18 +4,20 @@
 instance on a caller-supplied ConstraintSystem and returns a handle whose
 ``check`` method evaluates the system and reports satisfiability plus
 gate counters.  Both statements share one circuit segment walk, split by
-a per-point membership bit; a builder supplies only its geometry wiring,
-that bit and its final assertions.  Every assertion lies in one named
-region (``ConstraintSystem.scope``): trail, digest, geometry, point[0],
-then point[i] and segment[i - 1] for each later point i, and policy.
+a per-point membership bit that ``point_inside`` wires the same way for
+both.  Every assertion lies in one named region
+(``ConstraintSystem.scope``): trail, digest, point[0], then point[i] and
+segment[i - 1] for each later point i, and policy.
 
 The paper's relation is R(AD, h; trail).  ``AuthorityData`` is AD, the
 public half that both parties hold; it checks nothing when it is
-constructed.  A ``StatementInstance`` is (AD, trail, h_ex), and it checks
-itself with ``validate_instance`` when it is constructed, so builders,
-loaders and the protocol take it as valid.  Hint parameters allow tests
-to substitute adversarial prover-local values (square roots, triangle
-indices) while keeping the rest of the witness honest.
+constructed.  AD is fixed before any session, so the circuit takes it as
+constants (``cs.const`` and affine coefficients): one circuit per AD, and
+h_ex is the only shared input.  A ``StatementInstance`` is (AD, trail,
+h_ex), and it checks itself with ``validate_instance`` when it is
+constructed, so builders, loaders and the protocol take it as valid.
+Hint parameters allow tests to substitute adversarial prover-local values
+(square roots, named rows) while keeping the rest of the witness honest.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ class CircleSet:
     def count(self) -> int:
         return len(self.circles)
 
+    @property
+    def rows(self) -> list[tuple[int, int, int]]:
+        """The public table the prover names rows of: (u, v, r^2)."""
+        return [(u, v, r * r) for u, v, r in self.circles]
+
 
 @dataclass(frozen=True)
 class TriangleSet:
@@ -92,6 +99,11 @@ class TriangleSet:
     @property
     def count(self) -> int:
         return len(self.triangles)
+
+    @property
+    def rows(self) -> list[tuple[int, ...]]:
+        """The public table the prover names rows of: (x1, x2, x3, y1, y2, y3)."""
+        return [tuple(x for x, _ in tri) + tuple(y for _, y in tri) for tri in self.triangles]
 
     @classmethod
     def oriented(cls, triangles) -> "TriangleSet":
@@ -171,9 +183,9 @@ def validate_instance(inst: StatementInstance) -> None:
     offending field in the instance file format.
 
     Beyond the sizes (``check_sizes``), the Poseidon prime (the field
-    modulus), trail length, coordinates, radii, triangle orientation and
-    policy values, every number must be an int, and the statement's
-    widest comparison m must fit below p, 2^(m+1) < p: for ev that is
+    modulus), h_ex (below p), trail length, coordinates, radii, triangle
+    orientation and policy values, every number must be an int, and the
+    statement's widest comparison m must fit below p, 2^(m+1) < p: for ev that is
     ``widths(...).cover``, for tax the wider of tot and bary (see
     ``field.widths``).  A small prime with a long trail fails this check.
     """
@@ -192,6 +204,8 @@ def validate_instance(inst: StatementInstance) -> None:
                 "/geometry/circles" if ev else "/geometry/triangles")
     if ad.pp.prime != fp.modulus:
         raise InstanceError(f"/poseidon: prime {ad.pp.prime} is not the field modulus {fp.modulus}")
+    if inst.h_ex is not None:
+        _check_ints("/h_ex", [inst.h_ex], 0, fp.modulus - 1)  # else h_ex +- p verifies too
     if not 0 < len(inst.trail.points) <= ad.n_traj:
         raise InstanceError("/trail/points: trail length outside (0, n_traj]")
     for i, (x, y) in enumerate(inst.trail.points):
@@ -277,94 +291,69 @@ def _segment_walk(cs, xs, ys, inside, k_seg, sqrt_hints=None):
         hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
         d = gadgets.sqrt_floor(cs, sq, k_seg, hint)
         tot = cs.add(tot, d)
-        both = cs.oblivious_choice(cs.mul(in_prev, in_cur), cs.add(both, d), both)
+        both = cs.add(both, cs.mul(cs.mul(in_prev, in_cur), d))
         in_prev = in_cur
     return tot, both
 
 
-def _build_ev_subsidy(
-    inst: StatementInstance,
-    cs: ConstraintSystem,
-    sqrt_hints: list[int] | None = None,
-) -> None:
-    """Circuit for the subsidy statement.
+def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, pt, row_hint=None) -> int:
+    """Membership bit of the point pt, wired as x and y: the prover names a
+    row of ad's public geometry table (row_hint, else the first circle or
+    triangle that contains pt, or 1 if none does), ``gadgets.lookup``
+    reads it and the shape check tests pt against it.
 
-    Binds the trail to h_ex, walks the segments with circle membership as
-    the inside bit (tot, and cc for the in-circles length), and asserts
-    d_req <= tot and tot * p_req <= cc * 100.  Segment lengths are exact
-    roots: an understated length outside the circles would shrink tot
-    while cc stays put and inflate the coverage share.
+    The argument is one-sided.  The lookup's one-hot selector makes the
+    row a real one, so a bit of 1 means pt lies in a circle or triangle.
+    Naming a row that does not contain pt gives 0: pt counts as outside,
+    which only lowers cc (the in-circles length of a subsidy) or raises
+    tot - hw (the taxed length), so a lie can only hurt the prover.
+    """
+    w = widths(ad.field_params.coord_bits, ad.n_traj)
+    geo = ad.geometry
+    if isinstance(geo, CircleSet):
+        t = localcalc.find_circle(*pt, geo.circles) if row_hint is None else row_hint
+        return gadgets.check_inside(cs, gadgets.lookup(cs, t, geo.rows), x, y, w.circle)
+    tris = geo.triangles
+    t = localcalc.find_triangle(*pt, tris) if row_hint is None else row_hint
+    ref = tris[t - 1] if 1 <= t <= len(tris) else tris[0]
+    bc = localcalc.get_bcoords(*pt, *ref[0], *ref[1], *ref[2])
+    return gadgets.check_inside_triangle(cs, gadgets.lookup(cs, t, geo.rows), x, y, (bc.s, bc.t), w.bary)
+
+
+def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints=None,
+                    row_hints=None) -> StatementHandle:
+    """Lay down inst's statement on cs.
+
+    Both statements bind the trail to h_ex, walk the segments with
+    ``point_inside`` as the membership bit, and end in region policy:
+      - subsidy: d_req <= tot and tot * p_req <= cc * 100, cc the
+        in-circles length.  Segment lengths are exact roots: an
+        understated length outside the circles would shrink tot while cc
+        stays put and inflate the coverage share.
+      - tax: tot - hw <= d_max, hw the length on the tax-free road.
+    ``sqrt_hints`` (one per segment) and ``row_hints`` (one per point; a
+    None entry keeps the honest row) replace the prover's honest local
+    values.
     """
     ad = inst.ad
     w = widths(ad.field_params.coord_bits, ad.n_traj)
-    _, xs, ys = _wire_trail(cs, inst)
-    cs.scope("geometry")
-    us = [cs.wire_input(u, Domain.SHARED) for u, _, _ in ad.geometry.circles]
-    vs = [cs.wire_input(v, Domain.SHARED) for _, v, _ in ad.geometry.circles]
-    ss = [cs.wire_input(r * r, Domain.SHARED) for _, _, r in ad.geometry.circles]
-
-    def inside(i):
-        return gadgets.check_inside(cs, us, vs, ss, xs[i], ys[i], w.circle)
-
-    tot, cc = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
-    cs.scope("policy")
-    d_req = cs.wire_input(ad.policy.d_req, Domain.SHARED)
-    gadgets.assert_leq(cs, d_req, tot, w.tot)
-    p_req = cs.wire_input(ad.policy.p_req, Domain.SHARED)
-    lhs = cs.mul(tot, p_req)
-    rhs = cs.affine([100], [cc])
-    gadgets.assert_leq(cs, lhs, rhs, w.cover)
-
-
-def _build_highway_tax(
-    inst: StatementInstance,
-    cs: ConstraintSystem,
-    sqrt_hints: list[int] | None = None,
-    tri_hints: list[int] | None = None,
-) -> None:
-    """Circuit for the highway-tax statement.
-
-    Per point the prover locally finds a containing triangle; the circuit
-    looks up that triangle's whole (x1, x2, x3, y1, y2, y3) row with one
-    selector vector and verifies the barycentric membership claim.  The
-    segment walk's both-inside length hw is the length off the taxed
-    road, and the final assertion bounds tot - hw by d_max.
-    """
-    ad = inst.ad
-    w = widths(ad.field_params.coord_bits, ad.n_traj)
-    tris = ad.geometry.triangles
     pts, xs, ys = _wire_trail(cs, inst)
-    cs.scope("geometry")
-    rows = [
-        tuple(cs.wire_input(vx, Domain.SHARED) for vx, _ in tri)
-        + tuple(cs.wire_input(vy, Domain.SHARED) for _, vy in tri)
-        for tri in tris
-    ]
 
     def inside(i):
-        x, y = pts[i]
-        if tri_hints is not None and tri_hints[i] is not None:
-            t_i = tri_hints[i]
-        else:
-            t_i = localcalc.find_triangle(x, y, tris)
-        ref = tris[t_i - 1] if 1 <= t_i <= len(tris) else tris[0]
-        bc = localcalc.get_bcoords(x, y, *ref[0], *ref[1], *ref[2])
-        row = gadgets.lookup(cs, t_i, rows)
-        return gadgets.check_inside_triangle(cs, row, xs[i], ys[i], (bc.s, bc.t), w.bary)
+        hint = row_hints[i] if row_hints is not None else None
+        return point_inside(cs, ad, xs[i], ys[i], pts[i], hint)
 
-    tot, hw = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
+    tot, both = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
     cs.scope("policy")
-    taxed = cs.sub(tot, hw)
-    # d_max beyond the accumulator width always satisfies; clamp keeps the
-    # comparison in range without changing the verdict.
-    d_max = min(ad.policy.d_max, (1 << w.tot) - 1)
-    gadgets.assert_leq(cs, taxed, cs.wire_input(d_max, Domain.SHARED), w.tot)
-
-
-def build_statement(inst: StatementInstance, cs: ConstraintSystem, **hints) -> StatementHandle:
-    """Lay down inst's statement on cs; ``hints`` (sqrt_hints, and
-    tri_hints for tax) replace the prover's honest local values."""
-    (_build_ev_subsidy if inst.ad.kind == "ev" else _build_highway_tax)(inst, cs, **hints)
+    if ad.kind == "ev":
+        gadgets.assert_leq(cs, cs.const(ad.policy.d_req), tot, w.tot)
+        lhs = cs.affine([ad.policy.p_req], [tot])
+        gadgets.assert_leq(cs, lhs, cs.affine([100], [both]), w.cover)
+    else:
+        # d_max beyond the accumulator width always satisfies; clamp keeps
+        # the comparison in range without changing the verdict.
+        d_max = min(ad.policy.d_max, (1 << w.tot) - 1)
+        gadgets.assert_leq(cs, cs.sub(tot, both), cs.const(d_max), w.tot)
     return StatementHandle(cs, cs.region("trail")[2])
 
 

@@ -347,6 +347,20 @@ def test_cli_check_names_the_failed_scope(tmp_path, capsys, kind):
         assert (out["first_failed_assertion"] is None) == (scope is None)
 
 
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_cli_check_rejects_h_ex_outside_the_field(tmp_path, capsys, kind):
+    # h_ex + p is the honest digest mod p; as a second h_ex for the same
+    # trail it is an input error.
+    path = _write_fixture(tmp_path, kind=kind)
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["h_ex"] = str(int(doc["h_ex"]) + int(doc["field_params"]["modulus"]))
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert cli_main(["check", path]) == 2
+    assert "/h_ex" in capsys.readouterr().err
+
+
 def test_cli_fuzz_does_not_judge_roots_behind_a_failed_digest(tmp_path, capsys):
     # Every mutation fails at the digest first, before any root's own
     # assertions are reached: only the circuit/oracle disagreement counts.
@@ -430,6 +444,24 @@ def test_cli_fuzz_reports_a_root_missing_a_decomposition(tmp_path, capsys, monke
     roots = sum("ROOT VIOLATION" in line for line in lines)
     assert roots > 0
     assert json.loads(lines[-1]) == {"mutations": 10, "violations": roots}
+
+
+def test_cli_fuzz_reports_a_lookup_without_its_sum_check(tmp_path, capsys, monkeypatch):
+    # Without sum-to-one the all-zero selector passes its point's region:
+    # the point reads the all-zero row and counts as outside.
+    def lookup(cs, index, rows):
+        sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, len(rows) + 1)]
+        for w in sel:
+            gadgets.assert_boolean(cs, w)
+        return tuple(cs.affine(col, sel) for col in zip(*rows))
+
+    monkeypatch.setattr(gadgets, "lookup", lookup)
+    for kind in ("ev", "tax"):
+        path = _write_fixture(tmp_path, kind=kind)
+        assert cli_main(["fuzz", path, "--mutations", "5", "--seed", "1"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert sum("SELECTOR VIOLATION" in line for line in lines) == 5
+        assert json.loads(lines[-1]) == {"mutations": 5, "violations": 5}
 
 
 def _rewrite_poseidon(tmp_path, **keys):

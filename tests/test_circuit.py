@@ -95,25 +95,6 @@ def test_assert_eq_reflexive():
     assert cs.evaluate_and_check().satisfied
 
 
-@pytest.mark.parametrize("b,expected", [(1, 9), (0, 4)])
-def test_oblivious_choice(b, expected):
-    cs = fresh()
-    wb = cs.wire_input(b, Domain.PROVER)
-    x = cs.wire_input(9, Domain.PROVER)
-    y = cs.wire_input(4, Domain.PROVER)
-    before = cs.counters.n_mul
-    out = cs.oblivious_choice(wb, x, y)
-    assert cs.counters.n_mul == before + 1
-    assert cs.value(out) == expected
-
-
-def test_oblivious_choice_idempotent():
-    cs = fresh()
-    wb = cs.wire_input(1, Domain.PROVER)
-    x = cs.wire_input(1234, Domain.PROVER)
-    assert cs.value(cs.oblivious_choice(wb, x, x)) == 1234
-
-
 def test_empty_system_report():
     report = fresh().evaluate_and_check()
     assert report.satisfied
@@ -259,17 +240,16 @@ def _reference_report(cs, overrides=None):
 
 def _statement_systems():
     """Small ev and tax statements, built with honest hints and with
-    adversarial square-root and triangle hints."""
+    adversarial square-root and row hints."""
     rng = random.Random(3141)
     systems = []
     for make in (random_ev_instance, random_tax_instance):
         for _ in range(3):
             inst = make(rng, 6, 3)
             n = inst.ad.n_traj
-            hint_sets = [{}, {"sqrt_hints": [rng.randrange(1 << 14) for _ in range(n - 1)]}]
-            if inst.ad.kind == "tax":
-                n_tri = inst.ad.geometry.count
-                hint_sets.append({"tri_hints": [rng.randrange(n_tri + 2) for _ in range(n)]})
+            n_geo = inst.ad.geometry.count
+            hint_sets = [{}, {"sqrt_hints": [rng.randrange(1 << 14) for _ in range(n - 1)]},
+                         {"row_hints": [rng.randrange(n_geo + 2) for _ in range(n)]}]
             for hints in hint_sets:
                 cs = ConstraintSystem(inst.field_params)
                 build_statement(inst, cs, **hints)

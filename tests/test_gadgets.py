@@ -6,6 +6,7 @@ import sympy
 from zkpol import gadgets, localcalc
 from zkpol.circuit import _INPUT, ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
+from zkpol.statements import CircleSet
 
 FP = FieldParams(coord_bits=12)
 
@@ -168,25 +169,25 @@ def test_sqrt_totality_small_exhaustive():
 # -- circle membership ---------------------------------------------------
 
 
-def _circle_system(circles, x, y):
+def _circle_system(circle, x, y):
+    """check_inside on one circle (u, v, r), as the constant row (u, v, r^2)."""
     cs = fresh()
-    us = [cs.wire_input(u, Domain.SHARED) for u, _, _ in circles]
-    vs = [cs.wire_input(v, Domain.SHARED) for _, v, _ in circles]
-    ss = [cs.wire_input(r * r, Domain.SHARED) for _, _, r in circles]
+    u, v, r = circle
+    row = (cs.const(u), cs.const(v), cs.const(r * r))
     wx = cs.wire_input(x, Domain.PROVER)
     wy = cs.wire_input(y, Domain.PROVER)
-    out = gadgets.check_inside(cs, us, vs, ss, wx, wy, widths(FP.coord_bits, 2).circle)
+    out = gadgets.check_inside(cs, row, wx, wy, widths(FP.coord_bits, 2).circle)
     return cs, out
 
 
 def test_point_at_center():
-    cs, out = _circle_system([(100, 100, 5)], 100, 100)
+    cs, out = _circle_system((100, 100, 5), 100, 100)
     assert cs.value(out) == 1
 
 
 def test_point_on_circle_boundary_counts_inside():
     # Squared distance exactly r^2: non-strict comparison.
-    cs, out = _circle_system([(100, 100, 5)], 103, 104)
+    cs, out = _circle_system((100, 100, 5), 103, 104)
     assert cs.value(out) == 1
 
 
@@ -195,21 +196,31 @@ def test_point_outside_all_circles():
     circles = [(rng.randrange(1000), rng.randrange(1000), rng.randrange(1, 50)) for _ in range(8)]
     x, y = 3000, 3000
     assert not localcalc.point_in_circles(x, y, circles)
-    cs, out = _circle_system(circles, x, y)
-    assert cs.value(out) == 0
-    assert cs.evaluate_and_check().satisfied
+    for circle in circles:
+        cs, out = _circle_system(circle, x, y)
+        assert cs.value(out) == 0
+        assert cs.evaluate_and_check().satisfied
 
 
 def test_circle_gadget_matches_oracle_randomly():
+    # Per circle, and on the row the honest prover names (find_circle)
+    # looked up from the whole (u, v, r^2) table.
     rng = random.Random(9)
     for _ in range(100):
-        circles = [
+        circles = CircleSet(tuple(
             (rng.randrange(4096), rng.randrange(4096), rng.randrange(1, 2048))
             for _ in range(rng.randint(1, 4))
-        ]
+        ))
         x, y = rng.randrange(4096), rng.randrange(4096)
-        cs, out = _circle_system(circles, x, y)
-        assert cs.value(out) == int(localcalc.point_in_circles(x, y, circles))
+        for circle in circles.circles:
+            cs, out = _circle_system(circle, x, y)
+            assert cs.value(out) == int(localcalc.point_in_circles(x, y, [circle]))
+        cs = fresh()
+        wx, wy = cs.wire_input(x, Domain.PROVER), cs.wire_input(y, Domain.PROVER)
+        row = gadgets.lookup(cs, localcalc.find_circle(x, y, circles.circles), circles.rows)
+        out = gadgets.check_inside(cs, row, wx, wy, widths(FP.coord_bits, 2).circle)
+        assert cs.value(out) == int(localcalc.point_in_circles(x, y, circles.circles))
+        assert cs.evaluate_and_check().satisfied
 
 
 # -- triangle membership -------------------------------------------------
@@ -285,8 +296,7 @@ def test_triangle_gadget_matches_sign_oracle_randomly():
 
 def _lookup_system(t_index, table):
     cs = fresh()
-    rows = [tuple(cs.wire_input(v, Domain.SHARED) for v in row) for row in table]
-    out = gadgets.lookup(cs, t_index, rows)
+    out = gadgets.lookup(cs, t_index, table)
     return cs, out
 
 
@@ -319,12 +329,9 @@ def test_lookup_out_of_range_unsatisfiable():
 
 
 def test_lookup_two_ones_unsatisfiable():
-    cs = fresh()
-    rows = [tuple(cs.wire_input(v, Domain.SHARED) for v in row) for row in TABLE]
-    first = len(cs._gates)
-    gadgets.lookup(cs, 2, rows)
+    cs, _ = _lookup_system(2, TABLE)
     sel_ids = [
-        wid for wid in range(first, len(cs._gates))
+        wid for wid in range(len(cs._gates))
         if cs._gates[wid] == (_INPUT,) and cs._domains[wid] == Domain.PROVER
     ]
     assert len(sel_ids) == len(TABLE)
@@ -336,12 +343,15 @@ def test_lookup_two_ones_unsatisfiable():
 
 
 def test_lookup_reads_every_column_through_one_vector():
-    # A six-column triangle row (x1, x2, x3, y1, y2, y3): one selector per
-    # row, booleanity plus one product per cell.
+    # A six-column triangle row (x1, x2, x3, y1, y2, y3) of a public table:
+    # one selector per row, and each column is one affine over the vector
+    # with the column's entries as coefficients, so the only muls are the
+    # selectors' booleanity.
     table = [tuple(range(6 * i, 6 * i + 6)) for i in range(4)]
     for t in range(1, len(table) + 1):
         cs, out = _lookup_system(t, table)
         assert tuple(cs.value(w) for w in out) == table[t - 1]
         assert cs.n_prover_inputs == len(table)
-        assert cs.n_mul == len(table) * (1 + 6)
+        assert cs.n_mul == len(table)
+        assert cs.n_shared_inputs == 0
         assert cs.evaluate_and_check().satisfied

@@ -336,6 +336,82 @@ def test_ev_domain_monotonicity():
     assert {cs._domains[a] for a in cs._assertions} == {Domain.PROVER}
 
 
+@pytest.mark.parametrize("h_ex", [
+    lambda honest, p: honest + p, lambda honest, p: honest - p, lambda honest, p: -1,
+    lambda honest, p: p, lambda honest, p: True,
+], ids=["honest+p", "honest-p", "-1", "p", "bool"])
+def test_h_ex_outside_the_field_is_rejected(h_ex):
+    # The circuit wires h_ex mod p, so an unreduced h_ex would be a second
+    # instance that verifies the same trail.
+    honest, p = honest_hash(_ev(0, 0).ad.pp, EV_TRAIL, 4), FP12.modulus
+    with pytest.raises(InstanceError, match="^/h_ex: "):
+        _ev(0, 0, h_ex=h_ex(honest, p))
+    assert _ev(0, 0, h_ex=honest).h_ex == honest
+    assert _ev(0, 0, h_ex=p - 1).h_ex == p - 1
+
+
+# -- prover-named rows ---------------------------------------------------
+
+
+def _tight_ev_instances(rng, count):
+    """Small ev instances (2-3 points in [0, 32)^2, 2 circles, some of
+    the length covered) with a tight policy: d_req = tot and p_req the
+    coverage percentage, or one above it.  Any lowered cc rejects an
+    accepting one."""
+    out = []
+    while len(out) < count:
+        circles = CircleSet(tuple((rng.randrange(32), rng.randrange(32), rng.randint(6, 20))
+                                  for _ in range(2)))
+        pts = tuple((rng.randrange(32), rng.randrange(32)) for _ in range(rng.randint(2, 3)))
+        tot, cc = localcalc.segment_walk(
+            pts, lambda x, y: localcalc.point_in_circles(x, y, circles.circles))
+        if cc:
+            p_req = min(100, cc * 100 // tot + rng.randint(0, 1))
+            out.append(make_instance("ev", FP12, len(pts), SubsidyPolicy(tot, p_req), circles,
+                                     Trail(pts)))
+    return out
+
+
+def test_ev_every_named_row_only_hurts_the_prover():
+    # Every row_hints choice 0..n+1 per point, where 0 and n+1 name no row:
+    # a satisfied circuit means the oracle accepts, and the honest rows
+    # (find_circle) satisfy it exactly when the oracle accepts.
+    rng = random.Random(71)
+    verdicts, lies_rejected = set(), 0
+    for inst in _tight_ev_instances(rng, 12):
+        n_geo, n = inst.ad.geometry.count, inst.ad.n_traj
+        accepted = oracle_verdict(inst)
+        verdicts.add(accepted)
+        honest = tuple(localcalc.find_circle(x, y, inst.ad.geometry.circles)
+                       for x, y in inst.trail.padded(n))
+        for hints in itertools.product(range(n_geo + 2), repeat=n):
+            satisfied = _build(inst, row_hints=hints)[1].check().satisfied
+            assert accepted or not satisfied, hints
+            if hints == honest:
+                assert satisfied == accepted
+            elif accepted and not satisfied and 0 not in hints and n_geo + 1 not in hints:
+                lies_rejected += 1  # a real row that does not hold its point
+    assert verdicts == {True, False} and lies_rejected > 0
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_selector_that_is_not_one_hot_fails_in_its_point(kind):
+    inst = gen_fixture(FixtureSpec(kind=kind, seed=5, n_traj=6, n_geo=3 if kind == "ev" else 8))
+    cs, h = _build(inst)
+    p, n_geo = FP12.modulus, inst.ad.geometry.count
+    for i in range(inst.ad.n_traj):
+        sel = cs.region(f"point[{i}]")[2][:n_geo]
+        named = [cs.value(w) for w in sel].index(1)
+        other = (named + 1) % n_geo
+        vectors = [[0] * n_geo, [1] * n_geo, [0] * n_geo]
+        vectors[2][named], vectors[2][other] = 2, p - 1  # sums to 1, not boolean
+        # The region opens with the lookup's own checks: n_geo booleanity
+        # assertions, then the sum to one.
+        own = cs.region(f"point[{i}]")[1][: n_geo + 1]
+        for vector in vectors:
+            assert h.check(dict(zip(sel, vector))).first_failed_assertion in own
+
+
 # -- highway-tax statement -----------------------------------------------
 
 # Road: one big triangle over the lower-left region.  Trail leaves the
@@ -380,7 +456,7 @@ def test_tax_wrong_triangle_hint_never_decreases_taxed_distance():
     for i in range(4):
         hints = [None] * 4
         hints[i] = 1  # triangle 1 is also the only one; use the degraded path
-        cs, h = _build(inst, tri_hints=hints)
+        cs, h = _build(inst, row_hints=hints)
         assert h.check().satisfied  # honest hint: nothing changes
     # Square roots are exact: overstating an on-road hop and understating
     # the off-road hop are both rejected.
@@ -509,20 +585,25 @@ def test_statement_cost_rejects_bad_sizes():
 def test_statement_cost_pinned():
     # Counters of the round-by-round Poseidon construction; the bulk
     # permutation must reproduce them exactly.  Both rows are those of the
-    # exact square root (2k + 3 muls), for tax of one selector vector per
-    # point over whole triangle rows, and of the t = 9 sponge (rate 8,
-    # R_F = 8, R_P = 56: 384 muls and, with sparse partial rounds, 1,600
-    # adds per permutation).
+    # exact square root (2k + 3 muls), of one selector vector per point
+    # over the public geometry table (its columns are affines with the
+    # table's entries as coefficients, so the only lookup muls are the
+    # selectors' booleanity), of h_ex as the only shared input, and of the
+    # t = 9 sponge (rate 8, R_F = 8, R_P = 56: 384 muls and, with sparse
+    # partial rounds, 1,600 adds per permutation).
     assert statement_cost("ev", 256, 1, FieldParams()) == {
-        "n_mul": 52757, "n_add": 159280, "n_assert": 26908,
-        "n_prover_inputs": 26904, "n_shared_inputs": 6,
+        "n_mul": 52756, "n_add": 158770, "n_assert": 27420,
+        "n_prover_inputs": 27160, "n_shared_inputs": 1,
     }
     assert statement_cost("tax", 64, 16, FieldParams()) == {
-        "n_mul": 27944, "n_add": 61718, "n_assert": 14830,
-        "n_prover_inputs": 14636, "n_shared_inputs": 98,
+        "n_mul": 21800, "n_add": 61592, "n_assert": 14830,
+        "n_prover_inputs": 14636, "n_shared_inputs": 1,
     }
+    # The shapes whose membership cost the public table moved most.
+    assert statement_cost("ev", 64, 16, FP12)["n_mul"] == 11088
+    assert statement_cost("tax", 64, 64, FP12)["n_mul"] == 18740
     # Wire counts of the same statements: every wire is one gate.
-    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 149_132), ("tax", 64, 16, 68_783)):
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 149_641), ("tax", 64, 16, 62_352)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
@@ -548,7 +629,7 @@ def test_every_assertion_lies_in_exactly_one_named_region(case):
         inst = gen_fixture(FixtureSpec(kind=kind, seed=7, n_traj=n_traj, n_geo=n_geo, mode=bits_or_mode))
     cs, h = _build(inst)
     n = inst.ad.n_traj
-    names = ["trail", "digest", "geometry", "point[0]",
+    names = ["trail", "digest", "point[0]",
              *(r for i in range(1, n) for r in (f"point[{i}]", f"segment[{i - 1}]")), "policy"]
     owner = {}
     for name in names:
