@@ -49,10 +49,12 @@ def _cmd_fuzz(args) -> int:
     Each mutation changes one trail coordinate, which only region digest
     may reject; zeroes the row the prover names at point i, with the bits
     a prover derives for the all-zero selector, which only region point[i]
-    may reject; and gives segment j a wrong root with the bits a prover
-    derives for it, which only region segment[j] may reject.  Hints
-    further downstream are not re-derived, so a mutation whose first
-    failure comes before its region is not judged."""
+    may reject (skipped when the geometry has one row: ``gadgets.lookup``
+    reads it as constants, with no selector); and gives segment j a wrong
+    root with the bits a prover derives for it, which only region
+    segment[j] may reject.  Hints further downstream are not re-derived,
+    so a mutation whose first failure comes before its region is not
+    judged."""
     inst = appio.load_instance(args.instance)
     rng = random.Random(args.seed)
     cs = ConstraintSystem(inst.field_params)
@@ -83,6 +85,7 @@ def _cmd_fuzz(args) -> int:
     k_seg = widths(inst.field_params.coord_bits, n).seg
     pts = inst.trail.points
     padded = inst.trail.padded(n)
+    selectors = inst.ad.geometry.count > 1  # a one-row table has no selector to zero
     for trial in range(args.mutations):
         i = rng.randrange(len(pts))
         axis = rng.randrange(2)
@@ -96,12 +99,13 @@ def _cmd_fuzz(args) -> int:
             violations += 1
             print(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
         i = rng.randrange(n)
-        x, y = padded[i]
-        wired = rederived(
-            lambda sc: statements.point_inside(sc, inst.ad, sc.const(x), sc.const(y), (x, y), 0))
-        if passes(f"point[{i}]", dict(zip(cs.region(f"point[{i}]")[2], wired))):
-            violations += 1
-            print(f"SELECTOR VIOLATION at mutation {trial} (point {i})")
+        if selectors:
+            x, y = padded[i]
+            wired = rederived(lambda sc: statements.point_inside(
+                sc, inst.ad, sc.const(x), sc.const(y), (x, y), 0))
+            if passes(f"point[{i}]", dict(zip(cs.region(f"point[{i}]")[2], wired))):
+                violations += 1
+                print(f"SELECTOR VIOLATION at mutation {trial} (point {i})")
         if n < 2:
             continue
         j = rng.randrange(n - 1)

@@ -38,8 +38,7 @@ class Widths(NamedTuple):
     seg: int
     tot: int
     cover: int
-    circle: int
-    bary: int
+    shape: int
 
 
 def widths(coord_bits: int, n_traj: int) -> Widths:
@@ -49,21 +48,21 @@ def widths(coord_bits: int, n_traj: int) -> Widths:
         seg     k + 1                  segment length isqrt(dx^2 + dy^2)
         tot     k + 1 + bitlen(n_traj) accumulated length (tot, cc, hw, d_req)
         cover   tot + 7                tot * p_req and 100 * cc (p_req <= 100)
-        circle  2k + 1                 squared center distance and r^2
-        bary    2k + 3                 signed barycentric weights s, t, u
+        shape   2k + 1                 squared center distance and r^2; the
+                                       triangle weights s, t, u (doubled
+                                       signed areas, |w| < 2^(2k))
 
     A comparison at width m (``gadgets.leq``, ``gadgets.is_nonneg``)
     decomposes m + 1 bits and decides correctly only while 2^(m+1) < p.
     The exact root decomposes its remainders at seg + 1 bits and pins
     d = isqrt(sq) while p > 2^(2*seg + 5).  ``FieldParams`` guarantees
-    p > 2^(3k + 6), which covers seg, circle, bary and the barycentric
-    reconstruction terms (below 2^(3k + 4)); tot and cover grow with
+    p > 2^(3k + 6), which covers seg and shape; tot and cover grow with
     n_traj and are checked as each instance is constructed, by
     ``statements.validate_instance``.
     """
     seg = coord_bits + 1
     tot = seg + n_traj.bit_length()
-    return Widths(seg, tot, cover=tot + 7, circle=2 * coord_bits + 1, bary=2 * coord_bits + 3)
+    return Widths(seg, tot, cover=tot + 7, shape=2 * coord_bits + 1)
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,16 @@ class FieldParams:
     def __post_init__(self):
         if self.coord_bits < 1:
             raise FieldError("coord_bits must be positive")
-        if not _checked_prime(self.modulus):
-            raise FieldError(f"modulus {self.modulus} is not prime")
-        if self.modulus <= 2 ** (3 * self.coord_bits + 6):
+        # p > 2^m, decided on bit lengths first: 2^m is never built for an
+        # m beyond the modulus, however large coord_bits is.
+        m = 3 * self.coord_bits + 6
+        if self.modulus.bit_length() <= m or self.modulus == 1 << m:
             raise FieldError(
                 "modulus too small: need p > 2^(3*coord_bits + 6) "
                 f"for coord_bits={self.coord_bits}"
             )
+        if not _checked_prime(self.modulus):
+            raise FieldError(f"modulus {self.modulus} is not prime")
 
 
 def f_inv(p: int, a: int) -> int:

@@ -3,10 +3,10 @@
 Booleanity, bit decomposition, comparisons, the exact floor square root
 with prover-supplied hint, the Poseidon sponge, the characteristic-vector
 lookup of a row of a public table, and circle and triangle membership in
-one such row.  All
-gadgets append to a caller-owned ConstraintSystem; prover-local hint
-values are derived from the builder's eager values unless the caller
-supplies them explicitly (which the adversarial tests do).
+one such row.  All gadgets append to a caller-owned ConstraintSystem.
+The only prover hints are the root of ``sqrt_floor`` and the index of
+``lookup``; both are derived from the builder's eager values unless the
+caller supplies them explicitly (which the adversarial tests do).
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def check_inside(cs: ConstraintSystem, row: tuple[int, int, int], x: int, y: int
 
     Membership is the non-strict inequality (x-u)^2 + (y-v)^2 <= s,
     compared with ``leq`` at ``width`` bits, which must bound both sides
-    (the statements pass ``field.widths(...).circle``).
+    (the statements pass ``field.widths(...).shape``).
     """
     u, v, s = row
     dx = cs.sub(x, u)
@@ -108,50 +108,29 @@ def check_inside(cs: ConstraintSystem, row: tuple[int, int, int], x: int, y: int
     return leq(cs, cs.add(cs.mul(dx, dx), cs.mul(dy, dy)), s, width)
 
 
-def area_dbl_wire(cs, a1, b1, a2, b2, a3, b3) -> int:
-    """Doubled triangle area as the determinant expansion.
-
-    No absolute value on-circuit: ingestion guarantees positive
-    orientation.
-    """
-    prods = [
-        cs.mul(a1, b2),
-        cs.mul(a1, b3),
-        cs.mul(a2, b1),
-        cs.mul(a2, b3),
-        cs.mul(a3, b1),
-        cs.mul(a3, b2),
-    ]
-    return cs.affine([1, cs.p - 1, cs.p - 1, 1, 1, cs.p - 1], prods)
-
-
 def check_inside_triangle(
     cs: ConstraintSystem,
-    row: tuple[int, int, int, int, int, int],
+    row: tuple[int, int, int, int, int, int, int],
     x: int,
     y: int,
-    bcoords: tuple[int, int],
     width: int,
 ) -> int:
     """Boolean: (x, y) inside or on the boundary of the triangle whose
-    vertex coordinates are row = (x1, x2, x3, y1, y2, y3).
+    row = (c_s, dx_s, dy_s, c_t, dx_t, dy_t, A) holds the affine
+    coefficients of the unnormalized barycentric weights and the doubled
+    area (``statements.TriangleSet.rows``).
 
-    The prover wires the unnormalized barycentric pair (s, t); the circuit
-    derives u = A - s - t, asserts the exact Cartesian reconstruction
-    identities, and returns the conjunction of the three sign checks, each
-    an ``is_nonneg`` at ``width`` bits, which must bound |s|, |t| and |u|
-    (the statements pass ``field.widths(...).bary``).
+    The circuit computes s = c_s + dx_s*x + dy_s*y, t likewise and
+    u = A - s - t (4 muls), and returns the conjunction of the three sign
+    checks, each an ``is_nonneg`` at ``width`` bits, which must bound
+    |s|, |t| and |u| (the statements pass ``field.widths(...).shape``).
+    Nothing here is a prover hint: the weights follow from the row and
+    the point.
     """
-    a1, a2, a3, b1, b2, b3 = row
-    A = area_dbl_wire(cs, a1, b1, a2, b2, a3, b3)
-    p = cs.p
-    s = cs.wire_input(bcoords[0] % p, Domain.PROVER)
-    t = cs.wire_input(bcoords[1] % p, Domain.PROVER)
-    u = cs.affine([1, p - 1, p - 1], [A, s, t])
-    x_rec = cs.affine([1, 1, 1], [cs.mul(u, a1), cs.mul(s, a2), cs.mul(t, a3)])
-    y_rec = cs.affine([1, 1, 1], [cs.mul(u, b1), cs.mul(s, b2), cs.mul(t, b3)])
-    cs.assert_eq(x_rec, cs.mul(x, A))
-    cs.assert_eq(y_rec, cs.mul(y, A))
+    c_s, dx_s, dy_s, c_t, dx_t, dy_t, A = row
+    s = cs.affine([1, 1, 1], [c_s, cs.mul(dx_s, x), cs.mul(dy_s, y)])
+    t = cs.affine([1, 1, 1], [c_t, cs.mul(dx_t, x), cs.mul(dy_t, y)])
+    u = cs.affine([1, cs.p - 1, cs.p - 1], [A, s, t])
     inside = cs.mul(is_nonneg(cs, s, width), is_nonneg(cs, t, width))
     return cs.mul(inside, is_nonneg(cs, u, width))
 
@@ -166,8 +145,13 @@ def lookup(cs: ConstraintSystem, index: int, rows: list[tuple[int, ...]]) -> tup
     with the column's entries as coefficients, so the lookup costs one
     mul per row (the booleanity), whatever the row width, and the result
     is one row of the table, never columns mixed from different rows.
+    The one-hot vector of a one-row table is the constant (1), so that
+    row comes back as constants, with no input, mul or assertion, and
+    ``index`` is not read.
     """
     n = len(rows)
+    if n == 1:
+        return tuple(cs.const(v) for v in rows[0])
     sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, n + 1)]
     for xi in sel:
         assert_boolean(cs, xi)

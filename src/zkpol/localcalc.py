@@ -1,12 +1,15 @@
 """Prover-local computations and plaintext oracles.
 
 Everything here runs on plain Python integers, off-circuit.  The circle
-and triangle searches and the barycentric conversion are the helper
-computations a prover performs before wiring hints into the circuit; the
-``oracle_*`` functions are independent straight-line evaluations of the
-two policies, used as ground truth when checking circuit satisfiability.
-They deliberately do not share code with the gadget implementations.  The reference Poseidon
-permutation shares only the derived parameters with the circuit (the
+and triangle searches name the row a prover wires as its membership hint
+(its other hints are the square roots, ``isqrt``); the barycentric
+conversion ``get_bcoords`` is the one formula for the triangle weights,
+from which ``statements.TriangleSet.rows`` derives the public table's
+affine coefficients; the ``oracle_*`` functions are independent
+straight-line evaluations of the two policies, used as ground truth when
+checking circuit satisfiability.  They deliberately do not share code
+with the gadget implementations or with ``get_bcoords``.  The reference
+Poseidon permutation shares only the derived parameters with the circuit (the
 factored form of ``PoseidonParams.factored``); the tests check both
 against a straight-line dense permutation.
 """

@@ -23,6 +23,7 @@ Hint parameters allow tests to substitute adversarial prover-local values
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .circuit import ConstraintSystem, Domain, SatisfactionReport
 from .field import FieldParams, widths
@@ -33,10 +34,10 @@ from .poseidon import PoseidonParamError, PoseidonParams, params_for
 MAX_N_TRAJ = 4096  # desk-scale cap on n_traj for every entry point
 MAX_N_GEO = 4096  # desk-scale cap on the number of circles or triangles
 # Desk-scale cap on n_traj x (circles or triangles).  At the widest
-# coordinates the default field admits (40 bits), an ev point costs about
-# 185 muls and each (point, circle) pair 85 more, so the worst shape under
-# the caps, ev 4096 points x 4 circles, is about 2.2 M muls (4096 x 4096
-# would be about 1.4 G); tax costs 453 per point and 7 per pair.
+# coordinates the default field admits (40 bits), a point costs about 270
+# muls (ev) or 440 (tax), and each (point, row) pair one more, its
+# selector's booleanity, so the worst shape under the caps, tax 4096
+# points x 4 triangles, is about 1.8 M muls (4096 x 4096 would be 18.6 M).
 MAX_N_PAIRS = 16_384
 
 
@@ -86,7 +87,7 @@ class CircleSet:
     def count(self) -> int:
         return len(self.circles)
 
-    @property
+    @cached_property
     def rows(self) -> list[tuple[int, int, int]]:
         """The public table the prover names rows of: (u, v, r^2)."""
         return [(u, v, r * r) for u, v, r in self.circles]
@@ -100,10 +101,20 @@ class TriangleSet:
     def count(self) -> int:
         return len(self.triangles)
 
-    @property
+    @cached_property
     def rows(self) -> list[tuple[int, ...]]:
-        """The public table the prover names rows of: (x1, x2, x3, y1, y2, y3)."""
-        return [tuple(x for x, _ in tri) + tuple(y for _, y in tri) for tri in self.triangles]
+        """The public table the prover names rows of, computed once per
+        set: (c_s, dx_s, dy_s, c_t, dx_t, dy_t, A) with A the doubled area.
+        ``localcalc.get_bcoords``' s and t are affine in the point, so its
+        values at (0, 0), (1, 0) and (0, 1) give their coefficients:
+        s = c_s + dx_s*x + dy_s*y, t likewise, and u = A - s - t."""
+        out = []
+        for (a1, b1), (a2, b2), (a3, b3) in self.triangles:
+            o, ex, ey = (localcalc.get_bcoords(x, y, a1, b1, a2, b2, a3, b3)
+                         for x, y in ((0, 0), (1, 0), (0, 1)))
+            out.append((o.s, ex.s - o.s, ey.s - o.s, o.t, ex.t - o.t, ey.t - o.t,
+                        localcalc.area_dbl(a1, b1, a2, b2, a3, b3)))
+        return out
 
     @classmethod
     def oriented(cls, triangles) -> "TriangleSet":
@@ -186,8 +197,9 @@ def validate_instance(inst: StatementInstance) -> None:
     modulus), h_ex (below p), trail length, coordinates, radii, triangle
     orientation and policy values, every number must be an int, and the
     statement's widest comparison m must fit below p, 2^(m+1) < p: for ev that is
-    ``widths(...).cover``, for tax the wider of tot and bary (see
-    ``field.widths``).  A small prime with a long trail fails this check.
+    ``widths(...).cover``, for tax ``tot`` (``FieldParams`` already covers
+    the shape width; see ``field.widths``).  A small prime with a long
+    trail fails this check.
     """
     ad = inst.ad
     fp = ad.field_params
@@ -228,7 +240,7 @@ def validate_instance(inst: StatementInstance) -> None:
             if a < 0:
                 raise InstanceError(f"/geometry/triangles/{j}: not positively oriented")
         _check_ints("/policy/d_max", [ad.policy.d_max])
-        m = max(w.tot, w.bary)
+        m = w.tot
     if 1 << (m + 1) >= fp.modulus:
         raise InstanceError(
             f"/field_params/modulus: too small for a {m}-bit comparison "
@@ -308,16 +320,13 @@ def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, pt, ro
     which only lowers cc (the in-circles length of a subsidy) or raises
     tot - hw (the taxed length), so a lie can only hurt the prover.
     """
-    w = widths(ad.field_params.coord_bits, ad.n_traj)
+    width = widths(ad.field_params.coord_bits, ad.n_traj).shape
     geo = ad.geometry
     if isinstance(geo, CircleSet):
         t = localcalc.find_circle(*pt, geo.circles) if row_hint is None else row_hint
-        return gadgets.check_inside(cs, gadgets.lookup(cs, t, geo.rows), x, y, w.circle)
-    tris = geo.triangles
-    t = localcalc.find_triangle(*pt, tris) if row_hint is None else row_hint
-    ref = tris[t - 1] if 1 <= t <= len(tris) else tris[0]
-    bc = localcalc.get_bcoords(*pt, *ref[0], *ref[1], *ref[2])
-    return gadgets.check_inside_triangle(cs, gadgets.lookup(cs, t, geo.rows), x, y, (bc.s, bc.t), w.bary)
+        return gadgets.check_inside(cs, gadgets.lookup(cs, t, geo.rows), x, y, width)
+    t = localcalc.find_triangle(*pt, geo.triangles) if row_hint is None else row_hint
+    return gadgets.check_inside_triangle(cs, gadgets.lookup(cs, t, geo.rows), x, y, width)
 
 
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints=None,

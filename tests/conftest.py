@@ -26,6 +26,15 @@ FP12 = FieldParams(coord_bits=12)
 COORD_BOUND = 1 << 12
 
 
+def sign_check_weights(bits: list[int], m: int) -> list[int]:
+    """The signed values v that the last three ``gadgets.is_nonneg`` calls
+    at width m decomposed, from the values of their bits: each wires the
+    m + 1 bits of v + 2^m, low bit first."""
+    tail = bits[len(bits) - 3 * (m + 1):]
+    return [sum(b << i for i, b in enumerate(tail[j * (m + 1):(j + 1) * (m + 1)])) - (1 << m)
+            for j in range(3)]
+
+
 @pytest.fixture(scope="session")
 def fp12() -> FieldParams:
     return FP12

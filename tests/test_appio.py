@@ -407,6 +407,19 @@ def test_cli_fuzz_builds_the_statement_once(tmp_path, capsys, monkeypatch):
         }
 
 
+def test_cli_fuzz_one_circle_has_no_selector_to_mutate(tmp_path, capsys):
+    # A one-row table is read as constants: no selector, so no selector
+    # mutation is judged and none is reported.
+    inst = gen_fixture(FixtureSpec(kind="ev", seed=3, n_traj=8, n_geo=1))
+    path = tmp_path / "one-circle.json"
+    save_instance(inst, path)
+    assert cli_main(["check", str(path)]) == 0
+    assert cli_main(["fuzz", str(path), "--mutations", "5", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any("SELECTOR VIOLATION" in line for line in lines)
+    assert json.loads(lines[-1]) == {"mutations": 5, "violations": 0}
+
+
 def test_cli_fuzz_reports_a_hash_that_ignores_the_message(tmp_path, capsys, monkeypatch):
     path = _write_fixture(tmp_path)
     h_ex = load_instance(path).h_ex
@@ -525,6 +538,34 @@ def test_cli_cost_bad_coord_bits_exits_two(coord_bits, capsys):
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "coord_bits" in err
+
+
+HUGE_COORD_BITS = "1000000000000"  # 2^(3k + 6) would take about 375 GB
+
+
+@pytest.mark.parametrize("command", ["cost", "gen", "check"])
+def test_cli_huge_coord_bits_exits_two(tmp_path, capsys, command):
+    # The field bound is decided on bit lengths, so a coord_bits this large
+    # is an input error from the command line, a spec file and an instance
+    # file alike, not a MemoryError.
+    if command == "cost":
+        argv = ["cost", "--kind", "ev", "--n-traj", "2", "--n-circ", "1",
+                "--coord-bits", HUGE_COORD_BITS]
+    elif command == "gen":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"kind": "ev", "n_traj": 2, "n_geo": 1, "coord_bits": HUGE_COORD_BITS}))
+        argv = ["gen", str(path)]
+    else:
+        path = _write_fixture(tmp_path)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace('"coord_bits": 12', f'"coord_bits": "{HUGE_COORD_BITS}"'))
+        argv = ["check", path]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"coord_bits={HUGE_COORD_BITS}" in err
 
 
 def test_cli_session_honest(tmp_path, capsys):

@@ -185,7 +185,7 @@ def test_decompositions_at_ledger_widths(kind, coord_bits, n_traj, modulus):
             bits = len(g[1])
             assert bits <= max(w) + 1 and 2**bits < fp.modulus
             used.add(bits - 1)
-    named = {w.seg, w.tot, w.cover, w.circle} if kind == "ev" else {w.seg, w.tot, w.bary}
+    named = {w.seg, w.tot, w.cover, w.shape} if kind == "ev" else {w.seg, w.tot, w.shape}
     assert used == named
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from zkpol.circuit import ConstraintSystem, Domain
@@ -107,6 +108,24 @@ def test_params_reject_insufficient_headroom():
         FieldParams(modulus=2**61 - 1, coord_bits=24)
 
 
+def test_params_reject_huge_coord_bits_without_building_the_bound():
+    # The bound 2^(3k + 6) is never built: at k = 10^12 it would need
+    # about 375 GB.  The modulus is compared by bit length first.
+    with pytest.raises(FieldError, match="coord_bits=1000000000000"):
+        FieldParams(coord_bits=10**12)
+
+
+def test_params_accept_exactly_the_primes_above_the_bound():
+    # p > 2^(3k + 6), decided on bit lengths, at the edge: k = 4 needs
+    # p > 2^18 = 262144, whose next prime is 262147.
+    assert FieldParams(modulus=262147, coord_bits=4).modulus == 262147
+    for p in (sympy.prevprime(1 << 18), 131071, 2):
+        with pytest.raises(FieldError, match="too small"):
+            FieldParams(modulus=p, coord_bits=4)
+    with pytest.raises(FieldError, match="not prime"):
+        FieldParams(modulus=(1 << 18) + 1, coord_bits=4)
+
+
 def test_small_prime_with_small_coords_ok():
     fp = FieldParams(modulus=2**61 - 1, coord_bits=12)
     assert (fp.modulus, fp.coord_bits) == (2**61 - 1, 12)
@@ -114,6 +133,6 @@ def test_small_prime_with_small_coords_ok():
 
 def test_widths_below_half_p_at_defaults():
     w = widths(PARAMS.coord_bits, 4096)
-    assert w == (25, 38, 45, 49, 51)  # seg, tot, cover, circle, bary
+    assert w == (25, 38, 45, 49)  # seg, tot, cover, shape
     for bits in w:
         assert 2**bits < P // 2

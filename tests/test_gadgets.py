@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,7 +7,9 @@ import sympy
 from zkpol import gadgets, localcalc
 from zkpol.circuit import _INPUT, ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
-from zkpol.statements import CircleSet
+from zkpol.statements import CircleSet, TriangleSet
+
+from conftest import sign_check_weights
 
 FP = FieldParams(coord_bits=12)
 
@@ -176,7 +179,7 @@ def _circle_system(circle, x, y):
     row = (cs.const(u), cs.const(v), cs.const(r * r))
     wx = cs.wire_input(x, Domain.PROVER)
     wy = cs.wire_input(y, Domain.PROVER)
-    out = gadgets.check_inside(cs, row, wx, wy, widths(FP.coord_bits, 2).circle)
+    out = gadgets.check_inside(cs, row, wx, wy, widths(FP.coord_bits, 2).shape)
     return cs, out
 
 
@@ -218,7 +221,7 @@ def test_circle_gadget_matches_oracle_randomly():
         cs = fresh()
         wx, wy = cs.wire_input(x, Domain.PROVER), cs.wire_input(y, Domain.PROVER)
         row = gadgets.lookup(cs, localcalc.find_circle(x, y, circles.circles), circles.rows)
-        out = gadgets.check_inside(cs, row, wx, wy, widths(FP.coord_bits, 2).circle)
+        out = gadgets.check_inside(cs, row, wx, wy, widths(FP.coord_bits, 2).shape)
         assert cs.value(out) == int(localcalc.point_in_circles(x, y, circles.circles))
         assert cs.evaluate_and_check().satisfied
 
@@ -226,55 +229,90 @@ def test_circle_gadget_matches_oracle_randomly():
 # -- triangle membership -------------------------------------------------
 
 
-def _triangle_system(tri, x, y, bcoords=None):
-    cs = fresh()
-    (a1, b1), (a2, b2), (a3, b3) = tri
-    row = tuple(cs.wire_input(v, Domain.SHARED) for v in (a1, a2, a3, b1, b2, b3))
+def _triangle_system(tri, x, y, fp=FP, table=None, index=1):
+    """check_inside_triangle on row ``index`` of ``table`` (default: tri
+    alone), in a region of its own.  Returns (cs, bit, weights): weights
+    are s, t and u as the region's three sign checks decompose them
+    (v + 2^m into m + 1 bits, m the shape width)."""
+    cs = ConstraintSystem(fp)
     wx = cs.wire_input(x, Domain.PROVER)
     wy = cs.wire_input(y, Domain.PROVER)
-    if bcoords is None:
-        bc = localcalc.get_bcoords(x, y, a1, b1, a2, b2, a3, b3)
-        bcoords = (bc.s, bc.t)
-    out = gadgets.check_inside_triangle(cs, row, wx, wy, bcoords, widths(FP.coord_bits, 2).bary)
-    return cs, out
+    table = table or TriangleSet((tri,))
+    m = widths(fp.coord_bits, 2).shape
+    cs.scope("triangle")
+    row = gadgets.lookup(cs, index, table.rows)
+    out = gadgets.check_inside_triangle(cs, row, wx, wy, m)
+    weights = sign_check_weights([cs.value(w) for w in cs.region("triangle")[2]], m)
+    return cs, out, weights
 
 
 TRI = ((0, 0), (3, 0), (0, 3))
 
 
-def test_area_dbl_examples():
-    cs = fresh()
-    ws = [cs.wire_input(v, Domain.SHARED) for v in (0, 0, 1, 0, 0, 1)]
-    assert cs.value(gadgets.area_dbl_wire(cs, *ws)) == 1
-    cs = fresh()
-    ws = [cs.wire_input(v, Domain.SHARED) for v in (0, 0, 2, 0, 0, 2)]
-    assert cs.value(gadgets.area_dbl_wire(cs, *ws)) == 4
-    cs = fresh()
-    ws = [cs.wire_input(v, Domain.SHARED) for v in (0, 0, 1, 1, 2, 2)]
-    assert cs.value(gadgets.area_dbl_wire(cs, *ws)) == 0
-
-
 def test_triangle_centroid_inside():
-    cs, out = _triangle_system(TRI, 1, 1, bcoords=(3, 3))
-    assert cs.value(out) == 1
+    cs, out, weights = _triangle_system(TRI, 1, 1)
+    assert cs.value(out) == 1 and weights == [3, 3, 3]
     assert cs.evaluate_and_check().satisfied
+    # No barycentric hint: a one-row table's region wires only the three
+    # sign checks' bits, and the weights cost 4 muls.
+    m = widths(FP.coord_bits, 2).shape
+    assert len(cs.region("triangle")[2]) == 3 * (m + 1)
+    assert cs.n_mul == 4 + 3 * (m + 1) + 2  # weights, sign checks, AND
 
 
 def test_triangle_vertex_on_boundary_inside():
-    cs, out = _triangle_system(TRI, 0, 0, bcoords=(0, 0))
-    assert cs.value(out) == 1
+    cs, out, weights = _triangle_system(TRI, 0, 0)
+    assert cs.value(out) == 1 and weights == [0, 0, 9]
     assert cs.evaluate_and_check().satisfied
 
 
 def test_triangle_point_outside():
-    cs, out = _triangle_system(TRI, 3, 3, bcoords=(9, 9))
-    assert cs.value(out) == 0
+    cs, out, weights = _triangle_system(TRI, 3, 3)
+    assert cs.value(out) == 0 and weights == [9, 9, -9]
     assert cs.evaluate_and_check().satisfied
 
 
-def test_triangle_inconsistent_bcoords_unsatisfiable():
-    cs, _ = _triangle_system(TRI, 1, 1, bcoords=(4, 3))
-    assert not cs.evaluate_and_check().satisfied
+def _edge_points(tri, rng, per_edge):
+    """Lattice points on the edges of tri, vertices included."""
+    out = list(tri)
+    for (ax, ay), (bx, by) in zip(tri, tri[1:] + tri[:1]):
+        g = math.gcd(bx - ax, by - ay)
+        for j in rng.sample(range(g + 1), min(per_edge, g + 1)):
+            out.append((ax + j * (bx - ax) // g, ay + j * (by - ay) // g))
+    return out
+
+
+@pytest.mark.parametrize("k, modulus", [
+    (12, None), (24, None),
+    (4, sympy.nextprime(1 << 18)),  # the smallest prime FieldParams admits at k = 4
+])
+def test_triangle_weights_equal_get_bcoords(k, modulus):
+    # s, t and u as the circuit computes them from the named row are
+    # get_bcoords' s and t and A - s - t, and the bit is the edge-sign
+    # oracle's verdict: on random points, on the vertices and on lattice
+    # points of the edges, for triangles of either orientation.
+    fp = FieldParams(coord_bits=k, **({"modulus": modulus} if modulus else {}))
+    rng = random.Random(k)
+    bound = 1 << k
+    checked = 0
+    while checked < 40:
+        tris = [tuple((rng.randrange(bound), rng.randrange(bound)) for _ in range(3))
+                for _ in range(3)]
+        if any(localcalc.area_dbl_sgn(*t[0], *t[1], *t[2]) == 0 for t in tris):
+            continue
+        table = TriangleSet(tuple(tris))
+        index = rng.randint(1, 3)
+        tri = tris[index - 1]
+        area = localcalc.area_dbl(*tri[0], *tri[1], *tri[2])
+        points = _edge_points(tri, rng, 3) + [(rng.randrange(bound), rng.randrange(bound))
+                                              for _ in range(6)]
+        for x, y in points:
+            cs, out, weights = _triangle_system(tri, x, y, fp, table, index)
+            bc = localcalc.get_bcoords(x, y, *tri[0], *tri[1], *tri[2])
+            assert weights == [bc.s, bc.t, area - bc.s - bc.t]
+            assert cs.value(out) == int(localcalc.point_in_triangle(x, y, tri))
+            assert cs.evaluate_and_check().satisfied
+        checked += 1
 
 
 def test_triangle_gadget_matches_sign_oracle_randomly():
@@ -285,7 +323,7 @@ def test_triangle_gadget_matches_sign_oracle_randomly():
         if localcalc.area_dbl_sgn(*tri[0], *tri[1], *tri[2]) <= 0:
             continue
         x, y = rng.randrange(64), rng.randrange(64)
-        cs, out = _triangle_system(tri, x, y)
+        cs, out, _ = _triangle_system(tri, x, y)
         assert cs.evaluate_and_check().satisfied
         assert cs.value(out) == int(localcalc.point_in_triangle(x, y, tri))
         checked += 1
@@ -326,6 +364,17 @@ def test_lookup_out_of_range_unsatisfiable():
     assert not cs.evaluate_and_check().satisfied
     cs, _ = _lookup_system(4, TABLE)
     assert not cs.evaluate_and_check().satisfied
+
+
+def test_lookup_one_row_is_constants():
+    # The one-hot vector of a one-row table is the constant (1): the row
+    # comes back as public constants, with no input, mul or assertion.
+    for index in (0, 1, 2):
+        cs, out = _lookup_system(index, TABLE[:1])
+        assert [cs.value(w) for w in out] == [1, 2, 3]
+        assert all(cs._domains[w] == Domain.PUBLIC for w in out)
+        counters = cs.counters
+        assert (counters.n_prover_inputs, counters.n_mul, counters.n_assert) == (0, 0, 0)
 
 
 def test_lookup_two_ones_unsatisfiable():

@@ -39,6 +39,7 @@ from conftest import (
     random_tax_instance,
     random_trail,
     random_triangles,
+    sign_check_weights,
     small_prime_ev,
     unvalidated_doc,
 )
@@ -412,6 +413,28 @@ def test_selector_that_is_not_one_hot_fails_in_its_point(kind):
             assert h.check(dict(zip(sel, vector))).first_failed_assertion in own
 
 
+def test_tax_point_region_wires_only_its_selector_and_sign_bits():
+    # The prover names a row and nothing else: region point[i]'s inputs are
+    # the one-hot selector, then the bits of three sign checks, each the
+    # decomposition of a weight + 2^m (m the shape width), which recompose
+    # to the weights get_bcoords gives for the named triangle.
+    inst = gen_fixture(FixtureSpec(kind="tax", seed=5, n_traj=6, n_geo=8))
+    cs, _ = _build(inst)
+    tris, n_geo = inst.ad.geometry.triangles, inst.ad.geometry.count
+    m = widths(FP12.coord_bits, inst.ad.n_traj).shape
+    for i, (x, y) in enumerate(inst.trail.padded(inst.ad.n_traj)):
+        inputs = [cs.value(w) for w in cs.region(f"point[{i}]")[2]]
+        assert len(inputs) == n_geo + 3 * (m + 1)
+        sel, bits = inputs[:n_geo], inputs[n_geo:]
+        named = localcalc.find_triangle(x, y, tris)
+        assert sel == [int(j == named) for j in range(1, n_geo + 1)]
+        assert set(bits) <= {0, 1}
+        tri = tris[named - 1]
+        bc = localcalc.get_bcoords(x, y, *tri[0], *tri[1], *tri[2])
+        area = localcalc.area_dbl(*tri[0], *tri[1], *tri[2])
+        assert sign_check_weights(bits, m) == [bc.s, bc.t, area - bc.s - bc.t]
+
+
 # -- highway-tax statement -----------------------------------------------
 
 # Road: one big triangle over the lower-left region.  Trail leaves the
@@ -468,22 +491,17 @@ def test_tax_wrong_triangle_hint_never_decreases_taxed_distance():
 
 def _mixed_row_witness(tri_1, tri_2, trail):
     """Build a tax statement (d_max 0) whose prover alternates its lookups
-    between triangles 1 and 2 and claims barycentric coordinates in the
-    mixed triangle: x coordinates of tri_1, y coordinates of tri_2.  A
-    lookup that selected columns separately would take x from triangle 1
-    and y from triangle 2 at every point."""
-    mixed = tuple((x, y) for (x, _), (_, y) in zip(tri_1, tri_2))
+    between triangles 1 and 2, for a trail inside the mixed triangle: x
+    coordinates of tri_1, y coordinates of tri_2.  A lookup that selected
+    columns separately could pair the columns of triangle 1 with those of
+    triangle 2 at every point."""
     inst = make_instance(
         "tax", FP12, len(trail), TaxPolicy(0), TriangleSet((tri_1, tri_2)), Trail(trail)
     )
     real_lookup = gadgets.lookup
-    real_bcoords = localcalc.get_bcoords
     picks = itertools.cycle((1, 2))
     with mock.patch.object(
         gadgets, "lookup", lambda cs, t, rows: real_lookup(cs, next(picks), rows)
-    ), mock.patch.object(
-        localcalc, "get_bcoords",
-        lambda x, y, *_: real_bcoords(x, y, *mixed[0], *mixed[1], *mixed[2]),
     ):
         _, h = _build(inst)
     return inst, h
@@ -588,22 +606,24 @@ def test_statement_cost_pinned():
     # exact square root (2k + 3 muls), of one selector vector per point
     # over the public geometry table (its columns are affines with the
     # table's entries as coefficients, so the only lookup muls are the
-    # selectors' booleanity), of h_ex as the only shared input, and of the
-    # t = 9 sponge (rate 8, R_F = 8, R_P = 56: 384 muls and, with sparse
-    # partial rounds, 1,600 adds per permutation).
+    # selectors' booleanity, and a one-row table has no selector), of
+    # triangle weights computed from the row (4 muls, no hint), of h_ex as
+    # the only shared input, and of the t = 9 sponge (rate 8, R_F = 8,
+    # R_P = 56: 384 muls and, with sparse partial rounds, 1,600 adds per
+    # permutation).
     assert statement_cost("ev", 256, 1, FieldParams()) == {
-        "n_mul": 52756, "n_add": 158770, "n_assert": 27420,
-        "n_prover_inputs": 27160, "n_shared_inputs": 1,
+        "n_mul": 52500, "n_add": 158258, "n_assert": 26908,
+        "n_prover_inputs": 26904, "n_shared_inputs": 1,
     }
     assert statement_cost("tax", 64, 16, FieldParams()) == {
-        "n_mul": 21800, "n_add": 61592, "n_assert": 14830,
-        "n_prover_inputs": 14636, "n_shared_inputs": 1,
+        "n_mul": 20776, "n_add": 61336, "n_assert": 14318,
+        "n_prover_inputs": 14124, "n_shared_inputs": 1,
     }
     # The shapes whose membership cost the public table moved most.
     assert statement_cost("ev", 64, 16, FP12)["n_mul"] == 11088
-    assert statement_cost("tax", 64, 64, FP12)["n_mul"] == 18740
+    assert statement_cost("tax", 64, 64, FP12)["n_mul"] == 17716
     # Wire counts of the same statements: every wire is one gate.
-    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 149_641), ("tax", 64, 16, 62_352)):
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 147_849), ("tax", 64, 16, 60_304)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
