@@ -3,7 +3,7 @@
 Subpackages:
     field      prime-field parameters and the bit-width ledger
     circuit    visibility-tagged constraint system builder / checker
-    gadgets    reusable circuit fragments (comparison, sqrt, hash, geometry)
+    gadgets    reusable circuit fragments (range check, sqrt, hash, geometry)
     poseidon   Poseidon-style permutation parameters
     localcalc  prover-local helper computations and plaintext oracles
     statements the EV-subsidy and highway-tax proof statements

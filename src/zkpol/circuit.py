@@ -159,6 +159,10 @@ class ConstraintSystem:
         return self._binary(_SUB, a, b, self._values[a] - self._values[b])
 
     def mul(self, a: int, b: int) -> int:
+        if self._gates[a][0] == _CONST:
+            a, b = b, a
+        if self._gates[b][0] == _CONST:  # linear: the one-term affine c * a, no mul
+            return self.affine([self._gates[b][1]], [a])
         self.n_mul += 1
         return self._binary(_MUL, a, b, self._values[a] * self._values[b])
 

@@ -47,24 +47,21 @@ def _cmd_fuzz(args) -> int:
     """Build the statement once, then check mutations by overriding inputs.
 
     Each mutation changes one trail coordinate, which only region digest
-    may reject; zeroes the row the prover names at point i, with the bits
-    a prover derives for the all-zero selector, which only region point[i]
-    may reject (skipped when the geometry has one row: ``gadgets.lookup``
-    reads it as constants, with no selector); and gives segment j a wrong
-    root with the bits a prover derives for it, which only region
-    segment[j] may reject.  Hints further downstream are not re-derived,
-    so a mutation whose first failure comes before its region is not
-    judged."""
+    may reject; then, with the inputs a prover derives for the lie, which
+    only region point[i] or segment[j] may reject: zeroes the selector at
+    point i (skipped for a one-row table, read as constants); claims
+    membership for a point i outside every row, as if it were row 1's
+    circle centre or first triangle vertex (skipped if no point is
+    outside); and gives segment j a wrong root.  Hints further downstream
+    are not re-derived, so a mutation whose first failure comes before
+    its region is not judged."""
     inst = appio.load_instance(args.instance)
     rng = random.Random(args.seed)
     cs = ConstraintSystem(inst.field_params)
     handle = statements.build_statement(inst, cs)
     honest = handle.check().satisfied
     oracle = statements.oracle_verdict(inst)
-    violations = 0
-    if honest != oracle:
-        violations += 1
-        print(f"EQUIVALENCE VIOLATION: circuit={honest} oracle={oracle}")
+    found = [] if honest == oracle else [f"EQUIVALENCE VIOLATION: circuit={honest} oracle={oracle}"]
 
     def passes(region, overrides):
         """True if the mutation reaches region and region does not reject it."""
@@ -72,20 +69,25 @@ def _cmd_fuzz(args) -> int:
         reached = first is None or first >= cs.region(region)[1].start
         return reached and cs.scope_of(first) != region
 
-    def rederived(wire):
-        """The values of the prover inputs that ``wire`` wires on a scratch
-        system: the gadgets themselves derive a mutation's bits."""
+    def passes_rewired(region, wire):
+        """``passes`` with region's inputs replaced by those ``wire`` wires on
+        a scratch system: the gadgets themselves derive a mutation's bits."""
         scratch = ConstraintSystem(inst.field_params)
         scratch.scope("mutated")
         wire(scratch)
-        return [scratch.value(w) for w in scratch.region("mutated")[2]]
+        wired = [scratch.value(w) for w in scratch.region("mutated")[2]]
+        return passes(region, dict(zip(cs.region(region)[2], wired)))
 
     bound = 1 << inst.field_params.coord_bits
     n = inst.ad.n_traj
     k_seg = widths(inst.field_params.coord_bits, n).seg
     pts = inst.trail.points
     padded = inst.trail.padded(n)
-    selectors = inst.ad.geometry.count > 1  # a one-row table has no selector to zero
+    geo = inst.ad.geometry
+    ev = inst.ad.kind == "ev"  # (ax, ay) lies in row 1, which every outside point names
+    contains = localcalc.point_in_circles if ev else localcalc.point_in_any_triangle
+    shapes, (ax, ay) = (geo.circles, geo.circles[0][:2]) if ev else (geo.triangles, geo.triangles[0][0])
+    outside = [i for i, pt in enumerate(padded) if not contains(*pt, shapes)]
     for trial in range(args.mutations):
         i = rng.randrange(len(pts))
         axis = rng.randrange(2)
@@ -96,16 +98,17 @@ def _cmd_fuzz(args) -> int:
         # padded copies too.
         moved = range(i, n if i == len(pts) - 1 else i + 1)
         if passes("digest", {handle.trail_input_ids[axis * n + c]: new_coord for c in moved}):
-            violations += 1
-            print(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
+            found.append(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
         i = rng.randrange(n)
-        if selectors:
-            x, y = padded[i]
-            wired = rederived(lambda sc: statements.point_inside(
-                sc, inst.ad, sc.const(x), sc.const(y), (x, y), 0))
-            if passes(f"point[{i}]", dict(zip(cs.region(f"point[{i}]")[2], wired))):
-                violations += 1
-                print(f"SELECTOR VIOLATION at mutation {trial} (point {i})")
+        x, y = padded[i]  # a one-row table has no selector to zero
+        if geo.count > 1 and passes_rewired(f"point[{i}]", lambda sc: statements.point_inside(
+                sc, inst.ad, sc.const(x), sc.const(y), (x, y), 0)):
+            found.append(f"SELECTOR VIOLATION at mutation {trial} (point {i})")
+        if outside:
+            i = rng.choice(outside)
+            if passes_rewired(f"point[{i}]", lambda sc: statements.point_inside(
+                    sc, inst.ad, sc.const(ax), sc.const(ay), (ax, ay), 1)):
+                found.append(f"CLAIM VIOLATION at mutation {trial} (point {i})")
         if n < 2:
             continue
         j = rng.randrange(n - 1)
@@ -114,12 +117,12 @@ def _cmd_fuzz(args) -> int:
         root = localcalc.isqrt(sq)
         wrong = rng.choice([v for v in (root - 1, root + 1, rng.randrange(1 << k_seg))
                             if v not in (root, -1)])
-        wired = rederived(lambda sc: gadgets.sqrt_floor(sc, sc.const(sq), k_seg, wrong))
-        if passes(f"segment[{j}]", dict(zip(cs.region(f"segment[{j}]")[2], wired))):
-            violations += 1
-            print(f"ROOT VIOLATION at mutation {trial} (segment {j}, root {wrong} != {root})")
-    print(json.dumps({"mutations": args.mutations, "violations": violations}))
-    return EXIT_OK if violations == 0 else EXIT_UNSAT
+        if passes_rewired(f"segment[{j}]", lambda sc: gadgets.sqrt_floor(sc, sc.const(sq), k_seg, wrong)):
+            found.append(f"ROOT VIOLATION at mutation {trial} (segment {j}, root {wrong} != {root})")
+    for line in found:
+        print(line)
+    print(json.dumps({"mutations": args.mutations, "violations": len(found)}))
+    return EXIT_OK if not found else EXIT_UNSAT
 
 
 def _cmd_cost(args) -> int:

@@ -4,8 +4,8 @@ Everything in the circuit and gadget layers computes in GF(p), on plain
 int residues, for a single configurable prime p.  The default is the
 Mersenne prime 2^127 - 1.  ``FieldParams`` requires p > 2^(3*k_c + 6),
 where k_c bounds the bit-length of any coordinate or radius; ``widths``
-derives every bit width the statements compare or decompose at, and a
-``statements.StatementInstance`` whose widest comparison does not fit
+derives every bit width the statements range-check at, and a
+``statements.StatementInstance`` whose widest range check does not fit
 below p fails validation when it is constructed.
 """
 
@@ -48,21 +48,20 @@ def widths(coord_bits: int, n_traj: int) -> Widths:
         seg     k + 1                  segment length isqrt(dx^2 + dy^2)
         tot     k + 1 + bitlen(n_traj) accumulated length (tot, cc, hw, d_req)
         cover   tot + 7                tot * p_req and 100 * cc (p_req <= 100)
-        shape   2k + 1                 squared center distance and r^2; the
-                                       triangle weights s, t, u (doubled
-                                       signed areas, |w| < 2^(2k))
+        shape   2k                     membership weights r^2 - dist^2 and s, t,
+                                       u: below 2^(2k) at a point inside
 
-    A comparison at width m (``gadgets.leq``, ``gadgets.is_nonneg``)
-    decomposes m + 1 bits and decides correctly only while 2^(m+1) < p.
-    The exact root decomposes its remainders at seg + 1 bits and pins
-    d = isqrt(sq) while p > 2^(2*seg + 5).  ``FieldParams`` guarantees
+    A range check at width m decomposes m bits: ``gadgets.leq`` is sound
+    while p > 2^(m+1), a membership check while p > 2^(m+2).  The exact
+    root decomposes its remainders at seg + 1 bits and pins d = isqrt(sq)
+    while p > 2^(2*seg + 5).  ``FieldParams`` guarantees
     p > 2^(3k + 6), which covers seg and shape; tot and cover grow with
     n_traj and are checked as each instance is constructed, by
     ``statements.validate_instance``.
     """
     seg = coord_bits + 1
     tot = seg + n_traj.bit_length()
-    return Widths(seg, tot, cover=tot + 7, shape=2 * coord_bits + 1)
+    return Widths(seg, tot, cover=tot + 7, shape=2 * coord_bits)
 
 
 @dataclass(frozen=True)

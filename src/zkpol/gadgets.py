@@ -1,12 +1,12 @@
 """Reusable circuit fragments.
 
-Booleanity, bit decomposition, comparisons, the exact floor square root
-with prover-supplied hint, the Poseidon sponge, the characteristic-vector
-lookup of a row of a public table, and circle and triangle membership in
-one such row.  All gadgets append to a caller-owned ConstraintSystem.
-The only prover hints are the root of ``sqrt_floor`` and the index of
-``lookup``; both are derived from the builder's eager values unless the
-caller supplies them explicitly (which the adversarial tests do).
+Booleanity, bit decomposition, the range check ``leq``, the exact floor
+square root, the Poseidon sponge, the characteristic-vector lookup of a
+row of a public table, and circle and triangle membership in one such
+row.  All gadgets append to a caller-owned ConstraintSystem, and every
+inequality is a range check.  The prover's hints, the root of
+``sqrt_floor``, the index of ``lookup`` and the membership bit, are
+derived from the builder's eager values (a caller may pass the first two).
 """
 
 from __future__ import annotations
@@ -36,19 +36,13 @@ def decompose_bits(cs: ConstraintSystem, w: int, k: int) -> range:
     return cs.decompose(w, k)
 
 
-def leq(cs: ConstraintSystem, a: int, b: int, k: int) -> int:
-    """Boolean wire: 1 iff a <= b, for prover-local values in [0, 2^k).
-
-    Realized as the top bit of the (k+1)-bit decomposition of
-    b - a + 2^k.  Callers must have range-constrained a and b; the
-    statement builders do so by construction.
-    """
-    shifted = cs.affine([1, cs.p - 1], [b, a], 1 << k)
-    return decompose_bits(cs, shifted, k + 1)[k]
-
-
-def assert_leq(cs: ConstraintSystem, a: int, b: int, k: int) -> None:
-    cs.assert_eq(leq(cs, a, b, k), cs.const(1))
+def leq(cs: ConstraintSystem, a: int, b: int, k: int) -> None:
+    """Assert a <= b, for a and b in [0, 2^k): b - a is decomposed into k
+    bits.  If a > b, b - a lies in (-2^k, 0) and its residue is at least
+    p - 2^k, which is 2^k or more while p > 2^(k+1), so the decomposition
+    fails.  Callers must have range-constrained a and b; the statement
+    builders do so by construction."""
+    decompose_bits(cs, cs.sub(b, a), k)
 
 
 def sqrt_floor(
@@ -88,24 +82,29 @@ def sqrt_floor(
     return d
 
 
-def is_nonneg(cs: ConstraintSystem, v: int, m: int) -> int:
-    """Boolean: the signed value of v lies in [0, 2^m), given |v| < 2^m."""
-    shifted = cs.affine([1], [v], 1 << m)
-    return decompose_bits(cs, shifted, m + 1)[m]
+def _claim_inside(cs: ConstraintSystem, weights: list[int], width: int) -> int:
+    """The prover's bit b that every weight w is non-negative: b is asserted
+    boolean and each b*w decomposed into ``width`` bits; b = 1 iff every
+    w's value is below 2^width.  The weights lie in (-2^(width+1), 2^width),
+    so b = 0 always holds and b = 1 fails if some w < 0: its residue is at
+    least p - 2^(width+1) >= 2^width, as p > 2^(3k+6) >= 2^(width+2) at 2k."""
+    b = cs.wire_input(int(all(cs.value(w) >> width == 0 for w in weights)), Domain.PROVER)
+    assert_boolean(cs, b)
+    for w in weights:
+        decompose_bits(cs, cs.mul(b, w), width)
+    return b
 
 
 def check_inside(cs: ConstraintSystem, row: tuple[int, int, int], x: int, y: int, width: int) -> int:
-    """Boolean: (x, y) lies inside the circle row = (u, v, s), s the squared
-    radius.
-
-    Membership is the non-strict inequality (x-u)^2 + (y-v)^2 <= s,
-    compared with ``leq`` at ``width`` bits, which must bound both sides
-    (the statements pass ``field.widths(...).shape``).
-    """
+    """The prover's membership bit of (x, y) in the circle row = (u, v, s),
+    s the squared radius: 1 only if the weight s - (x-u)^2 - (y-v)^2 is
+    non-negative, checked at ``width`` = ``field.widths(...).shape`` = 2k
+    bits (s < 2^(2k), and the squared distance < 2^(2k+1))."""
     u, v, s = row
     dx = cs.sub(x, u)
     dy = cs.sub(y, v)
-    return leq(cs, cs.add(cs.mul(dx, dx), cs.mul(dy, dy)), s, width)
+    w = cs.affine([1, cs.p - 1, cs.p - 1], [s, cs.mul(dx, dx), cs.mul(dy, dy)])
+    return _claim_inside(cs, [w], width)
 
 
 def check_inside_triangle(
@@ -115,24 +114,19 @@ def check_inside_triangle(
     y: int,
     width: int,
 ) -> int:
-    """Boolean: (x, y) inside or on the boundary of the triangle whose
-    row = (c_s, dx_s, dy_s, c_t, dx_t, dy_t, A) holds the affine
-    coefficients of the unnormalized barycentric weights and the doubled
-    area (``statements.TriangleSet.rows``).
-
-    The circuit computes s = c_s + dx_s*x + dy_s*y, t likewise and
-    u = A - s - t (4 muls), and returns the conjunction of the three sign
-    checks, each an ``is_nonneg`` at ``width`` bits, which must bound
-    |s|, |t| and |u| (the statements pass ``field.widths(...).shape``).
-    Nothing here is a prover hint: the weights follow from the row and
-    the point.
-    """
+    """The prover's membership bit of (x, y) in the triangle whose row =
+    (c_s, dx_s, dy_s, c_t, dx_t, dy_t, A) holds the affine coefficients of
+    the unnormalized barycentric weights and the doubled area
+    (``statements.TriangleSet.rows``): 1 only if (x, y) is inside or on
+    the boundary.  The circuit computes s = c_s + dx_s*x + dy_s*y, t
+    likewise and u = A - s - t (4 muls, none if the row is constants) and
+    checks them at ``width`` = ``field.widths(...).shape`` = 2k bits: each
+    is a doubled signed area of a lattice triangle in [0, 2^k)^2."""
     c_s, dx_s, dy_s, c_t, dx_t, dy_t, A = row
     s = cs.affine([1, 1, 1], [c_s, cs.mul(dx_s, x), cs.mul(dy_s, y)])
     t = cs.affine([1, 1, 1], [c_t, cs.mul(dx_t, x), cs.mul(dy_t, y)])
     u = cs.affine([1, cs.p - 1, cs.p - 1], [A, s, t])
-    inside = cs.mul(is_nonneg(cs, s, width), is_nonneg(cs, t, width))
-    return cs.mul(inside, is_nonneg(cs, u, width))
+    return _claim_inside(cs, [s, t, u], width)
 
 
 def lookup(cs: ConstraintSystem, index: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:

@@ -1,8 +1,8 @@
 """Prover-local computations and plaintext oracles.
 
 Everything here runs on plain Python integers, off-circuit.  The circle
-and triangle searches name the row a prover wires as its membership hint
-(its other hints are the square roots, ``isqrt``); the barycentric
+and triangle searches name the row a prover wires (its other hints are
+the square roots, ``isqrt``, and the membership bits); the barycentric
 conversion ``get_bcoords`` is the one formula for the triangle weights,
 from which ``statements.TriangleSet.rows`` derives the public table's
 affine coefficients; the ``oracle_*`` functions are independent

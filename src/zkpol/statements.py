@@ -196,10 +196,10 @@ def validate_instance(inst: StatementInstance) -> None:
     Beyond the sizes (``check_sizes``), the Poseidon prime (the field
     modulus), h_ex (below p), trail length, coordinates, radii, triangle
     orientation and policy values, every number must be an int, and the
-    statement's widest comparison m must fit below p, 2^(m+1) < p: for ev that is
-    ``widths(...).cover``, for tax ``tot`` (``FieldParams`` already covers
-    the shape width; see ``field.widths``).  A small prime with a long
-    trail fails this check.
+    statement's widest policy range check m must fit below p, 2^(m+1) < p:
+    for ev that is ``widths(...).cover``, for tax ``tot`` (``FieldParams``
+    already covers the shape width; see ``field.widths``).  A small prime
+    with a long trail fails this check.
     """
     ad = inst.ad
     fp = ad.field_params
@@ -243,7 +243,7 @@ def validate_instance(inst: StatementInstance) -> None:
         m = w.tot
     if 1 << (m + 1) >= fp.modulus:
         raise InstanceError(
-            f"/field_params/modulus: too small for a {m}-bit comparison "
+            f"/field_params/modulus: too small for a {m}-bit range check "
             f"(coord_bits={k}, n_traj={ad.n_traj}); need p > 2^{m + 1}"
         )
 
@@ -312,13 +312,13 @@ def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, pt, ro
     """Membership bit of the point pt, wired as x and y: the prover names a
     row of ad's public geometry table (row_hint, else the first circle or
     triangle that contains pt, or 1 if none does), ``gadgets.lookup``
-    reads it and the shape check tests pt against it.
+    reads it, and the shape check range-checks the prover's bit against it.
 
     The argument is one-sided.  The lookup's one-hot selector makes the
-    row a real one, so a bit of 1 means pt lies in a circle or triangle.
-    Naming a row that does not contain pt gives 0: pt counts as outside,
-    which only lowers cc (the in-circles length of a subsidy) or raises
-    tot - hw (the taxed length), so a lie can only hurt the prover.
+    row a real one, and a bit of 1 passes only if pt lies in its circle or
+    triangle.  A bit of 0 always passes and counts pt as outside, which
+    only lowers cc (the in-circles length of a subsidy) or raises tot - hw
+    (the taxed length): a wrong 0, or a row without pt, only hurts the prover.
     """
     width = widths(ad.field_params.coord_bits, ad.n_traj).shape
     geo = ad.geometry
@@ -355,14 +355,14 @@ def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints
     tot, both = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
     cs.scope("policy")
     if ad.kind == "ev":
-        gadgets.assert_leq(cs, cs.const(ad.policy.d_req), tot, w.tot)
+        gadgets.leq(cs, cs.const(ad.policy.d_req), tot, w.tot)
         lhs = cs.affine([ad.policy.p_req], [tot])
-        gadgets.assert_leq(cs, lhs, cs.affine([100], [both]), w.cover)
+        gadgets.leq(cs, lhs, cs.affine([100], [both]), w.cover)
     else:
-        # d_max beyond the accumulator width always satisfies; clamp keeps
-        # the comparison in range without changing the verdict.
+        # d_max beyond the accumulator width always satisfies; clamping keeps
+        # it within the range check's width without changing the verdict.
         d_max = min(ad.policy.d_max, (1 << w.tot) - 1)
-        gadgets.assert_leq(cs, cs.sub(tot, both), cs.const(d_max), w.tot)
+        gadgets.leq(cs, cs.sub(tot, both), cs.const(d_max), w.tot)
     return StatementHandle(cs, cs.region("trail")[2])
 
 

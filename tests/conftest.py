@@ -9,6 +9,7 @@ import pytest
 
 from zkpol import localcalc, poseidon
 from zkpol.appio import serialize_instance
+from zkpol.circuit import _MUL, _SUB, ConstraintSystem
 from zkpol.field import FieldParams
 from zkpol.poseidon import params_for
 from zkpol.statements import (
@@ -26,13 +27,15 @@ FP12 = FieldParams(coord_bits=12)
 COORD_BOUND = 1 << 12
 
 
-def sign_check_weights(bits: list[int], m: int) -> list[int]:
-    """The signed values v that the last three ``gadgets.is_nonneg`` calls
-    at width m decomposed, from the values of their bits: each wires the
-    m + 1 bits of v + 2^m, low bit first."""
-    tail = bits[len(bits) - 3 * (m + 1):]
-    return [sum(b << i for i, b in enumerate(tail[j * (m + 1):(j + 1) * (m + 1)])) - (1 << m)
-            for j in range(3)]
+def membership_weights(cs: ConstraintSystem, region: str, bit: int) -> list[int]:
+    """The signed values of the weights that the membership bit ``bit``
+    multiplies in ``region`` before each range check, in gate order: the
+    weight wires of ``gadgets.check_inside`` or ``check_inside_triangle``.
+    The bit's booleanity, bit * (bit - 1), is its one other product there."""
+    p, gates = cs.p, cs._gates
+    vals = [cs.value(gates[g][2]) for g in cs.region(region)[0]
+            if gates[g][:2] == (_MUL, bit) and gates[gates[g][2]][:2] != (_SUB, bit)]
+    return [v - p if v > p // 2 else v for v in vals]
 
 
 @pytest.fixture(scope="session")

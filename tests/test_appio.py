@@ -477,6 +477,33 @@ def test_cli_fuzz_reports_a_lookup_without_its_sum_check(tmp_path, capsys, monke
         assert json.loads(lines[-1]) == {"mutations": 5, "violations": 5}
 
 
+def test_cli_fuzz_reports_a_membership_claim_without_its_range_checks(tmp_path, capsys, monkeypatch):
+    # The non-compliant tax fixture has points outside every triangle, so
+    # every mutation claims membership for one of them.  With the range
+    # checks' bits wired as free inputs, a claimed bit of 1 with the bits
+    # derived inside row 1 passes its point's region; with them, it fails
+    # there.
+    path = _write_fixture(tmp_path, mode="non_compliant", kind="tax")
+    inst = load_instance(path)
+    assert not all(localcalc.point_in_any_triangle(*pt, inst.ad.geometry.triangles)
+                   for pt in inst.trail.padded(inst.ad.n_traj))
+    assert cli_main(["fuzz", path, "--mutations", "5", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 0
+
+    def unchecked(cs, weights, width):
+        b = cs.wire_input(int(all(cs.value(w) >> width == 0 for w in weights)), Domain.PROVER)
+        gadgets.assert_boolean(cs, b)
+        for _ in range(len(weights) * width):
+            cs.wire_input(0, Domain.PROVER)
+        return b
+
+    monkeypatch.setattr(gadgets, "_claim_inside", unchecked)
+    assert cli_main(["fuzz", path, "--mutations", "5", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("CLAIM VIOLATION" in line for line in lines) == 5
+    assert json.loads(lines[-1]) == {"mutations": 5, "violations": 5}
+
+
 def _rewrite_poseidon(tmp_path, **keys):
     path = _write_fixture(tmp_path)
     with open(path) as fh:

@@ -56,6 +56,21 @@ def test_mul_gate():
     assert cs.counters.n_mul == 1
 
 
+def test_mul_by_a_constant_is_an_affine():
+    # A product with a constant wire, on either side, is the one-term
+    # affine c * w: no mul gate, no add, the wire's domain, and an
+    # override of w re-evaluates it.
+    cs = fresh()
+    a = cs.wire_input(7, Domain.SHARED)
+    for prod in (cs.mul(cs.const(3), a), cs.mul(a, cs.const(3))):
+        assert cs._gates[prod] == (_AFFINE, (3,), (a,), 0)
+        assert cs.value(prod) == 21 and cs._domains[prod] == Domain.SHARED
+        cs.assert_eq(prod, cs.const(21))
+    assert (cs.n_mul, cs.n_add) == (0, 2)  # the two assert_eq subs
+    assert cs.evaluate_and_check().satisfied
+    assert not cs.evaluate_and_check({a: 8}).satisfied
+
+
 def test_add_zero_identity():
     cs = fresh()
     a = cs.wire_input(9, Domain.PROVER)
@@ -171,8 +186,9 @@ def test_domain_monotonicity_structural():
 )
 def test_decompositions_at_ledger_widths(kind, coord_bits, n_traj, modulus):
     # Every recomposition affine (coefficients 1, 2, 4, ... over input bits)
-    # decomposes at w + 1 bits for a width w that field.widths names, and
-    # fits below p.
+    # decomposes at a width that field.widths names, and fits below p: a
+    # range check at width m decomposes m bits, and the exact root its
+    # remainders at seg + 1.
     fp = FieldParams(coord_bits=coord_bits, **({"modulus": modulus} if modulus else {}))
     cs = ConstraintSystem(fp)
     build_statement(_dummy_instance(kind, n_traj, 2, fp), cs)
@@ -184,8 +200,8 @@ def test_decompositions_at_ledger_widths(kind, coord_bits, n_traj, modulus):
                 and all(cs._gates[i][0] == _INPUT for i in g[2])):
             bits = len(g[1])
             assert bits <= max(w) + 1 and 2**bits < fp.modulus
-            used.add(bits - 1)
-    named = {w.seg, w.tot, w.cover, w.shape} if kind == "ev" else {w.seg, w.tot, w.shape}
+            used.add(bits)
+    named = {w.seg + 1, w.tot, w.shape} | ({w.cover} if kind == "ev" else set())
     assert used == named
 
 

@@ -133,6 +133,6 @@ def test_small_prime_with_small_coords_ok():
 
 def test_widths_below_half_p_at_defaults():
     w = widths(PARAMS.coord_bits, 4096)
-    assert w == (25, 38, 45, 49)  # seg, tot, cover, shape
+    assert w == (25, 38, 45, 48)  # seg, tot, cover, shape
     for bits in w:
         assert 2**bits < P // 2

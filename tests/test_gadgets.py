@@ -9,7 +9,7 @@ from zkpol.circuit import _INPUT, ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
 from zkpol.statements import CircleSet, TriangleSet
 
-from conftest import sign_check_weights
+from conftest import membership_weights, random_triangles
 
 FP = FieldParams(coord_bits=12)
 
@@ -50,36 +50,51 @@ def test_decompose_bits_overflow_unsatisfiable():
     assert not cs.evaluate_and_check().satisfied
 
 
-# -- comparisons ---------------------------------------------------------
+# -- range checks --------------------------------------------------------
+
+
+def _leq_system(a, b, k, fp=FP):
+    cs = ConstraintSystem(fp)
+    out = gadgets.leq(cs, cs.wire_input(a, Domain.PROVER), cs.wire_input(b, Domain.PROVER), k)
+    assert out is None  # an assertion, not a comparison bit
+    return cs
 
 
 @pytest.mark.parametrize("a,b,expected", [(3, 5, 1), (5, 3, 0), (7, 7, 1)])
 def test_leq_examples(a, b, expected):
-    cs = fresh()
-    wa = cs.wire_input(a, Domain.PROVER)
-    wb = cs.wire_input(b, Domain.PROVER)
-    out = gadgets.leq(cs, wa, wb, 4)
-    assert cs.value(out) == expected
-    assert cs.evaluate_and_check().satisfied
+    assert _leq_system(a, b, 4).evaluate_and_check().satisfied == bool(expected)
 
 
 def test_leq_agrees_with_integer_order():
+    # Satisfiable iff a <= b: on random pairs, and on every pair at the
+    # edges of [0, 2^k) at the smallest prime FieldParams admits
+    # (p = 521 > 2^9), where k = 8 is the widest range check with
+    # p > 2^(k+1).  There the bits are those a prover derives from the
+    # residue of b - a, the best witness for the pair.
     rng = random.Random(5)
     k = 16
     for _ in range(300):
-        a = rng.randrange(1 << k)
-        b = rng.randrange(1 << k)
-        cs = fresh()
-        out = gadgets.leq(cs, cs.wire_input(a, Domain.PROVER), cs.wire_input(b, Domain.PROVER), k)
-        assert cs.value(out) == int(a <= b)
-        assert cs.evaluate_and_check().satisfied
+        a, b = rng.randrange(1 << k), rng.randrange(1 << k)
+        assert _leq_system(a, b, k).evaluate_and_check().satisfied == (a <= b)
+    p, k = 521, 8
+    cs = _leq_system(0, 0, k, FieldParams(modulus=p, coord_bits=1))
+    wa, wb, *bits = [w for w in range(len(cs._gates)) if cs._gates[w] == (_INPUT,)]
+    top = (1 << k) - 1
+    for a in range(1 << k):
+        for b in {0, 1, a - 1, a, a + 1, top - 1, top} & set(range(1 << k)):
+            diff = (b - a) % p
+            overrides = {wa: a, wb: b, **{w: (diff >> i) & 1 for i, w in enumerate(bits)}}
+            assert cs.evaluate_and_check(overrides).satisfied == (a <= b), (a, b)
 
 
 @pytest.mark.parametrize("a,b,ok", [(0, 0, True), (10, 12, True), (12, 10, False)])
 def test_assert_leq(a, b, ok):
-    cs = fresh()
-    gadgets.assert_leq(cs, cs.wire_input(a, Domain.PROVER), cs.wire_input(b, Domain.PROVER), 5)
+    # leq is the assertion: a range check of b - a at k bits (k muls, k
+    # bit inputs, k booleanity assertions and the recomposition).
+    k = 5
+    cs = _leq_system(a, b, k)
     assert cs.evaluate_and_check().satisfied == ok
+    assert (cs.n_mul, cs.n_prover_inputs, cs.counters.n_assert) == (k, 2 + k, k + 1)
 
 
 # -- floor square root ---------------------------------------------------
@@ -232,18 +247,15 @@ def test_circle_gadget_matches_oracle_randomly():
 def _triangle_system(tri, x, y, fp=FP, table=None, index=1):
     """check_inside_triangle on row ``index`` of ``table`` (default: tri
     alone), in a region of its own.  Returns (cs, bit, weights): weights
-    are s, t and u as the region's three sign checks decompose them
-    (v + 2^m into m + 1 bits, m the shape width)."""
+    are the signed values of the weight wires s, t and u."""
     cs = ConstraintSystem(fp)
     wx = cs.wire_input(x, Domain.PROVER)
     wy = cs.wire_input(y, Domain.PROVER)
     table = table or TriangleSet((tri,))
-    m = widths(fp.coord_bits, 2).shape
     cs.scope("triangle")
     row = gadgets.lookup(cs, index, table.rows)
-    out = gadgets.check_inside_triangle(cs, row, wx, wy, m)
-    weights = sign_check_weights([cs.value(w) for w in cs.region("triangle")[2]], m)
-    return cs, out, weights
+    out = gadgets.check_inside_triangle(cs, row, wx, wy, widths(fp.coord_bits, 2).shape)
+    return cs, out, membership_weights(cs, "triangle", out)
 
 
 TRI = ((0, 0), (3, 0), (0, 3))
@@ -253,11 +265,12 @@ def test_triangle_centroid_inside():
     cs, out, weights = _triangle_system(TRI, 1, 1)
     assert cs.value(out) == 1 and weights == [3, 3, 3]
     assert cs.evaluate_and_check().satisfied
-    # No barycentric hint: a one-row table's region wires only the three
-    # sign checks' bits, and the weights cost 4 muls.
+    # No barycentric hint: a one-row table's region wires only the
+    # membership bit and the bits of three range checks, and the weights
+    # (the row's constants times the point) cost no mul.
     m = widths(FP.coord_bits, 2).shape
-    assert len(cs.region("triangle")[2]) == 3 * (m + 1)
-    assert cs.n_mul == 4 + 3 * (m + 1) + 2  # weights, sign checks, AND
+    assert len(cs.region("triangle")[2]) == 1 + 3 * m
+    assert cs.n_mul == 1 + 3 + 3 * m  # booleanity, b * weight, range checks
 
 
 def test_triangle_vertex_on_boundary_inside():
@@ -327,6 +340,78 @@ def test_triangle_gadget_matches_sign_oracle_randomly():
         assert cs.evaluate_and_check().satisfied
         assert cs.value(out) == int(localcalc.point_in_triangle(x, y, tri))
         checked += 1
+
+
+# -- membership claims ---------------------------------------------------
+
+
+def _claim_one(cs, region, bit):
+    """Overrides that claim ``bit`` = 1 in ``region`` (a one-row table's
+    region: the bit, then the bits of each range check), with the bits a
+    prover derives for each weight: the low bits of its residue."""
+    inputs = cs.region(region)[2]
+    weights = membership_weights(cs, region, bit)
+    width = (len(inputs) - 1) // len(weights)
+    bits = [(w % cs.p >> i) & 1 for w in weights for i in range(width)]
+    assert inputs[0] == bit
+    return dict(zip(inputs, [1] + bits))
+
+
+def _near_circle(circle, rng, bound):
+    """Lattice points in [0, bound)^2 at each end of some rows of the disc
+    (u, v, r), and one step beyond: inside on the rim, or just outside."""
+    u, v, r = circle
+    out = []
+    for dy in {-r - 1, -r, 0, r, r + 1, *(rng.randint(-r, r) for _ in range(4))}:
+        reach = localcalc.isqrt(r * r - dy * dy) if dy * dy <= r * r else -1
+        for dx in (reach, reach + 1, -reach, -reach - 1):
+            out.append((u + dx, v + dy))
+    return [(x, y) for x, y in out if 0 <= x < bound and 0 <= y < bound]
+
+
+def _near_triangle(tri, rng, bound):
+    """Lattice points on the edges of tri and their eight neighbours, in
+    [0, bound)^2: inside on an edge, or just outside one."""
+    out = {(x + dx, y + dy) for x, y in _edge_points(tri, rng, 4)
+           for dx in (-1, 0, 1) for dy in (-1, 0, 1)}
+    return [(x, y) for x, y in out if 0 <= x < bound and 0 <= y < bound]
+
+
+@pytest.mark.parametrize("k, modulus", [
+    (12, None), (24, None),
+    (4, sympy.nextprime(1 << 18)),  # the smallest prime FieldParams admits at k = 4
+    (1, sympy.nextprime(1 << 9)),  # ... and at k = 1
+])
+def test_overclaimed_membership_bit_unsatisfiable(k, modulus):
+    # The prover's bit may say 0 anywhere, but 1 only inside: claiming 1
+    # at a point outside its circle or triangle, with the best range bits
+    # for the weights, is unsatisfiable, also a lattice step outside an
+    # edge or the rim; the same claim inside holds.
+    fp = FieldParams(coord_bits=k, **({"modulus": modulus} if modulus else {}))
+    rng = random.Random(100 + k)
+    bound = 1 << k
+    m = widths(k, 2).shape
+    outside = 0
+    for _ in range(8):
+        circle = (rng.randrange(bound), rng.randrange(bound), rng.randrange(1, bound))
+        for x, y in _near_circle(circle, rng, bound) + [(rng.randrange(bound),) * 2]:
+            cs = ConstraintSystem(fp)
+            wx, wy = cs.wire_input(x, Domain.PROVER), cs.wire_input(y, Domain.PROVER)
+            u, v, r = circle
+            cs.scope("circle")
+            out = gadgets.check_inside(cs, (cs.const(u), cs.const(v), cs.const(r * r)), wx, wy, m)
+            inside = localcalc.point_in_circles(x, y, [circle])
+            assert cs.value(out) == int(inside) and cs.evaluate_and_check().satisfied
+            assert cs.evaluate_and_check(_claim_one(cs, "circle", out)).satisfied == inside
+            outside += not inside
+        tri = random_triangles(rng, 1, bound).triangles[0]
+        for x, y in _near_triangle(tri, rng, bound):
+            cs, out, _ = _triangle_system(tri, x, y, fp)
+            inside = localcalc.point_in_triangle(x, y, tri)
+            assert cs.value(out) == int(inside) and cs.evaluate_and_check().satisfied
+            assert cs.evaluate_and_check(_claim_one(cs, "triangle", out)).satisfied == inside
+            outside += not inside
+    assert outside > 0
 
 
 # -- lookup --------------------------------------------------------------

@@ -39,7 +39,7 @@ from conftest import (
     random_tax_instance,
     random_trail,
     random_triangles,
-    sign_check_weights,
+    membership_weights,
     small_prime_ev,
     unvalidated_doc,
 )
@@ -413,26 +413,33 @@ def test_selector_that_is_not_one_hot_fails_in_its_point(kind):
             assert h.check(dict(zip(sel, vector))).first_failed_assertion in own
 
 
-def test_tax_point_region_wires_only_its_selector_and_sign_bits():
-    # The prover names a row and nothing else: region point[i]'s inputs are
-    # the one-hot selector, then the bits of three sign checks, each the
-    # decomposition of a weight + 2^m (m the shape width), which recompose
-    # to the weights get_bcoords gives for the named triangle.
-    inst = gen_fixture(FixtureSpec(kind="tax", seed=5, n_traj=6, n_geo=8))
+def test_tax_point_region_wires_only_its_selector_bit_and_range_bits():
+    # The prover names a row and claims a bit, and nothing else: region
+    # point[i]'s inputs are the one-hot selector, the membership bit, then
+    # the bits of three range checks at the shape width m.  The weight
+    # wires are the weights get_bcoords gives for the named triangle, and
+    # the bit is 1 exactly when all three are non-negative.  The
+    # non-compliant fixture's trail leaves the road, so it has both bits.
+    inst = gen_fixture(FixtureSpec(kind="tax", seed=5, n_traj=6, n_geo=8, mode="non_compliant"))
     cs, _ = _build(inst)
     tris, n_geo = inst.ad.geometry.triangles, inst.ad.geometry.count
     m = widths(FP12.coord_bits, inst.ad.n_traj).shape
+    bits_seen = set()
     for i, (x, y) in enumerate(inst.trail.padded(inst.ad.n_traj)):
-        inputs = [cs.value(w) for w in cs.region(f"point[{i}]")[2]]
-        assert len(inputs) == n_geo + 3 * (m + 1)
-        sel, bits = inputs[:n_geo], inputs[n_geo:]
+        wires = cs.region(f"point[{i}]")[2]
+        inputs = [cs.value(w) for w in wires]
+        assert len(inputs) == n_geo + 1 + 3 * m
+        sel, bit, bits = inputs[:n_geo], inputs[n_geo], inputs[n_geo + 1:]
         named = localcalc.find_triangle(x, y, tris)
         assert sel == [int(j == named) for j in range(1, n_geo + 1)]
         assert set(bits) <= {0, 1}
         tri = tris[named - 1]
         bc = localcalc.get_bcoords(x, y, *tri[0], *tri[1], *tri[2])
-        area = localcalc.area_dbl(*tri[0], *tri[1], *tri[2])
-        assert sign_check_weights(bits, m) == [bc.s, bc.t, area - bc.s - bc.t]
+        weights = [bc.s, bc.t, localcalc.area_dbl(*tri[0], *tri[1], *tri[2]) - bc.s - bc.t]
+        assert membership_weights(cs, f"point[{i}]", wires[n_geo]) == weights
+        assert bit == int(min(weights) >= 0) == int(localcalc.point_in_any_triangle(x, y, tris))
+        bits_seen.add(bit)
+    assert bits_seen == {0, 1}
 
 
 # -- highway-tax statement -----------------------------------------------
@@ -607,23 +614,28 @@ def test_statement_cost_pinned():
     # over the public geometry table (its columns are affines with the
     # table's entries as coefficients, so the only lookup muls are the
     # selectors' booleanity, and a one-row table has no selector), of
-    # triangle weights computed from the row (4 muls, no hint), of h_ex as
-    # the only shared input, and of the t = 9 sponge (rate 8, R_F = 8,
-    # R_P = 56: 384 muls and, with sparse partial rounds, 1,600 adds per
-    # permutation).
+    # triangle weights computed from the row (4 muls, no hint), of the
+    # prover's membership bit (its booleanity, then a product and a
+    # 2k-bit range check per weight), of policy range checks at their
+    # ledger widths, of h_ex as the only shared input, and of the t = 9
+    # sponge (rate 8, R_F = 8, R_P = 56: 384 muls and, with sparse
+    # partial rounds, 1,600 adds per permutation).
     assert statement_cost("ev", 256, 1, FieldParams()) == {
-        "n_mul": 52500, "n_add": 158258, "n_assert": 26908,
-        "n_prover_inputs": 26904, "n_shared_inputs": 1,
+        "n_mul": 52498, "n_add": 157226, "n_assert": 26648,
+        "n_prover_inputs": 26646, "n_shared_inputs": 1,
     }
     assert statement_cost("tax", 64, 16, FieldParams()) == {
-        "n_mul": 20776, "n_add": 61336, "n_assert": 14318,
-        "n_prover_inputs": 14124, "n_shared_inputs": 1,
+        "n_mul": 20519, "n_add": 60436, "n_assert": 13996,
+        "n_prover_inputs": 13803, "n_shared_inputs": 1,
     }
     # The shapes whose membership cost the public table moved most.
-    assert statement_cost("ev", 64, 16, FP12)["n_mul"] == 11088
-    assert statement_cost("tax", 64, 64, FP12)["n_mul"] == 17716
+    assert statement_cost("ev", 64, 16, FP12)["n_mul"] == 11086
+    assert statement_cost("tax", 64, 64, FP12)["n_mul"] == 17459
+    # A one-row triangle table is read as constants, and a product with a
+    # constant is an affine: its weights cost no mul.
+    assert statement_cost("tax", 64, 1, FieldParams())["n_mul"] == 19239
     # Wire counts of the same statements: every wire is one gate.
-    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 147_849), ("tax", 64, 16, 60_304)):
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 147_073), ("tax", 64, 16, 59_212)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
