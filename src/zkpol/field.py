@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
-
-import sympy
 
 DEFAULT_MODULUS = 2**127 - 1
 DEFAULT_COORD_BITS = 24
@@ -29,9 +28,90 @@ class InversionOfZero(FieldError):
     """Raised when inverting the zero element."""
 
 
+_SMALL_PRIMES = tuple(n for n in range(2, 1000) if all(n % d for d in range(2, isqrt(n) + 1)))
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_prp_base2(n: int) -> bool:
+    """Strong (Miller-Rabin) probable-prime test to base 2, odd n > 2."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters (the
+    first D in 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4),
+    odd n > 2."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x):
+        x %= n
+        return (x + n if x % 2 else x) // 2
+
+    # U_k, V_k and Q^k for k the leading bits of d, from k = 1.
+    U, V, Qk = 1, P, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
 def _checked_prime(p: int) -> bool:
-    return bool(sympy.isprime(p))
+    """Baillie-PSW: trial division by the primes below 1000, then a strong
+    base-2 test and a strong Lucas test.  No composite is known to pass
+    both, and none exists below 2^64."""
+    if p < 2:
+        return False
+    for d in _SMALL_PRIMES:
+        if p % d == 0:
+            return p == d
+    if p < 1000 * 1000:
+        return True  # no prime factor below its square root
+    return _strong_prp_base2(p) and _strong_lucas_prp(p)
 
 
 class Widths(NamedTuple):

@@ -36,48 +36,67 @@ class InvalidScenario(Exception):
 
 # -- pluggable signature scheme -----------------------------------------
 
-# RFC 3526 2048-bit MODP group: a safe prime p = 2q + 1.  g = 4 generates
-# the order-q subgroup of squares.
-_MODP_2048 = int(
-    "ffffffffffffffffc90fdaa22168c234c4c6628b80dc1cd129024e088a67cc74"
-    "020bbea63b139b22514a08798e3404ddef9519b3cd3a431b302b0a6df25f1437"
-    "4fe1356d6d51c245e485b576625e7ec6f44c42e9a637ed6b0bff5cb6f406b7ed"
-    "ee386bfb5a899fa5ae9f24117c4b1fe649286651ece45b3dc2007cb8a163bf05"
-    "98da48361c55d39a69163fa8fd24cf5f83655d23dca3ad961c62f356208552bb"
-    "9ed529077096966d670c354e4abc9804f1746c08ca18217c32905e462e36ce3b"
-    "e39e772c180e86039b2783a2ec07a28fb5c55df06f4c52c9de2bcbf695581718"
-    "3995497cea956ae515d2261898fa051015728e5a8aacaa68ffffffffffffffff",
+# A Schnorr group: a 2048-bit prime p = 2kq + 1 with a 256-bit prime q,
+# and g of order q.  Exponents are 256 bits, as in the DSA groups of
+# FIPS 186.  The constants were derived once with sympy, from
+# TAG = b"zkpol/schnorr-group/v1":
+#
+#     q = nextprime(int(SHA-256(TAG)) | 2^255)
+#     x = int(SHAKE-256(TAG), 256 bytes) | 2^2047
+#     k = x // 2q, x // 2q + 1, ... up to the first k that makes
+#         p = 2kq + 1 a 2048-bit prime (k = x // 2q + 907)
+#     g = h^((p - 1)/q) mod p for the first h = 2, 3, ... with g != 1 (h = 2)
+_P = int(
+    "deec4d7a1dc27bf94e210fdda132f168fb571828062ffc1663b31bd9f4784740"
+    "3b87b7ee6ca4a4eccfa1ee017b1371e383f3643175e7934f520d657ff84fb56e"
+    "8dbbd5601472751d7ecf2fb19a2cea63bbf420bd7f5161f49bcb839d2fc518c5"
+    "a51b50faec181bd9e7a856cd1b1b79d1fb5e466d3badbc21c6675d992f1373e9"
+    "4a7ed059c6f72e21c3c53faf29ebbb2087068217d99f032ffd04083badf5d8d1"
+    "d66ab9ca35be4f189da03e8ed3297fc126f4b84bc8767c068791118b9235eda6"
+    "e495deeb711ceb30db148ad3a4c755451f1b4928cf945e344d61801cfd1be5c1"
+    "6ea2b0328a050c0e88dbe9d47539993c6c3bce8c22ba95089f0772e0353256b9",
     16,
 )
-_Q = (_MODP_2048 - 1) // 2
-_G = 4
+_Q = 0xe68bfa1aec9348073886a81c1f9ff3d176936ce55026d24f59a1e645fb916559
+_G = int(
+    "25519181c02d01670828ea5a702437c014901e81d9cfcbff6baac1dee72cb1a5"
+    "c1940e24547ac9e77cc8cfad9d392c12775f9fbf4ce3c2bb17aba99d99204ee3"
+    "f7c947fbf86739269b60d44f960e110d1939325f2412e859047df621222df9da"
+    "ed2e499a347732ec8bccaa2777d1ff1791484648911b73913181a570fa73bfd1"
+    "135583eb7a18362247c7bdd93d8062d7b11f043ab148a8eeff6e1a094bd70f8b"
+    "25aadf5ed76e49050c4148479c2064a11e5a7af57339b93f2de7a68fb06f5133"
+    "0dbf05c1cf74d2dff07ee01279796d31c0b2aa65a5763bfbfd8e301e961b0b16"
+    "30e8c9a99dcc4133d9dd5c691fc1bea42a04ac9eb727a237888d6a917e39203c",
+    16,
+)
 
 
-def _h_int(*parts: bytes) -> int:
-    h = hashlib.sha256()
+def _h_int(h, *parts: bytes) -> int:
+    """The digest of hash object h over length-prefixed parts, as an int."""
     for part in parts:
         h.update(len(part).to_bytes(4, "big") + part)
     return int.from_bytes(h.digest(), "big")
 
 
 class SchnorrSignature:
-    """Schnorr signatures over a fixed 2048-bit Schnorr group.
+    """Schnorr signatures in the order-q subgroup of Z_p^*.
 
     Nonces are derived deterministically from the secret key and message,
-    so signing is reproducible across runs.
+    so signing is reproducible across runs.  The nonce reduces a 512-bit
+    digest mod the 256-bit q, so its bias is about 2^-256.
     """
 
     def keygen(self, rng: random.Random) -> tuple[int, int]:
         sk = rng.randrange(1, _Q)
-        pk = pow(_G, sk, _MODP_2048)
+        pk = pow(_G, sk, _P)
         return pk, sk
 
     def sign(self, sk: int, msg: bytes) -> tuple[int, int]:
-        k = _h_int(b"nonce", sk.to_bytes(256, "big"), msg) % _Q
+        k = _h_int(hashlib.sha512(), b"nonce", sk.to_bytes(32, "big"), msg) % _Q
         if k == 0:
             k = 1
-        r = pow(_G, k, _MODP_2048)
-        e = _h_int(b"chal", r.to_bytes(256, "big"), msg) % _Q
+        r = pow(_G, k, _P)
+        e = _h_int(hashlib.sha256(), b"chal", r.to_bytes(256, "big"), msg) % _Q
         s = (k - sk * e) % _Q
         return e, s
 
@@ -89,8 +108,8 @@ class SchnorrSignature:
             return False
         if not (0 <= e < _Q and 0 <= s < _Q):
             return False
-        r = pow(_G, s, _MODP_2048) * pow(pk, e, _MODP_2048) % _MODP_2048
-        return _h_int(b"chal", r.to_bytes(256, "big"), msg) % _Q == e
+        r = pow(_G, s, _P) * pow(pk, e, _P) % _P
+        return _h_int(hashlib.sha256(), b"chal", r.to_bytes(256, "big"), msg) % _Q == e
 
 
 def signing_bytes(sid: str, h: int) -> bytes:

@@ -1,14 +1,15 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
 
 import pytest
-from sympy import isprime
+from sympy import isprime, nextprime
 
 from zkpol.poseidon import params_for
 from zkpol.protocol import (
     _G,
-    _MODP_2048,
+    _P,
     _Q,
     AuthorityData,
     InvalidScenario,
@@ -54,15 +55,55 @@ TAX_MOVES = [(0, 0), (3, 4), (100, 4), (103, 8)]
 # -- group and signature scheme ------------------------------------------
 
 
-def test_group_is_safe_prime():
-    assert isprime(_MODP_2048)
-    assert isprime(_Q)
-    assert _MODP_2048 == 2 * _Q + 1
+def test_group_is_schnorr_group():
+    assert isprime(_P) and _P.bit_length() == 2048
+    assert isprime(_Q) and _Q.bit_length() == 256
+    assert (_P - 1) % _Q == 0
+
+
+def test_group_follows_its_derivation():
+    tag = b"zkpol/schnorr-group/v1"
+    assert _Q == nextprime(int.from_bytes(hashlib.sha256(tag).digest(), "big") | 1 << 255)
+    x = int.from_bytes(hashlib.shake_256(tag).digest(256), "big") | 1 << 2047
+    # 907 is the first offset that makes p prime; searching for it again
+    # takes seconds.
+    assert _P == 2 * (x // (2 * _Q) + 907) * _Q + 1
+    assert _G == pow(2, (_P - 1) // _Q, _P)
 
 
 def test_generator_has_order_q():
-    assert pow(_G, _Q, _MODP_2048) == 1
+    assert pow(_G, _Q, _P) == 1
     assert _G != 1
+
+
+def test_keygen_secret_in_range():
+    scheme = SchnorrSignature()
+    for seed in range(20):
+        pk, sk = scheme.keygen(random.Random(seed))
+        assert 1 <= sk < _Q
+        assert pk == pow(_G, sk, _P)
+
+
+def test_signature_rejects_e_or_s_not_below_q():
+    # e + q and s + q give the same r, so only the range check rejects them.
+    scheme = SchnorrSignature()
+    pk, sk = scheme.keygen(random.Random(7))
+    e, s = scheme.sign(sk, b"msg")
+    assert 0 <= e < _Q and 0 <= s < _Q
+    assert scheme.verify(pk, b"msg", (e, s))
+    assert not scheme.verify(pk, b"msg", (e + _Q, s))
+    assert not scheme.verify(pk, b"msg", (e, s + _Q))
+
+
+def test_nonce_reduces_a_512_bit_digest():
+    # k = s + sk*e mod q.  A 256-bit digest reduced mod q would bias k.
+    scheme = SchnorrSignature()
+    _, sk = scheme.keygen(random.Random(8))
+    e, s = scheme.sign(sk, b"msg")
+    h = hashlib.sha512()
+    for part in (b"nonce", sk.to_bytes(32, "big"), b"msg"):
+        h.update(len(part).to_bytes(4, "big") + part)
+    assert (s + sk * e) % _Q == int.from_bytes(h.digest(), "big") % _Q
 
 
 def test_sign_verify_round_trip():
