@@ -209,6 +209,7 @@ def save_instance(inst: StatementInstance, path) -> None:
 # -- fixture generation --------------------------------------------------
 
 FIXTURE_TRIES = 20  # draws gen_fixture makes before it gives up
+MIN_FIXTURE_BITS = 3  # narrower coordinates leave the generators no room
 
 
 @dataclass(frozen=True)
@@ -230,6 +231,9 @@ class FixtureSpec:
             FieldParams(coord_bits=self.coord_bits)
         except (InstanceError, FieldError) as exc:
             raise GenerationFailed(str(exc))
+        if self.coord_bits < MIN_FIXTURE_BITS:
+            raise GenerationFailed(f"/coord_bits: {self.coord_bits} is below {MIN_FIXTURE_BITS}, "
+                                   "too narrow for the generators")
 
 
 def load_spec(path) -> FixtureSpec:

@@ -47,14 +47,14 @@ def _cmd_fuzz(args) -> int:
     """Build the statement once, then check mutations by overriding inputs.
 
     Each mutation changes one trail coordinate, which only region digest
-    may reject; then, with the inputs a prover derives for the lie, which
-    only region point[i] or segment[j] may reject: zeroes the selector at
-    point i (skipped for a one-row table, read as constants); claims
-    membership for a point i outside every row, as if it were row 1's
-    circle centre or first triangle vertex (skipped if no point is
-    outside); and gives segment j a wrong root.  Hints further downstream
-    are not re-derived, so a mutation whose first failure comes before
-    its region is not judged."""
+    may reject; then, which only region point[i] or segment[j] may
+    reject: names two rows at point i (skipped for a one-row table, whose
+    one selector entry is the membership bit); with the inputs a prover
+    derives for the lie, claims membership for a point i outside every
+    row, as if it were row 1's circle centre or first triangle vertex
+    (skipped if no point is outside); and gives segment j a wrong root.
+    Hints further downstream are not re-derived, so a mutation whose
+    first failure comes before its region is not judged."""
     inst = appio.load_instance(args.instance)
     rng = random.Random(args.seed)
     cs = ConstraintSystem(inst.field_params)
@@ -84,7 +84,7 @@ def _cmd_fuzz(args) -> int:
     pts = inst.trail.points
     padded = inst.trail.padded(n)
     geo = inst.ad.geometry
-    ev = inst.ad.kind == "ev"  # (ax, ay) lies in row 1, which every outside point names
+    ev = inst.ad.kind == "ev"  # (ax, ay) lies in row 1, the row the claim names
     contains = localcalc.point_in_circles if ev else localcalc.point_in_any_triangle
     shapes, (ax, ay) = (geo.circles, geo.circles[0][:2]) if ev else (geo.triangles, geo.triangles[0][0])
     outside = [i for i, pt in enumerate(padded) if not contains(*pt, shapes)]
@@ -100,10 +100,11 @@ def _cmd_fuzz(args) -> int:
         if passes("digest", {handle.trail_input_ids[axis * n + c]: new_coord for c in moved}):
             found.append(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
         i = rng.randrange(n)
-        x, y = padded[i]  # a one-row table has no selector to zero
-        if geo.count > 1 and passes_rewired(f"point[{i}]", lambda sc: statements.point_inside(
-                sc, inst.ad, sc.const(x), sc.const(y), (x, y), 0)):
-            found.append(f"SELECTOR VIOLATION at mutation {trial} (point {i})")
+        if geo.count > 1:  # a two-hot selector: b = 2
+            sel = cs.region(f"point[{i}]")[2][: geo.count]
+            pair = rng.sample(sel, 2)
+            if passes(f"point[{i}]", {w: int(w in pair) for w in sel}):
+                found.append(f"SELECTOR VIOLATION at mutation {trial} (point {i})")
         if outside:
             i = rng.choice(outside)
             if passes_rewired(f"point[{i}]", lambda sc: statements.point_inside(
@@ -181,6 +182,14 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _count(text: str) -> int:
+    """A non-negative int argument; anything else is a usage error."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zkpol")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -195,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="witness-mutation soundness battery")
     p.add_argument("instance")
-    p.add_argument("--mutations", type=int, default=20)
+    p.add_argument("--mutations", type=_count, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fuzz)
 

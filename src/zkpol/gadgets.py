@@ -4,9 +4,9 @@ Booleanity, bit decomposition, the range check ``leq``, the exact floor
 square root, the Poseidon sponge, the characteristic-vector lookup of a
 row of a public table, and circle and triangle membership in one such
 row.  All gadgets append to a caller-owned ConstraintSystem, and every
-inequality is a range check.  The prover's hints, the root of
-``sqrt_floor``, the index of ``lookup`` and the membership bit, are
-derived from the builder's eager values (a caller may pass the first two).
+inequality is a range check.  The prover's hints are the index of
+``lookup`` (0 names no row) and the root of ``sqrt_floor``, derived from
+the builder's eager values unless a caller passes one.
 """
 
 from __future__ import annotations
@@ -82,75 +82,71 @@ def sqrt_floor(
     return d
 
 
-def _claim_inside(cs: ConstraintSystem, weights: list[int], width: int) -> int:
-    """The prover's bit b that every weight w is non-negative: b is asserted
-    boolean and each b*w decomposed into ``width`` bits; b = 1 iff every
-    w's value is below 2^width.  The weights lie in (-2^(width+1), 2^width),
-    so b = 0 always holds and b = 1 fails if some w < 0: its residue is at
+def _claim_inside(cs: ConstraintSystem, b: int, weights: list[int], width: int) -> None:
+    """Range-check b*w at ``width`` bits for each weight w: with b = 1 every
+    w must be non-negative, with b = 0 nothing is claimed.  The weights lie
+    in (-2^(width+1), 2^width), so a negative w fails: its residue is at
     least p - 2^(width+1) >= 2^width, as p > 2^(3k+6) >= 2^(width+2) at 2k."""
-    b = cs.wire_input(int(all(cs.value(w) >> width == 0 for w in weights)), Domain.PROVER)
-    assert_boolean(cs, b)
     for w in weights:
         decompose_bits(cs, cs.mul(b, w), width)
-    return b
 
 
-def check_inside(cs: ConstraintSystem, row: tuple[int, int, int], x: int, y: int, width: int) -> int:
-    """The prover's membership bit of (x, y) in the circle row = (u, v, s),
-    s the squared radius: 1 only if the weight s - (x-u)^2 - (y-v)^2 is
-    non-negative, checked at ``width`` = ``field.widths(...).shape`` = 2k
-    bits (s < 2^(2k), and the squared distance < 2^(2k+1))."""
+def check_inside(cs: ConstraintSystem, b: int, row: tuple[int, int, int], x: int, y: int, width: int) -> None:
+    """With b = 1, (x, y) lies in the circle row = (u, v, s), s the squared
+    radius: the weight s - (x-u)^2 - (y-v)^2 is non-negative, checked at
+    ``width`` = ``field.widths(...).shape`` = 2k bits (s < 2^(2k), and the
+    squared distance < 2^(2k+1))."""
     u, v, s = row
     dx = cs.sub(x, u)
     dy = cs.sub(y, v)
     w = cs.affine([1, cs.p - 1, cs.p - 1], [s, cs.mul(dx, dx), cs.mul(dy, dy)])
-    return _claim_inside(cs, [w], width)
+    _claim_inside(cs, b, [w], width)
 
 
 def check_inside_triangle(
     cs: ConstraintSystem,
+    b: int,
     row: tuple[int, int, int, int, int, int, int],
     x: int,
     y: int,
     width: int,
-) -> int:
-    """The prover's membership bit of (x, y) in the triangle whose row =
-    (c_s, dx_s, dy_s, c_t, dx_t, dy_t, A) holds the affine coefficients of
-    the unnormalized barycentric weights and the doubled area
-    (``statements.TriangleSet.rows``): 1 only if (x, y) is inside or on
-    the boundary.  The circuit computes s = c_s + dx_s*x + dy_s*y, t
-    likewise and u = A - s - t (4 muls, none if the row is constants) and
-    checks them at ``width`` = ``field.widths(...).shape`` = 2k bits: each
+) -> None:
+    """With b = 1, (x, y) lies inside or on the boundary of the triangle
+    whose row = (c_s, dx_s, dy_s, c_t, dx_t, dy_t, A) holds the affine
+    coefficients of the unnormalized barycentric weights and the doubled
+    area (``statements.TriangleSet.rows``).  The circuit computes
+    s = c_s + dx_s*x + dy_s*y, t likewise and u = A - s - t (4 muls, none
+    if the row is constants) and checks them at ``width`` = 2k bits: each
     is a doubled signed area of a lattice triangle in [0, 2^k)^2."""
     c_s, dx_s, dy_s, c_t, dx_t, dy_t, A = row
     s = cs.affine([1, 1, 1], [c_s, cs.mul(dx_s, x), cs.mul(dy_s, y)])
     t = cs.affine([1, 1, 1], [c_t, cs.mul(dx_t, x), cs.mul(dy_t, y)])
     u = cs.affine([1, cs.p - 1, cs.p - 1], [A, s, t])
-    return _claim_inside(cs, [s, t, u], width)
+    _claim_inside(cs, b, [s, t, u], width)
 
 
-def lookup(cs: ConstraintSystem, index: int, rows: list[tuple[int, ...]]) -> tuple[int, ...]:
-    """Row ``index`` (1-based) of a public table of ints, read through one
-    prover-supplied characteristic vector.
+def lookup(cs: ConstraintSystem, index: int, rows: list[tuple[int, ...]]) -> tuple[int, tuple[int, ...]]:
+    """(b, row): row ``index`` (1-based) of a public table of ints, read
+    through one prover-supplied selector vector, and its sum b, 1 if a
+    row is named and 0 if none is (an index outside [1, len(rows)]).
 
-    The vector's entries are boolean-asserted and must sum to 1, so an
-    index outside [1, len(rows)] or any vector that is not one-hot makes
-    the system unsatisfiable.  Each column is one affine over the vector
-    with the column's entries as coefficients, so the lookup costs one
-    mul per row (the booleanity), whatever the row width, and the result
-    is one row of the table, never columns mixed from different rows.
-    The one-hot vector of a one-row table is the constant (1), so that
-    row comes back as constants, with no input, mul or assertion, and
-    ``index`` is not read.
+    The entries and b are boolean-asserted, and the table has fewer rows
+    than p (``statements.validate_instance``), so at most one entry is 1.
+    Each column is one affine over the selector with the column's entries
+    as coefficients, so the lookup costs one mul per row plus one, whatever
+    the row width, and a named row is one row of the table, never columns
+    mixed from different rows.  A one-row table's row comes back as
+    constants, and its one entry is b.
     """
     n = len(rows)
-    if n == 1:
-        return tuple(cs.const(v) for v in rows[0])
     sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, n + 1)]
     for xi in sel:
         assert_boolean(cs, xi)
-    cs.assert_zero(cs.affine([1] * n, sel, -1))
-    return tuple(cs.affine(col, sel) for col in zip(*rows))
+    if n == 1:
+        return sel[0], tuple(cs.const(v) for v in rows[0])
+    b = cs.affine([1] * n, sel)
+    assert_boolean(cs, b)
+    return b, tuple(cs.affine(col, sel) for col in zip(*rows))
 
 
 # -- Poseidon gadget ----------------------------------------------------

@@ -1,8 +1,8 @@
 """Prover-local computations and plaintext oracles.
 
 Everything here runs on plain Python integers, off-circuit.  The circle
-and triangle searches name the row a prover wires (its other hints are
-the square roots, ``isqrt``, and the membership bits); the barycentric
+and triangle searches name the row a prover wires, or none (its other
+hints are the square roots, ``isqrt``); the barycentric
 conversion ``get_bcoords`` is the one formula for the triangle weights,
 from which ``statements.TriangleSet.rows`` derives the public table's
 affine coefficients; the ``oracle_*`` functions are independent
@@ -40,7 +40,7 @@ def area_dbl(a1: int, b1: int, a2: int, b2: int, a3: int, b3: int) -> int:
 
 
 def find_triangle(x: int, y: int, triangles) -> int:
-    """1-based index of the first triangle containing (x, y), or 1 if none.
+    """1-based index of the first triangle containing (x, y), or 0 if none.
 
     Containment is decided by the area-sum criterion: the three triangles
     formed by the point and each pair of vertices cover exactly the
@@ -53,16 +53,16 @@ def find_triangle(x: int, y: int, triangles) -> int:
         d = area_dbl(x, y, x2, y2, x3, y3)
         if a == b + c + d:
             return i
-    return 1
+    return 0
 
 
 def find_circle(x: int, y: int, circles) -> int:
-    """1-based index of the first circle (u, v, r) containing (x, y), or 1
+    """1-based index of the first circle (u, v, r) containing (x, y), or 0
     if none does; the boundary counts as inside."""
     for i, (u, v, r) in enumerate(circles, start=1):
         if (x - u) ** 2 + (y - v) ** 2 <= r * r:
             return i
-    return 1
+    return 0
 
 
 @dataclass(frozen=True)

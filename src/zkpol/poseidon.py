@@ -81,6 +81,12 @@ from .field import FieldParams, f_inv
 DEFAULT_SEED = b"zk-pol-poseidon-v2"
 SECURITY = 128  # M, bits of security the round numbers are derived for
 MAX_T = 16  # widest state: round_numbers is verified and tested for t = 2..16
+# Caps on the parameters an instance file may give, checked before any
+# constant is derived; derived round numbers peak at R_F 12 and R_P 85 for
+# t <= MAX_T and alpha in {3, 5, 7} at a 127-bit prime.
+MAX_ALPHA = 255
+MAX_R_FULL = 64
+MAX_R_PARTIAL = 1024
 
 
 class PoseidonParamError(Exception):
@@ -274,8 +280,8 @@ class PoseidonParams:
         p = self.prime
         if not 2 <= self.t <= MAX_T:
             raise PoseidonParamError(f"state width t={self.t} outside 2..{MAX_T}")
-        if self.alpha < 3:
-            raise PoseidonParamError(f"alpha={self.alpha} must be >= 3")
+        if not 3 <= self.alpha <= MAX_ALPHA:
+            raise PoseidonParamError(f"alpha={self.alpha} must be >= 3 and <= {MAX_ALPHA}")
         if math.gcd(self.alpha, p - 1) != 1:
             raise PoseidonParamError(f"alpha={self.alpha} not coprime with p-1")
         if (self.r_full is None) != (self.r_partial is None):
@@ -284,10 +290,10 @@ class PoseidonParams:
             r_full, r_partial = round_numbers(p, self.t, self.alpha)
             object.__setattr__(self, "r_full", r_full)
             object.__setattr__(self, "r_partial", r_partial)
-        if self.r_full < 2 or self.r_full % 2 != 0:
-            raise PoseidonParamError(f"r_full={self.r_full} must be positive and even")
-        if self.r_partial < 0:
-            raise PoseidonParamError(f"r_partial={self.r_partial} must be >= 0")
+        if not 2 <= self.r_full <= MAX_R_FULL or self.r_full % 2 != 0:
+            raise PoseidonParamError(f"r_full={self.r_full} must be even and in 2..{MAX_R_FULL}")
+        if not 0 <= self.r_partial <= MAX_R_PARTIAL:
+            raise PoseidonParamError(f"r_partial={self.r_partial} outside 0..{MAX_R_PARTIAL}")
         rc = tuple(_derive_constant(self.seed, j, p) for j in range(self.t * self.n_rounds))
         object.__setattr__(self, "round_constants", rc)
         object.__setattr__(self, "mds", tuple(tuple(r) for r in _cauchy_mds(self.t, p)))

@@ -193,13 +193,14 @@ def validate_instance(inst: StatementInstance) -> None:
     no one else does.  Each message starts with the JSON pointer of the
     offending field in the instance file format.
 
-    Beyond the sizes (``check_sizes``), the Poseidon prime (the field
-    modulus), h_ex (below p), trail length, coordinates, radii, triangle
-    orientation and policy values, every number must be an int, and the
-    statement's widest policy range check m must fit below p, 2^(m+1) < p:
-    for ev that is ``widths(...).cover``, for tax ``tot`` (``FieldParams``
-    already covers the shape width; see ``field.widths``).  A small prime
-    with a long trail fails this check.
+    Beyond the sizes (``check_sizes``, and fewer geometry rows than p,
+    else p + 1 selector entries of 1 sum to 1 in ``gadgets.lookup``), the
+    Poseidon prime (the field modulus), h_ex (below p), trail length,
+    coordinates, radii, triangle orientation and policy values, every
+    number must be an int, and the statement's widest policy range check
+    m must fit below p, 2^(m+1) < p: for ev that is ``widths(...).cover``,
+    for tax ``tot`` (``FieldParams`` already covers the shape width; see
+    ``field.widths``).  A small prime with a long trail fails this check.
     """
     ad = inst.ad
     fp = ad.field_params
@@ -212,8 +213,10 @@ def validate_instance(inst: StatementInstance) -> None:
     if not isinstance(ad.geometry, geo_type) or not isinstance(ad.policy, pol_type):
         raise InstanceError(f"/geometry: {ad.kind} instance needs {geo_type.__name__} + {pol_type.__name__}")
     _check_ints("/sizes/n_traj", [ad.n_traj])
-    check_sizes(ad.n_traj, ad.geometry.count, "/sizes/n_traj",
-                "/geometry/circles" if ev else "/geometry/triangles")
+    geo_at = "/geometry/circles" if ev else "/geometry/triangles"
+    check_sizes(ad.n_traj, ad.geometry.count, "/sizes/n_traj", geo_at)
+    if ad.geometry.count >= fp.modulus:
+        raise InstanceError(f"{geo_at}: {ad.geometry.count} rows, not fewer than p = {fp.modulus}")
     if ad.pp.prime != fp.modulus:
         raise InstanceError(f"/poseidon: prime {ad.pp.prime} is not the field modulus {fp.modulus}")
     if inst.h_ex is not None:
@@ -309,24 +312,26 @@ def _segment_walk(cs, xs, ys, inside, k_seg, sqrt_hints=None):
 
 
 def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, pt, row_hint=None) -> int:
-    """Membership bit of the point pt, wired as x and y: the prover names a
-    row of ad's public geometry table (row_hint, else the first circle or
-    triangle that contains pt, or 1 if none does), ``gadgets.lookup``
-    reads it, and the shape check range-checks the prover's bit against it.
+    """Membership bit b of the point pt, wired as x and y: the prover names
+    a row of ad's public geometry table (row_hint, else the first circle
+    or triangle that contains pt, or 0 for none), and ``gadgets.lookup``
+    reads it and b, 1 iff a row is named.
 
-    The argument is one-sided.  The lookup's one-hot selector makes the
-    row a real one, and a bit of 1 passes only if pt lies in its circle or
-    triangle.  A bit of 0 always passes and counts pt as outside, which
-    only lowers cc (the in-circles length of a subsidy) or raises tot - hw
-    (the taxed length): a wrong 0, or a row without pt, only hurts the prover.
+    The argument is one-sided.  With b = 1 the named row is a real one,
+    and its b*w range checks pass only if pt lies in its shape.  With
+    b = 0 every b*w is zero and pt counts as outside, which only lowers
+    cc (the in-circles length of a subsidy) or raises tot - hw (the taxed
+    length): naming no row only hurts the prover.
     """
     width = widths(ad.field_params.coord_bits, ad.n_traj).shape
     geo = ad.geometry
     if isinstance(geo, CircleSet):
-        t = localcalc.find_circle(*pt, geo.circles) if row_hint is None else row_hint
-        return gadgets.check_inside(cs, gadgets.lookup(cs, t, geo.rows), x, y, width)
-    t = localcalc.find_triangle(*pt, geo.triangles) if row_hint is None else row_hint
-    return gadgets.check_inside_triangle(cs, gadgets.lookup(cs, t, geo.rows), x, y, width)
+        find, shapes, check = localcalc.find_circle, geo.circles, gadgets.check_inside
+    else:
+        find, shapes, check = localcalc.find_triangle, geo.triangles, gadgets.check_inside_triangle
+    b, row = gadgets.lookup(cs, find(*pt, shapes) if row_hint is None else row_hint, geo.rows)
+    check(cs, b, row, x, y, width)
+    return b
 
 
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints=None,
@@ -341,8 +346,8 @@ def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints
         stays put and inflate the coverage share.
       - tax: tot - hw <= d_max, hw the length on the tax-free road.
     ``sqrt_hints`` (one per segment) and ``row_hints`` (one per point; a
-    None entry keeps the honest row) replace the prover's honest local
-    values.
+    None entry keeps the honest row, and an index outside the table names
+    none) replace the prover's honest local values.
     """
     ad = inst.ad
     w = widths(ad.field_params.coord_bits, ad.n_traj)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from zkpol import appio, gadgets, localcalc, statements
+from zkpol import appio, gadgets, localcalc, poseidon, statements
 from zkpol.appio import (
     FixtureSpec,
     GenerationFailed,
@@ -459,29 +459,45 @@ def test_cli_fuzz_reports_a_root_missing_a_decomposition(tmp_path, capsys, monke
     assert json.loads(lines[-1]) == {"mutations": 10, "violations": roots}
 
 
-def test_cli_fuzz_reports_a_lookup_without_its_sum_check(tmp_path, capsys, monkeypatch):
-    # Without sum-to-one the all-zero selector passes its point's region:
-    # the point reads the all-zero row and counts as outside.
+def test_cli_fuzz_reports_a_membership_bit_apart_from_the_selector(tmp_path, capsys, monkeypatch):
+    # A lookup whose bit is an input of its own, not the selector's sum,
+    # and with no sum check: at a point outside every triangle (b = 0) a
+    # two-hot selector reads a mixed row, every b*w stays 0, and the
+    # point's region passes.  The real lookup rejects it (b = 2).
+    path = _write_fixture(tmp_path, mode="non_compliant", kind="tax")
+    assert cli_main(["fuzz", path, "--mutations", "10", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 0
+
     def lookup(cs, index, rows):
         sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, len(rows) + 1)]
         for w in sel:
             gadgets.assert_boolean(cs, w)
-        return tuple(cs.affine(col, sel) for col in zip(*rows))
+        b = cs.wire_input(int(1 <= index <= len(rows)), Domain.PROVER)
+        gadgets.assert_boolean(cs, b)
+        return b, tuple(cs.affine(col, sel) for col in zip(*rows))
 
     monkeypatch.setattr(gadgets, "lookup", lookup)
-    for kind in ("ev", "tax"):
-        path = _write_fixture(tmp_path, kind=kind)
-        assert cli_main(["fuzz", path, "--mutations", "5", "--seed", "1"]) == 1
-        lines = capsys.readouterr().out.splitlines()
-        assert sum("SELECTOR VIOLATION" in line for line in lines) == 5
-        assert json.loads(lines[-1]) == {"mutations": 5, "violations": 5}
+    assert cli_main(["fuzz", path, "--mutations", "10", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    selectors = sum("SELECTOR VIOLATION" in line for line in lines)
+    assert selectors > 0
+    assert json.loads(lines[-1]) == {"mutations": 10, "violations": selectors}
+
+
+def test_cli_fuzz_rejects_a_negative_mutation_count(tmp_path, capsys):
+    path = _write_fixture(tmp_path)
+    assert cli_main(["fuzz", path, "--mutations", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert "--mutations" in captured.err and not captured.out
+    assert cli_main(["fuzz", path, "--mutations", "0"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"mutations": 0, "violations": 0}
 
 
 def test_cli_fuzz_reports_a_membership_claim_without_its_range_checks(tmp_path, capsys, monkeypatch):
     # The non-compliant tax fixture has points outside every triangle, so
     # every mutation claims membership for one of them.  With the range
-    # checks' bits wired as free inputs, a claimed bit of 1 with the bits
-    # derived inside row 1 passes its point's region; with them, it fails
+    # checks' bits wired as free inputs, naming row 1 (b = 1) with the bits
+    # derived inside it passes its point's region; with them, it fails
     # there.
     path = _write_fixture(tmp_path, mode="non_compliant", kind="tax")
     inst = load_instance(path)
@@ -490,12 +506,9 @@ def test_cli_fuzz_reports_a_membership_claim_without_its_range_checks(tmp_path, 
     assert cli_main(["fuzz", path, "--mutations", "5", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 0
 
-    def unchecked(cs, weights, width):
-        b = cs.wire_input(int(all(cs.value(w) >> width == 0 for w in weights)), Domain.PROVER)
-        gadgets.assert_boolean(cs, b)
+    def unchecked(cs, b, weights, width):
         for _ in range(len(weights) * width):
             cs.wire_input(0, Domain.PROVER)
-        return b
 
     monkeypatch.setattr(gadgets, "_claim_inside", unchecked)
     assert cli_main(["fuzz", path, "--mutations", "5", "--seed", "1"]) == 1
@@ -539,6 +552,61 @@ def test_cli_rejects_an_sbox_exponent_below_three(tmp_path, capsys, alpha, comma
     assert cli_main([command, path]) == 2
     err = capsys.readouterr().err
     assert f"/poseidon: alpha={alpha} must be >= 3" in err
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+@pytest.mark.parametrize("keys", [
+    {"r_partial": 10**9}, {"r_partial": 1025}, {"r_full": 66}, {"r_full": 10**9},
+    {"alpha": str(2**521 - 1)}, {"alpha": 257},
+], ids=["r_partial-1e9", "r_partial-1025", "r_full-66", "r_full-1e9", "alpha-521-bits", "alpha-257"])
+def test_cli_rejects_poseidon_parameters_above_their_caps(tmp_path, capsys, no_poseidon_derivation,
+                                                          keys, command):
+    # Decided before any round constant is derived: an r_partial of 10^9
+    # would first derive 9 * 10^9 constants, a 521-bit alpha would build
+    # an S-box chain of 1,040 muls per lane, and oracle never hashes.
+    path = _rewrite_poseidon(tmp_path, **keys)
+    assert cli_main([command, path]) == 2
+    err = capsys.readouterr().err
+    (key, value), = keys.items()
+    assert err.startswith(f"error: /poseidon: {key}={value} ") and "internal error" not in err
+
+
+def test_poseidon_caps_admit_every_derived_pair():
+    # The derived round numbers at the test primes and every admitted width
+    # stay below the caps, at each S-box exponent the tests use.  They peak
+    # at R_F 12 and R_P 85, at 2^127 - 39, the prime below 2^127 - 1 where
+    # alpha = 3 is admitted.
+    peak = (0, 0)
+    for prime in (2**127 - 1, 2**127 - 39, 262147, 32779, 521):
+        for alpha in (3, 5, 7):
+            if (prime - 1) % alpha == 0:
+                continue
+            for t in range(2, poseidon.MAX_T + 1):
+                r_full, r_partial = poseidon.round_numbers(prime, t, alpha)
+                peak = (max(peak[0], r_full), max(peak[1], r_partial))
+    assert peak == (12, 85)
+    assert peak[0] <= poseidon.MAX_R_FULL and peak[1] <= poseidon.MAX_R_PARTIAL
+    pp = PoseidonParams(prime=2**127 - 1, t=2, alpha=poseidon.MAX_ALPHA - 2,
+                        r_full=poseidon.MAX_R_FULL, r_partial=poseidon.MAX_R_PARTIAL)
+    assert (pp.r_full, pp.r_partial) == (poseidon.MAX_R_FULL, poseidon.MAX_R_PARTIAL)
+
+
+@pytest.mark.parametrize("coord_bits", [1, 2])
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_cli_gen_too_narrow_coord_bits_exits_two(tmp_path, capsys, kind, coord_bits):
+    # The generators need room for a circle or a road corridor; narrower
+    # widths are a spec error, not a generator crash.
+    n_geo = 2 if kind == "ev" else 8
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": kind, "n_traj": 8, "n_geo": n_geo, "coord_bits": coord_bits}))
+    assert cli_main(["gen", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /coord_bits:") and "internal error" not in err
+    with pytest.raises(GenerationFailed, match="below 3"):
+        FixtureSpec(kind=kind, seed=0, n_traj=8, n_geo=n_geo, coord_bits=coord_bits)
+    for bits in (3, 4):
+        inst = gen_fixture(FixtureSpec(kind=kind, seed=0, n_traj=8, n_geo=n_geo, coord_bits=bits))
+        assert inst.field_params.coord_bits == bits
 
 
 def test_cli_cost_n_traj_above_cap_exits_two(capsys, monkeypatch):

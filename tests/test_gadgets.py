@@ -187,29 +187,38 @@ def test_sqrt_totality_small_exhaustive():
 # -- circle membership ---------------------------------------------------
 
 
-def _circle_system(circle, x, y):
-    """check_inside on one circle (u, v, r), as the constant row (u, v, r^2)."""
-    cs = fresh()
-    u, v, r = circle
-    row = (cs.const(u), cs.const(v), cs.const(r * r))
+def _circle_system(circle, x, y, fp=FP, index=None):
+    """check_inside on the one-row table of circle (u, v, r), whose row is
+    (u, v, r^2), in a region of its own; ``index`` is the row the prover
+    names (default: the honest one, 1 if (x, y) is inside, else 0).
+    Returns (cs, b)."""
+    cs = ConstraintSystem(fp)
     wx = cs.wire_input(x, Domain.PROVER)
     wy = cs.wire_input(y, Domain.PROVER)
-    out = gadgets.check_inside(cs, row, wx, wy, widths(FP.coord_bits, 2).shape)
-    return cs, out
+    circles = CircleSet((circle,))
+    if index is None:
+        index = localcalc.find_circle(x, y, circles.circles)
+    cs.scope("circle")
+    b, row = gadgets.lookup(cs, index, circles.rows)
+    gadgets.check_inside(cs, b, row, wx, wy, widths(fp.coord_bits, 2).shape)
+    return cs, b
 
 
 def test_point_at_center():
     cs, out = _circle_system((100, 100, 5), 100, 100)
     assert cs.value(out) == 1
+    assert cs.evaluate_and_check().satisfied
 
 
 def test_point_on_circle_boundary_counts_inside():
     # Squared distance exactly r^2: non-strict comparison.
     cs, out = _circle_system((100, 100, 5), 103, 104)
     assert cs.value(out) == 1
+    assert cs.evaluate_and_check().satisfied
 
 
 def test_point_outside_all_circles():
+    # Outside, the honest prover names no row; naming the circle fails.
     rng = random.Random(3)
     circles = [(rng.randrange(1000), rng.randrange(1000), rng.randrange(1, 50)) for _ in range(8)]
     x, y = 3000, 3000
@@ -218,11 +227,13 @@ def test_point_outside_all_circles():
         cs, out = _circle_system(circle, x, y)
         assert cs.value(out) == 0
         assert cs.evaluate_and_check().satisfied
+        assert not _circle_system(circle, x, y, index=1)[0].evaluate_and_check().satisfied
 
 
 def test_circle_gadget_matches_oracle_randomly():
-    # Per circle, and on the row the honest prover names (find_circle)
-    # looked up from the whole (u, v, r^2) table.
+    # Per circle, naming it holds exactly when the point is inside; on the
+    # row the honest prover names (find_circle, 0 if none) of the whole
+    # (u, v, r^2) table, the bit is the oracle's verdict.
     rng = random.Random(9)
     for _ in range(100):
         circles = CircleSet(tuple(
@@ -231,31 +242,35 @@ def test_circle_gadget_matches_oracle_randomly():
         ))
         x, y = rng.randrange(4096), rng.randrange(4096)
         for circle in circles.circles:
-            cs, out = _circle_system(circle, x, y)
-            assert cs.value(out) == int(localcalc.point_in_circles(x, y, [circle]))
+            cs, out = _circle_system(circle, x, y, index=1)
+            inside = localcalc.point_in_circles(x, y, [circle])
+            assert cs.evaluate_and_check().satisfied == inside
         cs = fresh()
         wx, wy = cs.wire_input(x, Domain.PROVER), cs.wire_input(y, Domain.PROVER)
-        row = gadgets.lookup(cs, localcalc.find_circle(x, y, circles.circles), circles.rows)
-        out = gadgets.check_inside(cs, row, wx, wy, widths(FP.coord_bits, 2).shape)
-        assert cs.value(out) == int(localcalc.point_in_circles(x, y, circles.circles))
+        b, row = gadgets.lookup(cs, localcalc.find_circle(x, y, circles.circles), circles.rows)
+        gadgets.check_inside(cs, b, row, wx, wy, widths(FP.coord_bits, 2).shape)
+        assert cs.value(b) == int(localcalc.point_in_circles(x, y, circles.circles))
         assert cs.evaluate_and_check().satisfied
 
 
 # -- triangle membership -------------------------------------------------
 
 
-def _triangle_system(tri, x, y, fp=FP, table=None, index=1):
+def _triangle_system(tri, x, y, fp=FP, table=None, index=None):
     """check_inside_triangle on row ``index`` of ``table`` (default: tri
-    alone), in a region of its own.  Returns (cs, bit, weights): weights
-    are the signed values of the weight wires s, t and u."""
+    alone; the honest row, or 0 if none holds the point), in a region of
+    its own.  Returns (cs, b, weights): weights are the signed values of
+    the weight wires s, t and u."""
     cs = ConstraintSystem(fp)
     wx = cs.wire_input(x, Domain.PROVER)
     wy = cs.wire_input(y, Domain.PROVER)
     table = table or TriangleSet((tri,))
+    if index is None:
+        index = localcalc.find_triangle(x, y, table.triangles)
     cs.scope("triangle")
-    row = gadgets.lookup(cs, index, table.rows)
-    out = gadgets.check_inside_triangle(cs, row, wx, wy, widths(fp.coord_bits, 2).shape)
-    return cs, out, membership_weights(cs, "triangle", out)
+    b, row = gadgets.lookup(cs, index, table.rows)
+    gadgets.check_inside_triangle(cs, b, row, wx, wy, widths(fp.coord_bits, 2).shape)
+    return cs, b, membership_weights(cs, "triangle", b)
 
 
 TRI = ((0, 0), (3, 0), (0, 3))
@@ -283,6 +298,7 @@ def test_triangle_point_outside():
     cs, out, weights = _triangle_system(TRI, 3, 3)
     assert cs.value(out) == 0 and weights == [9, 9, -9]
     assert cs.evaluate_and_check().satisfied
+    assert not _triangle_system(TRI, 3, 3, index=1)[0].evaluate_and_check().satisfied
 
 
 def _edge_points(tri, rng, per_edge):
@@ -301,9 +317,10 @@ def _edge_points(tri, rng, per_edge):
 ])
 def test_triangle_weights_equal_get_bcoords(k, modulus):
     # s, t and u as the circuit computes them from the named row are
-    # get_bcoords' s and t and A - s - t, and the bit is the edge-sign
-    # oracle's verdict: on random points, on the vertices and on lattice
-    # points of the edges, for triangles of either orientation.
+    # get_bcoords' s and t and A - s - t, and naming the row holds exactly
+    # when the edge-sign oracle puts the point inside: on random points, on
+    # the vertices and on lattice points of the edges, for triangles of
+    # either orientation.
     fp = FieldParams(coord_bits=k, **({"modulus": modulus} if modulus else {}))
     rng = random.Random(k)
     bound = 1 << k
@@ -323,8 +340,8 @@ def test_triangle_weights_equal_get_bcoords(k, modulus):
             cs, out, weights = _triangle_system(tri, x, y, fp, table, index)
             bc = localcalc.get_bcoords(x, y, *tri[0], *tri[1], *tri[2])
             assert weights == [bc.s, bc.t, area - bc.s - bc.t]
-            assert cs.value(out) == int(localcalc.point_in_triangle(x, y, tri))
-            assert cs.evaluate_and_check().satisfied
+            assert cs.value(out) == 1
+            assert cs.evaluate_and_check().satisfied == localcalc.point_in_triangle(x, y, tri)
         checked += 1
 
 
@@ -383,23 +400,18 @@ def _near_triangle(tri, rng, bound):
     (1, sympy.nextprime(1 << 9)),  # ... and at k = 1
 ])
 def test_overclaimed_membership_bit_unsatisfiable(k, modulus):
-    # The prover's bit may say 0 anywhere, but 1 only inside: claiming 1
-    # at a point outside its circle or triangle, with the best range bits
-    # for the weights, is unsatisfiable, also a lattice step outside an
-    # edge or the rim; the same claim inside holds.
+    # The prover may name no row anywhere, but its one row only inside:
+    # claiming b = 1 at a point outside the circle or triangle, with the
+    # best range bits for the weights, is unsatisfiable, also a lattice
+    # step outside an edge or the rim; the same claim inside holds.
     fp = FieldParams(coord_bits=k, **({"modulus": modulus} if modulus else {}))
     rng = random.Random(100 + k)
     bound = 1 << k
-    m = widths(k, 2).shape
     outside = 0
     for _ in range(8):
         circle = (rng.randrange(bound), rng.randrange(bound), rng.randrange(1, bound))
         for x, y in _near_circle(circle, rng, bound) + [(rng.randrange(bound),) * 2]:
-            cs = ConstraintSystem(fp)
-            wx, wy = cs.wire_input(x, Domain.PROVER), cs.wire_input(y, Domain.PROVER)
-            u, v, r = circle
-            cs.scope("circle")
-            out = gadgets.check_inside(cs, (cs.const(u), cs.const(v), cs.const(r * r)), wx, wy, m)
+            cs, out = _circle_system(circle, x, y, fp)
             inside = localcalc.point_in_circles(x, y, [circle])
             assert cs.value(out) == int(inside) and cs.evaluate_and_check().satisfied
             assert cs.evaluate_and_check(_claim_one(cs, "circle", out)).satisfied == inside
@@ -418,74 +430,87 @@ def test_overclaimed_membership_bit_unsatisfiable(k, modulus):
 
 
 def _lookup_system(t_index, table):
+    """(cs, b, row) of ``gadgets.lookup`` naming row ``t_index`` of table."""
     cs = fresh()
-    out = gadgets.lookup(cs, t_index, table)
-    return cs, out
+    b, row = gadgets.lookup(cs, t_index, table)
+    return cs, b, row
 
 
 TABLE = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
 
 
 def test_lookup_middle_row():
-    cs, out = _lookup_system(2, TABLE)
-    assert [cs.value(w) for w in out] == [4, 5, 6]
+    cs, b, out = _lookup_system(2, TABLE)
+    assert [cs.value(w) for w in out] == [4, 5, 6] and cs.value(b) == 1
     assert cs.evaluate_and_check().satisfied
 
 
 def test_lookup_first_row():
-    cs, out = _lookup_system(1, TABLE)
-    assert [cs.value(w) for w in out] == [1, 2, 3]
+    cs, b, out = _lookup_system(1, TABLE)
+    assert [cs.value(w) for w in out] == [1, 2, 3] and cs.value(b) == 1
 
 
 def test_lookup_exhaustive_in_index():
     for t in range(1, len(TABLE) + 1):
-        cs, out = _lookup_system(t, TABLE)
+        cs, b, out = _lookup_system(t, TABLE)
         assert tuple(cs.value(w) for w in out) == TABLE[t - 1]
         assert cs.evaluate_and_check().satisfied
 
 
-def test_lookup_out_of_range_unsatisfiable():
-    cs, _ = _lookup_system(0, TABLE)
-    assert not cs.evaluate_and_check().satisfied
-    cs, _ = _lookup_system(4, TABLE)
-    assert not cs.evaluate_and_check().satisfied
+@pytest.mark.parametrize("table", [TABLE, TABLE[:1]], ids=["three-rows", "one-row"])
+@pytest.mark.parametrize("index", [0, -1, 4, 10**9])
+def test_lookup_out_of_range_names_no_row(table, index):
+    # An index outside [1, n] gives the all-zero selector: b = 0, and a
+    # multi-row table reads the all-zero row.  It is satisfiable.
+    cs, b, out = _lookup_system(index, table)
+    assert cs.value(b) == 0
+    if len(table) > 1:
+        assert [cs.value(w) for w in out] == [0, 0, 0]
+    assert cs.evaluate_and_check().satisfied
+
+
+def _selector(cs):
+    """The lookup's prover inputs: its selector entries, in row order."""
+    return [wid for wid in range(len(cs._gates))
+            if cs._gates[wid] == (_INPUT,) and cs._domains[wid] == Domain.PROVER]
 
 
 def test_lookup_one_row_is_constants():
-    # The one-hot vector of a one-row table is the constant (1): the row
-    # comes back as public constants, with no input, mul or assertion.
+    # A one-row table's row comes back as public constants, and its one
+    # selector entry is the bit b: one input, its booleanity, nothing else.
     for index in (0, 1, 2):
-        cs, out = _lookup_system(index, TABLE[:1])
+        cs, b, out = _lookup_system(index, TABLE[:1])
         assert [cs.value(w) for w in out] == [1, 2, 3]
         assert all(cs._domains[w] == Domain.PUBLIC for w in out)
+        assert _selector(cs) == [b] and cs.value(b) == int(index == 1)
         counters = cs.counters
-        assert (counters.n_prover_inputs, counters.n_mul, counters.n_assert) == (0, 0, 0)
+        assert (counters.n_prover_inputs, counters.n_mul, counters.n_assert) == (1, 1, 1)
+        assert cs.evaluate_and_check({b: 2}).first_failed_assertion == 0
 
 
 def test_lookup_two_ones_unsatisfiable():
-    cs, _ = _lookup_system(2, TABLE)
-    sel_ids = [
-        wid for wid in range(len(cs._gates))
-        if cs._gates[wid] == (_INPUT,) and cs._domains[wid] == Domain.PROVER
-    ]
+    cs, b, _ = _lookup_system(2, TABLE)
+    sel_ids = _selector(cs)
     assert len(sel_ids) == len(TABLE)
-    # Force a second one into the characteristic vector: every entry stays
-    # boolean, so the first assertion to fail is the sum-to-one check.
-    report = cs.evaluate_and_check(overrides={sel_ids[0]: 1})
-    assert not report.satisfied
-    assert report.first_failed_assertion == len(TABLE)
+    # Force a second one into the selector: every entry stays boolean, so
+    # the first assertion to fail is the booleanity of b = 2, the lookup's
+    # own last assertion.
+    for other in (0, 2):
+        report = cs.evaluate_and_check(overrides={sel_ids[other]: 1})
+        assert not report.satisfied
+        assert report.first_failed_assertion == len(TABLE) == cs.counters.n_assert - 1
 
 
 def test_lookup_reads_every_column_through_one_vector():
     # A six-column triangle row (x1, x2, x3, y1, y2, y3) of a public table:
     # one selector per row, and each column is one affine over the vector
     # with the column's entries as coefficients, so the only muls are the
-    # selectors' booleanity.
+    # booleanity of the selector's entries and of its sum b.
     table = [tuple(range(6 * i, 6 * i + 6)) for i in range(4)]
     for t in range(1, len(table) + 1):
-        cs, out = _lookup_system(t, table)
+        cs, b, out = _lookup_system(t, table)
         assert tuple(cs.value(w) for w in out) == table[t - 1]
         assert cs.n_prover_inputs == len(table)
-        assert cs.n_mul == len(table)
+        assert cs.n_mul == len(table) + 1
         assert cs.n_shared_inputs == 0
         assert cs.evaluate_and_check().satisfied

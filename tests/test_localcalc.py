@@ -9,6 +9,7 @@ from zkpol.localcalc import (
     DegenerateTriangle,
     area_dbl,
     area_dbl_sgn,
+    find_circle,
     find_triangle,
     get_bcoords,
     isqrt,
@@ -82,8 +83,16 @@ def test_find_triangle_hits():
     assert find_triangle(11, 11, TRIS) == 3
 
 
-def test_find_triangle_miss_defaults_to_first():
-    assert find_triangle(100, 100, TRIS) == 1
+def test_find_triangle_miss_names_no_row():
+    assert find_triangle(100, 100, TRIS) == 0
+
+
+def test_find_circle_hits_first_or_names_no_row():
+    circles = [(5, 5, 2), (6, 5, 3), (20, 20, 1)]
+    assert find_circle(5, 7, circles) == 1  # on the rim of circle 1, inside 2
+    assert find_circle(9, 5, circles) == 2
+    assert find_circle(20, 21, circles) == 3
+    assert find_circle(0, 0, circles) == 0
 
 
 def test_find_triangle_shared_edge_first_match():
@@ -100,7 +109,7 @@ def test_find_triangle_agrees_with_membership():
         if point_in_any_triangle(x, y, TRIS):
             assert point_in_triangle(x, y, TRIS[i - 1])
         else:
-            assert i == 1
+            assert i == 0
 
 
 # -- barycentric conversion ----------------------------------------------

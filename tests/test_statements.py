@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from zkpol import gadgets, localcalc
 from zkpol.appio import FixtureSpec, SchemaError, gen_fixture, instance_from_doc
-from zkpol.circuit import ConstraintSystem, Domain
+from zkpol.circuit import _AFFINE, ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
 from zkpol.poseidon import PoseidonParamError, PoseidonParams, params_for
 from zkpol.protocol import ideal_outputs, run_session
@@ -186,6 +186,26 @@ def test_instance_caps_n_traj_times_the_geometry_count(kind, policy, geometry):
     instance(n_geo)
     with pytest.raises(InstanceError, match=f"^{pointer}: n_traj x n_geo = {MAX_N_PAIRS + MAX_N_TRAJ} above"):
         instance(n_geo + 1)
+
+
+def test_instance_needs_fewer_geometry_rows_than_p():
+    # The lookup's bit is the sum of its selector, which is boolean over the
+    # integers only while the table has fewer than p rows: at p = 523 a
+    # selector of 524 ones sums to 1 and reads the sum of every row.
+    fp = FieldParams(modulus=523, coord_bits=1)
+    cs = ConstraintSystem(fp)
+    cs.scope("lookup")
+    gadgets.lookup(cs, 1, [(j,) for j in range(524)])
+    sel = cs.region("lookup")[2]
+    assert len(sel) == 524 and cs.evaluate_and_check(dict.fromkeys(sel, 1)).satisfied
+    for kind, policy, row in (("ev", SubsidyPolicy(0, 0), (1, 1, 1)),
+                              ("tax", TaxPolicy(0), ((0, 0), (1, 0), (0, 1)))):
+        geo_type, pointer = ((CircleSet, "/geometry/circles") if kind == "ev"
+                             else (TriangleSet, "/geometry/triangles"))
+        with pytest.raises(InstanceError, match=f"^{pointer}: 523 rows, not fewer than p = 523"):
+            make_instance(kind, fp, 2, policy, geo_type((row,) * 523), Trail(((1, 1),)))
+    # (At p = 523 an ev instance's coverage check is too wide for the field.)
+    make_instance("tax", fp, 2, TaxPolicy(0), TriangleSet((row,) * 522), Trail(((1, 1),)))
 
 
 def test_statement_cost_caps_n_traj_times_n_geo(monkeypatch):
@@ -402,24 +422,78 @@ def test_selector_that_is_not_one_hot_fails_in_its_point(kind):
     p, n_geo = FP12.modulus, inst.ad.geometry.count
     for i in range(inst.ad.n_traj):
         sel = cs.region(f"point[{i}]")[2][:n_geo]
-        named = [cs.value(w) for w in sel].index(1)
+        named = max(range(n_geo), key=lambda j: cs.value(sel[j]))
         other = (named + 1) % n_geo
-        vectors = [[0] * n_geo, [1] * n_geo, [0] * n_geo]
+        vectors = [[1] * n_geo, [0] * n_geo, [0] * n_geo]
+        vectors[1][named] = vectors[1][other] = 1  # two-hot: b = 2
         vectors[2][named], vectors[2][other] = 2, p - 1  # sums to 1, not boolean
         # The region opens with the lookup's own checks: n_geo booleanity
-        # assertions, then the sum to one.
+        # assertions, then that of their sum b.
         own = cs.region(f"point[{i}]")[1][: n_geo + 1]
         for vector in vectors:
             assert h.check(dict(zip(sel, vector))).first_failed_assertion in own
 
 
+def _selector_sum(cs, region, n_geo):
+    """The membership bit of a multi-row point region: the affine that sums
+    the selector, its first n_geo inputs."""
+    sel = tuple(cs.region(region)[2][:n_geo])
+    return next(g for g in cs.region(region)[0] if cs._gates[g][:3] == (_AFFINE, (1,) * n_geo, sel))
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_all_zero_selector_at_an_inside_point_counts_it_outside(kind):
+    # Naming no row (row hint 0) at a point inside a shape satisfies the
+    # point's region: the bit is 0 and the point counts as outside.  At the
+    # boundary fixture's tight policy that fails only in region policy,
+    # and only if the point ends a segment of positive length whose other
+    # end is inside too: that length no longer counts as covered (ev) or
+    # tax-free (tax).
+    inst = gen_fixture(FixtureSpec(kind=kind, seed=5, n_traj=6, n_geo=3 if kind == "ev" else 8,
+                                   mode="boundary"))
+    n, n_geo = inst.ad.n_traj, inst.ad.geometry.count
+    pts = inst.trail.padded(n)
+    shapes = inst.ad.geometry.circles if kind == "ev" else inst.ad.geometry.triangles
+    contains = localcalc.point_in_circles if kind == "ev" else localcalc.point_in_any_triangle
+    flipped = 0
+    for i in (i for i in range(n) if contains(*pts[i], shapes)):
+        hints = [None] * n
+        hints[i] = 0
+        cs, h = _build(inst, row_hints=hints)
+        assert [cs.value(w) for w in cs.region(f"point[{i}]")[2][:n_geo]] == [0] * n_geo
+        assert cs.value(_selector_sum(cs, f"point[{i}]", n_geo)) == 0
+        lost = any(pts[a] != pts[b] and contains(*pts[a], shapes) and contains(*pts[b], shapes)
+                   for a, b in ((i - 1, i), (i, i + 1)) if a >= 0 and b < n)
+        failed = cs.scope_of(h.check().first_failed_assertion)
+        assert failed == ("policy" if lost else None)
+        flipped += lost
+    assert flipped > 0
+
+
+def test_one_row_table_wires_the_bit_as_its_only_selector():
+    # A one-circle table's row is constants, and region point[i]'s first
+    # input is the membership bit, which multiplies the weight before its
+    # range check; the rest are the range bits.
+    inst = gen_fixture(FixtureSpec(kind="ev", seed=5, n_traj=6, n_geo=1))
+    cs, _ = _build(inst)
+    m = widths(FP12.coord_bits, inst.ad.n_traj).shape
+    for i, (x, y) in enumerate(inst.trail.padded(inst.ad.n_traj)):
+        inputs = cs.region(f"point[{i}]")[2]
+        assert len(inputs) == 1 + m
+        bit = inputs[0]
+        assert cs.value(bit) == int(localcalc.point_in_circles(x, y, inst.ad.geometry.circles))
+        (u, v, r), = inst.ad.geometry.circles
+        assert membership_weights(cs, f"point[{i}]", bit) == [r * r - (x - u) ** 2 - (y - v) ** 2]
+
+
 def test_tax_point_region_wires_only_its_selector_bit_and_range_bits():
-    # The prover names a row and claims a bit, and nothing else: region
-    # point[i]'s inputs are the one-hot selector, the membership bit, then
-    # the bits of three range checks at the shape width m.  The weight
-    # wires are the weights get_bcoords gives for the named triangle, and
-    # the bit is 1 exactly when all three are non-negative.  The
-    # non-compliant fixture's trail leaves the road, so it has both bits.
+    # The prover names a row or none, and nothing else: region point[i]'s
+    # inputs are the selector, whose sum is the membership bit, then the
+    # bits of three range checks at the shape width m.  The weight wires
+    # are the weights get_bcoords gives for the named triangle (zero if
+    # none is named), and the bit is 1 exactly when the point is on a
+    # triangle.  The non-compliant fixture's trail leaves the road, so it
+    # has both bits.
     inst = gen_fixture(FixtureSpec(kind="tax", seed=5, n_traj=6, n_geo=8, mode="non_compliant"))
     cs, _ = _build(inst)
     tris, n_geo = inst.ad.geometry.triangles, inst.ad.geometry.count
@@ -428,17 +502,21 @@ def test_tax_point_region_wires_only_its_selector_bit_and_range_bits():
     for i, (x, y) in enumerate(inst.trail.padded(inst.ad.n_traj)):
         wires = cs.region(f"point[{i}]")[2]
         inputs = [cs.value(w) for w in wires]
-        assert len(inputs) == n_geo + 1 + 3 * m
-        sel, bit, bits = inputs[:n_geo], inputs[n_geo], inputs[n_geo + 1:]
+        assert len(inputs) == n_geo + 3 * m
+        sel, bits = inputs[:n_geo], inputs[n_geo:]
         named = localcalc.find_triangle(x, y, tris)
         assert sel == [int(j == named) for j in range(1, n_geo + 1)]
         assert set(bits) <= {0, 1}
-        tri = tris[named - 1]
-        bc = localcalc.get_bcoords(x, y, *tri[0], *tri[1], *tri[2])
-        weights = [bc.s, bc.t, localcalc.area_dbl(*tri[0], *tri[1], *tri[2]) - bc.s - bc.t]
-        assert membership_weights(cs, f"point[{i}]", wires[n_geo]) == weights
-        assert bit == int(min(weights) >= 0) == int(localcalc.point_in_any_triangle(x, y, tris))
-        bits_seen.add(bit)
+        weights = [0, 0, 0]
+        if named:
+            tri = tris[named - 1]
+            bc = localcalc.get_bcoords(x, y, *tri[0], *tri[1], *tri[2])
+            weights = [bc.s, bc.t, localcalc.area_dbl(*tri[0], *tri[1], *tri[2]) - bc.s - bc.t]
+            assert min(weights) >= 0
+        bit = _selector_sum(cs, f"point[{i}]", n_geo)
+        assert membership_weights(cs, f"point[{i}]", bit) == weights
+        assert cs.value(bit) == sum(sel) == int(localcalc.point_in_any_triangle(x, y, tris))
+        bits_seen.add(cs.value(bit))
     assert bits_seen == {0, 1}
 
 
@@ -479,15 +557,19 @@ def test_tax_tampered_hash_unsatisfied():
 
 
 def test_tax_wrong_triangle_hint_never_decreases_taxed_distance():
-    # Pointing an on-road point at a triangle that does not contain it can
-    # only flip its membership bit to off-road, raising tot - hw; with the
-    # bound already tight the statement must stay or become unsatisfied.
+    # Points 0 and 1 are on the road triangle, 2 and 3 off it.  Naming
+    # triangle 1 at an off-road point is rejected in its region; naming no
+    # row at an on-road point counts it off-road, raising tot - hw past the
+    # tight bound, so the statement fails in policy.
     inst = _tax(102)
     for i in range(4):
-        hints = [None] * 4
-        hints[i] = 1  # triangle 1 is also the only one; use the degraded path
-        cs, h = _build(inst, row_hints=hints)
-        assert h.check().satisfied  # honest hint: nothing changes
+        for hint in (0, 1):
+            hints = [None] * 4
+            hints[i] = hint
+            cs, h = _build(inst, row_hints=hints)
+            failed = cs.scope_of(h.check().first_failed_assertion)
+            honest = hint == int(i < 2)
+            assert failed == (None if honest else "policy" if hint == 0 else f"point[{i}]")
     # Square roots are exact: overstating an on-road hop and understating
     # the off-road hop are both rejected.
     cs, h = _build(inst, sqrt_hints=[6, 97, 5])
@@ -613,10 +695,10 @@ def test_statement_cost_pinned():
     # exact square root (2k + 3 muls), of one selector vector per point
     # over the public geometry table (its columns are affines with the
     # table's entries as coefficients, so the only lookup muls are the
-    # selectors' booleanity, and a one-row table has no selector), of
-    # triangle weights computed from the row (4 muls, no hint), of the
-    # prover's membership bit (its booleanity, then a product and a
-    # 2k-bit range check per weight), of policy range checks at their
+    # booleanity of each entry and of their sum, the membership bit b; a
+    # one-row table's one entry is b), of triangle weights computed from
+    # the row (4 muls, no hint), of a product with b and a 2k-bit range
+    # check per weight, of policy range checks at their
     # ledger widths, of h_ex as the only shared input, and of the t = 9
     # sponge (rate 8, R_F = 8, R_P = 56: 384 muls and, with sparse
     # partial rounds, 1,600 adds per permutation).
@@ -625,17 +707,26 @@ def test_statement_cost_pinned():
         "n_prover_inputs": 26646, "n_shared_inputs": 1,
     }
     assert statement_cost("tax", 64, 16, FieldParams()) == {
-        "n_mul": 20519, "n_add": 60436, "n_assert": 13996,
-        "n_prover_inputs": 13803, "n_shared_inputs": 1,
+        "n_mul": 20519, "n_add": 60372, "n_assert": 13932,
+        "n_prover_inputs": 13739, "n_shared_inputs": 1,
     }
     # The shapes whose membership cost the public table moved most.
-    assert statement_cost("ev", 64, 16, FP12)["n_mul"] == 11086
-    assert statement_cost("tax", 64, 64, FP12)["n_mul"] == 17459
+    assert statement_cost("ev", 64, 16, FP12) == {
+        "n_mul": 11086, "n_add": 38050, "n_assert": 4628,
+        "n_prover_inputs": 4562, "n_shared_inputs": 1,
+    }
+    assert statement_cost("tax", 64, 64, FP12) == {
+        "n_mul": 17459, "n_add": 75756, "n_assert": 10872,
+        "n_prover_inputs": 10679, "n_shared_inputs": 1,
+    }
     # A one-row triangle table is read as constants, and a product with a
     # constant is an affine: its weights cost no mul.
-    assert statement_cost("tax", 64, 1, FieldParams())["n_mul"] == 19239
+    assert statement_cost("tax", 64, 1, FieldParams()) == {
+        "n_mul": 19239, "n_add": 51668, "n_assert": 12908,
+        "n_prover_inputs": 12779, "n_shared_inputs": 1,
+    }
     # Wire counts of the same statements: every wire is one gate.
-    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 147_073), ("tax", 64, 16, 59_212)):
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 147_073), ("tax", 64, 16, 59_148)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
