@@ -11,7 +11,7 @@ import json
 import random
 import sys
 
-from .circuit import ConstraintSystem
+from .circuit import ConstraintSystem, Domain
 from .field import FieldError, FieldParams, widths
 from . import appio, gadgets, localcalc, protocol, statements
 
@@ -48,13 +48,15 @@ def _cmd_fuzz(args) -> int:
 
     Each mutation changes one trail coordinate, which only region digest
     may reject; then, which only region point[i] or segment[j] may
-    reject: names two rows at point i (skipped for a one-row table, whose
-    one selector entry is the membership bit); with the inputs a prover
-    derives for the lie, claims membership for a point i outside every
-    row, as if it were row 1's circle centre or first triangle vertex
-    (skipped if no point is outside); and gives segment j a wrong root.
-    Hints further downstream are not re-derived, so a mutation whose
-    first failure comes before its region is not judged."""
+    reject: names two rows at point i, with the honest range bits and
+    with the bits the gadgets derive for b = 2 and the sum of the two rows
+    (skipped for a one-row table, whose one selector entry is the
+    membership bit); with the inputs a prover derives for the lie, claims
+    membership for a point i outside every row, as if it were row 1's
+    circle centre or first triangle vertex (skipped if no point is
+    outside); and gives segment j a wrong root.  Hints further downstream
+    are not re-derived, so a mutation whose first failure comes before its
+    region is not judged."""
     inst = appio.load_instance(args.instance)
     rng = random.Random(args.seed)
     cs = ConstraintSystem(inst.field_params)
@@ -80,12 +82,22 @@ def _cmd_fuzz(args) -> int:
 
     bound = 1 << inst.field_params.coord_bits
     n = inst.ad.n_traj
-    k_seg = widths(inst.field_params.coord_bits, n).seg
+    wd = widths(inst.field_params.coord_bits, n)
     pts = inst.trail.points
     padded = inst.trail.padded(n)
     geo = inst.ad.geometry
     ev = inst.ad.kind == "ev"  # (ax, ay) lies in row 1, the row the claim names
     contains = localcalc.point_in_circles if ev else localcalc.point_in_any_triangle
+    check_inside = gadgets.check_inside if ev else gadgets.check_inside_triangle
+
+    def two_hot(sc, pair, x, y):
+        """The selector naming both rows of pair, and the range bits the
+        shape check derives for b = 2 and the sum of the two rows."""
+        for r in range(geo.count):
+            sc.wire_input(int(r in pair), Domain.PROVER)
+        row = [sc.const(a + c) for a, c in zip(*(geo.rows[r] for r in pair))]
+        check_inside(sc, sc.const(2), row, sc.const(x), sc.const(y), wd.shape)
+
     shapes, (ax, ay) = (geo.circles, geo.circles[0][:2]) if ev else (geo.triangles, geo.triangles[0][0])
     outside = [i for i, pt in enumerate(padded) if not contains(*pt, shapes)]
     for trial in range(args.mutations):
@@ -100,15 +112,16 @@ def _cmd_fuzz(args) -> int:
         if passes("digest", {handle.trail_input_ids[axis * n + c]: new_coord for c in moved}):
             found.append(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
         i = rng.randrange(n)
-        if geo.count > 1:  # a two-hot selector: b = 2
+        if geo.count > 1:
             sel = cs.region(f"point[{i}]")[2][: geo.count]
-            pair = rng.sample(sel, 2)
-            if passes(f"point[{i}]", {w: int(w in pair) for w in sel}):
+            pair = rng.sample(range(geo.count), 2)
+            if (passes(f"point[{i}]", {w: int(r in pair) for r, w in enumerate(sel)})
+                    or passes_rewired(f"point[{i}]", lambda sc: two_hot(sc, pair, *padded[i]))):
                 found.append(f"SELECTOR VIOLATION at mutation {trial} (point {i})")
         if outside:
             i = rng.choice(outside)
             if passes_rewired(f"point[{i}]", lambda sc: statements.point_inside(
-                    sc, inst.ad, sc.const(ax), sc.const(ay), (ax, ay), 1)):
+                    sc, inst.ad, sc.const(ax), sc.const(ay), 1)):
                 found.append(f"CLAIM VIOLATION at mutation {trial} (point {i})")
         if n < 2:
             continue
@@ -116,9 +129,9 @@ def _cmd_fuzz(args) -> int:
         (x0, y0), (x1, y1) = padded[j : j + 2]
         sq = (x1 - x0) ** 2 + (y1 - y0) ** 2
         root = localcalc.isqrt(sq)
-        wrong = rng.choice([v for v in (root - 1, root + 1, rng.randrange(1 << k_seg))
+        wrong = rng.choice([v for v in (root - 1, root + 1, rng.randrange(1 << wd.seg))
                             if v not in (root, -1)])
-        if passes_rewired(f"segment[{j}]", lambda sc: gadgets.sqrt_floor(sc, sc.const(sq), k_seg, wrong)):
+        if passes_rewired(f"segment[{j}]", lambda sc: gadgets.sqrt_floor(sc, sc.const(sq), wd.seg, wrong)):
             found.append(f"ROOT VIOLATION at mutation {trial} (segment {j}, root {wrong} != {root})")
     for line in found:
         print(line)

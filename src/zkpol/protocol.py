@@ -127,7 +127,7 @@ class TrailStore:
     context label so tests can audit who touched prover-only data."""
 
     def __init__(self, points):
-        self._points = tuple(tuple(p) for p in points)
+        self._points = tuple(points)
         self.access_log: list[str] = []
 
     def read(self, reader: str):
@@ -151,10 +151,16 @@ def trail_hash(trail_points, ad: AuthorityData) -> int:
 
 
 def _signable_hash(trail_points, ad: AuthorityData) -> int | None:
-    """The trail hash, or None for a trail whose length lies outside
-    (0, n_traj]: no instance of the statement admits it, so there is
-    nothing to sign or prove."""
-    if not 0 < len(trail_points) <= ad.n_traj:
+    """The trail hash, or None when n_traj is not an int, the trail's
+    length lies outside (0, n_traj] or a point is not a pair of ints
+    (bools excluded): no instance of the statement admits the trail, so
+    there is nothing to sign or prove."""
+    n = ad.n_traj
+    if isinstance(n, bool) or not isinstance(n, int) or not 0 < len(trail_points) <= n:
+        return None
+    if not all(isinstance(pt, (tuple, list)) and len(pt) == 2
+               and all(isinstance(v, int) and not isinstance(v, bool) for v in pt)
+               for pt in trail_points):
         return None
     return trail_hash(trail_points, ad)
 
@@ -180,7 +186,7 @@ class WitnessDevice:
         self.sid = None
         self.pk = None
         self._sk = None
-        self.coords: list[tuple[int, int]] = []
+        self.coords: list = []
 
     def handle(self, cmd: tuple, rng: random.Random):
         name = cmd[0]
@@ -193,7 +199,7 @@ class WitnessDevice:
             raise ProtocolOrderViolation(f"{name} before init")
         if name == "move":
             _, sid, point = cmd
-            self.coords.append((int(point[0]), int(point[1])))
+            self.coords.append(point)  # as given: a malformed move leaves the trail unsigned
             return []
         if name == "getcoords":
             h = self.hash_fn(self.coords)
@@ -257,8 +263,10 @@ def run_session(
     outgoing messages: prover_tamper(kind, payload) -> payload where kind
     is "sig" (payload (h, sigma)) or "fzk" (payload (ad, h, points));
     verifier_tamper(ad_v, h) -> (ad_v, h) rewrites what the verifier
-    submits to the ZK check.  A trail whose length lies outside
-    (0, n_traj] is left unsigned and ends not_ok for both parties.
+    submits to the ZK check.  The witness device keeps each move as it is
+    given; a trail whose length lies outside (0, n_traj], or with a point
+    that is not a pair of ints, is left unsigned and ends not_ok for both
+    parties, as it does in ``ideal_outputs``.
     """
     if scenario not in ("honest", "corrupt_prover", "corrupt_verifier"):
         raise InvalidScenario(f"unknown scenario {scenario!r}")
@@ -279,7 +287,7 @@ def run_session(
     pk = witness.pk
     for point in moves:
         witness.handle(("move", sid, point), rng)
-        transcript.record("env", "witness", ("move", sid, tuple(point)))
+        transcript.record("env", "witness", ("move", sid, point))
 
     # Prover turn.
     transcript.record("env", "prover", ("prove", sid))

@@ -3,11 +3,13 @@
 ``build_statement`` lays down the full circuit for one statement
 instance on a caller-supplied ConstraintSystem and returns a handle whose
 ``check`` method evaluates the system and reports satisfiability plus
-gate counters.  Both statements share one circuit segment walk, split by
-a per-point membership bit that ``point_inside`` wires the same way for
-both.  Every assertion lies in one named region
-(``ConstraintSystem.scope``): trail, digest, point[0], then point[i] and
-segment[i - 1] for each later point i, and policy.
+gate counters.  Both statements are laid down in one pass over the
+trail: a per-point membership bit that ``point_inside`` wires the same
+way for both, and the exact length of each segment.  Every assertion
+lies in one named region (``ConstraintSystem.scope``): trail, digest,
+point[0], then point[i] and segment[i - 1] for each later point i, and
+policy.  Every prover hint (a named row, a root, a bit) is read from the
+values of the wires it speaks of, never from a plaintext copy.
 
 The paper's relation is R(AD, h; trail).  ``AuthorityData`` is AD, the
 public half that both parties hold; it checks nothing when it is
@@ -197,9 +199,11 @@ def validate_instance(inst: StatementInstance) -> None:
     else p + 1 selector entries of 1 sum to 1 in ``gadgets.lookup``), the
     Poseidon prime (the field modulus), h_ex (below p), trail length,
     coordinates, radii, triangle orientation and policy values, every
-    number must be an int, and the statement's widest policy range check
-    m must fit below p, 2^(m+1) < p: for ev that is ``widths(...).cover``,
-    for tax ``tot`` (``FieldParams`` already covers the shape width; see
+    point must be an (x, y) pair, every circle a (u, v, r) triple and
+    every triangle three points, every number must be an int, and the
+    statement's widest policy range check m must fit below p,
+    2^(m+1) < p: for ev that is ``widths(...).cover``, for tax ``tot``
+    (``FieldParams`` already covers the shape width; see
     ``field.widths``).  A small prime with a long trail fails this check.
     """
     ad = inst.ad
@@ -223,20 +227,28 @@ def validate_instance(inst: StatementInstance) -> None:
         _check_ints("/h_ex", [inst.h_ex], 0, fp.modulus - 1)  # else h_ex +- p verifies too
     if not 0 < len(inst.trail.points) <= ad.n_traj:
         raise InstanceError("/trail/points: trail length outside (0, n_traj]")
-    for i, (x, y) in enumerate(inst.trail.points):
-        _check_ints(f"/trail/points/{i}", (x, y), 0, top)
+    for i, pt in enumerate(inst.trail.points):
+        if not isinstance(pt, (tuple, list)) or len(pt) != 2:
+            raise InstanceError(f"/trail/points/{i}: {pt!r} is not an (x, y) pair")
+        _check_ints(f"/trail/points/{i}", pt, 0, top)
     w = widths(k, ad.n_traj)
     if ev:
-        for i, (u, v, r) in enumerate(ad.geometry.circles):
-            _check_ints(f"/geometry/circles/{i}", (u, v), 0, top)
-            _check_ints(f"/geometry/circles/{i}", (r,), 1, top)
+        for i, c in enumerate(ad.geometry.circles):
+            if not isinstance(c, (tuple, list)) or len(c) != 3:
+                raise InstanceError(f"/geometry/circles/{i}: {c!r} is not a (u, v, r) triple")
+            _check_ints(f"/geometry/circles/{i}", c[:2], 0, top)
+            _check_ints(f"/geometry/circles/{i}", c[2:], 1, top)
         _check_ints("/policy/p_req", [ad.policy.p_req], 0, 100)
         _check_ints("/policy/d_req", [ad.policy.d_req], 0, (1 << w.tot) - 1)  # the accumulator width
         m = w.cover
     else:
         for j, tri in enumerate(ad.geometry.triangles):
-            for v, (x, y) in enumerate(tri):
-                _check_ints(f"/geometry/triangles/{j}/{v}", (x, y), 0, top)
+            if not isinstance(tri, (tuple, list)) or len(tri) != 3:
+                raise InstanceError(f"/geometry/triangles/{j}: {tri!r} does not have 3 vertices")
+            for v, pt in enumerate(tri):
+                if not isinstance(pt, (tuple, list)) or len(pt) != 2:
+                    raise InstanceError(f"/geometry/triangles/{j}/{v}: {pt!r} is not an (x, y) pair")
+                _check_ints(f"/geometry/triangles/{j}/{v}", pt, 0, top)
             a = localcalc.area_dbl_sgn(*tri[0], *tri[1], *tri[2])
             if a == 0:
                 raise InstanceError(f"/geometry/triangles/{j}: degenerate triangle {tri}")
@@ -272,56 +284,17 @@ class StatementHandle:
         return self.cs.evaluate_and_check(overrides)
 
 
-def _wire_trail(cs: ConstraintSystem, inst: StatementInstance):
-    """Regions trail (the coordinates) and digest (their hash == h_ex)."""
-    pts = inst.trail.padded(inst.ad.n_traj)
-    cs.scope("trail")
-    xs = [cs.wire_input(x, Domain.PROVER) for x, _ in pts]
-    ys = [cs.wire_input(y, Domain.PROVER) for _, y in pts]
-    cs.scope("digest")
-    digest = gadgets.poseidon_hash(cs, xs + ys, inst.ad.pp)
-    cs.assert_eq(digest, cs.wire_input(inst.h_ex, Domain.SHARED))
-    return pts, xs, ys
-
-
-def _segment_walk(cs, xs, ys, inside, k_seg, sqrt_hints=None):
-    """Circuit twin of ``localcalc.segment_walk``: (tot, both).
-
-    ``inside(i)`` wires point i's membership bit, in region point[i].
-    Region segment[j] holds the exact root (``gadgets.sqrt_floor`` at k_seg
-    bits: the region's only inputs and assertions) that is the length of
-    the segment from point j to j + 1; both sums the lengths of the
-    segments with both endpoints inside.
-    """
-    tot = both = cs.const(0)
-    cs.scope("point[0]")
-    in_prev = inside(0)
-    for i in range(1, len(xs)):
-        cs.scope(f"point[{i}]")
-        in_cur = inside(i)
-        cs.scope(f"segment[{i - 1}]")
-        dx = cs.sub(xs[i], xs[i - 1])
-        dy = cs.sub(ys[i], ys[i - 1])
-        sq = cs.add(cs.mul(dx, dx), cs.mul(dy, dy))
-        hint = sqrt_hints[i - 1] if sqrt_hints is not None else None
-        d = gadgets.sqrt_floor(cs, sq, k_seg, hint)
-        tot = cs.add(tot, d)
-        both = cs.add(both, cs.mul(cs.mul(in_prev, in_cur), d))
-        in_prev = in_cur
-    return tot, both
-
-
-def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, pt, row_hint=None) -> int:
-    """Membership bit b of the point pt, wired as x and y: the prover names
-    a row of ad's public geometry table (row_hint, else the first circle
-    or triangle that contains pt, or 0 for none), and ``gadgets.lookup``
-    reads it and b, 1 iff a row is named.
+def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, row_hint=None) -> int:
+    """Membership bit b of the point wired as x and y: the prover names a
+    row of ad's public geometry table (row_hint, else the first circle or
+    triangle that contains the point the values of x and y give, or 0 for
+    none), and ``gadgets.lookup`` reads it and b, 1 iff a row is named.
 
     The argument is one-sided.  With b = 1 the named row is a real one,
-    and its b*w range checks pass only if pt lies in its shape.  With
-    b = 0 every b*w is zero and pt counts as outside, which only lowers
-    cc (the in-circles length of a subsidy) or raises tot - hw (the taxed
-    length): naming no row only hurts the prover.
+    and its b*w range checks pass only if the point lies in its shape.
+    With b = 0 every b*w is zero and the point counts as outside, which
+    only lowers cc (the in-circles length of a subsidy) or raises tot - hw
+    (the taxed length): naming no row only hurts the prover.
     """
     width = widths(ad.field_params.coord_bits, ad.n_traj).shape
     geo = ad.geometry
@@ -329,35 +302,52 @@ def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, pt, ro
         find, shapes, check = localcalc.find_circle, geo.circles, gadgets.check_inside
     else:
         find, shapes, check = localcalc.find_triangle, geo.triangles, gadgets.check_inside_triangle
-    b, row = gadgets.lookup(cs, find(*pt, shapes) if row_hint is None else row_hint, geo.rows)
+    index = find(cs.value(x), cs.value(y), shapes) if row_hint is None else row_hint
+    b, row = gadgets.lookup(cs, index, geo.rows)
     check(cs, b, row, x, y, width)
     return b
 
 
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints=None,
                     row_hints=None) -> StatementHandle:
-    """Lay down inst's statement on cs.
-
-    Both statements bind the trail to h_ex, walk the segments with
-    ``point_inside`` as the membership bit, and end in region policy:
-      - subsidy: d_req <= tot and tot * p_req <= cc * 100, cc the
-        in-circles length.  Segment lengths are exact roots: an
-        understated length outside the circles would shrink tot while cc
-        stays put and inflate the coverage share.
+    """Lay down inst's statement on cs, one region after another: trail
+    (the padded trail as ``trail_message`` orders it), digest (its hash
+    == h_ex), then for each point i the region point[i] (its membership
+    bit, ``point_inside``) and, from the second point on, segment[i - 1]
+    (the exact root that is the length of the segment ending at point i,
+    ``gadgets.sqrt_floor`` at ``widths(...).seg`` bits), and policy:
+      - subsidy: d_req <= tot and tot * p_req <= cc * 100, tot the summed
+        segment lengths and cc the length of the segments with both ends
+        in a circle.  Segment lengths are exact roots: an understated
+        length outside the circles would shrink tot while cc stays put and
+        inflate the coverage share.
       - tax: tot - hw <= d_max, hw the length on the tax-free road.
+    Every prover hint is read from the values of the wires it speaks of.
     ``sqrt_hints`` (one per segment) and ``row_hints`` (one per point; a
     None entry keeps the honest row, and an index outside the table names
     none) replace the prover's honest local values.
     """
     ad = inst.ad
-    w = widths(ad.field_params.coord_bits, ad.n_traj)
-    pts, xs, ys = _wire_trail(cs, inst)
-
-    def inside(i):
-        hint = row_hints[i] if row_hints is not None else None
-        return point_inside(cs, ad, xs[i], ys[i], pts[i], hint)
-
-    tot, both = _segment_walk(cs, xs, ys, inside, w.seg, sqrt_hints)
+    n = ad.n_traj
+    w = widths(ad.field_params.coord_bits, n)
+    cs.scope("trail")
+    msg = [cs.wire_input(v, Domain.PROVER) for v in trail_message(inst.trail, n)]
+    xs, ys = msg[:n], msg[n:]
+    cs.scope("digest")
+    cs.assert_eq(gadgets.poseidon_hash(cs, msg, ad.pp), cs.wire_input(inst.h_ex, Domain.SHARED))
+    tot = both = cs.const(0)
+    for i in range(n):
+        cs.scope(f"point[{i}]")
+        in_cur = point_inside(cs, ad, xs[i], ys[i], None if row_hints is None else row_hints[i])
+        if i:
+            cs.scope(f"segment[{i - 1}]")
+            dx = cs.sub(xs[i], xs[i - 1])
+            dy = cs.sub(ys[i], ys[i - 1])
+            sq = cs.add(cs.mul(dx, dx), cs.mul(dy, dy))
+            d = gadgets.sqrt_floor(cs, sq, w.seg, None if sqrt_hints is None else sqrt_hints[i - 1])
+            tot = cs.add(tot, d)
+            both = cs.add(both, cs.mul(cs.mul(in_prev, in_cur), d))
+        in_prev = in_cur
     cs.scope("policy")
     if ad.kind == "ev":
         gadgets.leq(cs, cs.const(ad.policy.d_req), tot, w.tot)
@@ -368,7 +358,7 @@ def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints
         # it within the range check's width without changing the verdict.
         d_max = min(ad.policy.d_max, (1 << w.tot) - 1)
         gadgets.leq(cs, cs.sub(tot, both), cs.const(d_max), w.tot)
-    return StatementHandle(cs, cs.region("trail")[2])
+    return StatementHandle(cs, msg)
 
 
 def oracle_verdict(inst: StatementInstance) -> bool:

@@ -484,6 +484,33 @@ def test_cli_fuzz_reports_a_membership_bit_apart_from_the_selector(tmp_path, cap
     assert json.loads(lines[-1]) == {"mutations": 10, "violations": selectors}
 
 
+def test_cli_fuzz_reports_a_selector_sum_without_its_booleanity(tmp_path, capsys, monkeypatch):
+    # Two circles, and a trail inside the circle of their summed row
+    # (1, 1, 10^2 + 20^2), whose weights w keep 2w within the range check.
+    # A lookup that drops the booleanity of b then accepts the two-hot
+    # selector (b = 2) at every point, once the range bits are derived for
+    # the lie; with the stale honest bits it would fail there.
+    inst = statements.make_instance(
+        "ev", FieldParams(coord_bits=12), 4, statements.SubsidyPolicy(0, 0),
+        statements.CircleSet(((0, 0, 10), (1, 1, 20))), statements.Trail(((1, 1), (2, 2), (3, 1), (2, 3))))
+    path = tmp_path / "two-circles.json"
+    save_instance(inst, path)
+    assert cli_main(["fuzz", str(path), "--mutations", "10", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 0
+
+    def lookup(cs, index, rows):
+        sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, len(rows) + 1)]
+        for w in sel:
+            gadgets.assert_boolean(cs, w)
+        return cs.affine([1] * len(rows), sel), tuple(cs.affine(col, sel) for col in zip(*rows))
+
+    monkeypatch.setattr(gadgets, "lookup", lookup)
+    assert cli_main(["fuzz", str(path), "--mutations", "10", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum("SELECTOR VIOLATION" in line for line in lines) == 10
+    assert json.loads(lines[-1]) == {"mutations": 10, "violations": 10}
+
+
 def test_cli_fuzz_rejects_a_negative_mutation_count(tmp_path, capsys):
     path = _write_fixture(tmp_path)
     assert cli_main(["fuzz", path, "--mutations", "-3"]) == 2

@@ -321,6 +321,36 @@ def test_out_of_range_trail_length_ends_not_ok_like_ideal():
         assert t.outputs == ideal_outputs(moves, AD_EV, AD_EV, corrupted="prover")
 
 
+# Moves that are not pairs of ints, at a policy every pair of ints near
+# them meets: the witness device keeps each move as given and signs no
+# trail holding one, so the session ends as the ideal functionality does
+# (a device that coerced them with int() would end ok/ok).
+LAX_EV = replace(AD_EV, policy=SubsidyPolicy(d_req=0, p_req=0))
+MALFORMED_MOVES = {
+    "float": [(100.9, 100), (101, 101)],
+    "bool-and-str": [(True, 100), ("101", 101)],
+    "integral-float": [(100.0, 100)],
+    "one-coordinate": [(100,), (101, 101)],
+    "none": [(None, 1)],
+    "three-coordinates": [(100, 100, 7)],
+    "not-a-sequence": [(100, 100), 5, None],
+}
+
+
+@pytest.mark.parametrize("moves", MALFORMED_MOVES.values(), ids=MALFORMED_MOVES.keys())
+def test_malformed_moves_end_not_ok_like_ideal(moves):
+    t = run_session("honest", LAX_EV, moves)
+    assert t.outputs == ideal_outputs(moves, LAX_EV, LAX_EV) == {"prover": "not_ok", "verifier": "not_ok"}
+    json.dumps(t.to_json())
+
+
+@pytest.mark.parametrize("n_traj", ["4", 4.0])
+def test_n_traj_that_is_not_an_int_ends_not_ok_like_ideal(n_traj):
+    ad = replace(LAX_EV, n_traj=n_traj)
+    t = run_session("honest", ad, GOOD_EV_MOVES)
+    assert t.outputs == ideal_outputs(GOOD_EV_MOVES, ad, ad) == {"prover": "not_ok", "verifier": "not_ok"}
+
+
 def test_ideal_functionality_corruption_override():
     out = ideal_outputs(BAD_EV_MOVES, AD_EV, AD_EV, corrupted="prover", adversary_result="ok")
     assert out["prover"] == "ok"

@@ -29,6 +29,7 @@ from zkpol.statements import (
     honest_hash,
     make_instance,
     oracle_verdict,
+    point_inside,
     statement_cost,
 )
 
@@ -258,6 +259,36 @@ def test_instance_rejects_numbers_that_are_not_integers(case):
         make_instance(kind, FieldParams(coord_bits=12), n_traj, policy, geometry, trail)
 
 
+# Points, circles and triangles of the wrong shape: unvalidated, they
+# crash the build, the oracle and the reference hash, or (a fourth vertex)
+# are silently ignored by the orientation check.  Each as (kind, geometry,
+# trail, pointer).
+_POINT = Trail(((1, 1),))
+WRONG_SHAPES = {
+    "triangle-with-4-vertices": ("tax", TriangleSet((((0, 0), (5, 0), (0, 5), (9, 9)),)), _POINT,
+                                 "/geometry/triangles/0"),
+    "triangle-with-2-vertices": ("tax", TriangleSet((((0, 0), (5, 0)),)), _POINT, "/geometry/triangles/0"),
+    "vertex-with-3-coordinates": ("tax", TriangleSet((((0, 0, 1), (5, 0), (0, 5)),)), _POINT,
+                                  "/geometry/triangles/0/0"),
+    "circle-pair": ("ev", CircleSet(((100, 100),)), _POINT, "/geometry/circles/0"),
+    "circle-quadruple": ("ev", CircleSet(((100, 100, 5, 1),)), _POINT, "/geometry/circles/0"),
+    "point-triple": ("ev", CIRCLE, Trail(((100, 100, 7),)), "/trail/points/0"),
+    "point-single": ("ev", CIRCLE, Trail(((100,),)), "/trail/points/0"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPES.values(), ids=WRONG_SHAPES.keys())
+def test_instance_rejects_wrong_shaped_points_circles_and_triangles(case):
+    kind, geometry, trail, pointer = case
+    policy = SubsidyPolicy(0, 0) if kind == "ev" else TaxPolicy(0)
+    with pytest.raises(InstanceError, match=f"^{pointer}: "):
+        make_instance(kind, FP12, 4, policy, geometry, trail)
+    ad = AuthorityData(kind, 4, policy, geometry, FP12, params_for(FP12))
+    moves = list(trail.points)
+    assert run_session("honest", ad, moves).outputs == {"prover": "not_ok", "verifier": "not_ok"}
+    assert ideal_outputs(moves, ad, ad) == {"prover": "not_ok", "verifier": "not_ok"}
+
+
 # -- subsidy statement ---------------------------------------------------
 
 # A 3-point L-shaped trail: two hops of length 5 and 5, entirely inside
@@ -468,6 +499,26 @@ def test_all_zero_selector_at_an_inside_point_counts_it_outside(kind):
         assert failed == ("policy" if lost else None)
         flipped += lost
     assert flipped > 0
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_point_inside_reads_its_point_from_the_wires(kind):
+    # With no row hint, the row named is found from the values of the
+    # wires x and y: the bit is 1 exactly at the points a shape holds, and
+    # the honest region is satisfied either way.
+    inst = gen_fixture(FixtureSpec(kind=kind, seed=5, n_traj=6, n_geo=3 if kind == "ev" else 8))
+    shapes = inst.ad.geometry.circles if kind == "ev" else inst.ad.geometry.triangles
+    contains = localcalc.point_in_circles if kind == "ev" else localcalc.point_in_any_triangle
+    seen = set()
+    rng = random.Random(5)
+    points = inst.trail.points + tuple((rng.randrange(4096), rng.randrange(4096)) for _ in range(20))
+    for px, py in points:
+        cs = ConstraintSystem(FP12)
+        b = point_inside(cs, inst.ad, cs.wire_input(px, Domain.PROVER), cs.wire_input(py, Domain.PROVER))
+        assert cs.value(b) == int(contains(px, py, shapes))
+        assert cs.evaluate_and_check().satisfied
+        seen.add(cs.value(b))
+    assert seen == {0, 1}
 
 
 def test_one_row_table_wires_the_bit_as_its_only_selector():
