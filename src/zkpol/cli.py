@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 statement unsatisfied (or fuzz violation),
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import random
 import sys
@@ -50,8 +52,10 @@ def _cmd_fuzz(args) -> int:
     may reject; then, which only region point[i] or segment[j] may
     reject: names two rows at point i, with the honest range bits and
     with the bits the gadgets derive for b = 2 and the sum of the two rows
-    (skipped for a one-row table, whose one selector entry is the
-    membership bit); with the inputs a prover derives for the lie, claims
+    (a pair whose summed row holds the point where one exists, so that
+    the lie can pass its range checks, else a random pair; skipped for a
+    one-row table, whose one selector entry is the membership bit); with
+    the inputs a prover derives for the lie, claims
     membership for a point i outside every row, as if it were row 1's
     circle centre or first triangle vertex (skipped if no point is
     outside); and gives segment j a wrong root.  Hints further downstream
@@ -98,6 +102,27 @@ def _cmd_fuzz(args) -> int:
         row = [sc.const(a + c) for a, c in zip(*(geo.rows[r] for r in pair))]
         check_inside(sc, sc.const(2), row, sc.const(x), sc.const(y), wd.shape)
 
+    @functools.cache
+    def holding_pair(x, y):
+        """The first pair of rows whose summed row holds (x, y) at b = 2,
+        or None: each weight w of the summed row in the shape check
+        (``gadgets.check_inside`` or ``check_inside_triangle``) has 2w in
+        [0, 2^shape).  A search over the pairs, once per point."""
+        lim = 1 << (wd.shape - 1)
+        if ev:
+            rows = geo.rows
+            def holds(r1, r2):
+                (u1, v1, s1), (u2, v2, s2) = rows[r1], rows[r2]
+                return 0 <= s1 + s2 - (x - u1 - u2) ** 2 - (y - v1 - v2) ** 2 < lim
+        else:  # the weights are affine in the row: the summed row's are sums
+            weights = []
+            for c_s, dx_s, dy_s, c_t, dx_t, dy_t, area in geo.rows:
+                s, t = c_s + dx_s * x + dy_s * y, c_t + dx_t * x + dy_t * y
+                weights.append((s, t, area - s - t))
+            def holds(r1, r2):
+                return all(0 <= a + c < lim for a, c in zip(weights[r1], weights[r2]))
+        return next((pair for pair in itertools.combinations(range(geo.count), 2) if holds(*pair)), None)
+
     shapes, (ax, ay) = (geo.circles, geo.circles[0][:2]) if ev else (geo.triangles, geo.triangles[0][0])
     outside = [i for i, pt in enumerate(padded) if not contains(*pt, shapes)]
     for trial in range(args.mutations):
@@ -114,7 +139,7 @@ def _cmd_fuzz(args) -> int:
         i = rng.randrange(n)
         if geo.count > 1:
             sel = cs.region(f"point[{i}]")[2][: geo.count]
-            pair = rng.sample(range(geo.count), 2)
+            pair = holding_pair(*padded[i]) or rng.sample(range(geo.count), 2)
             if (passes(f"point[{i}]", {w: int(r in pair) for r, w in enumerate(sel)})
                     or passes_rewired(f"point[{i}]", lambda sc: two_hot(sc, pair, *padded[i]))):
                 found.append(f"SELECTOR VIOLATION at mutation {trial} (point {i})")

@@ -139,7 +139,7 @@ def policy_holds(trail_points, ad: AuthorityData) -> bool:
     """The relation R evaluated in plaintext (prover-local): the instance
     validates and the oracle accepts it.  R does not involve the hash."""
     try:
-        inst = StatementInstance(ad, Trail(tuple(trail_points)), h_ex=0)
+        inst = StatementInstance(ad, Trail(tuple(trail_points)))
     except statements.InstanceError:
         return False
     return statements.oracle_verdict(inst)

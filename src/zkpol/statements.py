@@ -18,6 +18,11 @@ constants (``cs.const`` and affine coefficients): one circuit per AD, and
 h_ex is the only shared input.  A ``StatementInstance`` is (AD, trail,
 h_ex), and it checks itself with ``validate_instance`` when it is
 constructed, so builders, loaders and the protocol take it as valid.
+Construction hashes nothing: without a given h_ex, the build wires the
+value of its own in-circuit hash as h_ex, as it reads every other
+prover value.  The ``digest`` assertion still compares that input with
+the hash of the trail wires, so the circuit binds the trail whichever
+way h_ex was found.
 Hint parameters allow tests to substitute adversarial prover-local values
 (square roots, named rows) while keeping the rest of the witness honest.
 """
@@ -121,11 +126,17 @@ class TriangleSet:
     @classmethod
     def oriented(cls, triangles) -> "TriangleSet":
         """Re-orient clockwise triangles (swap vertices 2 and 3);
-        degenerate ones stay as they are, for validation to reject."""
+        degenerate ones, and any that are not three pairs of ints, stay as
+        they are, for validation to reject."""
         out = []
         for tri in triangles:
-            (x1, y1), (x2, y2), (x3, y3) = tri
-            if localcalc.area_dbl_sgn(x1, y1, x2, y2, x3, y3) < 0:
+            try:
+                (x1, y1), (x2, y2), (x3, y3) = tri
+                clockwise = localcalc.area_dbl_sgn(x1, y1, x2, y2, x3, y3) < 0
+            except (TypeError, ValueError):
+                out.append(tri)
+                continue
+            if clockwise:
                 tri = ((x1, y1), (x3, y3), (x2, y2))
             out.append(tuple(tuple(v) for v in tri))
         return cls(tuple(out))
@@ -158,20 +169,41 @@ class AuthorityData:
     pp: PoseidonParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class StatementInstance:
     """A statement over authority data and a trail.  Constructing one runs
-    ``validate_instance``, so every instance that exists is valid; an h_ex
-    of None is then replaced by the honest hash of the trail."""
+    ``validate_instance``, so every instance that exists is valid, and
+    hashes nothing.  An instance made without h_ex stands for the honest
+    hash of its trail, resolved once, when first needed: a build takes it
+    from the values of its own in-circuit hash, and any other read
+    (``h_ex``, ``==``, ``hash``) from ``honest_hash``.  Both give the same
+    int, so equality and hashing do not depend on which ran first."""
 
     ad: AuthorityData
     trail: Trail
-    h_ex: int | None = None
+    _h_ex: int | None
 
-    def __post_init__(self):
+    def __init__(self, ad: AuthorityData, trail: Trail, h_ex: int | None = None):
+        object.__setattr__(self, "ad", ad)
+        object.__setattr__(self, "trail", trail)
+        object.__setattr__(self, "_h_ex", h_ex)
         validate_instance(self)
-        if self.h_ex is None:
-            object.__setattr__(self, "h_ex", honest_hash(self.ad.pp, self.trail, self.ad.n_traj))
+
+    @property
+    def h_ex(self) -> int:
+        """The digest the statement asserts: as given, else resolved."""
+        if self._h_ex is None:
+            object.__setattr__(self, "_h_ex", honest_hash(self.ad.pp, self.trail, self.ad.n_traj))
+        return self._h_ex
+
+    def _key(self):
+        return self.ad, self.trail, self.h_ex
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, StatementInstance) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def field_params(self) -> FieldParams:
@@ -223,8 +255,8 @@ def validate_instance(inst: StatementInstance) -> None:
         raise InstanceError(f"{geo_at}: {ad.geometry.count} rows, not fewer than p = {fp.modulus}")
     if ad.pp.prime != fp.modulus:
         raise InstanceError(f"/poseidon: prime {ad.pp.prime} is not the field modulus {fp.modulus}")
-    if inst.h_ex is not None:
-        _check_ints("/h_ex", [inst.h_ex], 0, fp.modulus - 1)  # else h_ex +- p verifies too
+    if inst._h_ex is not None:
+        _check_ints("/h_ex", [inst._h_ex], 0, fp.modulus - 1)  # else h_ex +- p verifies too
     if not 0 < len(inst.trail.points) <= ad.n_traj:
         raise InstanceError("/trail/points: trail length outside (0, n_traj]")
     for i, pt in enumerate(inst.trail.points):
@@ -265,7 +297,8 @@ def validate_instance(inst: StatementInstance) -> None:
 
 def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, h_ex=None) -> StatementInstance:
     """A validated instance, with the Poseidon parameters of the field
-    unless pp is given and the honest trail hash unless h_ex is given."""
+    unless pp is given and, unless h_ex is given, the honest trail hash,
+    resolved when first needed (``StatementInstance``)."""
     if pp is None:
         try:
             pp = params_for(field_params)
@@ -312,10 +345,12 @@ def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints
                     row_hints=None) -> StatementHandle:
     """Lay down inst's statement on cs, one region after another: trail
     (the padded trail as ``trail_message`` orders it), digest (its hash
-    == h_ex), then for each point i the region point[i] (its membership
-    bit, ``point_inside``) and, from the second point on, segment[i - 1]
-    (the exact root that is the length of the segment ending at point i,
-    ``gadgets.sqrt_floor`` at ``widths(...).seg`` bits), and policy:
+    == h_ex, the shared input; an instance without a given h_ex takes it
+    from this hash's own value), then for each point i the region
+    point[i] (its membership bit, ``point_inside``) and, from the second
+    point on, segment[i - 1] (the exact root that is the length of the
+    segment ending at point i, ``gadgets.sqrt_floor`` at
+    ``widths(...).seg`` bits), and policy:
       - subsidy: d_req <= tot and tot * p_req <= cc * 100, tot the summed
         segment lengths and cc the length of the segments with both ends
         in a circle.  Segment lengths are exact roots: an understated
@@ -334,7 +369,12 @@ def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints
     msg = [cs.wire_input(v, Domain.PROVER) for v in trail_message(inst.trail, n)]
     xs, ys = msg[:n], msg[n:]
     cs.scope("digest")
-    cs.assert_eq(gadgets.poseidon_hash(cs, msg, ad.pp), cs.wire_input(inst.h_ex, Domain.SHARED))
+    digest = gadgets.poseidon_hash(cs, msg, ad.pp)
+    # Without a given h_ex the honest digest is this hash's own value, on a
+    # system over the instance's prime (over another it digests nothing).
+    if inst._h_ex is None and cs.p == ad.pp.prime:
+        object.__setattr__(inst, "_h_ex", cs.value(digest))
+    cs.assert_eq(digest, cs.wire_input(inst.h_ex, Domain.SHARED))
     tot = both = cs.const(0)
     for i in range(n):
         cs.scope(f"point[{i}]")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -17,9 +18,9 @@ from zkpol.appio import (
     save_instance,
     serialize_instance,
 )
-from zkpol.circuit import Domain
+from zkpol.circuit import ConstraintSystem, Domain
 from zkpol.cli import main as cli_main
-from zkpol.field import FieldParams
+from zkpol.field import FieldParams, widths
 from zkpol.poseidon import PoseidonParams, params_for
 
 from conftest import random_ev_instance, random_tax_instance, small_prime_ev_doc
@@ -484,6 +485,15 @@ def test_cli_fuzz_reports_a_membership_bit_apart_from_the_selector(tmp_path, cap
     assert json.loads(lines[-1]) == {"mutations": 10, "violations": selectors}
 
 
+def _lookup_without_the_booleanity_of_b(cs, index, rows):
+    """``gadgets.lookup`` for a table of two or more rows, without
+    ``assert_boolean(b)``: a two-hot selector then gives b = 2."""
+    sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, len(rows) + 1)]
+    for w in sel:
+        gadgets.assert_boolean(cs, w)
+    return cs.affine([1] * len(rows), sel), tuple(cs.affine(col, sel) for col in zip(*rows))
+
+
 def test_cli_fuzz_reports_a_selector_sum_without_its_booleanity(tmp_path, capsys, monkeypatch):
     # Two circles, and a trail inside the circle of their summed row
     # (1, 1, 10^2 + 20^2), whose weights w keep 2w within the range check.
@@ -498,17 +508,45 @@ def test_cli_fuzz_reports_a_selector_sum_without_its_booleanity(tmp_path, capsys
     assert cli_main(["fuzz", str(path), "--mutations", "10", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 0
 
-    def lookup(cs, index, rows):
-        sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, len(rows) + 1)]
-        for w in sel:
-            gadgets.assert_boolean(cs, w)
-        return cs.affine([1] * len(rows), sel), tuple(cs.affine(col, sel) for col in zip(*rows))
-
-    monkeypatch.setattr(gadgets, "lookup", lookup)
+    monkeypatch.setattr(gadgets, "lookup", _lookup_without_the_booleanity_of_b)
     assert cli_main(["fuzz", str(path), "--mutations", "10", "--seed", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert sum("SELECTOR VIOLATION" in line for line in lines) == 10
     assert json.loads(lines[-1]) == {"mutations": 10, "violations": 10}
+
+
+@pytest.mark.parametrize("spec", [
+    FixtureSpec(kind="ev", seed=6, n_traj=16, n_geo=4),
+    FixtureSpec(kind="tax", seed=8, n_traj=16, n_geo=8, mode="non_compliant"),
+], ids=["ev-16x4", "tax-16x8-non-compliant"])
+def test_cli_fuzz_picks_a_two_hot_pair_whose_summed_row_holds_the_point(tmp_path, capsys, monkeypatch, spec):
+    # Generated fixtures where some pair of rows has a summed row that
+    # holds a trail point at b = 2 (2w in range for each weight w of the
+    # summed row): fuzz names such a pair there, so a lookup that drops
+    # the booleanity of b is caught; a random pair seldom holds the point.
+    inst = gen_fixture(spec)
+    geo, wd = inst.ad.geometry, widths(inst.field_params.coord_bits, inst.ad.n_traj)
+    check = gadgets.check_inside if spec.kind == "ev" else gadgets.check_inside_triangle
+
+    def holds(pair, x, y):
+        cs = ConstraintSystem(inst.field_params)
+        row = [cs.const(a + c) for a, c in zip(*(geo.rows[r] for r in pair))]
+        check(cs, cs.const(2), row, cs.const(x), cs.const(y), wd.shape)
+        return cs.evaluate_and_check().satisfied
+
+    assert any(holds(pair, *pt) for pair in itertools.combinations(range(geo.count), 2)
+               for pt in inst.trail.points)
+    path = tmp_path / "fixture.json"
+    save_instance(inst, path)
+    assert cli_main(["fuzz", str(path), "--mutations", "20", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["violations"] == 0
+
+    monkeypatch.setattr(gadgets, "lookup", _lookup_without_the_booleanity_of_b)
+    assert cli_main(["fuzz", str(path), "--mutations", "20", "--seed", "0"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    selectors = sum("SELECTOR VIOLATION" in line for line in lines)
+    assert selectors > 0
+    assert json.loads(lines[-1]) == {"mutations": 20, "violations": selectors}
 
 
 def test_cli_fuzz_rejects_a_negative_mutation_count(tmp_path, capsys):

@@ -268,6 +268,11 @@ WRONG_SHAPES = {
     "triangle-with-4-vertices": ("tax", TriangleSet((((0, 0), (5, 0), (0, 5), (9, 9)),)), _POINT,
                                  "/geometry/triangles/0"),
     "triangle-with-2-vertices": ("tax", TriangleSet((((0, 0), (5, 0)),)), _POINT, "/geometry/triangles/0"),
+    # TriangleSet.oriented leaves such triangles as given, for validation.
+    "oriented-with-4-vertices": ("tax", TriangleSet.oriented([((0, 0), (5, 0), (0, 5), (9, 9))]), _POINT,
+                                 "/geometry/triangles/0"),
+    "oriented-with-2-vertices": ("tax", TriangleSet.oriented([((0, 0), (5, 0))]), _POINT,
+                                 "/geometry/triangles/0"),
     "vertex-with-3-coordinates": ("tax", TriangleSet((((0, 0, 1), (5, 0), (0, 5)),)), _POINT,
                                   "/geometry/triangles/0/0"),
     "circle-pair": ("ev", CircleSet(((100, 100),)), _POINT, "/geometry/circles/0"),
@@ -400,6 +405,81 @@ def test_h_ex_outside_the_field_is_rejected(h_ex):
         _ev(0, 0, h_ex=h_ex(honest, p))
     assert _ev(0, 0, h_ex=honest).h_ex == honest
     assert _ev(0, 0, h_ex=p - 1).h_ex == p - 1
+
+
+# -- the honest digest, hashed once ----------------------------------------
+
+RANDOM_INSTANCE = pytest.mark.parametrize("make", [random_ev_instance, random_tax_instance],
+                                          ids=["ev", "tax"])
+
+
+def _no_reference_hash(*args):
+    raise AssertionError("the reference hash ran")
+
+
+@RANDOM_INSTANCE
+def test_make_build_and_check_run_no_reference_hash(make, monkeypatch):
+    monkeypatch.setattr(localcalc, "poseidon_digest_ref", _no_reference_hash)
+    rng = random.Random(59)
+    for _ in range(5):
+        inst = make(rng, 16)  # through make_instance, without h_ex
+        cs, h = _build(inst)
+        assert h.check().satisfied == oracle_verdict(inst)
+
+
+@RANDOM_INSTANCE
+def test_h_ex_is_the_honest_hash_whether_a_build_or_a_read_resolves_it(make, monkeypatch):
+    rng = random.Random(61)
+    for _ in range(10):
+        built = make(rng, 16)
+        read = StatementInstance(built.ad, built.trail)
+        with monkeypatch.context() as m:
+            m.setattr(localcalc, "poseidon_digest_ref", _no_reference_hash)
+            cs, _ = _build(built)
+            from_build = built.h_ex
+        honest = honest_hash(built.ad.pp, built.trail, built.ad.n_traj)
+        assert from_build == read.h_ex == honest
+        assert cs.value(cs.region("digest")[2][0]) == honest  # the one shared input
+        cs, h = _build(read)
+        assert h.check().satisfied == oracle_verdict(read)
+
+
+@RANDOM_INSTANCE
+def test_a_trail_override_fails_in_digest_without_a_given_h_ex(make):
+    inst = make(random.Random(67), 8)
+    cs, h = _build(inst)
+    for wid in h.trail_input_ids:  # coordinates are below 2^12: x ^ 1 changes each
+        first = h.check(overrides={wid: cs.value(wid) ^ 1}).first_failed_assertion
+        assert cs.scope_of(first) == "digest"
+
+
+@RANDOM_INSTANCE
+def test_equality_and_hash_agree_before_and_after_resolution(make):
+    inst = make(random.Random(71), 8)
+    honest = honest_hash(inst.ad.pp, inst.trail, inst.ad.n_traj)
+    given = StatementInstance(inst.ad, inst.trail, honest)
+
+    def fresh():
+        return StatementInstance(inst.ad, inst.trail)
+
+    built = fresh()
+    _build(built)
+    for unresolved, resolved in ((fresh(), built), (built, fresh())):
+        assert unresolved == resolved == given
+        assert hash(unresolved) == hash(resolved) == hash(given)
+    assert hash(fresh()) == hash(fresh()) and fresh() == fresh()
+    wrong = StatementInstance(inst.ad, inst.trail, (honest + 1) % inst.field_params.modulus)
+    assert wrong != fresh() and wrong != built and hash(wrong) != hash(given)
+
+
+def test_a_build_over_another_field_does_not_resolve_h_ex():
+    # The hash's value on a system over another prime is no digest of the
+    # trail; h_ex then comes from the reference hash.
+    fp = FieldParams(modulus=32779, coord_bits=2)
+    inst = make_instance("ev", fp, 3, SubsidyPolicy(6, 100), CircleSet(((2, 1, 3),)),
+                         Trail(((0, 0), (3, 0), (3, 3))))
+    build_statement(inst, ConstraintSystem())
+    assert inst.h_ex == honest_hash(inst.ad.pp, inst.trail, 3)
 
 
 # -- prover-named rows ---------------------------------------------------
