@@ -16,6 +16,14 @@ prover's side of a real backend, which holds the whole witness.
 checks the assertions against the eager values and re-evaluates only the
 forward cone of any input witnesses it is asked to override.
 
+Each Poseidon permutation that ``poseidon_rounds`` lays down is recorded
+as a span (first gate, end gate, input lanes), the way SIEVE IR calls a
+sub-circuit as one unit, and the override walk re-evaluates a span as one
+block: it jumps over a span whose lanes kept their values and otherwise
+runs ``localcalc.poseidon_permutation_ref`` on the new lane values.  A
+span's interior wires, every gate but its t outputs, are private to it:
+no gate outside the span reads them and no assertion names them.
+
 Two hot gadgets append through bulk primitives instead of one method call
 per gate: ``decompose`` (bit decomposition, whose per-bit gates, domains,
 values and booleanity assertions each go in with one ``list.extend``) and
@@ -38,6 +46,7 @@ import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
+from . import localcalc
 from .field import FieldParams
 from .poseidon import FactoredRounds, PoseidonParams
 
@@ -80,6 +89,9 @@ def _partial_round_coeffs(f: FactoredRounds) -> tuple:
     return tuple((row0, tuple((1, c) for c in col)) for row0, col in f.sparse)
 
 
+_first = operator.itemgetter(0)
+
+
 @dataclass(frozen=True)
 class Counters:
     n_mul: int
@@ -116,6 +128,9 @@ class ConstraintSystem:
         self._const_cache: dict[int, int] = {}  # value -> wire id
         self._marks: list[tuple[int, int, str]] = []  # per region: first gate, first assertion, name
         self._scopes: dict[str, int] = {}  # region name -> index into _marks
+        # Per poseidon_rounds call, in id order: first gate, end gate, input
+        # lane ids and parameters.  The last t gates are the outputs.
+        self._spans: list[tuple[int, int, tuple[int, ...], PoseidonParams]] = []
 
     # -- wire creation -------------------------------------------------
 
@@ -260,8 +275,10 @@ class ConstraintSystem:
         lane has a value, so each gate's value is computed as it is
         appended, as on the per-gate path.  Counters equal those of the
         per-gate composition with unfolded constants: a non-zero const
-        counts one add on whichever affine carries it.  Returns the t
-        output ids."""
+        counts one add on whichever affine carries it.  The batch is
+        recorded as a span (first id, end id, input lane ids, ``pp``) for
+        ``evaluate_and_check``; it appends no assertion, and its last t
+        gates are the outputs.  Returns the t output ids."""
         t = pp.t
         if len(state) != t:
             raise ValueError(f"state width must be {t}")
@@ -277,7 +294,7 @@ class ConstraintSystem:
         add_gate = gates.append
         add_dom = self._domains.append
         add_val = vals.append
-        wid = len(gates)
+        wid = first = len(gates)
         ids = list(state)
         doms = [self._domains[i] for i in ids]
         xs = [vals[i] for i in ids]
@@ -336,6 +353,7 @@ class ConstraintSystem:
             wid += t
         self.n_mul += n_mul
         self.n_add += n_add
+        self._spans.append((first, wid, tuple(state), pp))
         return ids
 
     # -- named regions --------------------------------------------------
@@ -384,8 +402,16 @@ class ConstraintSystem:
         ``overrides`` nothing is re-evaluated.  ``overrides`` maps input
         wire ids to replacement witnesses; only gates with a changed operand
         are re-evaluated, in id order and no further than the assertions
-        walked so far reach."""
-        p, gates, stored = self.p, self._gates, self._values
+        walked so far reach.
+
+        A permutation laid down by ``poseidon_rounds`` is re-evaluated as
+        one block: if none of its input lanes changed the walk jumps over
+        it, and otherwise ``localcalc.poseidon_permutation_ref`` runs on
+        the new lane values and only its outputs are compared.  Its
+        interior wires are private to it: no gate outside reads them, and
+        an assertion on one that the walk reaches raises ``CircuitError``
+        rather than read a value the block skipped."""
+        p, gates, stored, spans = self.p, self._gates, self._values, self._spans
         overrides = overrides or {}
         new: dict[int, int] = {}  # wire id -> value differing from the eager one
         for wid, v in overrides.items():
@@ -393,30 +419,26 @@ class ConstraintSystem:
                 raise CircuitError(f"override key {wid!r} is not an input wire id")
             if v % p != stored[wid]:
                 new[wid] = v % p
-        done = min(new, default=len(gates))  # gates below keep their eager values
+        start = done = min(new, default=len(gates))  # gates below keep their eager values
+        k = bisect.bisect_left(spans, start, key=_first)  # the next span the walk reaches
         first_fail = None
         for idx, aw in enumerate(self._assertions):
-            if aw >= done:
-                for wid, g in enumerate(gates[done : aw + 1], done):
-                    op = g[0]
-                    if op == _AFFINE:
-                        if new.keys().isdisjoint(g[2]):
-                            continue
-                        v = g[3]
-                        for c, i in zip(g[1], g[2]):
-                            v += c * new.get(i, stored[i])
-                    elif op <= _CONST:
-                        continue  # overridden inputs are in new; constants never change
-                    else:
-                        a, b = g[1], g[2]
-                        if a not in new and b not in new:
-                            continue
-                        va, vb = new.get(a, stored[a]), new.get(b, stored[b])
-                        v = va * vb if op == _MUL else va + vb if op == _ADD else va - vb
-                    v %= p
-                    if v != stored[wid]:
-                        new[wid] = v
-                done = aw + 1
+            while aw >= done:
+                if k < len(spans) and spans[k][0] <= aw:
+                    s0, s1, lanes, pp = spans[k]
+                    k += 1
+                    self._reevaluate(new, done, s0)
+                    if not new.keys().isdisjoint(lanes):
+                        outs = localcalc.poseidon_permutation_ref([new.get(i, stored[i]) for i in lanes], pp)
+                        for wid, v in enumerate(outs, s1 - len(outs)):
+                            if v != stored[wid]:
+                                new[wid] = v
+                    done = s1
+                else:
+                    self._reevaluate(new, done, aw + 1)
+                    done = aw + 1
+            if start <= aw < done - 1 and self._in_span_interior(aw):
+                raise CircuitError(f"assertion {idx} reads wire {aw}, interior to a Poseidon permutation")
             if new.get(aw, stored[aw]):
                 first_fail = idx
                 break
@@ -425,3 +447,32 @@ class ConstraintSystem:
             first_failed_assertion=first_fail,
             counters=self.counters,
         )
+
+    def _reevaluate(self, new: dict[int, int], lo: int, hi: int) -> None:
+        """Re-evaluate gates lo..hi-1 gate by gate, recording in ``new`` each
+        value that differs from the eager one."""
+        p, stored = self.p, self._values
+        for wid, g in enumerate(self._gates[lo:hi], lo):
+            op = g[0]
+            if op == _AFFINE:
+                if new.keys().isdisjoint(g[2]):
+                    continue
+                v = g[3]
+                for c, i in zip(g[1], g[2]):
+                    v += c * new.get(i, stored[i])
+            elif op <= _CONST:
+                continue  # overridden inputs are in new; constants never change
+            else:
+                a, b = g[1], g[2]
+                if a not in new and b not in new:
+                    continue
+                va, vb = new.get(a, stored[a]), new.get(b, stored[b])
+                v = va * vb if op == _MUL else va + vb if op == _ADD else va - vb
+            v %= p
+            if v != stored[wid]:
+                new[wid] = v
+
+    def _in_span_interior(self, w: int) -> bool:
+        """Whether wire w is a gate of a permutation span other than its outputs."""
+        j = bisect.bisect_right(self._spans, w, key=_first) - 1
+        return j >= 0 and w < self._spans[j][1] - len(self._spans[j][2])

@@ -7,8 +7,8 @@ Exit codes: 0 success, 1 statement unsatisfied (or fuzz violation),
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
-import itertools
 import json
 import random
 import sys
@@ -43,6 +43,54 @@ def _cmd_oracle(args) -> int:
     verdict = statements.oracle_verdict(inst)
     print(json.dumps({"verdict": verdict}))
     return EXIT_OK if verdict else EXIT_UNSAT
+
+
+def holding_pair(ev: bool, rows, x: int, y: int, shape: int) -> tuple[int, int] | None:
+    """The first pair of rows, in lexicographic order, whose summed row
+    holds (x, y) at b = 2, or None: each weight w of the summed row in the
+    shape check (``gadgets.check_inside`` for ev's (u, v, r^2) rows,
+    ``check_inside_triangle`` for tax's) has 2w in [0, 2^shape).
+
+    For each r1 in order only the partners r2 > r1 that can hold are
+    tried, found by bisection on one key per row.  An ev weight is
+    s1 + s2 - (x - u1 - u2)^2 - (y - v1 - v2)^2, so u2 lies within
+    isqrt(s1 + s_max) of x - u1.  A tax row's weights are affine in the
+    row, so the summed row's are sums, and the first lies in
+    [-s1, 2^(shape-1) - s1)."""
+    lim = 1 << (shape - 1)
+    if ev:
+        s_max = max(s for _, _, s in rows)
+        key = [u for u, _, _ in rows]
+
+        def window(r1):
+            u1, _, s1 = rows[r1]
+            reach = localcalc.isqrt(s1 + s_max)
+            return x - u1 - reach, x - u1 + reach
+
+        def holds(r1, r2):
+            (u1, v1, s1), (u2, v2, s2) = rows[r1], rows[r2]
+            return 0 <= s1 + s2 - (x - u1 - u2) ** 2 - (y - v1 - v2) ** 2 < lim
+    else:
+        weights = []
+        for c_s, dx_s, dy_s, c_t, dx_t, dy_t, area in rows:
+            s, t = c_s + dx_s * x + dy_s * y, c_t + dx_t * x + dy_t * y
+            weights.append((s, t, area - s - t))
+        key = [w[0] for w in weights]
+
+        def window(r1):
+            return -key[r1], lim - 1 - key[r1]
+
+        def holds(r1, r2):
+            return all(0 <= a + c < lim for a, c in zip(weights[r1], weights[r2]))
+    order = sorted(range(len(rows)), key=key.__getitem__)
+    keys = [key[r] for r in order]
+    for r1 in range(len(rows)):
+        lo, hi = window(r1)
+        fits = [r2 for r2 in order[bisect.bisect_left(keys, lo) : bisect.bisect_right(keys, hi)]
+                if r2 > r1 and holds(r1, r2)]
+        if fits:
+            return r1, min(fits)
+    return None
 
 
 def _cmd_fuzz(args) -> int:
@@ -102,26 +150,7 @@ def _cmd_fuzz(args) -> int:
         row = [sc.const(a + c) for a, c in zip(*(geo.rows[r] for r in pair))]
         check_inside(sc, sc.const(2), row, sc.const(x), sc.const(y), wd.shape)
 
-    @functools.cache
-    def holding_pair(x, y):
-        """The first pair of rows whose summed row holds (x, y) at b = 2,
-        or None: each weight w of the summed row in the shape check
-        (``gadgets.check_inside`` or ``check_inside_triangle``) has 2w in
-        [0, 2^shape).  A search over the pairs, once per point."""
-        lim = 1 << (wd.shape - 1)
-        if ev:
-            rows = geo.rows
-            def holds(r1, r2):
-                (u1, v1, s1), (u2, v2, s2) = rows[r1], rows[r2]
-                return 0 <= s1 + s2 - (x - u1 - u2) ** 2 - (y - v1 - v2) ** 2 < lim
-        else:  # the weights are affine in the row: the summed row's are sums
-            weights = []
-            for c_s, dx_s, dy_s, c_t, dx_t, dy_t, area in geo.rows:
-                s, t = c_s + dx_s * x + dy_s * y, c_t + dx_t * x + dy_t * y
-                weights.append((s, t, area - s - t))
-            def holds(r1, r2):
-                return all(0 <= a + c < lim for a, c in zip(weights[r1], weights[r2]))
-        return next((pair for pair in itertools.combinations(range(geo.count), 2) if holds(*pair)), None)
+    holding = functools.cache(lambda x, y: holding_pair(ev, geo.rows, x, y, wd.shape))
 
     shapes, (ax, ay) = (geo.circles, geo.circles[0][:2]) if ev else (geo.triangles, geo.triangles[0][0])
     outside = [i for i, pt in enumerate(padded) if not contains(*pt, shapes)]
@@ -139,7 +168,7 @@ def _cmd_fuzz(args) -> int:
         i = rng.randrange(n)
         if geo.count > 1:
             sel = cs.region(f"point[{i}]")[2][: geo.count]
-            pair = holding_pair(*padded[i]) or rng.sample(range(geo.count), 2)
+            pair = holding(*padded[i]) or rng.sample(range(geo.count), 2)
             if (passes(f"point[{i}]", {w: int(r in pair) for r, w in enumerate(sel)})
                     or passes_rewired(f"point[{i}]", lambda sc: two_hot(sc, pair, *padded[i]))):
                 found.append(f"SELECTOR VIOLATION at mutation {trial} (point {i})")

@@ -24,10 +24,6 @@ class FieldError(Exception):
     """Base class for field-level failures."""
 
 
-class InversionOfZero(FieldError):
-    """Raised when inverting the zero element."""
-
-
 _SMALL_PRIMES = tuple(n for n in range(2, 1000) if all(n % d for d in range(2, isqrt(n) + 1)))
 
 
@@ -164,10 +160,3 @@ class FieldParams:
             )
         if not _checked_prime(self.modulus):
             raise FieldError(f"modulus {self.modulus} is not prime")
-
-
-def f_inv(p: int, a: int) -> int:
-    """Modular inverse of a raw residue; raises on zero."""
-    if a % p == 0:
-        raise InversionOfZero("0 has no inverse")
-    return pow(a, -1, p)

@@ -76,7 +76,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .field import FieldParams, f_inv
+from .field import FieldParams
 
 DEFAULT_SEED = b"zk-pol-poseidon-v2"
 SECURITY = 128  # M, bits of security the round numbers are derived for
@@ -160,7 +160,7 @@ def _cauchy_mds(t: int, p: int) -> list[list[int]]:
     mod any prime FieldParams admits (p > 2^9, so p >= 521).  The Cauchy
     determinant, prod (x_j - x_i)(y_j - y_i) over i < j divided by
     prod (x_i + y_j), is then non-zero."""
-    return [[f_inv(p, i + t + j) for j in range(t)] for i in range(t)]
+    return [[pow(i + t + j, -1, p) for j in range(t)] for i in range(t)]
 
 
 def _mat_vec(m, v, p: int) -> tuple[int, ...]:
@@ -189,7 +189,7 @@ def _mat_inv(m, p: int) -> tuple[tuple[int, ...], ...]:
     for col in range(n):
         piv = next(r for r in range(col, n) if a[r][col] % p)
         a[col], a[piv] = a[piv], a[col]
-        inv = f_inv(p, a[col][col])
+        inv = pow(a[col][col], -1, p)
         a[col] = [x * inv % p for x in a[col]]
         for r in range(n):
             if r != col and a[r][col]:

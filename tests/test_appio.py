@@ -19,7 +19,7 @@ from zkpol.appio import (
     serialize_instance,
 )
 from zkpol.circuit import ConstraintSystem, Domain
-from zkpol.cli import main as cli_main
+from zkpol.cli import holding_pair, main as cli_main
 from zkpol.field import FieldParams, widths
 from zkpol.poseidon import PoseidonParams, params_for
 
@@ -547,6 +547,44 @@ def test_cli_fuzz_picks_a_two_hot_pair_whose_summed_row_holds_the_point(tmp_path
     selectors = sum("SELECTOR VIOLATION" in line for line in lines)
     assert selectors > 0
     assert json.loads(lines[-1]) == {"mutations": 20, "violations": selectors}
+
+
+def _summed_row_weights(ev, row, x, y):
+    """The weights of the shape check at b = 1 for one (summed) row."""
+    if ev:
+        u, v, s = row
+        return (s - (x - u) ** 2 - (y - v) ** 2,)
+    c_s, dx_s, dy_s, c_t, dx_t, dy_t, area = row
+    s, t = c_s + dx_s * x + dy_s * y, c_t + dx_t * x + dy_t * y
+    return s, t, area - s - t
+
+
+@pytest.mark.parametrize("ev", [True, False], ids=["ev", "tax"])
+def test_holding_pair_matches_the_exhaustive_scan(ev):
+    # The bisected search returns the pair the scan over every pair in
+    # lexicographic order finds first (each weight w of the summed row has
+    # 2w in [0, 2^shape)), or None where no pair holds; both outcomes occur.
+    # Two tables in three are tiny, so that summed weights often land exactly
+    # on the edges of the search windows.
+    rng = random.Random(21 if ev else 22)
+    outcomes = set()
+    for trial in range(600):
+        n = rng.randrange(2, 14)
+        c = (2, 4, 32)[trial % 3]
+        if ev:
+            rows = [(rng.randrange(c), rng.randrange(c), rng.randrange(c // 4 + 1) ** 2) for _ in range(n)]
+        else:
+            rows = [tuple(rng.randrange(-c, c + 1) for _ in range(6)) + (rng.randrange(2 * c),)
+                    for _ in range(n)]
+        x, y = rng.randrange(2 * c), rng.randrange(2 * c)
+        shape = rng.choice([2, 4, 6, 8, 10])
+        lim = 1 << (shape - 1)
+        expected = next((pair for pair in itertools.combinations(range(n), 2)
+                         if all(0 <= w < lim for w in _summed_row_weights(
+                             ev, [a + c for a, c in zip(rows[pair[0]], rows[pair[1]])], x, y))), None)
+        assert holding_pair(ev, rows, x, y, shape) == expected, (rows, x, y, shape)
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
 
 
 def test_cli_fuzz_rejects_a_negative_mutation_count(tmp_path, capsys):

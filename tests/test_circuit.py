@@ -15,7 +15,9 @@ from zkpol.circuit import (
     PublicNeedsNoWire,
     SatisfactionReport,
 )
+from zkpol import localcalc
 from zkpol.field import FieldParams, widths
+from zkpol.poseidon import PoseidonParams
 from zkpol.statements import _dummy_instance, build_statement
 
 from conftest import random_ev_instance, random_tax_instance
@@ -391,3 +393,142 @@ def test_scope_adds_no_gates_and_names_are_unique():
     assert cs._gates == [] and cs.counters.as_dict() == fresh().counters.as_dict()
     with pytest.raises(CircuitError, match="already opened"):
         cs.scope("a")
+
+
+# -- Poseidon permutations re-evaluated as blocks ----------------------------
+
+# 2^80 + 13 is prime and admits both alpha = 5 and alpha = 3.
+FP_80 = FieldParams(modulus=2**80 + 13, coord_bits=8)
+SPONGE_PARAMS = [PoseidonParams(prime=FP_80.modulus, t=3, alpha=a, r_full=8, r_partial=10) for a in (5, 3)]
+N_CHUNKS = 4
+
+
+def _sponge_system(pp, per_permutation):
+    """A sponge over N_CHUNKS * rate prover inputs, laid down as
+    ``gadgets.poseidon_hash`` lays it down.  With ``per_permutation`` every
+    output lane of every permutation is asserted equal to a shared input
+    holding its eager value; otherwise only the digest is.  Returns the
+    system, the message ids and the ids of those shared inputs."""
+    rng = random.Random(pp.alpha)
+    cs = ConstraintSystem(FP_80)
+    msg = [cs.wire_input(rng.randrange(cs.p), Domain.PROVER) for _ in range(N_CHUNKS * pp.rate)]
+    state = [cs.const(len(msg))] + [cs.const(0)] * (pp.t - 1)
+    expected = []
+
+    def expect(w):
+        expected.append(cs.wire_input(cs.value(w), Domain.SHARED))
+        cs.assert_eq(w, expected[-1])
+
+    for start in range(0, len(msg), pp.rate):
+        for i, m in enumerate(msg[start : start + pp.rate]):
+            state[1 + i] = cs.add(state[1 + i], m)
+        state = cs.poseidon_rounds(state, pp)
+        if per_permutation:
+            for w in state:
+                expect(w)
+    if not per_permutation:
+        expect(state[0])
+    return cs, msg, expected
+
+
+@pytest.mark.parametrize("pp", SPONGE_PARAMS, ids=["alpha5", "alpha3"])
+@pytest.mark.parametrize("per_permutation", [True, False])
+@pytest.mark.parametrize("chunk", [0, N_CHUNKS // 2, N_CHUNKS - 1])
+def test_sponge_overrides_match_reference(pp, per_permutation, chunk):
+    cs, msg, expected = _sponge_system(pp, per_permutation)
+    assert cs.evaluate_and_check() == _reference_report(cs) and cs.evaluate_and_check().satisfied
+    for lane in range(pp.rate):
+        w = msg[chunk * pp.rate + lane]
+        for v in (cs.value(w), cs.value(w) + 1, 0):
+            overrides = {w: v}
+            report = cs.evaluate_and_check(overrides)
+            assert report == _reference_report(cs, overrides)
+            assert report.satisfied == (v == cs.value(w))
+            # With every expected value moved to the re-derived one, the
+            # walk runs through every permutation and must accept.
+            vals = _rederive(cs, overrides)
+            fixed = {**overrides, **{e: vals[cs._gates[e + 1][1]] for e in expected}}
+            assert cs.evaluate_and_check(fixed) == _reference_report(cs, fixed)
+            assert cs.evaluate_and_check(fixed).satisfied
+
+
+@pytest.mark.parametrize("pp", SPONGE_PARAMS, ids=["alpha5", "alpha3"])
+def test_permutation_runs_once_per_span_whose_inputs_changed(pp, monkeypatch):
+    cs, msg, expected = _sponge_system(pp, per_permutation=False)
+    calls = []
+    ref = localcalc.poseidon_permutation_ref
+    monkeypatch.setattr(localcalc, "poseidon_permutation_ref", lambda s, q: calls.append(1) or ref(s, q))
+    assert len(cs._spans) == N_CHUNKS
+    for chunk in range(N_CHUNKS):
+        w = msg[chunk * pp.rate]
+        for v, changed in ((cs.value(w), 0), (cs.value(w) + 1, N_CHUNKS - chunk)):
+            calls.clear()
+            assert cs.evaluate_and_check({w: v}).satisfied == (not changed)
+            assert len(calls) == changed
+    # The digest's expected value lies past every span: nothing re-runs.
+    calls.clear()
+    assert not cs.evaluate_and_check({expected[0]: 0}).satisfied
+    assert calls == []
+
+
+@pytest.mark.parametrize("walked_past", [False, True])
+def test_assertion_on_a_permutation_interior_wire_raises(walked_past):
+    # The walk either stops at the interior assertion or has already
+    # jumped over its span when it reads it.
+    pp = SPONGE_PARAMS[0]
+    cs = ConstraintSystem(FP_80)
+    lanes = [cs.wire_input(v, Domain.PROVER) for v in range(pp.t)]
+    out = cs.poseidon_rounds(lanes, pp)
+    s0, s1, span_lanes, _ = cs._spans[0]
+    assert (span_lanes, list(range(s1 - pp.t, s1))) == (tuple(lanes), out)
+    if walked_past:
+        cs.assert_zero(cs.sub(out[1], out[1]))
+    cs.assert_zero(s0 + 5)
+    # Without overrides the eager values are checked and nothing is walked.
+    assert cs.evaluate_and_check() == _reference_report(cs)
+    with pytest.raises(CircuitError, match="interior"):
+        cs.evaluate_and_check({lanes[0]: 7})
+
+
+def test_assertion_on_a_permutation_output_reads_the_block():
+    pp = SPONGE_PARAMS[0]
+    cs = ConstraintSystem(FP_80)
+    lanes = [cs.wire_input(v, Domain.PROVER) for v in range(pp.t)]
+    out = cs.poseidon_rounds(lanes, pp)
+    cs.assert_zero(cs.sub(out[0], out[0]))
+    # An assertion on a middle output stops the walk inside the span.
+    cs.assert_zero(out[1])
+    cs.assert_zero(out[2])
+    for overrides in ({}, {lanes[0]: 7}, {lanes[2]: 0}):
+        assert cs.evaluate_and_check(overrides) == _reference_report(cs, overrides)
+
+
+def test_no_wire_outside_a_span_reads_its_interior():
+    # Structural: the values the block evaluation skips are never read.
+    # Spans are in id order and disjoint, hold only mul and affine gates,
+    # read only their own lanes and gates, and no other gate or assertion
+    # reads their interior (every gate but the last t outputs).
+    for cs in SYSTEMS:
+        assert cs._spans
+        owner, span_of = {}, {}  # interior wire -> span; span gate -> span
+        prev_end = 0
+        for k, (s0, s1, lanes, pp) in enumerate(cs._spans):
+            assert prev_end <= s0 < s1 - pp.t and max(lanes) < s0 and len(lanes) == pp.t
+            prev_end = s1
+            owner.update(dict.fromkeys(range(s0, s1 - pp.t), k))
+            span_of.update(dict.fromkeys(range(s0, s1), k))
+            for wid in range(s0, s1):
+                g = cs._gates[wid]
+                assert g[0] in (_MUL, _AFFINE)
+                reads = g[2] if g[0] == _AFFINE else g[1:]
+                assert all(i in lanes or s0 <= i < wid for i in reads), wid
+        for wid, g in enumerate(cs._gates):
+            if g[0] in (_ADD, _SUB, _MUL):
+                reads = g[1:]
+            elif g[0] == _AFFINE:
+                reads = g[2]
+            else:
+                continue
+            for i in reads:
+                assert owner.get(i, span_of.get(wid)) == span_of.get(wid), (wid, i)
+        assert not owner.keys() & set(cs._assertions)

@@ -15,28 +15,14 @@ from zkpol.field import (
     DEFAULT_MODULUS,
     FieldError,
     FieldParams,
-    InversionOfZero,
     _checked_prime,
     _strong_lucas_prp,
     _strong_prp_base2,
-    f_inv,
     widths,
 )
 
 P = DEFAULT_MODULUS
 PARAMS = FieldParams()
-
-
-def _egcd_inverse(a: int, p: int) -> int:
-    # Independent extended-gcd oracle for inversion.
-    old_r, r = a % p, p
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    assert old_r == 1
-    return old_s % p
 
 
 # Field arithmetic happens on plain int residues inside the circuit's
@@ -62,30 +48,6 @@ def test_mul_random_against_int_oracle():
         a = rng.getrandbits(126)
         b = rng.getrandbits(126)
         assert _gate(ConstraintSystem.mul, a, b) == (a * b) % P
-
-
-def test_inv_of_one():
-    assert f_inv(P, 1) == 1
-
-
-def test_inv_of_two():
-    assert f_inv(P, 2) == (P + 1) // 2
-
-
-def test_inv_random_against_egcd_oracle():
-    rng = random.Random(11)
-    for _ in range(100):
-        a = rng.randrange(1, P)
-        inv = f_inv(P, a)
-        assert inv == _egcd_inverse(a, P)
-        assert a * inv % P == 1
-
-
-def test_inv_zero_raises():
-    with pytest.raises(InversionOfZero):
-        f_inv(P, 0)
-    with pytest.raises(InversionOfZero):
-        f_inv(P, P)
 
 
 @given(

@@ -210,6 +210,28 @@ def test_every_admitted_width_has_an_invertible_mds(t):
     assert _invertible(PoseidonParams(prime=DEFAULT_MODULUS, t=t).mds, DEFAULT_MODULUS)
 
 
+def _egcd_inverse(a: int, p: int) -> int:
+    # Independent extended-gcd oracle for inversion.
+    old_r, r = a % p, p
+    old_s, s = 1, 0
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+    assert old_r == 1
+    return old_s % p
+
+
+def test_cauchy_entries_match_egcd_inverses():
+    # Every entry is 1/(x_i + y_j), checked against an independent inverse
+    # at the smallest prime FieldParams admits and at the default one.
+    for p in (521, DEFAULT_MODULUS):
+        for t in range(2, MAX_T + 1):
+            m = _cauchy_mds(t, p)
+            for i in range(t):
+                assert m[i] == [_egcd_inverse(i + t + j, p) for j in range(t)]
+
+
 def test_constants_are_derived_not_given():
     with pytest.raises(TypeError):
         PoseidonParams(prime=DEFAULT_MODULUS, mds=PP.mds)
