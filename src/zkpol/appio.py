@@ -29,10 +29,12 @@ from .statements import (
 
 SCHEMA_VERSION = 1
 
-# The Poseidon parameters of files written before the width became 9; a
-# /poseidon block that leaves a key out means the key's v1 value.
+# The Poseidon parameters of files written before the width became 9, and
+# the message layout of files written before the trail was packed (one
+# coordinate per absorbed element); a /poseidon block that leaves a key
+# out means the key's v1 value.
 V1_POSEIDON = {"t": 3, "alpha": 5, "r_full": 8, "r_partial": 56,
-               "seed": b"zk-pol-poseidon-v1".hex()}
+               "seed": b"zk-pol-poseidon-v1".hex(), "pack": 1}
 
 
 class SchemaError(Exception):
@@ -97,6 +99,7 @@ def serialize_instance(inst: StatementInstance) -> dict:
             "alpha": ad.pp.alpha,
             "r_full": ad.pp.r_full,
             "r_partial": ad.pp.r_partial,
+            "pack": ad.pack,
         },
         "sizes": {"n_traj": ad.n_traj},
         "h_ex": str(inst.h_ex),
@@ -139,6 +142,7 @@ def instance_from_doc(doc: dict) -> StatementInstance:
     ps_doc = {**V1_POSEIDON, **_want(doc, "poseidon", "", dict)}
     ps_ints = {key: _as_int(ps_doc[key], f"/poseidon/{key}")
                for key in ("t", "alpha", "r_full", "r_partial")}
+    pack = _as_int(ps_doc["pack"], "/poseidon/pack")
     try:
         pp = PoseidonParams(prime=fp.modulus, seed=bytes.fromhex(ps_doc["seed"]), **ps_ints)
     except Exception as exc:
@@ -176,7 +180,7 @@ def instance_from_doc(doc: dict) -> StatementInstance:
             geometry, size_key = TriangleSet.oriented(geo), "n_tri"
         if size_key in sizes and _as_int(sizes[size_key], f"/sizes/{size_key}") != len(geo):
             raise SchemaError(f"/sizes/{size_key}: does not match geometry")
-        ad = AuthorityData(kind, n_traj, policy, geometry, fp, pp)
+        ad = AuthorityData(kind, n_traj, policy, geometry, fp, pp, pack)
         return StatementInstance(ad, Trail(tuple(points)), h_ex)
     except InstanceError as exc:
         raise SchemaError(str(exc)) from exc

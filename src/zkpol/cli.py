@@ -96,10 +96,11 @@ def holding_pair(ev: bool, rows, x: int, y: int, shape: int) -> tuple[int, int] 
 def _cmd_fuzz(args) -> int:
     """Build the statement once, then check mutations by overriding inputs.
 
-    Each mutation changes one trail coordinate, which only region digest
-    may reject; then, which only region point[i] or segment[j] may
-    reject: names two rows at point i, with the honest range bits and
-    with the bits the gadgets derive for b = 2 and the sum of the two rows
+    Each mutation changes one trail coordinate and its range bits, which
+    only region digest (by its hash) may reject; then, which only region
+    point[i] or segment[j] may reject: names two rows at point i, with
+    the honest range bits and with the bits the gadgets derive for b = 2
+    and the sum of the two rows
     (a pair whose summed row holds the point where one exists, so that
     the lie can pass its range checks, else a random pair; skipped for a
     one-row table, whose one selector entry is the membership bit); with
@@ -132,9 +133,11 @@ def _cmd_fuzz(args) -> int:
         wired = [scratch.value(w) for w in scratch.region("mutated")[2]]
         return passes(region, dict(zip(cs.region(region)[2], wired)))
 
-    bound = 1 << inst.field_params.coord_bits
+    k = inst.field_params.coord_bits
+    bound = 1 << k
     n = inst.ad.n_traj
-    wd = widths(inst.field_params.coord_bits, n)
+    range_bits = cs.region("digest")[2]  # k per coordinate, in trail order, then h_ex
+    wd = widths(k, n)
     pts = inst.trail.points
     padded = inst.trail.padded(n)
     geo = inst.ad.geometry
@@ -162,8 +165,10 @@ def _cmd_fuzz(args) -> int:
             new_coord = rng.randrange(bound)
         # Padding repeats the last point, so a mutated last point moves its
         # padded copies too.
-        moved = range(i, n if i == len(pts) - 1 else i + 1)
-        if passes("digest", {handle.trail_input_ids[axis * n + c]: new_coord for c in moved}):
+        moved = [axis * n + c for c in range(i, n if i == len(pts) - 1 else i + 1)]
+        lie = {handle.trail_input_ids[j]: new_coord for j in moved}
+        lie.update((range_bits[j * k + b], (new_coord >> b) & 1) for j in moved for b in range(k))
+        if passes("digest", lie):
             found.append(f"HASH BINDING VIOLATION at mutation {trial} (point {i})")
         i = rng.randrange(n)
         if geo.count > 1:

@@ -4,7 +4,9 @@ Everything in the circuit and gadget layers computes in GF(p), on plain
 int residues, for a single configurable prime p.  The default is the
 Mersenne prime 2^127 - 1.  ``FieldParams`` requires p > 2^(3*k_c + 6),
 where k_c bounds the bit-length of any coordinate or radius; ``widths``
-derives every bit width the statements range-check at, and a
+derives every bit width the statements range-check at,
+``FieldParams.pack`` how many coordinates the trail hash packs into one
+field element, and a
 ``statements.StatementInstance`` whose widest range check does not fit
 below p fails validation when it is constructed.
 """
@@ -126,6 +128,10 @@ def widths(coord_bits: int, n_traj: int) -> Widths:
         cover   tot + 7                tot * p_req and 100 * cc (p_req <= 100)
         shape   2k                     membership weights r^2 - dist^2 and s, t,
                                        u: below 2^(2k) at a point inside
+        pack    k per coordinate       each trail coordinate (region digest),
+                                       so an absorbed element packing pack of
+                                       them, sum c_j * 2^(kj) < 2^(pack*k) < p,
+                                       packs them injectively
 
     A range check at width m decomposes m bits: ``gadgets.leq`` is sound
     while p > 2^(m+1), a membership check while p > 2^(m+2).  The exact
@@ -133,7 +139,8 @@ def widths(coord_bits: int, n_traj: int) -> Widths:
     while p > 2^(2*seg + 5).  ``FieldParams`` guarantees
     p > 2^(3k + 6), which covers seg and shape; tot and cover grow with
     n_traj and are checked as each instance is constructed, by
-    ``statements.validate_instance``.
+    ``statements.validate_instance``, as is the instance's pack, at most
+    ``FieldParams.pack`` = floor((bitlen(p) - 1) / k) >= 3.
     """
     seg = coord_bits + 1
     tot = seg + n_traj.bit_length()
@@ -160,3 +167,10 @@ class FieldParams:
             )
         if not _checked_prime(self.modulus):
             raise FieldError(f"modulus {self.modulus} is not prime")
+
+    @property
+    def pack(self) -> int:
+        """The most k-bit coordinates that fit in one element below p:
+        m = floor((bitlen(p) - 1) / k), so 2^(mk) <= 2^(bitlen(p) - 1) < p.
+        p > 2^(3k + 6) makes m >= 3."""
+        return (self.modulus.bit_length() - 1) // self.coord_bits

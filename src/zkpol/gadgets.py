@@ -152,12 +152,14 @@ def lookup(cs: ConstraintSystem, index: int, rows: list[tuple[int, ...]]) -> tup
 # -- Poseidon gadget ----------------------------------------------------
 
 
-def poseidon_hash(cs: ConstraintSystem, msg: list[int], pp: PoseidonParams) -> int:
+def poseidon_hash(cs: ConstraintSystem, msg: list[int], pp: PoseidonParams,
+                  length: int | None = None) -> int:
     """Sponge digest of a non-empty wire message; lane 0 is the capacity
-    lane seeded with the public message length and squeezed at the end."""
+    lane seeded with the public ``length``, the message length unless
+    given, and squeezed at the end."""
     if not msg:
         raise EmptyMessage("cannot hash an empty message")
-    state = [cs.const(len(msg))] + [cs.const(0)] * (pp.t - 1)
+    state = [cs.const(len(msg) if length is None else length)] + [cs.const(0)] * (pp.t - 1)
     for start in range(0, len(msg), pp.rate):
         chunk = msg[start : start + pp.rate]
         for i, m in enumerate(chunk):

@@ -134,13 +134,10 @@ def oracle_ev(trail, circles, policy) -> bool:
     return tot >= policy.d_req and cc * 100 >= tot * policy.p_req
 
 
-def off_road_split(points, triangles) -> tuple[int, int]:
-    """(tot, hw): total length and length with both endpoints in triangles."""
-    return segment_walk(points, lambda x, y: point_in_any_triangle(x, y, triangles))
-
-
 def taxed_distance(trail, tris) -> int:
-    tot, hw = off_road_split(trail, tris)
+    """tot - hw: the trail's total length less the length of its segments
+    with both endpoints in the tax-free triangles."""
+    tot, hw = segment_walk(trail, lambda x, y: point_in_any_triangle(x, y, tris))
     return tot - hw
 
 
@@ -186,10 +183,11 @@ def poseidon_permutation_ref(state, pp: PoseidonParams) -> list[int]:
     return s
 
 
-def poseidon_digest_ref(msg, pp: PoseidonParams) -> int:
+def poseidon_digest_ref(msg, pp: PoseidonParams, length: int | None = None) -> int:
     """Reference sponge digest of a non-empty message of residues.
 
-    Lane 0 is the capacity lane, seeded with the message length; chunks of
+    Lane 0 is the capacity lane, seeded with ``length``, the message length
+    unless given (a packed message gives the count it packs); chunks of
     ``rate`` elements are added into the remaining lanes (zero-padded at
     the end) with a permutation after each chunk; the digest is lane 0 of
     the final state.
@@ -197,7 +195,7 @@ def poseidon_digest_ref(msg, pp: PoseidonParams) -> int:
     if not msg:
         raise ValueError("empty message")
     p = pp.prime
-    state = [len(msg) % p] + [0] * (pp.t - 1)
+    state = [(len(msg) if length is None else length) % p] + [0] * (pp.t - 1)
     for start in range(0, len(msg), pp.rate):
         chunk = msg[start : start + pp.rate]
         for i, m in enumerate(chunk):

@@ -147,16 +147,19 @@ def policy_holds(trail_points, ad: AuthorityData) -> bool:
 
 def trail_hash(trail_points, ad: AuthorityData) -> int:
     trail = Trail(tuple(trail_points))
-    return statements.honest_hash(ad.pp, trail, ad.n_traj)
+    return statements.honest_hash(ad, trail)
 
 
 def _signable_hash(trail_points, ad: AuthorityData) -> int | None:
     """The trail hash, or None when n_traj is not an int, the trail's
-    length lies outside (0, n_traj] or a point is not a pair of ints
-    (bools excluded): no instance of the statement admits the trail, so
-    there is nothing to sign or prove."""
-    n = ad.n_traj
+    length lies outside (0, n_traj], ad's pack is not an int in
+    [1, field_params.pack] or a point is not a pair of ints (bools
+    excluded): no instance of the statement admits the trail, so there is
+    nothing to sign or prove."""
+    n, pack = ad.n_traj, ad.pack
     if isinstance(n, bool) or not isinstance(n, int) or not 0 < len(trail_points) <= n:
+        return None
+    if isinstance(pack, bool) or not isinstance(pack, int) or not 1 <= pack <= ad.field_params.pack:
         return None
     if not all(isinstance(pt, (tuple, list)) and len(pt) == 2
                and all(isinstance(v, int) and not isinstance(v, bool) for v in pt)

@@ -23,12 +23,18 @@ value of its own in-circuit hash as h_ex, as it reads every other
 prover value.  The ``digest`` assertion still compares that input with
 the hash of the trail wires, so the circuit binds the trail whichever
 way h_ex was found.
+The trail enters the hash packed: region digest range-checks every
+coordinate at coord_bits = k bits and absorbs ``ad.pack`` of them per
+sponge element, as sum c_j * 2^(kj) (``packing``), which the range
+checks make injective below p; the capacity lane is seeded with the
+coordinate count 2 * n_traj, so the digest still commits to the length.
 Hint parameters allow tests to substitute adversarial prover-local values
 (square roots, named rows) while keeping the rest of the witness honest.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -156,10 +162,11 @@ class TaxPolicy:
 @dataclass(frozen=True)
 class AuthorityData:
     """AD: everything the verifier knows about the statement (policy,
-    geometry, sizes, field and hash parameters), never prover-only
-    material.  It checks nothing on construction: a session over invalid
-    authority data ends not_ok, when the instance over it fails to
-    validate."""
+    geometry, sizes, field and hash parameters, and the hash's message
+    layout ``pack``), never prover-only material.  It checks nothing on
+    construction: a session over invalid authority data ends not_ok, when
+    the instance over it fails to validate.  Left out, ``pack`` is the
+    most the field admits, ``field_params.pack``."""
 
     kind: str  # "ev" | "tax"
     n_traj: int
@@ -167,6 +174,11 @@ class AuthorityData:
     geometry: CircleSet | TriangleSet
     field_params: FieldParams
     pp: PoseidonParams
+    pack: int | None = None  # trail coordinates per absorbed sponge element
+
+    def __post_init__(self):
+        if self.pack is None:
+            object.__setattr__(self, "pack", self.field_params.pack)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -193,7 +205,7 @@ class StatementInstance:
     def h_ex(self) -> int:
         """The digest the statement asserts: as given, else resolved."""
         if self._h_ex is None:
-            object.__setattr__(self, "_h_ex", honest_hash(self.ad.pp, self.trail, self.ad.n_traj))
+            object.__setattr__(self, "_h_ex", honest_hash(self.ad, self.trail))
         return self._h_ex
 
     def _key(self):
@@ -217,8 +229,25 @@ def trail_message(trail: Trail, n_traj: int) -> list[int]:
     return [x for x, _ in pts] + [y for _, y in pts]
 
 
-def honest_hash(pp: PoseidonParams, trail: Trail, n_traj: int) -> int:
-    return localcalc.poseidon_digest_ref(trail_message(trail, n_traj), pp)
+def packing(msg: list, pack: int, k: int) -> list[tuple[list[int], list]]:
+    """The absorbed elements of a message of k-bit coordinates (ints or
+    wires): per element, its up to ``pack`` consecutive entries of msg and
+    their weights 2^(kj), so the element is sum c_j * 2^(kj).  The
+    reference hash and the circuit both pack through it."""
+    out = []
+    for i in range(0, len(msg), pack):
+        chunk = msg[i : i + pack]
+        out.append(([1 << (k * j) for j in range(len(chunk))], chunk))
+    return out
+
+
+def honest_hash(ad: AuthorityData, trail: Trail) -> int:
+    """The digest of trail under ad: its message packed ``ad.pack``
+    coordinates per element, with the coordinate count as the capacity
+    seed."""
+    msg = trail_message(trail, ad.n_traj)
+    elements = [sum(map(operator.mul, w, c)) for w, c in packing(msg, ad.pack, ad.field_params.coord_bits)]
+    return localcalc.poseidon_digest_ref(elements, ad.pp, len(msg))
 
 
 def validate_instance(inst: StatementInstance) -> None:
@@ -229,7 +258,8 @@ def validate_instance(inst: StatementInstance) -> None:
 
     Beyond the sizes (``check_sizes``, and fewer geometry rows than p,
     else p + 1 selector entries of 1 sum to 1 in ``gadgets.lookup``), the
-    Poseidon prime (the field modulus), h_ex (below p), trail length,
+    Poseidon prime (the field modulus), the pack (in [1, fp.pack], else a
+    packed element could wrap mod p), h_ex (below p), trail length,
     coordinates, radii, triangle orientation and policy values, every
     point must be an (x, y) pair, every circle a (u, v, r) triple and
     every triangle three points, every number must be an int, and the
@@ -255,6 +285,7 @@ def validate_instance(inst: StatementInstance) -> None:
         raise InstanceError(f"{geo_at}: {ad.geometry.count} rows, not fewer than p = {fp.modulus}")
     if ad.pp.prime != fp.modulus:
         raise InstanceError(f"/poseidon: prime {ad.pp.prime} is not the field modulus {fp.modulus}")
+    _check_ints("/poseidon/pack", [ad.pack], 1, fp.pack)
     if inst._h_ex is not None:
         _check_ints("/h_ex", [inst._h_ex], 0, fp.modulus - 1)  # else h_ex +- p verifies too
     if not 0 < len(inst.trail.points) <= ad.n_traj:
@@ -295,16 +326,18 @@ def validate_instance(inst: StatementInstance) -> None:
         )
 
 
-def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, h_ex=None) -> StatementInstance:
+def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, h_ex=None,
+                  pack=None) -> StatementInstance:
     """A validated instance, with the Poseidon parameters of the field
-    unless pp is given and, unless h_ex is given, the honest trail hash,
-    resolved when first needed (``StatementInstance``)."""
+    unless pp is given, the field's pack unless pack is given and, unless
+    h_ex is given, the honest trail hash, resolved when first needed
+    (``StatementInstance``)."""
     if pp is None:
         try:
             pp = params_for(field_params)
         except PoseidonParamError as exc:
             raise InstanceError(f"no Poseidon parameters for this field: {exc}") from exc
-    ad = AuthorityData(kind, n_traj, policy, geometry, field_params, pp)
+    ad = AuthorityData(kind, n_traj, policy, geometry, field_params, pp, pack)
     return StatementInstance(ad, trail, h_ex)
 
 
@@ -344,9 +377,11 @@ def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, row_hi
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints=None,
                     row_hints=None) -> StatementHandle:
     """Lay down inst's statement on cs, one region after another: trail
-    (the padded trail as ``trail_message`` orders it), digest (its hash
-    == h_ex, the shared input; an instance without a given h_ex takes it
-    from this hash's own value), then for each point i the region
+    (the padded trail as ``trail_message`` orders it), digest (a k-bit
+    range check of each coordinate, one affine per absorbed element as
+    ``packing`` groups them, and their hash == h_ex, the shared input; an
+    instance without a given h_ex takes it from this hash's own value),
+    then for each point i the region
     point[i] (its membership bit, ``point_inside``) and, from the second
     point on, segment[i - 1] (the exact root that is the length of the
     segment ending at point i, ``gadgets.sqrt_floor`` at
@@ -364,12 +399,16 @@ def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints
     """
     ad = inst.ad
     n = ad.n_traj
-    w = widths(ad.field_params.coord_bits, n)
+    k = ad.field_params.coord_bits
+    w = widths(k, n)
     cs.scope("trail")
     msg = [cs.wire_input(v, Domain.PROVER) for v in trail_message(inst.trail, n)]
     xs, ys = msg[:n], msg[n:]
     cs.scope("digest")
-    digest = gadgets.poseidon_hash(cs, msg, ad.pp)
+    for c in msg:
+        cs.decompose(c, k)
+    elements = [cs.affine(weights, chunk) for weights, chunk in packing(msg, ad.pack, k)]
+    digest = gadgets.poseidon_hash(cs, elements, ad.pp, len(msg))
     # Without a given h_ex the honest digest is this hash's own value, on a
     # system over the instance's prime (over another it digests nothing).
     if inst._h_ex is None and cs.p == ad.pp.prime:

@@ -82,7 +82,7 @@ def small_prime_ev_doc() -> dict:
     trail's honest hash."""
     ad, moves = small_prime_ev()
     trail = Trail(tuple(moves))
-    return unvalidated_doc(ad, trail, honest_hash(ad.pp, trail, ad.n_traj))
+    return unvalidated_doc(ad, trail, honest_hash(ad, trail))
 
 
 def random_trail(rng: random.Random, n_traj: int, bound: int = COORD_BOUND) -> Trail:

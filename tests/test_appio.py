@@ -98,6 +98,11 @@ def test_schema_rejects_out_of_range_circle():
     (("geometry", "triangles"), [[["0", "0"], ["1", "0"]]]),
     (("sizes", "n_tri"), "x"),
     (("trail", "declared_len"), "x"),
+    (("poseidon", "pack"), "x"),
+    # More coordinates per element than fit below p: a packed element
+    # could wrap mod p.
+    (("poseidon", "pack"), 1000),
+    (("poseidon", "pack"), "0"),
 ])
 def test_schema_rejects_malformed_shapes(tmp_path, where, value):
     doc = serialize_instance(random_tax_instance(random.Random(89), max_traj=4, max_tri=1))
@@ -425,8 +430,9 @@ def test_cli_fuzz_reports_a_hash_that_ignores_the_message(tmp_path, capsys, monk
     path = _write_fixture(tmp_path)
     h_ex = load_instance(path).h_ex
     # The digest matches h_ex whatever the trail, so the honest check still
-    # holds and only the mutations expose the missing binding.
-    monkeypatch.setattr(gadgets, "poseidon_hash", lambda cs, msg, pp: cs.const(h_ex))
+    # holds and only the mutations, which re-derive the moved coordinate's
+    # range bits, expose the missing binding.
+    monkeypatch.setattr(gadgets, "poseidon_hash", lambda cs, msg, pp, length: cs.const(h_ex))
     assert cli_main(["fuzz", path, "--mutations", "5", "--seed", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "EQUIVALENCE VIOLATION" not in "\n".join(lines)

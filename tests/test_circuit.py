@@ -189,21 +189,25 @@ def test_domain_monotonicity_structural():
 def test_decompositions_at_ledger_widths(kind, coord_bits, n_traj, modulus):
     # Every recomposition affine (coefficients 1, 2, 4, ... over input bits)
     # decomposes at a width that field.widths names, and fits below p: a
-    # range check at width m decomposes m bits, and the exact root its
-    # remainders at seg + 1.
+    # range check at width m decomposes m bits, the exact root its
+    # remainders at seg + 1, and the digest each trail coordinate at k (a
+    # one-bit decomposition is a one-term affine, not counted here).  The
+    # digest's packing affines read trail coordinates, not bits.
     fp = FieldParams(coord_bits=coord_bits, **({"modulus": modulus} if modulus else {}))
     cs = ConstraintSystem(fp)
     build_statement(_dummy_instance(kind, n_traj, 2, fp), cs)
     w = widths(coord_bits, n_traj)
+    trail = set(cs.region("trail")[2])
     used = set()
     for g in cs._gates:
         if (g[0] == _AFFINE and len(g[1]) > 1 and g[3] == 0
                 and g[1] == tuple(1 << i for i in range(len(g[1])))
-                and all(cs._gates[i][0] == _INPUT for i in g[2])):
+                and all(cs._gates[i][0] == _INPUT for i in g[2]) and trail.isdisjoint(g[2])):
             bits = len(g[1])
             assert bits <= max(w) + 1 and 2**bits < fp.modulus
             used.add(bits)
     named = {w.seg + 1, w.tot, w.shape} | ({w.cover} if kind == "ev" else set())
+    named |= {coord_bits} if coord_bits > 1 else set()
     assert used == named
 
 

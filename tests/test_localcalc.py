@@ -13,7 +13,6 @@ from zkpol.localcalc import (
     find_triangle,
     get_bcoords,
     isqrt,
-    off_road_split,
     oracle_ev,
     oracle_hwtax,
     point_in_any_triangle,
@@ -217,12 +216,13 @@ def test_oracle_ev_single_point_trail():
     assert not oracle_ev([(5, 5)], [(0, 0, 1)], _Policy(d_req=1, p_req=0))
 
 
-def test_off_road_split_totals():
+def test_taxed_distance_totals():
     tri = [((0, 0), (20, 0), (0, 20))]
     pts = [(0, 0), (3, 4), (100, 4), (103, 8)]
-    tot, hw = off_road_split(pts, tri)
+    tot = taxed_distance(pts, [])  # no tax-free road: every hop is taxed
     assert tot == 5 + 97 + 5
-    assert hw == 5  # only the first hop has both endpoints on the road
+    # Only the first hop has both endpoints on the road: hw = 5.
+    assert taxed_distance(pts, tri) == tot - 5
 
 
 def test_taxed_distance_and_verdict():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -7,7 +8,15 @@ import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from zkpol import gadgets, localcalc
-from zkpol.appio import FixtureSpec, SchemaError, gen_fixture, instance_from_doc
+from zkpol.appio import (
+    FixtureSpec,
+    SchemaError,
+    gen_fixture,
+    instance_from_doc,
+    load_instance,
+    save_instance,
+    serialize_instance,
+)
 from zkpol.circuit import _AFFINE, ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
 from zkpol.poseidon import PoseidonParamError, PoseidonParams, params_for
@@ -29,8 +38,10 @@ from zkpol.statements import (
     honest_hash,
     make_instance,
     oracle_verdict,
+    packing,
     point_inside,
     statement_cost,
+    trail_message,
 )
 
 from conftest import (
@@ -326,7 +337,7 @@ def test_ev_verdict_matches_oracle():
 
 
 def test_ev_tampered_hash_unsatisfied():
-    good = honest_hash(_ev(0, 0).ad.pp, EV_TRAIL, 4)
+    good = honest_hash(_ev(0, 0).ad, EV_TRAIL)
     inst = _ev(0, 0, h_ex=(good + 1) % FP12.modulus)
     cs, h = _build(inst)
     report = h.check()
@@ -400,7 +411,7 @@ def test_ev_domain_monotonicity():
 def test_h_ex_outside_the_field_is_rejected(h_ex):
     # The circuit wires h_ex mod p, so an unreduced h_ex would be a second
     # instance that verifies the same trail.
-    honest, p = honest_hash(_ev(0, 0).ad.pp, EV_TRAIL, 4), FP12.modulus
+    honest, p = honest_hash(_ev(0, 0).ad, EV_TRAIL), FP12.modulus
     with pytest.raises(InstanceError, match="^/h_ex: "):
         _ev(0, 0, h_ex=h_ex(honest, p))
     assert _ev(0, 0, h_ex=honest).h_ex == honest
@@ -437,9 +448,9 @@ def test_h_ex_is_the_honest_hash_whether_a_build_or_a_read_resolves_it(make, mon
             m.setattr(localcalc, "poseidon_digest_ref", _no_reference_hash)
             cs, _ = _build(built)
             from_build = built.h_ex
-        honest = honest_hash(built.ad.pp, built.trail, built.ad.n_traj)
+        honest = honest_hash(built.ad, built.trail)
         assert from_build == read.h_ex == honest
-        assert cs.value(cs.region("digest")[2][0]) == honest  # the one shared input
+        assert cs.value(cs.region("digest")[2][-1]) == honest  # the one shared input
         cs, h = _build(read)
         assert h.check().satisfied == oracle_verdict(read)
 
@@ -456,7 +467,7 @@ def test_a_trail_override_fails_in_digest_without_a_given_h_ex(make):
 @RANDOM_INSTANCE
 def test_equality_and_hash_agree_before_and_after_resolution(make):
     inst = make(random.Random(71), 8)
-    honest = honest_hash(inst.ad.pp, inst.trail, inst.ad.n_traj)
+    honest = honest_hash(inst.ad, inst.trail)
     given = StatementInstance(inst.ad, inst.trail, honest)
 
     def fresh():
@@ -479,7 +490,111 @@ def test_a_build_over_another_field_does_not_resolve_h_ex():
     inst = make_instance("ev", fp, 3, SubsidyPolicy(6, 100), CircleSet(((2, 1, 3),)),
                          Trail(((0, 0), (3, 0), (3, 3))))
     build_statement(inst, ConstraintSystem())
-    assert inst.h_ex == honest_hash(inst.ad.pp, inst.trail, 3)
+    assert inst.h_ex == honest_hash(inst.ad, inst.trail)
+
+
+# -- the packed trail ----------------------------------------------------
+
+
+@pytest.mark.parametrize("pack", [0, -1, 6, 1000, 2.0, True], ids=["0", "-1", "6", "1000", "float", "bool"])
+def test_instance_rejects_a_pack_that_could_wrap_or_is_not_an_int(pack):
+    # At 24 bits and p = 2^127 - 1 at most 5 coordinates fit below p.
+    fp = FieldParams()
+    assert fp.pack == 5 and FP12.pack == 10
+    with pytest.raises(InstanceError, match=r"^/poseidon/pack: .* is not an integer in \[1, 5\]"):
+        make_instance("ev", fp, 4, SubsidyPolicy(0, 0), CIRCLE, EV_TRAIL, pack=pack)
+    ad = AuthorityData("ev", 4, SubsidyPolicy(0, 0), CIRCLE, fp, params_for(fp), pack)
+    moves = list(EV_TRAIL.points)
+    assert run_session("honest", ad, moves).outputs == {"prover": "not_ok", "verifier": "not_ok"}
+    assert ideal_outputs(moves, ad, ad) == {"prover": "not_ok", "verifier": "not_ok"}
+
+
+def test_authority_data_without_a_pack_takes_the_fields():
+    ad = _ev(0, 0).ad
+    assert ad.pack == FP12.pack == 10
+    assert AuthorityData(ad.kind, ad.n_traj, ad.policy, ad.geometry, FP12, ad.pp) == ad
+    assert make_instance("ev", FP12, 4, SubsidyPolicy(0, 0), EV_CIRCLES, EV_TRAIL, pack=1).ad.pack == 1
+
+
+def _rebound(cs, h, j, value):
+    """Overrides that move trail coordinate j to value together with the
+    k range bits the digest derives for it."""
+    k = cs.params.coord_bits
+    bits = cs.region("digest")[2][j * k : (j + 1) * k]
+    return {h.trail_input_ids[j]: value, **{b: (value >> i) & 1 for i, b in enumerate(bits)}}
+
+
+@pytest.mark.parametrize("pack", [1, None], ids=["pack-1", "derived"])
+@RANDOM_INSTANCE
+def test_a_rebound_coordinate_fails_at_the_h_ex_equality(make, pack):
+    # A flip with stale range bits stops at its recomposition; one with its
+    # honestly re-derived bits passes every range check and must fail at
+    # the hash, the last assertion of region digest.
+    base = make(random.Random(73), 8)
+    inst = StatementInstance(replace(base.ad, pack=pack), base.trail)
+    cs, h = _build(inst)
+    assert inst.ad.pack == (pack or FP12.pack)
+    h_ex_eq = cs.region("digest")[1][-1]
+    rng = random.Random(79)
+    for j in rng.sample(range(len(h.trail_input_ids)), 6):
+        value = cs.value(h.trail_input_ids[j]) ^ (1 << rng.randrange(cs.params.coord_bits))
+        assert h.check(_rebound(cs, h, j, value)).first_failed_assertion == h_ex_eq
+
+
+def test_packed_trails_of_different_lengths_differ():
+    # At 24 bits 5 coordinates pack into one element, and these two trails
+    # pack to the same elements: 4 points (a,d),(b,f),(c,g),(d,h) give
+    # [a b c d d | f g h], 5 points (a,f),(b,g),(c,h),(d,0) padded with
+    # (d,0) give [a b c d d | f g h 0 0].  Only the capacity seed, the
+    # coordinate count, tells them apart.
+    a, b, c, d, f, g, h = 11, 22, 33, 44, 66, 77, 88
+    fp = FieldParams()
+    four = make_instance("ev", fp, 4, SubsidyPolicy(0, 0), CIRCLE, Trail(((a, d), (b, f), (c, g), (d, h))))
+    five = make_instance("ev", fp, 5, SubsidyPolicy(0, 0), CIRCLE, Trail(((a, f), (b, g), (c, h), (d, 0))))
+
+    def elements(inst):
+        msg = trail_message(inst.trail, inst.ad.n_traj)
+        return [sum(w * v for w, v in zip(ws, vs)) for ws, vs in packing(msg, inst.ad.pack, 24)]
+
+    assert elements(four) == elements(five)
+    assert four.h_ex != five.h_ex
+    for inst in (four, five):
+        assert _build(inst)[1].check().satisfied
+
+
+# The digests of an ev and a tax instance, computed before the trail was
+# packed; a /poseidon block without "pack" keeps them.
+LEGACY_DIGESTS = {
+    "ev": 129346129988838828775556661546303034088,
+    "tax": 110007227412855219787455372761723212212,
+}
+
+
+def _legacy(kind):
+    if kind == "ev":
+        return make_instance("ev", FP12, 4, SubsidyPolicy(10, 100), EV_CIRCLES, EV_TRAIL, pack=1)
+    return make_instance("tax", FieldParams(), 4, TaxPolicy(102), TAX_TRIS, TAX_TRAIL, pack=1)
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_a_document_without_pack_keeps_its_digest(kind, tmp_path):
+    doc = serialize_instance(_legacy(kind))
+    assert doc["poseidon"].pop("pack") == 1
+    doc["h_ex"] = str(LEGACY_DIGESTS[kind])
+    inst = instance_from_doc(doc)
+    assert inst.ad.pack == 1 and inst.h_ex == LEGACY_DIGESTS[kind] == honest_hash(inst.ad, inst.trail)
+    packed = StatementInstance(replace(inst.ad, pack=None), inst.trail)
+    assert packed.ad.pack == inst.field_params.pack and packed.h_ex != inst.h_ex
+    for one in (inst, packed):
+        path = tmp_path / "inst.json"
+        save_instance(one, path)
+        assert load_instance(path) == one
+        cs, h = _build(one)
+        assert h.check().satisfied
+        # A coordinate of 2^k passes no k-bit range check.
+        wid = h.trail_input_ids[1]
+        first = h.check({wid: 1 << one.field_params.coord_bits}).first_failed_assertion
+        assert cs.scope_of(first) == "digest"
 
 
 # -- prover-named rows ---------------------------------------------------
@@ -681,7 +796,7 @@ def test_tax_huge_d_max_clamped_not_rejected():
 
 
 def test_tax_tampered_hash_unsatisfied():
-    good = honest_hash(_tax(200).ad.pp, TAX_TRAIL, 4)
+    good = honest_hash(_tax(200).ad, TAX_TRAIL)
     inst = _tax(200, h_ex=good ^ 1)
     cs, h = _build(inst)
     assert not h.check().satisfied
@@ -830,34 +945,37 @@ def test_statement_cost_pinned():
     # one-row table's one entry is b), of triangle weights computed from
     # the row (4 muls, no hint), of a product with b and a 2k-bit range
     # check per weight, of policy range checks at their
-    # ledger widths, of h_ex as the only shared input, and of the t = 9
-    # sponge (rate 8, R_F = 8, R_P = 56: 384 muls and, with sparse
-    # partial rounds, 1,600 adds per permutation).
+    # ledger widths, of h_ex as the only shared input, of a k-bit range
+    # check per trail coordinate (k muls), and of the t = 9 sponge (rate 8,
+    # R_F = 8, R_P = 56: 384 muls and, with sparse partial rounds, 1,600
+    # adds per permutation) over the trail packed FieldParams.pack
+    # coordinates per element: 5 at 24 bits (512 coordinates in 103
+    # elements, 13 permutations), 10 at 12 bits.
     assert statement_cost("ev", 256, 1, FieldParams()) == {
-        "n_mul": 52498, "n_add": 157226, "n_assert": 26648,
-        "n_prover_inputs": 26646, "n_shared_inputs": 1,
+        "n_mul": 45202, "n_add": 100202, "n_assert": 39448,
+        "n_prover_inputs": 38934, "n_shared_inputs": 1,
     }
     assert statement_cost("tax", 64, 16, FieldParams()) == {
-        "n_mul": 20519, "n_add": 60372, "n_assert": 13932,
-        "n_prover_inputs": 13739, "n_shared_inputs": 1,
+        "n_mul": 18983, "n_add": 47316, "n_assert": 17132,
+        "n_prover_inputs": 16811, "n_shared_inputs": 1,
     }
     # The shapes whose membership cost the public table moved most.
     assert statement_cost("ev", 64, 16, FP12) == {
-        "n_mul": 11086, "n_add": 38050, "n_assert": 4628,
-        "n_prover_inputs": 4562, "n_shared_inputs": 1,
+        "n_mul": 7246, "n_add": 18722, "n_assert": 6292,
+        "n_prover_inputs": 6098, "n_shared_inputs": 1,
     }
     assert statement_cost("tax", 64, 64, FP12) == {
-        "n_mul": 17459, "n_add": 75756, "n_assert": 10872,
-        "n_prover_inputs": 10679, "n_shared_inputs": 1,
+        "n_mul": 13619, "n_add": 56428, "n_assert": 12536,
+        "n_prover_inputs": 12215, "n_shared_inputs": 1,
     }
     # A one-row triangle table is read as constants, and a product with a
     # constant is an affine: its weights cost no mul.
     assert statement_cost("tax", 64, 1, FieldParams()) == {
-        "n_mul": 19239, "n_add": 51668, "n_assert": 12908,
-        "n_prover_inputs": 12779, "n_shared_inputs": 1,
+        "n_mul": 17703, "n_add": 38612, "n_assert": 16108,
+        "n_prover_inputs": 15851, "n_shared_inputs": 1,
     }
     # Wire counts of the same statements: every wire is one gate.
-    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 147_073), ("tax", 64, 16, 59_148)):
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 135_236), ("tax", 64, 16, 56_916)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
@@ -892,7 +1010,10 @@ def test_every_assertion_lies_in_exactly_one_named_region(case):
             owner[a] = name
     assert sorted(owner) == list(range(cs.counters.n_assert))
     assert all(cs.scope_of(a) == name for a, name in owner.items())
-    assert cs.region("digest")[1] == range(1) and owner[cs.counters.n_assert - 1] == "policy"
+    # Digest: k booleanities and a recomposition per coordinate, then h_ex.
+    k = inst.field_params.coord_bits
+    assert cs.region("digest")[1] == range(2 * n * (k + 1) + 1)
+    assert owner[cs.counters.n_assert - 1] == "policy"
     assert h.trail_input_ids == cs.region("trail")[2] and len(h.trail_input_ids) == 2 * n
     failed = cs.scope_of(h.check().first_failed_assertion)
     assert failed == (None if oracle_verdict(inst) else "policy")
