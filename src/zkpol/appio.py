@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .field import FieldError, FieldParams
 from . import localcalc, statements
-from .poseidon import PoseidonParams
+from .poseidon import poseidon_params
 from .statements import (
     AuthorityData,
     CircleSet,
@@ -140,11 +140,11 @@ def instance_from_doc(doc: dict) -> StatementInstance:
     except FieldError as exc:
         raise SchemaError(f"/field_params: {exc}")
     ps_doc = {**V1_POSEIDON, **_want(doc, "poseidon", "", dict)}
-    ps_ints = {key: _as_int(ps_doc[key], f"/poseidon/{key}")
-               for key in ("t", "alpha", "r_full", "r_partial")}
+    ps_ints = [_as_int(ps_doc[key], f"/poseidon/{key}")
+               for key in ("t", "alpha", "r_full", "r_partial")]
     pack = _as_int(ps_doc["pack"], "/poseidon/pack")
     try:
-        pp = PoseidonParams(prime=fp.modulus, seed=bytes.fromhex(ps_doc["seed"]), **ps_ints)
+        pp = poseidon_params(fp.modulus, *ps_ints, bytes.fromhex(ps_doc["seed"]))
     except Exception as exc:
         raise SchemaError(f"/poseidon: {exc}")
     sizes = _want(doc, "sizes", "", dict)

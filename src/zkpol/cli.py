@@ -262,6 +262,17 @@ def _count(text: str) -> int:
     return n
 
 
+def _sid(text: str) -> str:
+    """A session id that encodes as UTF-8, as ``protocol.signing_bytes``
+    encodes it; a lone surrogate (argv bytes that are not UTF-8) is a
+    usage error."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not valid UTF-8")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zkpol")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["honest", "corrupt-prover", "corrupt-verifier"],
         default="honest",
     )
-    p.add_argument("--sid", default="session-1")
+    p.add_argument("--sid", type=_sid, default="session-1")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_session)
 

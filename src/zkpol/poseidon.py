@@ -79,6 +79,8 @@ from functools import lru_cache
 from .field import FieldParams
 
 DEFAULT_SEED = b"zk-pol-poseidon-v2"
+DEFAULT_T = 9  # state width of the default set (rate 8)
+DEFAULT_ALPHA = 5
 SECURITY = 128  # M, bits of security the round numbers are derived for
 MAX_T = 16  # widest state: round_numbers is verified and tested for t = 2..16
 # Caps on the parameters an instance file may give, checked before any
@@ -259,8 +261,8 @@ def _factor_rounds(mds, rc, t: int, r_full: int, r_partial: int, p: int) -> Fact
 @dataclass(frozen=True)
 class PoseidonParams:
     prime: int
-    t: int = 9
-    alpha: int = 5
+    t: int = DEFAULT_T
+    alpha: int = DEFAULT_ALPHA
     r_full: int | None = None  # both None: from round_numbers
     r_partial: int | None = None
     seed: bytes = DEFAULT_SEED
@@ -302,9 +304,17 @@ class PoseidonParams:
 
 
 @lru_cache(maxsize=16)
-def default_poseidon_params(prime: int) -> PoseidonParams:
-    return PoseidonParams(prime=prime)
+def poseidon_params(prime: int, t: int, alpha: int, r_full: int | None,
+                    r_partial: int | None, seed: bytes) -> PoseidonParams:
+    """The ``PoseidonParams`` of one parameter set, derived once per process.
+    Checks and derivation stay in ``__post_init__``, so a set over its caps
+    raises before any constant is derived; a raise is not cached.  Call it
+    with all six arguments by position: the cache keys on them as given."""
+    return PoseidonParams(prime, t, alpha, r_full, r_partial, seed)
 
 
 def params_for(field_params: FieldParams) -> PoseidonParams:
-    return default_poseidon_params(field_params.modulus)
+    """The default set at field_params' modulus, round numbers from
+    ``round_numbers``."""
+    return poseidon_params(field_params.modulus, DEFAULT_T, DEFAULT_ALPHA, None, None,
+                           DEFAULT_SEED)

@@ -44,6 +44,15 @@ def test_round_trip_tax(tmp_path):
     assert load_instance(path) == inst
 
 
+def test_loads_derive_each_poseidon_set_once(tmp_path, monkeypatch):
+    path = _write_fixture(tmp_path)
+    first = load_instance(path)
+    derived = []
+    monkeypatch.setattr(poseidon, "_derive_constant", lambda *args: derived.append(args))
+    again = load_instance(path)
+    assert again.ad.pp is first.ad.pp and derived == []
+
+
 def test_integers_travel_as_decimal_strings():
     inst = random_ev_instance(random.Random(79), max_traj=4, max_circ=1)
     doc = serialize_instance(inst)
@@ -784,6 +793,16 @@ def test_cli_session_corrupt_prover(tmp_path, capsys):
     assert cli_main(["session", path, "--scenario", "corrupt-prover"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["outputs"]["verifier"] == "not_ok"
+
+
+def test_cli_session_sid_that_is_not_utf8_exits_two(tmp_path, capsys):
+    # The bytes b"\xff" reach argv as the lone surrogate "\udcff", which
+    # signing_bytes could not encode: a usage error, before any session.
+    path = _write_fixture(tmp_path)
+    assert cli_main(["session", path, "--sid", "\udcff"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --sid" in captured.err
+    assert "internal error" not in captured.err
 
 
 def test_cli_gen_writes_loadable_file(tmp_path, capsys):

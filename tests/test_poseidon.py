@@ -6,14 +6,15 @@ from zkpol import gadgets, localcalc, statements
 from zkpol.circuit import ConstraintSystem, Domain
 from zkpol.field import DEFAULT_MODULUS, FieldParams
 from zkpol.poseidon import (
+    DEFAULT_SEED,
     MAX_T,
     PoseidonParamError,
     PoseidonParams,
     _cauchy_mds,
     _fewest_sboxes,
     _secure,
-    default_poseidon_params,
     params_for,
+    poseidon_params,
     round_numbers,
 )
 
@@ -257,7 +258,16 @@ def test_small_prime_derives_and_builds():
 
 
 def test_default_params_cached():
-    assert default_poseidon_params(DEFAULT_MODULUS) is default_poseidon_params(DEFAULT_MODULUS)
+    fp = FieldParams(DEFAULT_MODULUS)
+    assert params_for(fp) is params_for(fp)
+
+
+def test_a_set_over_its_caps_raises_on_every_call():
+    before = poseidon_params.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(PoseidonParamError, match="r_partial"):
+            poseidon_params(DEFAULT_MODULUS, 3, 5, 8, 10**9, DEFAULT_SEED)
+    assert poseidon_params.cache_info().currsize == before
 
 
 # -- the bulk permutation against the per-gate composition ---------------

@@ -1,22 +1,32 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from sympy import isprime, nextprime
 
+import zkpol
+from zkpol import appio
 from zkpol.poseidon import params_for
 from zkpol.protocol import (
     _G,
     _P,
     _Q,
+    _ROWS,
+    _W,
     AuthorityData,
     InvalidScenario,
     ProtocolOrderViolation,
     SchnorrSignature,
     TrailStore,
     WitnessDevice,
+    _g_pow,
+    _g_table,
     fzk_check,
     ideal_outputs,
     policy_holds,
@@ -139,6 +149,61 @@ def test_signing_is_deterministic():
     scheme = SchnorrSignature()
     _, sk = scheme.keygen(random.Random(6))
     assert scheme.sign(sk, b"x") == scheme.sign(sk, b"x")
+
+
+def test_g_pow_matches_pow():
+    rng = random.Random(23)
+    ks = [rng.randrange(1 << 256) for _ in range(200)] + [0, 1, _Q - 1, _Q, 2**256 - 1]
+    for k in ks:
+        assert _g_pow(k) == pow(_G, k, _P), k
+
+
+def test_g_pow_rejects_an_exponent_outside_the_table():
+    assert _W * _ROWS >= _Q.bit_length()
+    for k in (-1, 1 << (_W * _ROWS)):
+        with pytest.raises(ValueError):
+            _g_pow(k)
+
+
+def test_g_table_is_not_built_at_import():
+    src = Path(zkpol.__file__).parents[1]
+    code = "import zkpol.protocol as p; assert p._g_table.cache_info().currsize == 0"
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert len(_g_table()) == _ROWS and all(len(row) == 1 << _W for row in _g_table())
+
+
+# keygen(random.Random(1)) and sign(sk, b"hello") as computed with pow
+# before the fixed-base comb: the comb must reproduce them bit for bit.
+PINNED_PK = int(
+    "8e5305526318dcc9ce2c15958594b1ee79a7fccb05a9de214c435b0afd44e162"
+    "b4e4a88f57a17b12e86447fead981aeaec570ec6be23f02be5d5bc6d5b8f3857"
+    "59fdbb7deee674eb223663ae069fe11fac7eacd9090f521c9b2f47904935e648"
+    "c691297083f3fccc4f6f54b74e8d0e3c85d466e05a7af8dc4ebd9ba12bdb8ff3"
+    "533ef0f5e71aad8ab775bf0d1c425a1e203b41225b9fc76a17fb827e60d27b4e"
+    "e60fa2b35beec1abf3339b30b76f3e6ded0b900253f6f22803209946686ab6d1"
+    "58b1056e1af6367699d3fd6d1e7155db309b67cbc95e897fe133b788b925de4b"
+    "6c67e8310bfc46e99a183017b2da46a13205c9f4835086899157c41f97ee04f7",
+    16,
+)
+PINNED_SIG = (
+    0x159703115b69afbe13e8bb1928df12dceb026b27b790cac9d046670dfe20da02,
+    0x19288bceb377f7dae5471ec1dee803d211a8bb527609a76d7f12ad6b753770e1,
+)
+
+
+def test_keys_and_signatures_pinned():
+    scheme = SchnorrSignature()
+    pk, sk = scheme.keygen(random.Random(1))
+    assert pk == PINNED_PK
+    assert scheme.sign(sk, b"hello") == PINNED_SIG
+    assert scheme.verify(pk, b"hello", PINNED_SIG)
 
 
 def test_signing_bytes_domain_separated():
@@ -292,6 +357,42 @@ def test_transcript_deterministic_and_serializable():
     assert j1 == j2
     assert j1["schema_version"] == 1
     json.dumps(j1)  # must be plain-JSON serializable
+
+
+def _shift_first_point(kind, payload):
+    """The CLI's corrupt prover: the first point moves by one in x in what
+    it submits to the ZK check."""
+    if kind != "fzk":
+        return payload
+    ad, h, points = payload
+    (x, y), *rest = points
+    return ad, h, (((x + 1) % (1 << ad.field_params.coord_bits), y), *rest)
+
+
+# SHA-256 of each sorted-key JSON transcript on the CLI's ev and tax
+# fixtures, as recorded before the fixed-base comb.
+PINNED_TRANSCRIPTS = {
+    ("ev", "honest"): "511607fd2c43af1196c5cacb89bd3872abf6b6fa5c5a5ef6b34b707bbcc8a541",
+    ("ev", "corrupt_prover"): "927e12ee45efc330e6a9a4b6337b717b46dc20b73fb2d98f7f4dd533e537bf6c",
+    ("ev", "corrupt_verifier"): "2c0b8e48337bff4746825e04aca1c8c3e47b5fd3716841595f7c84ec4c771338",
+    ("tax", "honest"): "0fea657c5c20b7c195495b4ddc3e1f2d15d0808c8118ecf3a7f4e9084dc7fe48",
+    ("tax", "corrupt_prover"): "06118e8f4672dbe501ea6487e1aea98825506cee9e80a189b5b78423c6ccfdaf",
+    ("tax", "corrupt_verifier"): "6f3b524a81ab884a91c55af87c167ad89708f67c95f58e697b8ca01415e1eebe",
+}
+
+
+@pytest.mark.parametrize("kind, n_geo", [("ev", 2), ("tax", 8)])
+def test_session_transcripts_pinned(kind, n_geo):
+    inst = appio.gen_fixture(appio.FixtureSpec(kind, seed=1, n_traj=8, n_geo=n_geo))
+    tampers = {
+        "honest": {},
+        "corrupt_prover": {"prover_tamper": _shift_first_point},
+        "corrupt_verifier": {"verifier_tamper": lambda ad, h: (ad, (h + 1) % ad.field_params.modulus)},
+    }
+    for scenario, tamper in tampers.items():
+        t = run_session(scenario, inst.ad, list(inst.trail.points), **tamper)
+        digest = hashlib.sha256(json.dumps(t.to_json(), sort_keys=True).encode()).hexdigest()
+        assert digest == PINNED_TRANSCRIPTS[kind, scenario], scenario
 
 
 def test_real_outputs_match_ideal_functionality():
