@@ -30,9 +30,15 @@ values and booleanity assertions each go in with one ``list.extend``) and
 ``poseidon_rounds`` (the Poseidon permutation in the factored form of
 ``PoseidonParams.factored``: t affines per round, sparse two-term ones on
 lanes 1..t-1 of a partial round, with each round's constants folded into
-the previous round's affines).  They write the same gate kinds straight
-into the gate, domain and value lists and keep every counter equal to the
-per-gate composition.
+the previous round's affines).  They write straight into the gate, domain
+and value lists and keep every counter equal to the per-gate composition.
+
+A bit's booleanity pair uses two operand-relative opcodes, so every bit of
+every decomposition shares the same three gate tuples: ``_BIT_SUB`` at
+wire w is value(w - 1) - 1 and ``_BIT_MUL`` at wire w is value(w - 2) *
+value(w - 1).  Made absolute, they are the per-gate composition's
+``(_SUB, w - 1, one)`` and ``(_MUL, w - 2, w - 1)``, with ``one`` the
+constant 1's wire; a count of mul gates counts ``_MUL`` and ``_BIT_MUL``.
 
 ``scope(name)`` opens a named region that runs to the next ``scope`` call;
 it costs one mark, and ``scope_of`` and ``region`` read the marks.
@@ -45,6 +51,7 @@ import enum
 import operator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from itertools import chain, compress, count, islice, repeat
 
 from . import localcalc
 from .field import FieldParams
@@ -74,12 +81,24 @@ _ADD = 2
 _SUB = 3
 _MUL = 4
 _AFFINE = 5  # (op, coeffs, wire_ids, const)
+_BIT_SUB = 6  # (op,): value(w - 1) - 1 at wire w
+_BIT_MUL = 7  # (op,): value(w - 2) * value(w - 1) at wire w
+
+# The gates of one decomposed bit b: the input b, b - 1 and b * (b - 1).
+_BIT_GATES = ((_INPUT,), (_BIT_SUB,), (_BIT_MUL,))
 
 
 @lru_cache(maxsize=None)
 def _pow2_coeffs(k: int, p: int) -> tuple[int, ...]:
     """Recomposition coefficients 2^0 .. 2^(k-1), reduced mod p."""
     return tuple((1 << i) % p for i in range(k))
+
+
+@lru_cache(maxsize=16)
+def _bit_values(p: int) -> dict[str, tuple[int, int, int]]:
+    """Per binary digit, the values (b, b - 1, b * (b - 1)) mod p of a
+    decomposed bit's three wires."""
+    return {"0": (0, p - 1, 0), "1": (1, 0, 0)}
 
 
 @lru_cache(maxsize=16)
@@ -215,29 +234,29 @@ class ConstraintSystem:
         b*(b-1) = 0, then the recomposition affine sum(2^i * b_i) asserted
         equal to w.
 
-        Gates, domains, values, assertion order and counters are those of
-        the per-gate composition wire_input / sub / mul / assert_zero per
-        bit, then affine / assert_eq.  The 3k bit gates, their domains and
-        values, and the k booleanity assertions each go in with one
-        ``list.extend``; every bit shares one ``(_INPUT,)`` gate tuple and
-        takes the values (1, 0, 0) or (0, p-1, 0).  The recomposition
-        affine's value is (v mod 2^k) mod p.  Returns the bit ids, low bit
-        first."""
+        Wire ids, domains, values, assertion order and counters are those
+        of the per-gate composition wire_input / sub / mul / assert_zero
+        per bit, then affine / assert_eq, and so is each gate once its
+        relative operands are made absolute: every bit appends the shared
+        ``_BIT_GATES`` (input, ``_BIT_SUB``, ``_BIT_MUL``), which read as
+        ``(_SUB, b, one)`` and ``(_MUL, b, b + 1)`` for the bit at wire b.
+        The 3k bit gates, their domains and values, and the k booleanity
+        assertions each go in with one ``list.extend``; a bit takes the
+        values (1, 0, 0) or (0, p-1, 0).  ``const(1)`` is still wired
+        first, so ids match the composition's.  The recomposition affine's
+        value is (v mod 2^k) mod p.  Returns the bit ids, low bit first."""
         if k < 1:
             raise CircuitError("decompose needs k >= 1 bits")
         v = self._values[w]
         p = self.p
-        one = self.const(1)
+        self.const(1)  # the wire every _BIT_SUB's absolute form reads
         gates = self._gates
         start = len(gates)
         ids = range(start, start + 3 * k, 3)
-        inp = (_INPUT,)
-        gates.extend([g for i in ids for g in (inp, (_SUB, i, one), (_MUL, i, i + 1))])
-        prover = int(Domain.PROVER)
-        self._domains.extend([prover] * (3 * k + 2))
-        per_bit = ((0, p - 1, 0), (1, 0, 0))
+        gates.extend(_BIT_GATES * k)
+        self._domains.extend(repeat(int(Domain.PROVER), 3 * k + 2))
         low = v & ((1 << k) - 1)
-        self._values.extend([x for i in range(k) for x in per_bit[(low >> i) & 1]])
+        self._values.extend(chain.from_iterable(map(_bit_values(p).__getitem__, format(low, f"0{k}b")[::-1])))
         self._assertions.extend(range(start + 2, start + 3 * k, 3))
         # Recomposition affine and its equality with w (assert_eq's sub).
         rid = start + 3 * k
@@ -288,7 +307,7 @@ class ConstraintSystem:
         consts = f.constants
         # Per bit of alpha below the top one: square (False), then multiply
         # by x (True) if the bit is set.
-        chain = [by_x for bit in bin(pp.alpha)[3:] for by_x in (False, True)[: 1 + int(bit)]]
+        sbox_steps = [by_x for bit in bin(pp.alpha)[3:] for by_x in (False, True)[: 1 + int(bit)]]
         gates = self._gates
         vals = self._values
         add_gate = gates.append
@@ -318,7 +337,7 @@ class ConstraintSystem:
                 a = w = ids[i]
                 x = y = xs[i]
                 d = doms[i]
-                for by_x in chain:
+                for by_x in sbox_steps:
                     y = y * (x if by_x else y) % p
                     add_gate((_MUL, w, a if by_x else w))
                     add_dom(d)
@@ -327,7 +346,7 @@ class ConstraintSystem:
                     wid += 1
                 ids[i] = w
                 xs[i] = y
-                n_mul += len(chain)
+                n_mul += len(sbox_steps)
             nxt = consts[rnd + 1] if rnd < last else no_consts
             n_add += t - nxt.count(0)
             lanes = tuple(ids)
@@ -400,9 +419,12 @@ class ConstraintSystem:
         """Check the assertions in order against the eager values, stopping
         at the first that fails.  Every wire has an eager value, so with no
         ``overrides`` nothing is re-evaluated.  ``overrides`` maps input
-        wire ids to replacement witnesses; only gates with a changed operand
-        are re-evaluated, in id order and no further than the assertions
-        walked so far reach.
+        wire ids to replacement int witnesses; only gates with a changed
+        operand are re-evaluated, in id order and no further than the
+        assertions walked so far reach.  The assertions before the first
+        that reads a wire at or past the first changed one (all of them
+        when no override changes a value) read eager values and are
+        scanned in one pass.
 
         A permutation laid down by ``poseidon_rounds`` is re-evaluated as
         one block: if none of its input lanes changed the walk jumps over
@@ -412,17 +434,27 @@ class ConstraintSystem:
         an assertion on one that the walk reaches raises ``CircuitError``
         rather than read a value the block skipped."""
         p, gates, stored, spans = self.p, self._gates, self._values, self._spans
+        asserts = self._assertions
         overrides = overrides or {}
         new: dict[int, int] = {}  # wire id -> value differing from the eager one
         for wid, v in overrides.items():
             if not (isinstance(wid, int) and 0 <= wid < len(gates) and gates[wid][0] == _INPUT):
                 raise CircuitError(f"override key {wid!r} is not an input wire id")
+            if not isinstance(v, int):
+                raise CircuitError(f"override value {v!r} for wire {wid} is not an int")
             if v % p != stored[wid]:
                 new[wid] = v % p
         start = done = min(new, default=len(gates))  # gates below keep their eager values
         k = bisect.bisect_left(spans, start, key=_first)  # the next span the walk reaches
-        first_fail = None
-        for idx, aw in enumerate(self._assertions):
+        # The assertions before the first that reads a wire at or past start
+        # read eager values; with no changed wire, that is all of them.
+        first_walked = len(asserts)
+        if new:
+            first_walked = next(compress(count(), map(operator.le, repeat(start), asserts)), first_walked)
+        first_fail = next(compress(count(), map(stored.__getitem__, islice(asserts, first_walked))), None)
+        walked = range(first_walked, len(asserts)) if first_fail is None else ()
+        for idx in walked:
+            aw = asserts[idx]
             while aw >= done:
                 if k < len(spans) and spans[k][0] <= aw:
                     s0, s1, lanes, pp = spans[k]
@@ -462,6 +494,15 @@ class ConstraintSystem:
                     v += c * new.get(i, stored[i])
             elif op <= _CONST:
                 continue  # overridden inputs are in new; constants never change
+            elif op == _BIT_SUB:
+                if wid - 1 not in new:
+                    continue
+                v = new[wid - 1] - 1
+            elif op == _BIT_MUL:
+                a, b = wid - 2, wid - 1
+                if a not in new and b not in new:
+                    continue
+                v = new.get(a, stored[a]) * new.get(b, stored[b])
             else:
                 a, b = g[1], g[2]
                 if a not in new and b not in new:

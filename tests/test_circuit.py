@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 from zkpol.circuit import (
     _ADD,
     _AFFINE,
+    _BIT_MUL,
+    _BIT_SUB,
+    _CONST,
     _INPUT,
     _MUL,
     _SUB,
@@ -27,6 +30,29 @@ FP = FieldParams(coord_bits=12)
 
 def fresh():
     return ConstraintSystem(FP)
+
+
+def _absolute(cs, wid):
+    """Gate ``wid`` with its relative operands made absolute: a bit's
+    ``_BIT_SUB`` and ``_BIT_MUL`` read as the per-gate composition's sub
+    and mul, whose ``one`` is the constant 1's wire."""
+    g = cs._gates[wid]
+    if g[0] == _BIT_SUB:
+        return (_SUB, wid - 1, cs._const_cache[1])
+    if g[0] == _BIT_MUL:
+        return (_MUL, wid - 2, wid - 1)
+    return g
+
+
+def _reads(cs, wid):
+    """The wire ids gate ``wid`` reads; fails on an opcode it does not know."""
+    g = _absolute(cs, wid)
+    if g[0] in (_ADD, _SUB, _MUL):
+        return g[1:]
+    if g[0] == _AFFINE:
+        return g[2]
+    assert g[0] in (_INPUT, _CONST), (wid, g)
+    return ()
 
 
 def test_wire_input_prover():
@@ -162,6 +188,43 @@ def test_override_must_name_an_input_wire(target):
         cs.evaluate_and_check({wid: 5})
 
 
+@pytest.mark.parametrize("value", ["3", None, 1.5, 3.0, 2.0**60, [1]])
+def test_override_values_must_be_ints(value):
+    # A float would run float arithmetic and, past 2^53, lose its residue.
+    cs = fresh()
+    a = cs.wire_input(3, Domain.PROVER)
+    cs.assert_eq(a, cs.const(3))
+    with pytest.raises(CircuitError, match="not an int"):
+        cs.evaluate_and_check({a: value})
+    assert cs.evaluate_and_check({a: 3}).satisfied and not cs.evaluate_and_check({a: 2**60}).satisfied
+
+
+def test_assertion_on_an_overridden_input_reads_the_override():
+    cs = fresh()
+    z = cs.wire_input(0, Domain.PROVER)
+    cs.assert_zero(z)
+    assert cs.evaluate_and_check().satisfied
+    assert cs.evaluate_and_check({z: 1}).first_failed_assertion == 0
+
+
+@pytest.mark.parametrize("early_fails", [False, True])
+def test_assertions_out_of_wire_order_under_an_override(early_fails):
+    # Assertion 0 reads a wire past the override, so the scan of eager
+    # values stops before it and the walk checks assertion 1, whose wire
+    # lies before the override, against its eager value.
+    cs = fresh()
+    early = cs.wire_input(1 if early_fails else 0, Domain.PROVER)
+    x = cs.wire_input(2, Domain.PROVER)
+    late = cs.sub(cs.mul(x, x), cs.const(4))
+    cs.assert_zero(late)
+    cs.assert_zero(early)
+    for overrides in ({}, {x: 2}, {x: 3}, {x: cs.p - 2}):
+        report = cs.evaluate_and_check(overrides)
+        assert report == _reference_report(cs, overrides)
+    assert cs.evaluate_and_check({x: 3}).first_failed_assertion == 0
+    assert cs.evaluate_and_check({x: cs.p - 2}).first_failed_assertion == (1 if early_fails else None)
+
+
 def test_domain_monotonicity_structural():
     # No gate output is less secret than any of its operands, on the
     # per-gate path and on the bulk decomposition path.
@@ -170,13 +233,13 @@ def test_domain_monotonicity_structural():
     b = cs.wire_input(3, Domain.SHARED)
     cs.mul(a, b)
     cs.affine([1, 2], [a, b], 5)
-    cs.decompose(cs.add(b, cs.const(4)), 4)
+    bits = cs.decompose(cs.add(b, cs.const(4)), 4)
     doms = cs._domains
-    for wid, g in enumerate(cs._gates):
-        if g[0] in (_ADD, _SUB, _MUL):
-            assert doms[wid] >= max(doms[g[1]], doms[g[2]]), wid
-        elif g[0] == _AFFINE and g[2]:
-            assert doms[wid] >= max(doms[i] for i in g[2]), wid
+    for wid in range(len(cs._gates)):
+        reads = _reads(cs, wid)
+        assert doms[wid] >= max(map(doms.__getitem__, reads), default=0), wid
+    # The bit gates, relative operands included, are among those checked.
+    assert {cs._gates[b + j][0] for b in bits for j in (1, 2)} == {_BIT_SUB, _BIT_MUL}
 
 
 @pytest.mark.parametrize("kind", ["ev", "tax"])
@@ -239,6 +302,10 @@ def _rederive(cs, overrides=None):
             vals[wid] = (vals[g[1]] * vals[g[2]]) % p
         elif op == _SUB:
             vals[wid] = (vals[g[1]] - vals[g[2]]) % p
+        elif op == _BIT_SUB:
+            vals[wid] = (vals[wid - 1] - 1) % p
+        elif op == _BIT_MUL:
+            vals[wid] = (vals[wid - 2] * vals[wid - 1]) % p
         elif op == _AFFINE:
             acc = g[3]
             for c, i in zip(g[1], g[2]):
@@ -249,7 +316,8 @@ def _rederive(cs, overrides=None):
                 vals[wid] = overrides[wid] % p
             else:
                 vals[wid] = cs._values[wid]
-        else:  # _CONST
+        else:
+            assert op == _CONST, (wid, g)
             vals[wid] = g[1]
     return vals
 
@@ -290,6 +358,21 @@ def test_eager_values_match_rederivation():
         assert report == _reference_report(cs)
         verdicts.add(report.satisfied)
     assert verdicts == {True, False}
+
+
+def test_every_single_bit_flip_matches_the_reference():
+    # Flip each decomposed bit, on its own, of a compliant ev and a
+    # compliant tax statement: the walk re-evaluates the bit's relative
+    # booleanity gates and must report what the full re-derivation does.
+    for group in (SYSTEMS[:9], SYSTEMS[9:]):
+        cs = next(cs for cs in group if cs.evaluate_and_check().satisfied)
+        bits = [wid - 1 for wid, g in enumerate(cs._gates) if g[0] == _BIT_SUB]
+        assert bits
+        for b in bits:
+            overrides = {b: 1 - cs._values[b]}
+            report = cs.evaluate_and_check(overrides)
+            assert report == _reference_report(cs, overrides), b
+            assert not report.satisfied
 
 
 def _draw_overrides(data, cs):
@@ -357,10 +440,26 @@ def test_decompose_matches_per_gate_composition(data):
             w = cs.wire_input(v, Domain.PROVER if source == "prover" else Domain.SHARED)
         bits = decompose(cs, w, k)
         built.append((
-            cs._gates, cs._domains, cs._values, cs._assertions, cs.counters,
+            [_absolute(cs, wid) for wid in range(len(cs._gates))],
+            cs._domains, cs._values, cs._assertions, cs.counters,
             [(b, cs._domains[b]) for b in bits],
         ))
     assert built[0] == built[1]
+
+
+def test_decompositions_share_their_gate_tuples():
+    # Every bit of every decomposition, in one system or two, appends the
+    # same three gate tuples; only the recomposition is built per call.
+    systems = [fresh(), ConstraintSystem(SMALL_FP)]
+    bit_gates = []
+    for cs in systems:
+        for v, k in ((5, 3), (2**40 + 3, 41)):
+            for b in cs.decompose(cs.wire_input(v, Domain.PROVER), k):
+                assert [_absolute(cs, b + j)[0] for j in range(3)] == [_INPUT, _SUB, _MUL]
+                bit_gates.append(cs._gates[b : b + 3])
+    first = bit_gates[0]
+    for gates in bit_gates:
+        assert all(g is f for g, f in zip(gates, first, strict=True))
 
 
 def test_decompose_needs_a_bit():
@@ -526,13 +625,7 @@ def test_no_wire_outside_a_span_reads_its_interior():
                 assert g[0] in (_MUL, _AFFINE)
                 reads = g[2] if g[0] == _AFFINE else g[1:]
                 assert all(i in lanes or s0 <= i < wid for i in reads), wid
-        for wid, g in enumerate(cs._gates):
-            if g[0] in (_ADD, _SUB, _MUL):
-                reads = g[1:]
-            elif g[0] == _AFFINE:
-                reads = g[2]
-            else:
-                continue
-            for i in reads:
+        for wid in range(len(cs._gates)):
+            for i in _reads(cs, wid):
                 assert owner.get(i, span_of.get(wid)) == span_of.get(wid), (wid, i)
         assert not owner.keys() & set(cs._assertions)
