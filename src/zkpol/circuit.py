@@ -6,32 +6,30 @@ construction-time value and ``_domains[w]`` its visibility domain
 (prover-only / shared / public).  The domain of a gate output is the most
 secret domain among its operands.
 
-Every wire has a value from the moment it is appended: an input is
-wired with its witness (an int; ``wire_input(None, ...)`` fails at
-wiring) and every gate's value is computed as it is appended, so gadget
-code can derive prover-local hints (bit decompositions, square roots,
-characteristic vectors) from intermediate values.  This mirrors the
-prover's side of a real backend, which holds the whole witness.
-``evaluate_and_check``, standing in for the verifier-side protocol run,
-checks the assertions against the eager values and re-evaluates only the
-forward cone of any input witnesses it is asked to override.
+Every wire has a value from the moment it is appended: an input or a
+constant is wired with its int witness (anything else, ``None`` included,
+is a ``CircuitError`` at wiring) and every gate's value is computed as it
+is appended, so gadget code can derive prover-local hints (bit
+decompositions, square roots, characteristic vectors) from intermediate
+values.  This mirrors the prover's side of a real backend, which holds
+the whole witness.  ``evaluate_and_check``, standing in for the
+verifier-side protocol run, checks the assertions against the eager
+values and re-evaluates only the forward cone of any input witnesses it
+is asked to override.
 
-Each Poseidon permutation that ``poseidon_rounds`` lays down is recorded
-as a span (first gate, end gate, input lanes), the way SIEVE IR calls a
-sub-circuit as one unit, and the override walk re-evaluates a span as one
-block: it jumps over a span whose lanes kept their values and otherwise
-runs ``localcalc.poseidon_permutation_ref`` on the new lane values.  A
-span's interior wires, every gate but its t outputs, are private to it:
-no gate outside the span reads them and no assertion names them.
+A Poseidon permutation is one call, the way SIEVE IR calls a sub-circuit
+as one unit: ``poseidon_rounds`` appends its t output wires, ``_PERM``
+gates whose values ``localcalc.poseidon_permutation_ref`` computes from
+the input lanes, and records a span (first output, input lanes,
+parameters).  The override walk evaluates a span as one block: it jumps
+over it if its lanes kept their values and otherwise runs the reference
+on the new lane values.  The counters charge each call what the
+permutation's gates would cost (see ``poseidon_rounds``).
 
-Two hot gadgets append through bulk primitives instead of one method call
-per gate: ``decompose`` (bit decomposition, whose per-bit gates, domains,
-values and booleanity assertions each go in with one ``list.extend``) and
-``poseidon_rounds`` (the Poseidon permutation in the factored form of
-``PoseidonParams.factored``: t affines per round, sparse two-term ones on
-lanes 1..t-1 of a partial round, with each round's constants folded into
-the previous round's affines).  They write straight into the gate, domain
-and value lists and keep every counter equal to the per-gate composition.
+``decompose`` (bit decomposition) is a bulk primitive: instead of one
+method call per gate, its per-bit gates, domains, values and booleanity
+assertions each go in with one ``list.extend``, and every counter equals
+the per-gate composition's.
 
 A bit's booleanity pair uses two operand-relative opcodes, so every bit of
 every decomposition shares the same three gate tuples: ``_BIT_SUB`` at
@@ -55,7 +53,7 @@ from itertools import chain, compress, count, islice, repeat
 
 from . import localcalc
 from .field import FieldParams
-from .poseidon import FactoredRounds, PoseidonParams
+from .poseidon import MAX_T, PoseidonParams
 
 
 class CircuitError(Exception):
@@ -83,9 +81,12 @@ _MUL = 4
 _AFFINE = 5  # (op, coeffs, wire_ids, const)
 _BIT_SUB = 6  # (op,): value(w - 1) - 1 at wire w
 _BIT_MUL = 7  # (op,): value(w - 2) * value(w - 1) at wire w
+_PERM = 8  # (op, j): output lane j of the permutation span holding wire w
 
 # The gates of one decomposed bit b: the input b, b - 1 and b * (b - 1).
 _BIT_GATES = ((_INPUT,), (_BIT_SUB,), (_BIT_MUL,))
+# The gates of a permutation's t outputs are the first t of these.
+_PERM_GATES = tuple((_PERM, j) for j in range(MAX_T))
 
 
 @lru_cache(maxsize=None)
@@ -102,13 +103,31 @@ def _bit_values(p: int) -> dict[str, tuple[int, int, int]]:
 
 
 @lru_cache(maxsize=16)
-def _partial_round_coeffs(f: FactoredRounds) -> tuple:
-    """Per partial round of ``f``, the coefficient tuples of its affines:
-    row0 for lane 0 and (1, col_i) for lane i >= 1."""
-    return tuple((row0, tuple((1, c) for c in col)) for row0, col in f.sparse)
+def _permutation_cost(pp: PoseidonParams) -> tuple[int, int]:
+    """(n_mul, n_add) of one permutation of ``pp`` composed gate by gate in
+    the factored form of ``pp.factored``.  Each S-box x^alpha is a
+    left-to-right square-and-multiply over alpha's bits, a squaring per bit
+    below the top one and a mul by x per such bit that is set (2 muls for
+    alpha = 3, 3 for 5, 4 for 7), on t lanes of a full round and lane 0 of
+    a partial one.  A full round's dense matrix costs t(t - 1) adds, a
+    partial round's sparse one 2(t - 1), and each non-zero round constant
+    one."""
+    t, alpha = pp.t, pp.alpha
+    sbox = alpha.bit_length() + alpha.bit_count() - 2
+    n_mul = sbox * (t * pp.r_full + pp.r_partial)
+    n_consts = sum(map(bool, chain.from_iterable(pp.factored.constants)))
+    return n_mul, pp.r_full * t * (t - 1) + 2 * pp.r_partial * (t - 1) + n_consts
 
 
 _first = operator.itemgetter(0)
+
+
+def _witness(v):
+    """v itself if it is an int, as ``evaluate_and_check`` requires of an
+    override value; a float or a str is not coerced."""
+    if not isinstance(v, int):
+        raise CircuitError(f"witness {v!r} is not an int")
+    return v
 
 
 @dataclass(frozen=True)
@@ -147,9 +166,9 @@ class ConstraintSystem:
         self._const_cache: dict[int, int] = {}  # value -> wire id
         self._marks: list[tuple[int, int, str]] = []  # per region: first gate, first assertion, name
         self._scopes: dict[str, int] = {}  # region name -> index into _marks
-        # Per poseidon_rounds call, in id order: first gate, end gate, input
-        # lane ids and parameters.  The last t gates are the outputs.
-        self._spans: list[tuple[int, int, tuple[int, ...], PoseidonParams]] = []
+        # Per poseidon_rounds call, in id order: first output id, input lane
+        # ids and parameters; the span is its t outputs.
+        self._spans: list[tuple[int, tuple[int, ...], PoseidonParams]] = []
 
     # -- wire creation -------------------------------------------------
 
@@ -161,10 +180,10 @@ class ConstraintSystem:
         return wid
 
     def wire_input(self, value: int, domain: Domain) -> int:
-        """Inject a local value into the circuit as a protocol input."""
+        """Inject a local int value into the circuit as a protocol input."""
         if domain == Domain.PUBLIC:
             raise PublicNeedsNoWire("public constants use const()")
-        value = int(value) % self.p
+        value = _witness(value) % self.p
         if domain == Domain.PROVER:
             self.n_prover_inputs += 1
         else:
@@ -172,7 +191,7 @@ class ConstraintSystem:
         return self._new_wire((_INPUT,), int(domain), value)
 
     def const(self, value: int) -> int:
-        v = int(value) % self.p
+        v = _witness(value) % self.p
         w = self._const_cache.get(v)
         if w is None:
             w = self._const_cache[v] = self._new_wire((_CONST, v), int(Domain.PUBLIC), v)
@@ -272,108 +291,28 @@ class ConstraintSystem:
         return ids
 
     def poseidon_rounds(self, state: list[int], pp: PoseidonParams) -> list[int]:
-        """Bulk primitive behind the Poseidon permutation: every round of
-        ``pp`` applied to ``state`` in the factored form of ``pp.factored``
-        (see the ``poseidon`` module docstring), appended in one batch.
-
-        Round 0 adds its constants with t one-term affines; every later
-        round's constants are folded into the ``const`` of the previous
-        round's affines.  Each S-box x^alpha is a left-to-right
-        square-and-multiply over alpha's bits: a squaring per bit below
-        the top one, then a mul by x for each such bit that is set (2 muls
-        for alpha = 3, 3 for 5, 4 for 7).  A full round then appends t
-        dense t-term affines; a partial round appends one t-term affine
-        for lane 0 and, for each lane i >= 1, the two-term affine
-        s_i + col_i * s_0, whose coefficient tuples are built once per
-        parameter set and shared by every permutation.  So every round
-        appends t affines, as the dense form did, and wire ids and n_mul
-        do not depend on the form; a partial round costs 2(t - 1) adds
-        instead of t(t - 1).  An S-box output keeps its lane's domain and
-        an affine output takes the most secret lane domain (a partial
-        round follows a full one, so its lanes share one domain).  Every
-        lane has a value, so each gate's value is computed as it is
-        appended, as on the per-gate path.  Counters equal those of the
-        per-gate composition with unfolded constants: a non-zero const
-        counts one add on whichever affine carries it.  The batch is
-        recorded as a span (first id, end id, input lane ids, ``pp``) for
-        ``evaluate_and_check``; it appends no assertion, and its last t
-        gates are the outputs.  Returns the t output ids."""
+        """One call of the Poseidon permutation of ``pp`` on ``state``: the
+        t output wires, ``_PERM`` gates valued by
+        ``localcalc.poseidon_permutation_ref`` on the lane values (the
+        factored form of the ``poseidon`` module docstring), each in the
+        most secret lane domain.  The call is recorded as a span (first
+        output id, input lane ids, ``pp``) for ``evaluate_and_check`` and
+        appends no assertion.  It adds to n_mul and n_add what the
+        factored permutation composed gate by gate would
+        (``_permutation_cost``).  Returns the t output ids."""
         t = pp.t
         if len(state) != t:
             raise ValueError(f"state width must be {t}")
-        p = self.p
-        f = pp.factored
-        sparse = _partial_round_coeffs(f)
-        consts = f.constants
-        # Per bit of alpha below the top one: square (False), then multiply
-        # by x (True) if the bit is set.
-        sbox_steps = [by_x for bit in bin(pp.alpha)[3:] for by_x in (False, True)[: 1 + int(bit)]]
-        gates = self._gates
-        vals = self._values
-        add_gate = gates.append
-        add_dom = self._domains.append
-        add_val = vals.append
-        wid = first = len(gates)
-        ids = list(state)
-        doms = [self._domains[i] for i in ids]
-        xs = [vals[i] for i in ids]
-        n_add = t - consts[0].count(0)
-        n_mul = 0
-        for i, c in enumerate(consts[0]):
-            add_gate((_AFFINE, (1,), (ids[i],), c))
-            add_dom(doms[i])
-            xs[i] = (xs[i] + c) % p
-            add_val(xs[i])
-            ids[i] = wid
-            wid += 1
-        all_lanes = range(t)
-        first_partial = pp.r_full // 2
-        last_partial = first_partial + pp.r_partial
-        last = pp.n_rounds - 1
-        no_consts = (0,) * t
-        for rnd in range(pp.n_rounds):
-            partial = first_partial <= rnd < last_partial
-            for i in (0,) if partial else all_lanes:
-                a = w = ids[i]
-                x = y = xs[i]
-                d = doms[i]
-                for by_x in sbox_steps:
-                    y = y * (x if by_x else y) % p
-                    add_gate((_MUL, w, a if by_x else w))
-                    add_dom(d)
-                    add_val(y)
-                    w = wid
-                    wid += 1
-                ids[i] = w
-                xs[i] = y
-                n_mul += len(sbox_steps)
-            nxt = consts[rnd + 1] if rnd < last else no_consts
-            n_add += t - nxt.count(0)
-            lanes = tuple(ids)
-            if partial:
-                row0, pairs = sparse[rnd - first_partial]
-                w0, x0 = ids[0], xs[0]
-                new_xs = [(nxt[0] + sum(map(operator.mul, row0, xs))) % p]
-                new_xs += [(x + c * x0 + k) % p for x, (_, c), k in zip(xs[1:], pairs, nxt[1:])]
-                add_gate((_AFFINE, row0, lanes, nxt[0]))
-                gates.extend([(_AFFINE, pr, (i, w0), k) for pr, i, k in zip(pairs, lanes[1:], nxt[1:])])
-                n_add += 2 * (t - 1)
-            else:
-                rows = f.bridge if rnd == first_partial - 1 else pp.mds
-                new_xs = [(k + sum(map(operator.mul, row, xs))) % p for row, k in zip(rows, nxt)]
-                gates.extend([(_AFFINE, row, lanes, k) for row, k in zip(rows, nxt)])
-                n_add += t * (t - 1)
-            dmax = max(doms)
-            self._domains.extend([dmax] * t)
-            vals.extend(new_xs)
-            xs = new_xs
-            ids = list(range(wid, wid + t))
-            doms = [dmax] * t
-            wid += t
+        lanes = tuple(state)
+        first = len(self._gates)
+        self._gates.extend(_PERM_GATES[:t])
+        self._domains.extend(repeat(max(map(self._domains.__getitem__, lanes)), t))
+        self._values.extend(localcalc.poseidon_permutation_ref(list(map(self._values.__getitem__, lanes)), pp))
+        n_mul, n_add = _permutation_cost(pp)
         self.n_mul += n_mul
         self.n_add += n_add
-        self._spans.append((first, wid, tuple(state), pp))
-        return ids
+        self._spans.append((first, lanes, pp))
+        return list(range(first, first + t))
 
     # -- named regions --------------------------------------------------
 
@@ -426,13 +365,11 @@ class ConstraintSystem:
         when no override changes a value) read eager values and are
         scanned in one pass.
 
-        A permutation laid down by ``poseidon_rounds`` is re-evaluated as
-        one block: if none of its input lanes changed the walk jumps over
-        it, and otherwise ``localcalc.poseidon_permutation_ref`` runs on
-        the new lane values and only its outputs are compared.  Its
-        interior wires are private to it: no gate outside reads them, and
-        an assertion on one that the walk reaches raises ``CircuitError``
-        rather than read a value the block skipped."""
+        A permutation called by ``poseidon_rounds`` is re-evaluated as one
+        block: if none of its input lanes changed the walk jumps over it,
+        and otherwise ``localcalc.poseidon_permutation_ref`` runs on the
+        new lane values, so ``_reevaluate`` never meets a ``_PERM``
+        gate."""
         p, gates, stored, spans = self.p, self._gates, self._values, self._spans
         asserts = self._assertions
         overrides = overrides or {}
@@ -457,20 +394,18 @@ class ConstraintSystem:
             aw = asserts[idx]
             while aw >= done:
                 if k < len(spans) and spans[k][0] <= aw:
-                    s0, s1, lanes, pp = spans[k]
+                    s0, lanes, pp = spans[k]
                     k += 1
                     self._reevaluate(new, done, s0)
                     if not new.keys().isdisjoint(lanes):
                         outs = localcalc.poseidon_permutation_ref([new.get(i, stored[i]) for i in lanes], pp)
-                        for wid, v in enumerate(outs, s1 - len(outs)):
+                        for wid, v in enumerate(outs, s0):
                             if v != stored[wid]:
                                 new[wid] = v
-                    done = s1
+                    done = s0 + len(lanes)
                 else:
                     self._reevaluate(new, done, aw + 1)
                     done = aw + 1
-            if start <= aw < done - 1 and self._in_span_interior(aw):
-                raise CircuitError(f"assertion {idx} reads wire {aw}, interior to a Poseidon permutation")
             if new.get(aw, stored[aw]):
                 first_fail = idx
                 break
@@ -512,8 +447,3 @@ class ConstraintSystem:
             v %= p
             if v != stored[wid]:
                 new[wid] = v
-
-    def _in_span_interior(self, w: int) -> bool:
-        """Whether wire w is a gate of a permutation span other than its outputs."""
-        j = bisect.bisect_right(self._spans, w, key=_first) - 1
-        return j >= 0 and w < self._spans[j][1] - len(self._spans[j][2])

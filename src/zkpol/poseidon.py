@@ -47,10 +47,10 @@ seed ``zk-pol-poseidon-v1``) keep them; see ``appio.instance_from_doc``.
 Factored form.  The permutation is R_F/2 full rounds, R_P partial rounds
 and R_F/2 full rounds; each adds t constants, applies x^alpha to every
 lane (full) or to lane 0 only (partial), then multiplies by the MDS
-matrix M.  Both the reference (``localcalc.poseidon_permutation_ref``)
-and the circuit (``ConstraintSystem.poseidon_rounds``) run the same
-permutation rewritten as in Appendix B of eprint 2019/458, derived once
-per parameter set into ``PoseidonParams.factored`` by ``_factor_rounds``:
+matrix M.  The reference (``localcalc.poseidon_permutation_ref``) runs
+the permutation rewritten as in Appendix B of eprint 2019/458, derived
+once per parameter set into ``PoseidonParams.factored`` by
+``_factor_rounds``:
 
 - each partial round adds one constant, on lane 0; the others are pushed
   forward through M, and the residue lands on the first full round after
@@ -62,10 +62,13 @@ per parameter set into ``PoseidonParams.factored`` by ``_factor_rounds``:
   every other full round by M.
 
 Outputs are those of the dense form (the tests check them against a
-straight-line dense permutation); intermediate states differ.  Per
-permutation the circuit counts R_F t (t - 1) + 2 R_P (t - 1) linear adds
-plus one per non-zero constant (t per full round, one per partial round):
-1,600 at t = 9, R_F = 8, R_P = 56, against 5,184 for the dense form.
+straight-line dense permutation); intermediate states differ.  The
+circuit calls the reference: ``ConstraintSystem.poseidon_rounds`` appends
+one call per permutation, its t outputs, and counts what the factored
+form's gates would.  Per permutation call that is R_F t (t - 1) +
+2 R_P (t - 1) linear adds plus one per non-zero constant (t per full
+round, one per partial round): 1,600 at t = 9, R_F = 8, R_P = 56, against
+5,184 for the dense form.
 """
 
 from __future__ import annotations

@@ -38,6 +38,30 @@ def membership_weights(cs: ConstraintSystem, region: str, bit: int) -> list[int]
     return [v - p if v > p // 2 else v for v in vals]
 
 
+def independent_permutation(state, pp):
+    """The dense Poseidon permutation of ``pp``, straight-line from its round
+    constants and MDS matrix: every round adds t constants, applies the
+    S-box to every lane (full) or lane 0 (partial) and multiplies by the
+    MDS matrix.  It shares no code with ``localcalc.poseidon_permutation_ref``
+    or ``pp.factored``, so tests use it as the independent reference."""
+    p = pp.prime
+    s = list(state)
+    idx = 0
+    for rnd in range(pp.r_full + pp.r_partial):
+        s = [(s[i] + pp.round_constants[idx + i]) % p for i in range(pp.t)]
+        idx += pp.t
+        full = rnd < pp.r_full // 2 or rnd >= pp.r_full // 2 + pp.r_partial
+        if full:
+            s = [pow(v, pp.alpha, p) for v in s]
+        else:
+            s[0] = pow(s[0], pp.alpha, p)
+        s = [
+            sum(pp.mds[r][c] * s[c] for c in range(pp.t)) % p
+            for r in range(pp.t)
+        ]
+    return s
+
+
 @pytest.fixture(scope="session")
 def fp12() -> FieldParams:
     return FP12

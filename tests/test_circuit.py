@@ -11,6 +11,7 @@ from zkpol.circuit import (
     _CONST,
     _INPUT,
     _MUL,
+    _PERM,
     _SUB,
     CircuitError,
     ConstraintSystem,
@@ -20,10 +21,10 @@ from zkpol.circuit import (
 )
 from zkpol import localcalc
 from zkpol.field import FieldParams, widths
-from zkpol.poseidon import PoseidonParams
+from zkpol.poseidon import PoseidonParams, params_for
 from zkpol.statements import _dummy_instance, build_statement
 
-from conftest import random_ev_instance, random_tax_instance
+from conftest import independent_permutation, random_ev_instance, random_tax_instance
 
 FP = FieldParams(coord_bits=12)
 
@@ -44,13 +45,22 @@ def _absolute(cs, wid):
     return g
 
 
+def _span_of(cs, wid):
+    """(input lane ids, parameters) of the permutation call whose outputs
+    hold wire ``wid``."""
+    return next((lanes, pp) for s0, lanes, pp in cs._spans if s0 <= wid < s0 + len(lanes))
+
+
 def _reads(cs, wid):
-    """The wire ids gate ``wid`` reads; fails on an opcode it does not know."""
+    """The wire ids gate ``wid`` reads; fails on an opcode it does not know.
+    A permutation output reads its call's input lanes."""
     g = _absolute(cs, wid)
     if g[0] in (_ADD, _SUB, _MUL):
         return g[1:]
     if g[0] == _AFFINE:
         return g[2]
+    if g[0] == _PERM:
+        return _span_of(cs, wid)[0]
     assert g[0] in (_INPUT, _CONST), (wid, g)
     return ()
 
@@ -152,9 +162,21 @@ def test_wire_input_needs_a_value():
     cs.wire_input(1, Domain.PROVER)
     before = (list(cs._gates), cs.counters)
     for domain in (Domain.PROVER, Domain.SHARED):
-        with pytest.raises(TypeError):
+        with pytest.raises(CircuitError):
             cs.wire_input(None, domain)
     assert (cs._gates, cs.counters) == before
+
+
+@pytest.mark.parametrize("value", [1.5, 2.9, "3", None], ids=["float", "float-2.9", "str", "None"])
+@pytest.mark.parametrize("method", ["wire_input", "const"])
+def test_witnesses_must_be_ints(method, value):
+    # A witness is never coerced: int(1.5) would wire 1 and int("3") 3.
+    cs = fresh()
+    wire = (lambda v: cs.wire_input(v, Domain.PROVER)) if method == "wire_input" else cs.const
+    with pytest.raises(CircuitError, match="not an int"):
+        wire(value)
+    assert (cs._gates, cs._values, cs.counters) == ([], [], fresh().counters)
+    assert cs.value(wire(3)) == 3
 
 
 def test_affine_combo_counts_adds():
@@ -227,19 +249,25 @@ def test_assertions_out_of_wire_order_under_an_override(early_fails):
 
 def test_domain_monotonicity_structural():
     # No gate output is less secret than any of its operands, on the
-    # per-gate path and on the bulk decomposition path.
+    # per-gate path, on the bulk decomposition path and on a permutation
+    # call, whose outputs read its lanes.
     cs = fresh()
     a = cs.wire_input(2, Domain.PROVER)
     b = cs.wire_input(3, Domain.SHARED)
     cs.mul(a, b)
     cs.affine([1, 2], [a, b], 5)
     bits = cs.decompose(cs.add(b, cs.const(4)), 4)
+    pp = params_for(FP)
+    out = cs.poseidon_rounds([cs.const(1), b] + [cs.const(0)] * (pp.t - 2), pp)
+    assert {cs._domains[w] for w in out} == {Domain.SHARED}
     doms = cs._domains
     for wid in range(len(cs._gates)):
         reads = _reads(cs, wid)
         assert doms[wid] >= max(map(doms.__getitem__, reads), default=0), wid
-    # The bit gates, relative operands included, are among those checked.
+    # The bit gates, relative operands included, and the call's outputs are
+    # among those checked.
     assert {cs._gates[b + j][0] for b in bits for j in (1, 2)} == {_BIT_SUB, _BIT_MUL}
+    assert [cs._gates[w] for w in out] == [(_PERM, j) for j in range(pp.t)]
 
 
 @pytest.mark.parametrize("kind", ["ev", "tax"])
@@ -291,12 +319,18 @@ def test_counter_determinism():
 def _rederive(cs, overrides=None):
     """Every wire's value re-derived from the input witnesses alone, one
     gate at a time in id order: the reference ``evaluate_and_check`` must
-    agree with."""
+    agree with.  A permutation call runs the dense permutation, not the
+    factored reference that ``evaluate_and_check`` runs."""
     p = cs.p
     vals = [0] * len(cs._gates)
     for wid, g in enumerate(cs._gates):
         op = g[0]
-        if op == _ADD:
+        if op == _PERM:
+            if g[1] == 0:
+                lanes, pp = _span_of(cs, wid)
+                outs = independent_permutation([vals[i] for i in lanes], pp)
+            vals[wid] = outs[g[1]]
+        elif op == _ADD:
             vals[wid] = (vals[g[1]] + vals[g[2]]) % p
         elif op == _MUL:
             vals[wid] = (vals[g[1]] * vals[g[2]]) % p
@@ -574,25 +608,6 @@ def test_permutation_runs_once_per_span_whose_inputs_changed(pp, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("walked_past", [False, True])
-def test_assertion_on_a_permutation_interior_wire_raises(walked_past):
-    # The walk either stops at the interior assertion or has already
-    # jumped over its span when it reads it.
-    pp = SPONGE_PARAMS[0]
-    cs = ConstraintSystem(FP_80)
-    lanes = [cs.wire_input(v, Domain.PROVER) for v in range(pp.t)]
-    out = cs.poseidon_rounds(lanes, pp)
-    s0, s1, span_lanes, _ = cs._spans[0]
-    assert (span_lanes, list(range(s1 - pp.t, s1))) == (tuple(lanes), out)
-    if walked_past:
-        cs.assert_zero(cs.sub(out[1], out[1]))
-    cs.assert_zero(s0 + 5)
-    # Without overrides the eager values are checked and nothing is walked.
-    assert cs.evaluate_and_check() == _reference_report(cs)
-    with pytest.raises(CircuitError, match="interior"):
-        cs.evaluate_and_check({lanes[0]: 7})
-
-
 def test_assertion_on_a_permutation_output_reads_the_block():
     pp = SPONGE_PARAMS[0]
     cs = ConstraintSystem(FP_80)
@@ -606,26 +621,15 @@ def test_assertion_on_a_permutation_output_reads_the_block():
         assert cs.evaluate_and_check(overrides) == _reference_report(cs, overrides)
 
 
-def test_no_wire_outside_a_span_reads_its_interior():
-    # Structural: the values the block evaluation skips are never read.
-    # Spans are in id order and disjoint, hold only mul and affine gates,
-    # read only their own lanes and gates, and no other gate or assertion
-    # reads their interior (every gate but the last t outputs).
+def test_every_permutation_call_is_its_t_outputs():
+    # Structural: spans are in id order, each is t _PERM gates, lane j at
+    # its j-th gate, reading only lanes wired before it; no other gate is a
+    # _PERM gate.
     for cs in SYSTEMS:
         assert cs._spans
-        owner, span_of = {}, {}  # interior wire -> span; span gate -> span
         prev_end = 0
-        for k, (s0, s1, lanes, pp) in enumerate(cs._spans):
-            assert prev_end <= s0 < s1 - pp.t and max(lanes) < s0 and len(lanes) == pp.t
-            prev_end = s1
-            owner.update(dict.fromkeys(range(s0, s1 - pp.t), k))
-            span_of.update(dict.fromkeys(range(s0, s1), k))
-            for wid in range(s0, s1):
-                g = cs._gates[wid]
-                assert g[0] in (_MUL, _AFFINE)
-                reads = g[2] if g[0] == _AFFINE else g[1:]
-                assert all(i in lanes or s0 <= i < wid for i in reads), wid
-        for wid in range(len(cs._gates)):
-            for i in _reads(cs, wid):
-                assert owner.get(i, span_of.get(wid)) == span_of.get(wid), (wid, i)
-        assert not owner.keys() & set(cs._assertions)
+        for s0, lanes, pp in cs._spans:
+            assert prev_end <= s0 and max(lanes) < s0 and len(lanes) == pp.t
+            assert cs._gates[s0 : s0 + pp.t] == [(_PERM, j) for j in range(pp.t)]
+            prev_end = s0 + pp.t
+        assert sum(g[0] == _PERM for g in cs._gates) == sum(len(lanes) for _, lanes, _ in cs._spans)

@@ -18,29 +18,10 @@ from zkpol.poseidon import (
     round_numbers,
 )
 
+from conftest import independent_permutation
+
 FP = FieldParams(coord_bits=12)
 PP = params_for(FP)
-
-
-def _independent_permutation(state, pp):
-    """Straight-line re-derivation of the permutation from the parameters,
-    written before the gadget; used to freeze expected values."""
-    p = pp.prime
-    s = list(state)
-    idx = 0
-    for rnd in range(pp.r_full + pp.r_partial):
-        s = [(s[i] + pp.round_constants[idx + i]) % p for i in range(pp.t)]
-        idx += pp.t
-        full = rnd < pp.r_full // 2 or rnd >= pp.r_full // 2 + pp.r_partial
-        if full:
-            s = [pow(v, pp.alpha, p) for v in s]
-        else:
-            s[0] = pow(s[0], pp.alpha, p)
-        s = [
-            sum(pp.mds[r][c] * s[c] for c in range(pp.t)) % p
-            for r in range(pp.t)
-        ]
-    return s
 
 
 def test_alpha_three_rejected_for_mersenne():
@@ -73,8 +54,8 @@ def test_constants_in_field():
 
 def test_reference_permutation_zero_state_frozen():
     # Expected values computed by the independent straight-line
-    # reimplementation above and frozen.
-    expected = _independent_permutation([0] * PP.t, PP)
+    # reimplementation in conftest.
+    expected = independent_permutation([0] * PP.t, PP)
     got = localcalc.poseidon_permutation_ref([0] * PP.t, PP)
     assert got == expected
 
@@ -90,7 +71,7 @@ def test_reference_matches_independent_on_random_states():
     rng = random.Random(21)
     for _ in range(50):
         state = [rng.randrange(PP.prime) for _ in range(PP.t)]
-        assert localcalc.poseidon_permutation_ref(state, PP) == _independent_permutation(
+        assert localcalc.poseidon_permutation_ref(state, PP) == independent_permutation(
             state, PP
         )
 
@@ -179,7 +160,7 @@ def test_fewest_admitted_round_numbers_match_the_reference():
     out = cs.poseidon_rounds([cs.wire_input(v, Domain.PROVER) for v in values], pp)
     assert cs.n_mul == 3 * 2 * 3
     assert ([cs.value(w) for w in out] == localcalc.poseidon_permutation_ref(values, pp)
-            == _independent_permutation(values, pp))
+            == independent_permutation(values, pp))
 
 
 @pytest.mark.parametrize("t", [-1, 0, 1, MAX_T + 1, 4000])
@@ -280,7 +261,8 @@ PP_A3 = PoseidonParams(prime=FP_A3.modulus, t=3, alpha=3, r_full=8, r_partial=10
 def _per_gate_permutation(cs, state, pp):
     """The factored permutation of ``pp.factored`` composed one method call
     per gate, with t one-term constant affines in every round: the
-    construction that ``ConstraintSystem.poseidon_rounds`` replaces."""
+    gate-level construction whose counters each
+    ``ConstraintSystem.poseidon_rounds`` call charges."""
 
     def sbox(w):
         if pp.alpha == 5:
@@ -343,8 +325,8 @@ def test_bulk_mixed_domain_state_matches_per_gate_composition():
     assert [bulk.value(w) for w in out] == [ref.value(w) for w in ref_out]
     assert [bulk.value(w) for w in out] == localcalc.poseidon_permutation_ref(values, PP)
     assert [bulk._domains[w] for w in out] == [ref._domains[w] for w in ref_out] == [Domain.PROVER] * PP.t
-    # Folding the constants leaves n_rounds - 1 sets of t affines out.
-    assert len(ref._gates) - len(bulk._gates) == (PP.n_rounds - 1) * PP.t
+    # The call appends exactly its t outputs after the t state wires.
+    assert out == list(range(PP.t, 2 * PP.t)) == list(range(PP.t, len(bulk._gates)))
     for w in out:
         bulk.assert_eq(w, bulk.const(bulk.value(w)))
     assert bulk.evaluate_and_check().satisfied
@@ -389,7 +371,7 @@ def _check_factored_form(pp, seed, n_states=3):
     rng = random.Random(seed)
     for _ in range(n_states):
         values = [rng.randrange(pp.prime) for _ in range(pp.t)]
-        expected = _independent_permutation(values, pp)
+        expected = independent_permutation(values, pp)
         assert localcalc.poseidon_permutation_ref(values, pp) == expected
         (bulk, _, out), (ref, _, ref_out) = _build_both(fp, pp, values, _sponge_state)
         assert [bulk.value(w) for w in out] == [ref.value(w) for w in ref_out] == expected
@@ -441,7 +423,7 @@ def test_alpha_seven_squares_and_multiplies():
     out = cs.poseidon_rounds([cs.wire_input(v, Domain.PROVER) for v in values], pp)
     assert cs.n_mul == 4 * (pp.r_full * pp.t + pp.r_partial) == 136
     assert ([cs.value(w) for w in out] == localcalc.poseidon_permutation_ref(values, pp)
-            == _independent_permutation(values, pp))
+            == independent_permutation(values, pp))
 
 
 def test_bulk_default_alpha_keeps_three_muls_per_sbox():

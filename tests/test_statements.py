@@ -936,8 +936,8 @@ def test_statement_cost_rejects_bad_sizes():
 
 
 def test_statement_cost_pinned():
-    # Counters of the round-by-round Poseidon construction; the bulk
-    # permutation must reproduce them exactly.  Both rows are those of the
+    # Counters of the round-by-round Poseidon construction; each
+    # permutation call must charge them exactly.  Both rows are those of the
     # exact square root (2k + 3 muls), of one selector vector per point
     # over the public geometry table (its columns are affines with the
     # table's entries as coefficients, so the only lookup muls are the
@@ -974,8 +974,9 @@ def test_statement_cost_pinned():
         "n_mul": 17703, "n_add": 38612, "n_assert": 16108,
         "n_prover_inputs": 15851, "n_shared_inputs": 1,
     }
-    # Wire counts of the same statements: every wire is one gate.
-    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 135_236), ("tax", 64, 16, 56_916)):
+    # Wire counts of the same statements: every wire is one gate, and a
+    # permutation call is its t outputs (13 calls for ev, 4 for tax).
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 122_756), ("tax", 64, 16, 53_076)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
