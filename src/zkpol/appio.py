@@ -102,7 +102,7 @@ def serialize_instance(inst: StatementInstance) -> dict:
             "pack": ad.pack,
         },
         "sizes": {"n_traj": ad.n_traj},
-        "h_ex": str(inst.h_ex),
+        "h_ex": str(statements.honest_hash(ad, inst.trail) if inst.h_ex is None else inst.h_ex),
         "trail": {
             "declared_len": len(inst.trail.points),
             "points": [[str(x), str(y)] for x, y in inst.trail.points],

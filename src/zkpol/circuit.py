@@ -78,7 +78,7 @@ _CONST = 1
 _ADD = 2
 _SUB = 3
 _MUL = 4
-_AFFINE = 5  # (op, coeffs, wire_ids, const)
+_AFFINE = 5  # (op, coeffs, wire_ids)
 _BIT_SUB = 6  # (op,): value(w - 1) - 1 at wire w
 _BIT_MUL = 7  # (op,): value(w - 2) * value(w - 1) at wire w
 _PERM = 8  # (op, j): output lane j of the permutation span holding wire w
@@ -219,8 +219,8 @@ class ConstraintSystem:
         self.n_mul += 1
         return self._binary(_MUL, a, b, self._values[a] * self._values[b])
 
-    def affine(self, coeffs: list[int], wires: list[int], const: int = 0) -> int:
-        """Linear combination sum(c_i * w_i) + const; counts len(coeffs)-1 adds.
+    def affine(self, coeffs: list[int], wires: list[int]) -> int:
+        """Linear combination sum(c_i * w_i); counts len(coeffs)-1 adds.
 
         Exists so long summations (lookups, hash linear layers) do not
         inflate n_add misleadingly relative to a backend with cheap linear
@@ -231,13 +231,13 @@ class ConstraintSystem:
         p = self.p
         ids = tuple(wires)
         dom = max(map(self._domains.__getitem__, ids))
-        self.n_add += len(coeffs) - 1 + (1 if const else 0)
+        self.n_add += len(coeffs) - 1
         cs = tuple(c if 0 <= c < p else c % p for c in coeffs)
         vals = self._values
-        v = const
+        v = 0
         for c, i in zip(cs, ids):
             v += c * vals[i]
-        return self._new_wire((_AFFINE, cs, ids, const % p), dom, v % p)
+        return self._new_wire((_AFFINE, cs, ids), dom, v % p)
 
     # -- assertions ----------------------------------------------------
 
@@ -279,7 +279,7 @@ class ConstraintSystem:
         self._assertions.extend(range(start + 2, start + 3 * k, 3))
         # Recomposition affine and its equality with w (assert_eq's sub).
         rid = start + 3 * k
-        gates.append((_AFFINE, _pow2_coeffs(k, p), tuple(ids), 0))
+        gates.append((_AFFINE, _pow2_coeffs(k, p), tuple(ids)))
         gates.append((_SUB, rid, w))
         rec = low % p
         self._values.append(rec)
@@ -424,7 +424,7 @@ class ConstraintSystem:
             if op == _AFFINE:
                 if new.keys().isdisjoint(g[2]):
                     continue
-                v = g[3]
+                v = 0
                 for c, i in zip(g[1], g[2]):
                     v += c * new.get(i, stored[i])
             elif op <= _CONST:

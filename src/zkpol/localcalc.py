@@ -9,9 +9,10 @@ affine coefficients; the ``oracle_*`` functions are independent
 straight-line evaluations of the two policies, used as ground truth when
 checking circuit satisfiability.  They deliberately do not share code
 with the gadget implementations or with ``get_bcoords``.  The reference
-Poseidon permutation shares only the derived parameters with the circuit (the
-factored form of ``PoseidonParams.factored``); the tests check both
-against a straight-line dense permutation.
+Poseidon permutation runs the factored form of ``PoseidonParams.factored``,
+and the circuit calls it for every permutation (``_PERM`` gates of
+``ConstraintSystem.poseidon_rounds``); the tests check it against a
+straight-line dense permutation that shares no code with it.
 """
 
 from __future__ import annotations

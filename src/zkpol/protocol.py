@@ -144,9 +144,10 @@ class SchnorrSignature:
     def verify(self, pk: int, msg: bytes, sig) -> bool:
         try:
             e, s = sig
-            e, s = int(e), int(s)
         except (TypeError, ValueError):
             return False
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (e, s)):
+            return False  # not coerced: int() would parse a str and truncate a Fraction
         if not (0 <= e < _Q and 0 <= s < _Q):
             return False
         r = _g_pow(s) * pow(pk, e, _P) % _P

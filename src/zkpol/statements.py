@@ -15,14 +15,16 @@ The paper's relation is R(AD, h; trail).  ``AuthorityData`` is AD, the
 public half that both parties hold; it checks nothing when it is
 constructed.  AD is fixed before any session, so the circuit takes it as
 constants (``cs.const`` and affine coefficients): one circuit per AD, and
-h_ex is the only shared input.  A ``StatementInstance`` is (AD, trail,
-h_ex), and it checks itself with ``validate_instance`` when it is
-constructed, so builders, loaders and the protocol take it as valid.
-Construction hashes nothing: without a given h_ex, the build wires the
-value of its own in-circuit hash as h_ex, as it reads every other
-prover value.  The ``digest`` assertion still compares that input with
-the hash of the trail wires, so the circuit binds the trail whichever
-way h_ex was found.
+h_ex is the only shared input.  A ``StatementInstance`` is the plain
+value (AD, trail, h_ex), equal to another with the same fields, and it
+checks itself with ``validate_instance`` when it is constructed, so
+builders, loaders and the protocol take it as valid.  Nothing writes to
+it, and construction hashes nothing.  An h_ex of None stands for the
+honest hash of the trail: a build over such an instance wires the value
+of its own in-circuit hash as h_ex, as it reads every other prover value,
+and ``appio.serialize_instance`` writes ``honest_hash``.  The ``digest``
+assertion still compares that input with the hash of the trail wires, so
+the circuit binds the trail whichever way h_ex was found.
 The trail enters the hash packed: region digest range-checks every
 coordinate at coord_bits = k bits and absorbs ``ad.pack`` of them per
 sponge element, as sum c_j * 2^(kj) (``packing``), which the range
@@ -38,7 +40,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .circuit import ConstraintSystem, Domain, SatisfactionReport
+from .circuit import CircuitError, ConstraintSystem, Domain, SatisfactionReport
 from .field import FieldParams, widths
 from . import gadgets, localcalc
 from .poseidon import PoseidonParamError, PoseidonParams, params_for
@@ -181,41 +183,20 @@ class AuthorityData:
             object.__setattr__(self, "pack", self.field_params.pack)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True)
 class StatementInstance:
-    """A statement over authority data and a trail.  Constructing one runs
-    ``validate_instance``, so every instance that exists is valid, and
-    hashes nothing.  An instance made without h_ex stands for the honest
-    hash of its trail, resolved once, when first needed: a build takes it
-    from the values of its own in-circuit hash, and any other read
-    (``h_ex``, ``==``, ``hash``) from ``honest_hash``.  Both give the same
-    int, so equality and hashing do not depend on which ran first."""
+    """A statement over authority data and a trail, and the digest h_ex it
+    asserts; None stands for the honest hash of the trail, which a build
+    takes from its own in-circuit hash and ``appio.serialize_instance``
+    from ``honest_hash``.  Constructing one runs ``validate_instance``, so
+    every instance that exists is valid, and hashes nothing."""
 
     ad: AuthorityData
     trail: Trail
-    _h_ex: int | None
+    h_ex: int | None = None
 
-    def __init__(self, ad: AuthorityData, trail: Trail, h_ex: int | None = None):
-        object.__setattr__(self, "ad", ad)
-        object.__setattr__(self, "trail", trail)
-        object.__setattr__(self, "_h_ex", h_ex)
+    def __post_init__(self):
         validate_instance(self)
-
-    @property
-    def h_ex(self) -> int:
-        """The digest the statement asserts: as given, else resolved."""
-        if self._h_ex is None:
-            object.__setattr__(self, "_h_ex", honest_hash(self.ad, self.trail))
-        return self._h_ex
-
-    def _key(self):
-        return self.ad, self.trail, self.h_ex
-
-    def __eq__(self, other):
-        return self._key() == other._key() if isinstance(other, StatementInstance) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def field_params(self) -> FieldParams:
@@ -286,8 +267,8 @@ def validate_instance(inst: StatementInstance) -> None:
     if ad.pp.prime != fp.modulus:
         raise InstanceError(f"/poseidon: prime {ad.pp.prime} is not the field modulus {fp.modulus}")
     _check_ints("/poseidon/pack", [ad.pack], 1, fp.pack)
-    if inst._h_ex is not None:
-        _check_ints("/h_ex", [inst._h_ex], 0, fp.modulus - 1)  # else h_ex +- p verifies too
+    if inst.h_ex is not None:
+        _check_ints("/h_ex", [inst.h_ex], 0, fp.modulus - 1)  # else h_ex +- p verifies too
     if not 0 < len(inst.trail.points) <= ad.n_traj:
         raise InstanceError("/trail/points: trail length outside (0, n_traj]")
     for i, pt in enumerate(inst.trail.points):
@@ -329,9 +310,8 @@ def validate_instance(inst: StatementInstance) -> None:
 def make_instance(kind, field_params, n_traj, policy, geometry, trail, pp=None, h_ex=None,
                   pack=None) -> StatementInstance:
     """A validated instance, with the Poseidon parameters of the field
-    unless pp is given, the field's pack unless pack is given and, unless
-    h_ex is given, the honest trail hash, resolved when first needed
-    (``StatementInstance``)."""
+    unless pp is given, the field's pack unless pack is given and h_ex as
+    given, None (the honest trail hash, ``StatementInstance``) if not."""
     if pp is None:
         try:
             pp = params_for(field_params)
@@ -376,13 +356,14 @@ def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, row_hi
 
 def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints=None,
                     row_hints=None) -> StatementHandle:
-    """Lay down inst's statement on cs, one region after another: trail
-    (the padded trail as ``trail_message`` orders it), digest (a k-bit
-    range check of each coordinate, one affine per absorbed element as
-    ``packing`` groups them, and their hash == h_ex, the shared input; an
-    instance without a given h_ex takes it from this hash's own value),
-    then for each point i the region
-    point[i] (its membership bit, ``point_inside``) and, from the second
+    """Lay down inst's statement on cs, a system over inst's prime (else
+    CircuitError), one region after another: trail (the padded trail as
+    ``trail_message`` orders it), digest (a k-bit range check of each
+    coordinate, one affine per absorbed element as ``packing`` groups
+    them, and their hash == h_ex, the shared input; an instance whose h_ex
+    is None has this hash's own value wired as h_ex, and is not written
+    to), then for each point i the region point[i] (its membership bit,
+    ``point_inside``) and, from the second
     point on, segment[i - 1] (the exact root that is the length of the
     segment ending at point i, ``gadgets.sqrt_floor`` at
     ``widths(...).seg`` bits), and policy:
@@ -398,6 +379,8 @@ def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints
     none) replace the prover's honest local values.
     """
     ad = inst.ad
+    if cs.p != ad.field_params.modulus:
+        raise CircuitError(f"statement over p = {ad.field_params.modulus} on a system over p = {cs.p}")
     n = ad.n_traj
     k = ad.field_params.coord_bits
     w = widths(k, n)
@@ -409,11 +392,8 @@ def build_statement(inst: StatementInstance, cs: ConstraintSystem, *, sqrt_hints
         cs.decompose(c, k)
     elements = [cs.affine(weights, chunk) for weights, chunk in packing(msg, ad.pack, k)]
     digest = gadgets.poseidon_hash(cs, elements, ad.pp, len(msg))
-    # Without a given h_ex the honest digest is this hash's own value, on a
-    # system over the instance's prime (over another it digests nothing).
-    if inst._h_ex is None and cs.p == ad.pp.prime:
-        object.__setattr__(inst, "_h_ex", cs.value(digest))
-    cs.assert_eq(digest, cs.wire_input(inst.h_ex, Domain.SHARED))
+    h_ex = cs.value(digest) if inst.h_ex is None else inst.h_ex
+    cs.assert_eq(digest, cs.wire_input(h_ex, Domain.SHARED))
     tot = both = cs.const(0)
     for i in range(n):
         cs.scope(f"point[{i}]")

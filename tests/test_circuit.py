@@ -101,7 +101,7 @@ def test_mul_by_a_constant_is_an_affine():
     cs = fresh()
     a = cs.wire_input(7, Domain.SHARED)
     for prod in (cs.mul(cs.const(3), a), cs.mul(a, cs.const(3))):
-        assert cs._gates[prod] == (_AFFINE, (3,), (a,), 0)
+        assert cs._gates[prod] == (_AFFINE, (3,), (a,))
         assert cs.value(prod) == 21 and cs._domains[prod] == Domain.SHARED
         cs.assert_eq(prod, cs.const(21))
     assert (cs.n_mul, cs.n_add) == (0, 2)  # the two assert_eq subs
@@ -121,8 +121,8 @@ def test_domain_join_rule():
     b = cs.wire_input(3, Domain.SHARED)
     assert cs._domains[cs.mul(a, b)] == Domain.PROVER
     assert cs._domains[cs.add(b, cs.const(1))] == Domain.SHARED
-    assert cs._domains[cs.affine([1, 2], [a, b], 5)] == Domain.PROVER
-    assert cs._domains[cs.affine([3], [b], 5)] == Domain.SHARED
+    assert cs._domains[cs.affine([1, 2], [a, b])] == Domain.PROVER
+    assert cs._domains[cs.affine([3], [b])] == Domain.SHARED
 
 
 def test_assert_eq_satisfied():
@@ -255,7 +255,7 @@ def test_domain_monotonicity_structural():
     a = cs.wire_input(2, Domain.PROVER)
     b = cs.wire_input(3, Domain.SHARED)
     cs.mul(a, b)
-    cs.affine([1, 2], [a, b], 5)
+    cs.affine([1, 2], [a, b])
     bits = cs.decompose(cs.add(b, cs.const(4)), 4)
     pp = params_for(FP)
     out = cs.poseidon_rounds([cs.const(1), b] + [cs.const(0)] * (pp.t - 2), pp)
@@ -291,7 +291,7 @@ def test_decompositions_at_ledger_widths(kind, coord_bits, n_traj, modulus):
     trail = set(cs.region("trail")[2])
     used = set()
     for g in cs._gates:
-        if (g[0] == _AFFINE and len(g[1]) > 1 and g[3] == 0
+        if (g[0] == _AFFINE and len(g[1]) > 1
                 and g[1] == tuple(1 << i for i in range(len(g[1])))
                 and all(cs._gates[i][0] == _INPUT for i in g[2]) and trail.isdisjoint(g[2])):
             bits = len(g[1])
@@ -341,7 +341,7 @@ def _rederive(cs, overrides=None):
         elif op == _BIT_MUL:
             vals[wid] = (vals[wid - 2] * vals[wid - 1]) % p
         elif op == _AFFINE:
-            acc = g[3]
+            acc = 0
             for c, i in zip(g[1], g[2]):
                 acc += c * vals[i]
             vals[wid] = acc % p

@@ -260,7 +260,7 @@ PP_A3 = PoseidonParams(prime=FP_A3.modulus, t=3, alpha=3, r_full=8, r_partial=10
 
 def _per_gate_permutation(cs, state, pp):
     """The factored permutation of ``pp.factored`` composed one method call
-    per gate, with t one-term constant affines in every round: the
+    per gate, each non-zero round constant added with one add: the
     gate-level construction whose counters each
     ``ConstraintSystem.poseidon_rounds`` call charges."""
 
@@ -277,7 +277,7 @@ def _per_gate_permutation(cs, state, pp):
     s = list(state)
     half = pp.r_full // 2
     for rnd, consts in enumerate(f.constants):
-        s = [cs.affine([1], [w], c) for w, c in zip(s, consts)]
+        s = [cs.add(w, cs.const(c)) if c else w for w, c in zip(s, consts)]
         if half <= rnd < half + pp.r_partial:
             s[0] = sbox(s[0])
             row0, col = f.sparse[rnd - half]

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,12 @@ def test_signature_rejects_garbage():
     assert not scheme.verify(pk, b"msg", None)
     assert not scheme.verify(pk, b"msg", (0, 0))
     assert not scheme.verify(pk, b"msg", (-1, 5))
+    # A component that int() would read as the signature's is no int.
+    pk, sk = scheme.keygen(random.Random(7))
+    e, s = scheme.sign(sk, b"msg")
+    assert scheme.verify(pk, b"msg", (e, s))
+    for sig in ((str(e), str(s)), (Fraction(2 * e + 1, 2), s), (e, Fraction(s)), (True, s), (e, False)):
+        assert not scheme.verify(pk, b"msg", sig), sig
 
 
 def test_signing_is_deterministic():

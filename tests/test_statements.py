@@ -17,7 +17,7 @@ from zkpol.appio import (
     save_instance,
     serialize_instance,
 )
-from zkpol.circuit import _AFFINE, ConstraintSystem, Domain
+from zkpol.circuit import _AFFINE, CircuitError, ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
 from zkpol.poseidon import PoseidonParamError, PoseidonParams, params_for
 from zkpol.protocol import ideal_outputs, run_session
@@ -440,19 +440,19 @@ def test_make_build_and_check_run_no_reference_hash(make, monkeypatch):
 
 @RANDOM_INSTANCE
 def test_h_ex_is_the_honest_hash_whether_a_build_or_a_read_resolves_it(make, monkeypatch):
+    # Without h_ex, a build wires its own hash's value and a serialization
+    # writes the reference hash: the same int.
     rng = random.Random(61)
     for _ in range(10):
-        built = make(rng, 16)
-        read = StatementInstance(built.ad, built.trail)
+        inst = make(rng, 16)
         with monkeypatch.context() as m:
             m.setattr(localcalc, "poseidon_digest_ref", _no_reference_hash)
-            cs, _ = _build(built)
-            from_build = built.h_ex
-        honest = honest_hash(built.ad, built.trail)
-        assert from_build == read.h_ex == honest
+            cs, h = _build(inst)
+        honest = honest_hash(inst.ad, inst.trail)
         assert cs.value(cs.region("digest")[2][-1]) == honest  # the one shared input
-        cs, h = _build(read)
-        assert h.check().satisfied == oracle_verdict(read)
+        assert serialize_instance(inst)["h_ex"] == str(honest)
+        given = replace(inst, h_ex=honest)
+        assert _build(given)[1].check().satisfied == h.check().satisfied == oracle_verdict(inst)
 
 
 @RANDOM_INSTANCE
@@ -466,6 +466,8 @@ def test_a_trail_override_fails_in_digest_without_a_given_h_ex(make):
 
 @RANDOM_INSTANCE
 def test_equality_and_hash_agree_before_and_after_resolution(make):
+    # An instance is equal by its fields, and a build writes none of them:
+    # after one, the instance still equals a fresh twin, h_ex None.
     inst = make(random.Random(71), 8)
     honest = honest_hash(inst.ad, inst.trail)
     given = StatementInstance(inst.ad, inst.trail, honest)
@@ -475,22 +477,25 @@ def test_equality_and_hash_agree_before_and_after_resolution(make):
 
     built = fresh()
     _build(built)
-    for unresolved, resolved in ((fresh(), built), (built, fresh())):
-        assert unresolved == resolved == given
-        assert hash(unresolved) == hash(resolved) == hash(given)
-    assert hash(fresh()) == hash(fresh()) and fresh() == fresh()
-    wrong = StatementInstance(inst.ad, inst.trail, (honest + 1) % inst.field_params.modulus)
-    assert wrong != fresh() and wrong != built and hash(wrong) != hash(given)
+    assert built.h_ex is None and built == fresh() and hash(built) == hash(fresh())
+    _build(given)
+    assert given == replace(fresh(), h_ex=honest) and hash(given) == hash(replace(fresh(), h_ex=honest))
+    assert built != given  # None stands for the honest hash but is not it
+    assert replace(given, h_ex=(honest + 1) % inst.field_params.modulus) != given
 
 
-def test_a_build_over_another_field_does_not_resolve_h_ex():
+def test_a_build_over_another_prime_raises():
     # The hash's value on a system over another prime is no digest of the
-    # trail; h_ex then comes from the reference hash.
+    # trail, and no caller builds there: nothing is laid down.
     fp = FieldParams(modulus=32779, coord_bits=2)
     inst = make_instance("ev", fp, 3, SubsidyPolicy(6, 100), CircleSet(((2, 1, 3),)),
                          Trail(((0, 0), (3, 0), (3, 3))))
-    build_statement(inst, ConstraintSystem())
-    assert inst.h_ex == honest_hash(inst.ad, inst.trail)
+    for one in (inst, replace(inst, h_ex=honest_hash(inst.ad, inst.trail))):
+        cs = ConstraintSystem()
+        with pytest.raises(CircuitError, match="^statement over p = 32779 on a system over p = "):
+            build_statement(one, cs)
+        assert cs._gates == [] and cs._assertions == []
+    assert inst.h_ex is None
 
 
 # -- the packed trail ----------------------------------------------------
@@ -557,7 +562,7 @@ def test_packed_trails_of_different_lengths_differ():
         return [sum(w * v for w, v in zip(ws, vs)) for ws, vs in packing(msg, inst.ad.pack, 24)]
 
     assert elements(four) == elements(five)
-    assert four.h_ex != five.h_ex
+    assert honest_hash(four.ad, four.trail) != honest_hash(five.ad, five.trail)
     for inst in (four, five):
         assert _build(inst)[1].check().satisfied
 
@@ -584,11 +589,12 @@ def test_a_document_without_pack_keeps_its_digest(kind, tmp_path):
     inst = instance_from_doc(doc)
     assert inst.ad.pack == 1 and inst.h_ex == LEGACY_DIGESTS[kind] == honest_hash(inst.ad, inst.trail)
     packed = StatementInstance(replace(inst.ad, pack=None), inst.trail)
-    assert packed.ad.pack == inst.field_params.pack and packed.h_ex != inst.h_ex
+    assert packed.ad.pack == inst.field_params.pack
+    assert honest_hash(packed.ad, packed.trail) != inst.h_ex
     for one in (inst, packed):
         path = tmp_path / "inst.json"
         save_instance(one, path)
-        assert load_instance(path) == one
+        assert load_instance(path) == replace(one, h_ex=honest_hash(one.ad, one.trail))
         cs, h = _build(one)
         assert h.check().satisfied
         # A coordinate of 2^k passes no k-bit range check.
