@@ -26,17 +26,13 @@ over it if its lanes kept their values and otherwise runs the reference
 on the new lane values.  The counters charge each call what the
 permutation's gates would cost (see ``poseidon_rounds``).
 
-``decompose`` (bit decomposition) is a bulk primitive: instead of one
-method call per gate, its per-bit gates, domains, values and booleanity
-assertions each go in with one ``list.extend``, and every counter equals
-the per-gate composition's.
-
-A bit's booleanity pair uses two operand-relative opcodes, so every bit of
-every decomposition shares the same three gate tuples: ``_BIT_SUB`` at
-wire w is value(w - 1) - 1 and ``_BIT_MUL`` at wire w is value(w - 2) *
-value(w - 1).  Made absolute, they are the per-gate composition's
-``(_SUB, w - 1, one)`` and ``(_MUL, w - 2, w - 1)``, with ``one`` the
-constant 1's wire; a count of mul gates counts ``_MUL`` and ``_BIT_MUL``.
+An assertion entry is a wire id w, asserting value(w) = 0, or ~b (a
+negative int), asserting booleanity value(b) * (value(b) - 1) = 0 with no
+wire of its own.  ``decompose`` (bit decomposition) is a bulk primitive:
+its k bits are k input wires with k booleanity entries, then the
+recomposition affine and its sub, k + 2 wires in all, each list grown
+with one ``list.extend``.  A booleanity entry counts the mul and sub it
+stands for, so every counter equals the per-gate composition's.
 
 ``scope(name)`` opens a named region that runs to the next ``scope`` call;
 it costs one mark, and ``scope_of`` and ``region`` read the marks.
@@ -78,13 +74,11 @@ _CONST = 1
 _ADD = 2
 _SUB = 3
 _MUL = 4
-_AFFINE = 5  # (op, coeffs, wire_ids)
-_BIT_SUB = 6  # (op,): value(w - 1) - 1 at wire w
-_BIT_MUL = 7  # (op,): value(w - 2) * value(w - 1) at wire w
-_PERM = 8  # (op, j): output lane j of the permutation span holding wire w
+_AFFINE = 5  # (op, coeffs, wire_ids): a tuple, or a recomposition's range of bits
+_PERM = 6  # (op, j): output lane j of the permutation span holding wire w
 
-# The gates of one decomposed bit b: the input b, b - 1 and b * (b - 1).
-_BIT_GATES = ((_INPUT,), (_BIT_SUB,), (_BIT_MUL,))
+# Every input wire's gate, one tuple shared by all of them.
+_INPUT_GATE = (_INPUT,)
 # The gates of a permutation's t outputs are the first t of these.
 _PERM_GATES = tuple((_PERM, j) for j in range(MAX_T))
 
@@ -95,11 +89,8 @@ def _pow2_coeffs(k: int, p: int) -> tuple[int, ...]:
     return tuple((1 << i) % p for i in range(k))
 
 
-@lru_cache(maxsize=16)
-def _bit_values(p: int) -> dict[str, tuple[int, int, int]]:
-    """Per binary digit, the values (b, b - 1, b * (b - 1)) mod p of a
-    decomposed bit's three wires."""
-    return {"0": (0, p - 1, 0), "1": (1, 0, 0)}
+# Per byte value, its 8 bits, low bit first.
+_BYTE_BITS = tuple(tuple((byte >> i) & 1 for i in range(8)) for byte in range(256))
 
 
 @lru_cache(maxsize=16)
@@ -122,10 +113,14 @@ def _permutation_cost(pp: PoseidonParams) -> tuple[int, int]:
 _first = operator.itemgetter(0)
 
 
+def _is_int(v) -> bool:
+    """True for an int that is not a bool: True would wire 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _witness(v):
-    """v itself if it is an int, as ``evaluate_and_check`` requires of an
-    override value; a float or a str is not coerced."""
-    if not isinstance(v, int):
+    """v itself if it is an int; a bool, a float or a str is not coerced."""
+    if not _is_int(v):
         raise CircuitError(f"witness {v!r} is not an int")
     return v
 
@@ -158,7 +153,8 @@ class ConstraintSystem:
         self._gates: list[tuple] = []
         self._domains: list[int] = []
         self._values: list[int] = []
-        self._assertions: list[int] = []  # wire ids asserted == 0
+        self._assertions: list[int] = []  # entries: w (value 0) or ~b (b boolean)
+        self._residues: list[int] = []  # per entry, its eager residue, 0 if it holds
         self.n_mul = 0
         self.n_add = 0
         self.n_prover_inputs = 0
@@ -188,7 +184,7 @@ class ConstraintSystem:
             self.n_prover_inputs += 1
         else:
             self.n_shared_inputs += 1
-        return self._new_wire((_INPUT,), int(domain), value)
+        return self._new_wire(_INPUT_GATE, int(domain), value)
 
     def const(self, value: int) -> int:
         v = _witness(value) % self.p
@@ -243,51 +239,58 @@ class ConstraintSystem:
 
     def assert_zero(self, w: int) -> None:
         self._assertions.append(w)
+        self._residues.append(self._values[w])
+
+    def assert_boolean(self, w: int) -> None:
+        """Assert value(w) * (value(w) - 1) = 0 as the entry ~w, with no
+        wire; it counts what mul(w, sub(w, const(1))) would, one add and,
+        unless w is a constant, one mul."""
+        v = self._values[w]
+        self.n_add += 1
+        self.n_mul += self._gates[w][0] != _CONST
+        self._assertions.append(~w)
+        self._residues.append(v * (v - 1) % self.p)
 
     def assert_eq(self, a: int, b: int) -> None:
         self.assert_zero(self.sub(a, b))
 
     def decompose(self, w: int, k: int) -> range:
         """Bulk primitive behind bit decomposition: k prover-only input
-        bits b_i = (v >> i) & 1 of w's value v, each boolean-asserted as
-        b*(b-1) = 0, then the recomposition affine sum(2^i * b_i) asserted
-        equal to w.
+        bits b_i = (v >> i) & 1 of w's value v, each with a booleanity
+        entry ~b_i, then the recomposition affine sum(2^i * b_i) asserted
+        equal to w: k + 2 wires and k + 1 assertions.
 
-        Wire ids, domains, values, assertion order and counters are those
-        of the per-gate composition wire_input / sub / mul / assert_zero
-        per bit, then affine / assert_eq, and so is each gate once its
-        relative operands are made absolute: every bit appends the shared
-        ``_BIT_GATES`` (input, ``_BIT_SUB``, ``_BIT_MUL``), which read as
-        ``(_SUB, b, one)`` and ``(_MUL, b, b + 1)`` for the bit at wire b.
-        The 3k bit gates, their domains and values, and the k booleanity
-        assertions each go in with one ``list.extend``; a bit takes the
-        values (1, 0, 0) or (0, p-1, 0).  ``const(1)`` is still wired
-        first, so ids match the composition's.  The recomposition affine's
-        value is (v mod 2^k) mod p.  Returns the bit ids, low bit first."""
+        Assertion order and every counter are those of the per-gate
+        composition wire_input / ``assert_boolean`` per bit, then affine /
+        assert_eq.  The bits' values come from a per-byte table of v mod
+        2^k; the recomposition affine's value is (v mod 2^k) mod p.
+        Returns the bit ids, low bit first."""
         if k < 1:
             raise CircuitError("decompose needs k >= 1 bits")
         v = self._values[w]
         p = self.p
-        self.const(1)  # the wire every _BIT_SUB's absolute form reads
         gates = self._gates
         start = len(gates)
-        ids = range(start, start + 3 * k, 3)
-        gates.extend(_BIT_GATES * k)
-        self._domains.extend(repeat(int(Domain.PROVER), 3 * k + 2))
+        ids = range(start, start + k)
+        gates.extend(repeat(_INPUT_GATE, k))
+        self._domains.extend(repeat(int(Domain.PROVER), k + 2))
         low = v & ((1 << k) - 1)
-        self._values.extend(chain.from_iterable(map(_bit_values(p).__getitem__, format(low, f"0{k}b")[::-1])))
-        self._assertions.extend(range(start + 2, start + 3 * k, 3))
+        byte_bits = map(_BYTE_BITS.__getitem__, low.to_bytes((k + 7) // 8, "little"))
+        self._values.extend(islice(chain.from_iterable(byte_bits), k))
+        self._assertions.extend(range(~start, ~start - k, -1))
+        self._residues.extend(repeat(0, k))
         # Recomposition affine and its equality with w (assert_eq's sub).
-        rid = start + 3 * k
-        gates.append((_AFFINE, _pow2_coeffs(k, p), tuple(ids)))
+        rid = start + k
+        gates.append((_AFFINE, _pow2_coeffs(k, p), ids))
         gates.append((_SUB, rid, w))
         rec = low % p
         self._values.append(rec)
         self._values.append((rec - v) % p)
         self._assertions.append(rid + 1)
+        self._residues.append(self._values[-1])
         self.n_prover_inputs += k
         self.n_mul += k
-        self.n_add += 2 * k  # k bit subs, k - 1 affine adds, the final sub
+        self.n_add += 2 * k  # k booleanity subs, k - 1 affine adds, the final sub
         return ids
 
     def poseidon_rounds(self, state: list[int], pp: PoseidonParams) -> list[int]:
@@ -362,8 +365,9 @@ class ConstraintSystem:
         operand are re-evaluated, in id order and no further than the
         assertions walked so far reach.  The assertions before the first
         that reads a wire at or past the first changed one (all of them
-        when no override changes a value) read eager values and are
-        scanned in one pass.
+        when no override changes a value) keep their eager residues and
+        are scanned in one pass; the walk evaluates each later one from
+        its wire's new or stored value.
 
         A permutation called by ``poseidon_rounds`` is re-evaluated as one
         block: if none of its input lanes changed the walk jumps over it,
@@ -375,25 +379,27 @@ class ConstraintSystem:
         overrides = overrides or {}
         new: dict[int, int] = {}  # wire id -> value differing from the eager one
         for wid, v in overrides.items():
-            if not (isinstance(wid, int) and 0 <= wid < len(gates) and gates[wid][0] == _INPUT):
+            if not (_is_int(wid) and 0 <= wid < len(gates) and gates[wid][0] == _INPUT):
                 raise CircuitError(f"override key {wid!r} is not an input wire id")
-            if not isinstance(v, int):
+            if not _is_int(v):
                 raise CircuitError(f"override value {v!r} for wire {wid} is not an int")
             if v % p != stored[wid]:
                 new[wid] = v % p
         start = done = min(new, default=len(gates))  # gates below keep their eager values
         k = bisect.bisect_left(spans, start, key=_first)  # the next span the walk reaches
         # The assertions before the first that reads a wire at or past start
-        # read eager values; with no changed wire, that is all of them.
+        # keep their eager residues; with no changed wire, that is all of them.
         first_walked = len(asserts)
         if new:
-            first_walked = next(compress(count(), map(operator.le, repeat(start), asserts)), first_walked)
-        first_fail = next(compress(count(), map(stored.__getitem__, islice(asserts, first_walked))), None)
+            reads = map(max, asserts, map(operator.invert, asserts))  # w, or b for ~b
+            first_walked = next(compress(count(), map(operator.le, repeat(start), reads)), first_walked)
+        first_fail = next(compress(count(), islice(self._residues, first_walked)), None)
         walked = range(first_walked, len(asserts)) if first_fail is None else ()
         for idx in walked:
             aw = asserts[idx]
-            while aw >= done:
-                if k < len(spans) and spans[k][0] <= aw:
+            r = aw if aw >= 0 else ~aw
+            while r >= done:
+                if k < len(spans) and spans[k][0] <= r:
                     s0, lanes, pp = spans[k]
                     k += 1
                     self._reevaluate(new, done, s0)
@@ -404,9 +410,10 @@ class ConstraintSystem:
                                 new[wid] = v
                     done = s0 + len(lanes)
                 else:
-                    self._reevaluate(new, done, aw + 1)
-                    done = aw + 1
-            if new.get(aw, stored[aw]):
+                    self._reevaluate(new, done, r + 1)
+                    done = r + 1
+            v = new.get(r, stored[r])
+            if v if aw >= 0 else v * (v - 1) % p:
                 first_fail = idx
                 break
         return SatisfactionReport(
@@ -429,15 +436,6 @@ class ConstraintSystem:
                     v += c * new.get(i, stored[i])
             elif op <= _CONST:
                 continue  # overridden inputs are in new; constants never change
-            elif op == _BIT_SUB:
-                if wid - 1 not in new:
-                    continue
-                v = new[wid - 1] - 1
-            elif op == _BIT_MUL:
-                a, b = wid - 2, wid - 1
-                if a not in new and b not in new:
-                    continue
-                v = new.get(a, stored[a]) * new.get(b, stored[b])
             else:
                 a, b = g[1], g[2]
                 if a not in new and b not in new:

@@ -21,8 +21,10 @@ class EmptyMessage(Exception):
 
 
 def assert_boolean(cs: ConstraintSystem, w: int) -> None:
-    """Assert w * (w - 1) = 0."""
-    cs.assert_zero(cs.mul(w, cs.sub(w, cs.const(1))))
+    """Assert w * (w - 1) = 0: one booleanity entry ~w in the assertion
+    list, no wire (``ConstraintSystem.assert_boolean``).  It costs what
+    mul(w, sub(w, 1)) would, one add and one mul for a non-constant w."""
+    cs.assert_boolean(w)
 
 
 def decompose_bits(cs: ConstraintSystem, w: int, k: int) -> range:

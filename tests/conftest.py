@@ -9,7 +9,7 @@ import pytest
 
 from zkpol import localcalc, poseidon
 from zkpol.appio import serialize_instance
-from zkpol.circuit import _MUL, _SUB, ConstraintSystem
+from zkpol.circuit import _MUL, ConstraintSystem
 from zkpol.field import FieldParams
 from zkpol.poseidon import params_for
 from zkpol.statements import (
@@ -31,10 +31,9 @@ def membership_weights(cs: ConstraintSystem, region: str, bit: int) -> list[int]
     """The signed values of the weights that the membership bit ``bit``
     multiplies in ``region`` before each range check, in gate order: the
     weight wires of ``gadgets.check_inside`` or ``check_inside_triangle``.
-    The bit's booleanity, bit * (bit - 1), is its one other product there."""
+    The bit's booleanity is an assertion entry, not a product."""
     p, gates = cs.p, cs._gates
-    vals = [cs.value(gates[g][2]) for g in cs.region(region)[0]
-            if gates[g][:2] == (_MUL, bit) and gates[gates[g][2]][:2] != (_SUB, bit)]
+    vals = [cs.value(gates[g][2]) for g in cs.region(region)[0] if gates[g][:2] == (_MUL, bit)]
     return [v - p if v > p // 2 else v for v in vals]
 
 

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from zkpol.circuit import (
     _ADD,
     _AFFINE,
-    _BIT_MUL,
-    _BIT_SUB,
     _CONST,
     _INPUT,
     _MUL,
@@ -19,7 +17,7 @@ from zkpol.circuit import (
     PublicNeedsNoWire,
     SatisfactionReport,
 )
-from zkpol import localcalc
+from zkpol import appio, localcalc
 from zkpol.field import FieldParams, widths
 from zkpol.poseidon import PoseidonParams, params_for
 from zkpol.statements import _dummy_instance, build_statement
@@ -33,18 +31,6 @@ def fresh():
     return ConstraintSystem(FP)
 
 
-def _absolute(cs, wid):
-    """Gate ``wid`` with its relative operands made absolute: a bit's
-    ``_BIT_SUB`` and ``_BIT_MUL`` read as the per-gate composition's sub
-    and mul, whose ``one`` is the constant 1's wire."""
-    g = cs._gates[wid]
-    if g[0] == _BIT_SUB:
-        return (_SUB, wid - 1, cs._const_cache[1])
-    if g[0] == _BIT_MUL:
-        return (_MUL, wid - 2, wid - 1)
-    return g
-
-
 def _span_of(cs, wid):
     """(input lane ids, parameters) of the permutation call whose outputs
     hold wire ``wid``."""
@@ -54,7 +40,7 @@ def _span_of(cs, wid):
 def _reads(cs, wid):
     """The wire ids gate ``wid`` reads; fails on an opcode it does not know.
     A permutation output reads its call's input lanes."""
-    g = _absolute(cs, wid)
+    g = cs._gates[wid]
     if g[0] in (_ADD, _SUB, _MUL):
         return g[1:]
     if g[0] == _AFFINE:
@@ -167,10 +153,12 @@ def test_wire_input_needs_a_value():
     assert (cs._gates, cs.counters) == before
 
 
-@pytest.mark.parametrize("value", [1.5, 2.9, "3", None], ids=["float", "float-2.9", "str", "None"])
+@pytest.mark.parametrize("value", [1.5, 2.9, "3", None, True, False],
+                         ids=["float", "float-2.9", "str", "None", "True", "False"])
 @pytest.mark.parametrize("method", ["wire_input", "const"])
 def test_witnesses_must_be_ints(method, value):
-    # A witness is never coerced: int(1.5) would wire 1 and int("3") 3.
+    # A witness is never coerced: int(1.5) would wire 1, int("3") 3, and a
+    # bool, an int subclass, True as 1.
     cs = fresh()
     wire = (lambda v: cs.wire_input(v, Domain.PROVER)) if method == "wire_input" else cs.const
     with pytest.raises(CircuitError, match="not an int"):
@@ -210,15 +198,28 @@ def test_override_must_name_an_input_wire(target):
         cs.evaluate_and_check({wid: 5})
 
 
-@pytest.mark.parametrize("value", ["3", None, 1.5, 3.0, 2.0**60, [1]])
+@pytest.mark.parametrize("value", ["3", None, 1.5, 3.0, 2.0**60, [1], True, False])
 def test_override_values_must_be_ints(value):
-    # A float would run float arithmetic and, past 2^53, lose its residue.
+    # A float would run float arithmetic and, past 2^53, lose its residue;
+    # a bool would be read as 1 or 0.
     cs = fresh()
     a = cs.wire_input(3, Domain.PROVER)
     cs.assert_eq(a, cs.const(3))
     with pytest.raises(CircuitError, match="not an int"):
         cs.evaluate_and_check({a: value})
     assert cs.evaluate_and_check({a: 3}).satisfied and not cs.evaluate_and_check({a: 2**60}).satisfied
+
+
+@pytest.mark.parametrize("key", [False, True])
+def test_override_keys_must_not_be_bools(key):
+    # Wires 0 and 1 are inputs, so only the key's type rejects False and True.
+    cs = fresh()
+    ws = [cs.wire_input(v, Domain.PROVER) for v in (0, 1)]
+    cs.assert_boolean(ws[0])
+    cs.assert_zero(cs.sub(ws[1], cs.const(1)))
+    with pytest.raises(CircuitError, match="not an input wire"):
+        cs.evaluate_and_check({key: 5})
+    assert cs.evaluate_and_check({int(key): 5}).first_failed_assertion == int(key)
 
 
 def test_assertion_on_an_overridden_input_reads_the_override():
@@ -250,7 +251,8 @@ def test_assertions_out_of_wire_order_under_an_override(early_fails):
 def test_domain_monotonicity_structural():
     # No gate output is less secret than any of its operands, on the
     # per-gate path, on the bulk decomposition path and on a permutation
-    # call, whose outputs read its lanes.
+    # call, whose outputs read its lanes.  A decomposed bit is a
+    # prover-only input, even of a shared value.
     cs = fresh()
     a = cs.wire_input(2, Domain.PROVER)
     b = cs.wire_input(3, Domain.SHARED)
@@ -264,9 +266,10 @@ def test_domain_monotonicity_structural():
     for wid in range(len(cs._gates)):
         reads = _reads(cs, wid)
         assert doms[wid] >= max(map(doms.__getitem__, reads), default=0), wid
-    # The bit gates, relative operands included, and the call's outputs are
-    # among those checked.
-    assert {cs._gates[b + j][0] for b in bits for j in (1, 2)} == {_BIT_SUB, _BIT_MUL}
+    # The bits, their recomposition and the call's outputs are among those
+    # checked.
+    assert [(cs._gates[w], doms[w]) for w in bits] == [((_INPUT,), Domain.PROVER)] * 4
+    assert cs._gates[bits[-1] + 1] == (_AFFINE, (1, 2, 4, 8), bits)
     assert [cs._gates[w] for w in out] == [(_PERM, j) for j in range(pp.t)]
 
 
@@ -336,10 +339,6 @@ def _rederive(cs, overrides=None):
             vals[wid] = (vals[g[1]] * vals[g[2]]) % p
         elif op == _SUB:
             vals[wid] = (vals[g[1]] - vals[g[2]]) % p
-        elif op == _BIT_SUB:
-            vals[wid] = (vals[wid - 1] - 1) % p
-        elif op == _BIT_MUL:
-            vals[wid] = (vals[wid - 2] * vals[wid - 1]) % p
         elif op == _AFFINE:
             acc = 0
             for c, i in zip(g[1], g[2]):
@@ -356,10 +355,39 @@ def _rederive(cs, overrides=None):
     return vals
 
 
+def _reference_residues(cs, vals):
+    """Each assertion entry's residue over the wire values ``vals``: the
+    value of wire w for an entry w >= 0, and b * (b - 1) mod p, b the value
+    of wire ~e, for a booleanity entry e < 0."""
+    p = cs.p
+    out = []
+    for e in cs._assertions:
+        if e >= 0:
+            out.append(vals[e])
+        else:
+            b = vals[~e]
+            out.append(b * (b - 1) % p)
+    return out
+
+
 def _reference_report(cs, overrides=None):
-    vals = _rederive(cs, overrides)
-    first = next((idx for idx, wid in enumerate(cs._assertions) if vals[wid]), None)
+    residues = _reference_residues(cs, _rederive(cs, overrides))
+    first = next((idx for idx, r in enumerate(residues) if r), None)
     return SatisfactionReport(first is None, first, cs.counters)
+
+
+def _decomposed_bits(cs):
+    """The bits of every decomposition: the operands of each recomposition
+    affine, which has coefficients 1, 2, 4, ... and reads the k input
+    wires just before it, each with a booleanity entry."""
+    booleans = {~e for e in cs._assertions if e < 0}
+    bits = []
+    for wid, g in enumerate(cs._gates):
+        if g[0] == _AFFINE and tuple(g[2]) == tuple(range(wid - len(g[2]), wid)) \
+                and g[1] == tuple(pow(2, i, cs.p) for i in range(len(g[1]))):
+            assert all(cs._gates[b] == (_INPUT,) and b in booleans for b in g[2]), wid
+            bits.extend(g[2])
+    return bits
 
 
 def _statement_systems():
@@ -388,6 +416,7 @@ def test_eager_values_match_rederivation():
     verdicts = set()
     for cs in SYSTEMS:
         assert cs._values == _rederive(cs)
+        assert cs._residues == _reference_residues(cs, cs._values)
         report = cs.evaluate_and_check()
         assert report == _reference_report(cs)
         verdicts.add(report.satisfied)
@@ -395,18 +424,54 @@ def test_eager_values_match_rederivation():
 
 
 def test_every_single_bit_flip_matches_the_reference():
-    # Flip each decomposed bit, on its own, of a compliant ev and a
-    # compliant tax statement: the walk re-evaluates the bit's relative
-    # booleanity gates and must report what the full re-derivation does.
+    # Flip each boolean-asserted input, on its own, of a compliant ev and a
+    # compliant tax statement: the walk evaluates the input's booleanity
+    # entry and must report what the full re-derivation does.  A flipped
+    # decomposed bit breaks its recomposition; a flipped selector entry
+    # need not fail.
     for group in (SYSTEMS[:9], SYSTEMS[9:]):
         cs = next(cs for cs in group if cs.evaluate_and_check().satisfied)
-        bits = [wid - 1 for wid, g in enumerate(cs._gates) if g[0] == _BIT_SUB]
-        assert bits
-        for b in bits:
+        booleans = [~e for e in cs._assertions if e < 0 and cs._gates[~e] == (_INPUT,)]
+        bits = set(_decomposed_bits(cs))
+        assert bits and bits < set(booleans)
+        for b in booleans:
             overrides = {b: 1 - cs._values[b]}
             report = cs.evaluate_and_check(overrides)
             assert report == _reference_report(cs, overrides), b
-            assert not report.satisfied
+            assert not (b in bits and report.satisfied), b
+
+
+def _fixture_system(kind):
+    """A compliant 8-point fixture of ``kind``, 3 circles or 8 triangles, built."""
+    inst = appio.gen_fixture(appio.FixtureSpec(kind, seed=7, n_traj=8, n_geo=3 if kind == "ev" else 8))
+    cs = ConstraintSystem(inst.field_params)
+    build_statement(inst, cs)
+    assert cs.evaluate_and_check().satisfied
+    return cs
+
+
+@pytest.mark.parametrize("value", [lambda p: 2, lambda p: p - 1, lambda p: (p + 1) // 2],
+                         ids=["2", "p-1", "(p+1)/2"])
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_non_boolean_bit_and_selector_overrides(kind, value):
+    # A decomposed bit of each region kind, and a lookup selector entry,
+    # each overridden on its own with a value that is neither 0 nor 1: the
+    # report is the reference's, fails at that wire's own booleanity entry,
+    # and names the region that holds it.
+    cs = _fixture_system(kind)
+    bits = _decomposed_bits(cs)
+    targets = [(region, next(b for b in bits if b in cs.region(region)[0]))
+               for region in ("digest", "point[1]", "segment[2]", "policy")]
+    selector = cs.region("point[1]")[2][0]
+    assert selector not in bits
+    targets.append(("point[1]", selector))
+    for region, w in targets:
+        overrides = {w: value(cs.p)}
+        report = cs.evaluate_and_check(overrides)
+        assert report == _reference_report(cs, overrides), (region, w)
+        idx = cs._assertions.index(~w)
+        assert report.first_failed_assertion == idx and idx in cs.region(region)[1]
+        assert cs.scope_of(idx) == region
 
 
 def _draw_overrides(data, cs):
@@ -434,6 +499,8 @@ def test_overrides_match_reference_evaluator(data):
 
 
 def _per_gate_decompose(cs, w, k):
+    """Bit decomposition composed gate by gate, each bit's booleanity as
+    the gates b * (b - 1) asserted zero."""
     v = cs._values[w]
     one = cs.const(1)
     bits = []
@@ -451,7 +518,12 @@ SMALL_FP = FieldParams(modulus=521, coord_bits=1)
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_decompose_matches_per_gate_composition(data):
+    # Booleanity as assertion entries against booleanity as gates: the same
+    # counters (assertion count included), bit values and domains,
+    # recomposition values and domains, and report under every drawn
+    # override of w (when an input) and of the bits, matched by position.
     fp = data.draw(st.sampled_from([FP, SMALL_FP]))
+    p = fp.modulus
     k = data.draw(st.integers(min_value=1, max_value=40))
     # In range, any residue, out of range by up to 2^45, and negative: the
     # residue p - x of a small x, whose low k bits do not recompose it.
@@ -462,38 +534,54 @@ def test_decompose_matches_per_gate_composition(data):
         st.integers(min_value=-(1 << 45), max_value=-1),
     ))
     source = data.draw(st.sampled_from(["prover", "shared", "const"]))
-    one_first = data.draw(st.booleans())
+    # Each override set maps a position (-1 for w, i for bit i) to a value,
+    # the non-boolean 2, p - 1 and (p + 1) / 2 among them.
+    positions = list(range(-1 if source != "const" else 0, k))
+    values = st.one_of(st.sampled_from([0, 1, 2, p - 1, (p + 1) // 2]), st.integers(min_value=-p, max_value=2 * p))
+    drawn = data.draw(st.lists(st.dictionaries(st.sampled_from(positions), values, max_size=3), max_size=4))
     built = []
     for decompose in (ConstraintSystem.decompose, _per_gate_decompose):
         cs = ConstraintSystem(fp)
-        if one_first:
-            cs.const(1)
         if source == "const":
             w = cs.const(v)
         else:
             w = cs.wire_input(v, Domain.PROVER if source == "prover" else Domain.SHARED)
         bits = decompose(cs, w, k)
+        wire = [*bits, w].__getitem__  # position -1 is w
+        reports = []
+        for moved in [{}, *drawn]:
+            overrides = {wire(i): x for i, x in moved.items()}
+            reports.append(cs.evaluate_and_check(overrides))
+            assert reports[-1] == _reference_report(cs, overrides)
+        recomposition = range(len(cs._gates) - 2, len(cs._gates))
         built.append((
-            [_absolute(cs, wid) for wid in range(len(cs._gates))],
-            cs._domains, cs._values, cs._assertions, cs.counters,
-            [(b, cs._domains[b]) for b in bits],
+            cs.counters,
+            [(cs._values[b], cs._domains[b]) for b in bits],
+            [(cs._values[r], cs._domains[r]) for r in recomposition],
+            reports,
         ))
     assert built[0] == built[1]
 
 
 def test_decompositions_share_their_gate_tuples():
     # Every bit of every decomposition, in one system or two, appends the
-    # same three gate tuples; only the recomposition is built per call.
+    # same input gate tuple; only the recomposition is built per call.  A
+    # decomposition is k + 2 wires: the bits, the recomposition affine and
+    # its sub, and k + 1 assertions: a booleanity entry ~b per bit b, then
+    # the sub.
     systems = [fresh(), ConstraintSystem(SMALL_FP)]
     bit_gates = []
     for cs in systems:
         for v, k in ((5, 3), (2**40 + 3, 41)):
-            for b in cs.decompose(cs.wire_input(v, Domain.PROVER), k):
-                assert [_absolute(cs, b + j)[0] for j in range(3)] == [_INPUT, _SUB, _MUL]
-                bit_gates.append(cs._gates[b : b + 3])
+            w = cs.wire_input(v, Domain.PROVER)
+            n_asserts = len(cs._assertions)
+            bits = cs.decompose(w, k)
+            assert bits == range(w + 1, w + 1 + k) and len(cs._gates) == w + 1 + k + 2
+            assert cs._gates[w + k + 2] == (_SUB, w + k + 1, w)
+            assert cs._assertions[n_asserts:] == [~b for b in bits] + [w + k + 2]
+            bit_gates.extend(cs._gates[b] for b in bits)
     first = bit_gates[0]
-    for gates in bit_gates:
-        assert all(g is f for g, f in zip(gates, first, strict=True))
+    assert first == (_INPUT,) and all(g is first for g in bit_gates)
 
 
 def test_decompose_needs_a_bit():

@@ -28,6 +28,34 @@ def test_assert_boolean(v, ok):
     assert cs.evaluate_and_check().satisfied == ok
 
 
+@pytest.mark.parametrize("source", ["input", "affine", "const"])
+@pytest.mark.parametrize("v", [0, 1, 2, -1])
+def test_assert_boolean_is_the_gates_it_stands_for(source, v):
+    # The booleanity entry appends no wire, counts what mul(w, sub(w, 1))
+    # asserted zero counts (no mul when w is a constant, as such a product
+    # is an affine) and reports what those gates report, overridden too.
+    def wire(cs):
+        if source == "const":
+            return cs.const(v), None
+        x = cs.wire_input(v, Domain.PROVER)
+        return (x if source == "input" else cs.affine([1], [x])), x
+
+    built = []
+    for as_gates in (False, True):
+        cs = fresh()
+        w, x = wire(cs)
+        n_wires = len(cs._gates)
+        if as_gates:
+            cs.assert_zero(cs.mul(w, cs.sub(w, cs.const(1))))
+        else:
+            gadgets.assert_boolean(cs, w)
+            assert len(cs._gates) == n_wires
+        moved = [{}] if x is None else [{}, {x: 0}, {x: 1}, {x: 2}, {x: cs.p - 1}]
+        built.append([cs.evaluate_and_check(m) for m in moved])
+    assert built[0] == built[1]
+    assert built[0][0].satisfied == (v in (0, 1))
+
+
 def test_decompose_bits_five():
     cs = fresh()
     w = cs.wire_input(5, Domain.PROVER)

@@ -399,9 +399,11 @@ def test_ev_random_instances_agree_with_oracle():
 
 
 def test_ev_domain_monotonicity():
-    # Every assertion constrains a value derived from prover data.
+    # Every assertion constrains a value derived from prover data: the wire
+    # w of an entry w, and the bit b of a booleanity entry ~b.
     cs, _ = _build(_ev(10, 100))
-    assert {cs._domains[a] for a in cs._assertions} == {Domain.PROVER}
+    assert {cs._domains[max(a, ~a)] for a in cs._assertions} == {Domain.PROVER}
+    assert any(a < 0 for a in cs._assertions)
 
 
 @pytest.mark.parametrize("h_ex", [
@@ -980,9 +982,10 @@ def test_statement_cost_pinned():
         "n_mul": 17703, "n_add": 38612, "n_assert": 16108,
         "n_prover_inputs": 15851, "n_shared_inputs": 1,
     }
-    # Wire counts of the same statements: every wire is one gate, and a
-    # permutation call is its t outputs (13 calls for ev, 4 for tax).
-    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 122_756), ("tax", 64, 16, 53_076)):
+    # Wire counts of the same statements: every wire is one gate, a
+    # permutation call is its t outputs (13 calls for ev, 4 for tax), a
+    # k-bit decomposition is k + 2 wires, and a booleanity entry is none.
+    for kind, n_traj, n_geo, wires in (("ev", 256, 1, 46_422), ("tax", 64, 16, 19_707)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
         assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
