@@ -14,17 +14,26 @@ decompositions, square roots, characteristic vectors) from intermediate
 values.  This mirrors the prover's side of a real backend, which holds
 the whole witness.  ``evaluate_and_check``, standing in for the
 verifier-side protocol run, checks the assertions against the eager
-values and re-evaluates only the forward cone of any input witnesses it
-is asked to override.
+values: one pass over their stored residues, which is all a check costs
+when no override changes a value.  An override check walks only the
+forward cone of the inputs it changes, the way an interactive backend
+checks only the gates an input feeds.  It reads a reader index (who reads
+each wire, and each assertion entry's lowest index), built lazily by the
+first check of a system that changes a value and again once the system
+has grown; a system that is only ever checked honestly never holds one.
+The walk takes pending gates in id order, re-evaluates each from its
+operands' new or stored values, tests the assertion entries of each wire
+whose value changes, and stops as soon as no pending gate can move an
+assertion before the first failure found (``_first_failure``).
 
 A Poseidon permutation is one call, the way SIEVE IR calls a sub-circuit
 as one unit: ``poseidon_rounds`` appends its t output wires, ``_PERM``
 gates whose values ``localcalc.poseidon_permutation_ref`` computes from
 the input lanes, and records a span (first output, input lanes,
-parameters).  The override walk evaluates a span as one block: it jumps
-over it if its lanes kept their values and otherwise runs the reference
-on the new lane values.  The counters charge each call what the
-permutation's gates would cost (see ``poseidon_rounds``).
+parameters).  The override walk evaluates a span as one block, pending
+once one of its lanes has changed: it runs the reference on the new lane
+values.  The counters charge each call what the permutation's gates
+would cost (see ``poseidon_rounds``).
 
 An assertion entry is a wire id w, asserting value(w) = 0, or ~b (a
 negative int), asserting booleanity value(b) * (value(b) - 1) = 0 with no
@@ -43,6 +52,7 @@ from __future__ import annotations
 import bisect
 import enum
 import operator
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, islice, repeat
@@ -110,9 +120,6 @@ def _permutation_cost(pp: PoseidonParams) -> tuple[int, int]:
     return n_mul, pp.r_full * t * (t - 1) + 2 * pp.r_partial * (t - 1) + n_consts
 
 
-_first = operator.itemgetter(0)
-
-
 def _is_int(v) -> bool:
     """True for an int that is not a bool: True would wire 1."""
     return isinstance(v, int) and not isinstance(v, bool)
@@ -165,6 +172,7 @@ class ConstraintSystem:
         # Per poseidon_rounds call, in id order: first output id, input lane
         # ids and parameters; the span is its t outputs.
         self._spans: list[tuple[int, tuple[int, ...], PoseidonParams]] = []
+        self._index: _ReaderIndex | None = None  # built by the first check that overrides a value
 
     # -- wire creation -------------------------------------------------
 
@@ -358,90 +366,143 @@ class ConstraintSystem:
         )
 
     def evaluate_and_check(self, overrides: dict[int, int] | None = None) -> SatisfactionReport:
-        """Check the assertions in order against the eager values, stopping
-        at the first that fails.  Every wire has an eager value, so with no
-        ``overrides`` nothing is re-evaluated.  ``overrides`` maps input
-        wire ids to replacement int witnesses; only gates with a changed
-        operand are re-evaluated, in id order and no further than the
-        assertions walked so far reach.  The assertions before the first
-        that reads a wire at or past the first changed one (all of them
-        when no override changes a value) keep their eager residues and
-        are scanned in one pass; the walk evaluates each later one from
-        its wire's new or stored value.
+        """Check the assertions in order and report the first that fails.
 
-        A permutation called by ``poseidon_rounds`` is re-evaluated as one
-        block: if none of its input lanes changed the walk jumps over it,
-        and otherwise ``localcalc.poseidon_permutation_ref`` runs on the
-        new lane values, so ``_reevaluate`` never meets a ``_PERM``
-        gate."""
-        p, gates, stored, spans = self.p, self._gates, self._values, self._spans
-        asserts = self._assertions
-        overrides = overrides or {}
+        ``overrides`` maps input wire ids to replacement int witnesses.
+        With none, or with every one equal to its wire's eager value, each
+        assertion keeps its eager residue and one pass over them finds the
+        first non-zero one; nothing is re-evaluated and no index is built.
+        Otherwise ``_first_failure`` walks the forward cone of the changed
+        inputs only."""
+        p, gates, stored = self.p, self._gates, self._values
         new: dict[int, int] = {}  # wire id -> value differing from the eager one
-        for wid, v in overrides.items():
+        for wid, v in (overrides or {}).items():
             if not (_is_int(wid) and 0 <= wid < len(gates) and gates[wid][0] == _INPUT):
                 raise CircuitError(f"override key {wid!r} is not an input wire id")
             if not _is_int(v):
                 raise CircuitError(f"override value {v!r} for wire {wid} is not an int")
             if v % p != stored[wid]:
                 new[wid] = v % p
-        start = done = min(new, default=len(gates))  # gates below keep their eager values
-        k = bisect.bisect_left(spans, start, key=_first)  # the next span the walk reaches
-        # The assertions before the first that reads a wire at or past start
-        # keep their eager residues; with no changed wire, that is all of them.
-        first_walked = len(asserts)
-        if new:
-            reads = map(max, asserts, map(operator.invert, asserts))  # w, or b for ~b
-            first_walked = next(compress(count(), map(operator.le, repeat(start), reads)), first_walked)
-        first_fail = next(compress(count(), islice(self._residues, first_walked)), None)
-        walked = range(first_walked, len(asserts)) if first_fail is None else ()
-        for idx in walked:
-            aw = asserts[idx]
-            r = aw if aw >= 0 else ~aw
-            while r >= done:
-                if k < len(spans) and spans[k][0] <= r:
-                    s0, lanes, pp = spans[k]
-                    k += 1
-                    self._reevaluate(new, done, s0)
-                    if not new.keys().isdisjoint(lanes):
-                        outs = localcalc.poseidon_permutation_ref([new.get(i, stored[i]) for i in lanes], pp)
-                        for wid, v in enumerate(outs, s0):
-                            if v != stored[wid]:
-                                new[wid] = v
-                    done = s0 + len(lanes)
-                else:
-                    self._reevaluate(new, done, r + 1)
-                    done = r + 1
-            v = new.get(r, stored[r])
-            if v if aw >= 0 else v * (v - 1) % p:
-                first_fail = idx
-                break
+        first_fail = self._first_failure(new) if new else next(compress(count(), self._residues), None)
         return SatisfactionReport(
             satisfied=first_fail is None,
             first_failed_assertion=first_fail,
             counters=self.counters,
         )
 
-    def _reevaluate(self, new: dict[int, int], lo: int, hi: int) -> None:
-        """Re-evaluate gates lo..hi-1 gate by gate, recording in ``new`` each
-        value that differs from the eager one."""
-        p, stored = self.p, self._values
-        for wid, g in enumerate(self._gates[lo:hi], lo):
-            op = g[0]
-            if op == _AFFINE:
-                if new.keys().isdisjoint(g[2]):
-                    continue
-                v = 0
-                for c, i in zip(g[1], g[2]):
-                    v += c * new.get(i, stored[i])
-            elif op <= _CONST:
-                continue  # overridden inputs are in new; constants never change
+    def _first_failure(self, new: dict[int, int]) -> int | None:
+        """The index of the first assertion that fails once the input wires
+        in ``new`` take their new values, or None if none does.
+
+        Gates are taken from a sorted list of pending ids, in id order,
+        each once:
+        a gate is pending once one of its operands has changed, and is
+        re-evaluated from the new or stored values of its operands; a
+        permutation span is pending once one of its lanes has changed, and
+        ``localcalc.poseidon_permutation_ref`` runs on the new lanes.  For
+        each wire whose value changes, its entries w and ~w are tested at
+        their lowest assertion index.  Every other entry keeps its eager
+        residue, so an eagerly failing entry fails unless its wire changed
+        to a value that passes.  The walk stops once every assertion up to
+        the first failure found reads only wires below the next pending
+        gate, whose values are then final; abs(e) bounds the wire an entry
+        e reads (e for w, b + 1 for ~b)."""
+        p, gates, stored, asserts = self.p, self._gates, self._values, self._assertions
+        index = self._index
+        if index is None or index.size != (len(gates), len(asserts)):  # none yet, or the system grew
+            index = self._index = _ReaderIndex(self)
+        readers, ranged, first_at, spans = index.readers, index.ranged, index.first_at, index.spans
+        n = len(asserts)
+        best = n  # the lowest failing index among the entries of changed wires
+        cured: set[int] = set()  # eagerly failing entries whose wire changed to a passing value
+        pending: list[int] = []  # gate ids, sorted; a gate twice if two operands changed
+        changed = list(new.items())
+        last = -1
+        retest = True
+        while True:
+            for w, v in changed:
+                for e, bad in ((w, v), (~w, v * (v - 1) % p)):
+                    i = first_at.get(e)
+                    if i is None:
+                        continue
+                    if bad:
+                        if i < best:
+                            best, retest = i, True
+                    elif self._residues[i]:
+                        cured.add(e)
+                        retest = True
+                for r in readers.get(w, ()):
+                    bisect.insort(pending, r)
+                j = bisect.bisect_right(ranged, w)  # the recomposition that may read bit w
+                if j < len(ranged) and w in gates[ranged[j]][2]:
+                    bisect.insort(pending, ranged[j])
+            if retest:
+                first = min(best, next((i for i in index.eager if asserts[i] not in cured), n))
+                bound = max(map(abs, islice(asserts, first + 1))) if first < n else len(gates)
+                retest = False
+            if not pending or pending[0] > bound:
+                return first if first < n else None
+            g = pending.pop(0)
+            if g == last:
+                changed = ()
+                continue
+            last = g
+            gate = gates[g]
+            op = gate[0]
+            if op == _PERM:
+                lanes, pp = spans[g]
+                outs = localcalc.poseidon_permutation_ref([new.get(i, stored[i]) for i in lanes], pp)
+                changed = [(wid, v) for wid, v in enumerate(outs, g) if v != stored[wid]]
             else:
-                a, b = g[1], g[2]
-                if a not in new and b not in new:
-                    continue
-                va, vb = new.get(a, stored[a]), new.get(b, stored[b])
-                v = va * vb if op == _MUL else va + vb if op == _ADD else va - vb
-            v %= p
-            if v != stored[wid]:
-                new[wid] = v
+                if op == _AFFINE:
+                    v = 0
+                    for c, i in zip(gate[1], gate[2]):
+                        v += c * new.get(i, stored[i])
+                else:
+                    a, b = gate[1], gate[2]
+                    va, vb = new.get(a, stored[a]), new.get(b, stored[b])
+                    v = va * vb if op == _MUL else va + vb if op == _ADD else va - vb
+                v %= p
+                changed = [(g, v)] if v != stored[g] else ()
+            new.update(changed)
+
+
+class _ReaderIndex:
+    """Who reads each wire, for the override walk of one system at one size.
+
+    ``readers`` maps a wire to the gates that read it, a permutation span
+    standing as its first output id for each of its lanes (inputs and
+    constants read nothing), except the recomposition affines of
+    ``decompose``: ``ranged`` holds their ids in id order, and as each
+    reads the range of bits laid just before it, the first such id above
+    a bit is the one that may read it.
+    ``first_at`` maps each assertion entry to its lowest index, ``eager``
+    lists the indices of the entries failing on the eager values and
+    ``spans`` maps each span's first output id to its lanes and
+    parameters."""
+
+    def __init__(self, cs: ConstraintSystem):
+        gates, asserts = cs._gates, cs._assertions
+        self.size = (len(gates), len(asserts))
+        readers: defaultdict[int, list[int]] = defaultdict(list)
+        ranged = []
+        for g in compress(count(), map(operator.is_not, gates, repeat(_INPUT_GATE))):
+            gate = gates[g]
+            op = gate[0]
+            if op == _AFFINE:
+                if type(gate[2]) is range:
+                    ranged.append(g)
+                else:
+                    for i in gate[2]:
+                        readers[i].append(g)
+            elif _ADD <= op <= _MUL:
+                readers[gate[1]].append(g)
+                readers[gate[2]].append(g)
+        for s0, lanes, _ in cs._spans:
+            for i in lanes:
+                readers[i].append(s0)
+        self.readers = readers
+        self.ranged = ranged
+        self.first_at = dict(zip(reversed(asserts), range(len(asserts) - 1, -1, -1)))
+        self.eager = list(compress(count(), cs._residues))
+        self.spans = {s0: (lanes, pp) for s0, lanes, pp in cs._spans}

@@ -18,10 +18,12 @@ straight-line dense permutation that shares no code with it.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 
-from .poseidon import PoseidonParams
+from .poseidon import FactoredRounds, PoseidonParams
 
 
 class DegenerateTriangle(Exception):
@@ -150,6 +152,14 @@ def oracle_hwtax(trail, tris, policy) -> bool:
 # -- reference Poseidon permutation and sponge (plaintext oracle) --------
 
 
+@lru_cache(maxsize=16)
+def _partial_rounds(f: FactoredRounds, half: int) -> tuple[tuple[int, int, tuple[int, ...], tuple[int, ...]], ...]:
+    """Per partial round of ``f``: its lane-0 constant, row0[0], row0[1:]
+    and col (``FactoredRounds.sparse``).  A ``FactoredRounds`` hashes by
+    identity, so the cache costs one lookup per permutation."""
+    return tuple((c[0], row0[0], row0[1:], col) for c, (row0, col) in zip(f.constants[half:], f.sparse))
+
+
 def poseidon_permutation_ref(state, pp: PoseidonParams) -> list[int]:
     """Reference permutation on plain residues, in the factored form of
     ``pp.factored`` (see the ``poseidon`` module docstring).
@@ -160,7 +170,9 @@ def poseidon_permutation_ref(state, pp: PoseidonParams) -> list[int]:
     bridge matrix in the last full round before the partial rounds).  A
     partial round adds its one constant and applies x^alpha to lane 0,
     then its sparse matrix: a t-term row for lane 0 and s_i + col_i * s_0
-    for each other lane.
+    for each other lane.  Lanes 1..t-1 are left unreduced through the
+    partial rounds and reduced once after the last; lane 0 and the full
+    rounds reduce every round.
     """
     p = pp.prime
     t = pp.t
@@ -170,17 +182,19 @@ def poseidon_permutation_ref(state, pp: PoseidonParams) -> list[int]:
     alpha = pp.alpha
     f = pp.factored
     half = pp.r_full // 2
-    # Constants are added unreduced; the matrix rows reduce every lane
-    # once per round.
-    for rnd, c in enumerate(f.constants):
-        j = rnd - half
-        if 0 <= j < pp.r_partial:
-            row0, col = f.sparse[j]
-            s[0] = x0 = pow(s[0] + c[0], alpha, p)
-            s = [sum(map(operator.mul, row0, s)) % p] + [(v + ci * x0) % p for v, ci in zip(s[1:], col)]
-        else:
-            s = [pow(v + ci, alpha, p) for v, ci in zip(s, c)]
-            s = [sum(map(operator.mul, row, s)) % p for row in (f.bridge if j == -1 else pp.mds)]
+    mds = pp.mds
+    # Constants are added unreduced; the matrix rows reduce every lane.
+    for c, rows in zip(f.constants[:half], (mds,) * (half - 1) + (f.bridge,)):
+        s = [pow(v + ci, alpha, p) for v, ci in zip(s, c)]
+        s = [sum(map(mul, row, s)) % p for row in rows]
+    x, rest = s[0], s[1:]
+    for c0, r00, row, col in _partial_rounds(f, half):
+        x = pow(x + c0, alpha, p)
+        x, rest = (r00 * x + sum(map(mul, row, rest))) % p, list(map(add, rest, map(mul, col, repeat(x))))
+    s = [x] + [v % p for v in rest]
+    for c in f.constants[half + pp.r_partial :]:
+        s = [pow(v + ci, alpha, p) for v, ci in zip(s, c)]
+        s = [sum(map(mul, row, s)) % p for row in mds]
     return s
 
 

@@ -241,11 +241,16 @@ def test_assertions_out_of_wire_order_under_an_override(early_fails):
     late = cs.sub(cs.mul(x, x), cs.const(4))
     cs.assert_zero(late)
     cs.assert_zero(early)
-    for overrides in ({}, {x: 2}, {x: 3}, {x: cs.p - 2}):
+    for overrides in ({}, {x: 2}, {x: 3}, {x: cs.p - 2}, {early: 0}, {early: 5},
+                      {x: 3, early: 0}, {x: cs.p - 2, early: 0}, {x: cs.p - 2, early: 1}):
         report = cs.evaluate_and_check(overrides)
         assert report == _reference_report(cs, overrides)
     assert cs.evaluate_and_check({x: 3}).first_failed_assertion == 0
     assert cs.evaluate_and_check({x: cs.p - 2}).first_failed_assertion == (1 if early_fails else None)
+    # An override of early to 0 cures its eagerly failing entry; one to a
+    # non-zero value fails it whichever way it read before.
+    assert cs.evaluate_and_check({x: cs.p - 2, early: 0}).satisfied
+    assert cs.evaluate_and_check({x: cs.p - 2, early: 5}).first_failed_assertion == 1
 
 
 def test_domain_monotonicity_structural():
@@ -472,6 +477,38 @@ def test_non_boolean_bit_and_selector_overrides(kind, value):
         idx = cs._assertions.index(~w)
         assert report.first_failed_assertion == idx and idx in cs.region(region)[1]
         assert cs.scope_of(idx) == region
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_checks_that_change_no_value_build_no_index(kind):
+    # A check with no overrides, or with overrides equal to the eager values
+    # mod p, scans the eager residues and builds no reader index; the first
+    # check that changes a value builds it.
+    cs = _fixture_system(kind)
+    w = cs.region("trail")[2][0]
+    for overrides in (None, {}, {w: cs.value(w)}, {w: cs.value(w) + cs.p}):
+        assert cs.evaluate_and_check(overrides).satisfied
+        assert cs._index is None
+    assert not cs.evaluate_and_check({w: cs.value(w) ^ 1}).satisfied
+    assert cs._index is not None
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_every_trail_coordinate_flip_fails_in_digest(kind):
+    # The override traffic of criterion 05: each trail coordinate of a
+    # compliant 64-point statement, flipped in its low bit on its own, fails
+    # the coordinate's range check in region digest, as the full
+    # re-derivation says.
+    spec = appio.FixtureSpec(kind, seed=1, n_traj=64, n_geo=4 if kind == "ev" else 16)
+    inst = appio.gen_fixture(spec)
+    cs = ConstraintSystem(inst.field_params)
+    handle = build_statement(inst, cs)
+    assert handle.check().satisfied
+    for w in handle.trail_input_ids:
+        overrides = {w: cs.value(w) ^ 1}
+        report = handle.check(overrides)
+        assert report == _reference_report(cs, overrides), w
+        assert cs.scope_of(report.first_failed_assertion) == "digest", w
 
 
 def _draw_overrides(data, cs):
@@ -707,6 +744,37 @@ def test_assertion_on_a_permutation_output_reads_the_block():
     cs.assert_zero(out[2])
     for overrides in ({}, {lanes[0]: 7}, {lanes[2]: 0}):
         assert cs.evaluate_and_check(overrides) == _reference_report(cs, overrides)
+
+
+def test_a_grown_system_is_indexed_again():
+    # The index is built by the first check that changes a value; gates,
+    # assertions, decompositions and a permutation call appended after it
+    # are read by the next check, which indexes the system again.
+    pp = SPONGE_PARAMS[0]
+    cs = ConstraintSystem(FP_80)
+    a = cs.wire_input(3, Domain.PROVER)
+    b = cs.wire_input(5, Domain.PROVER)
+    cs.assert_eq(cs.mul(a, b), cs.const(15))
+    for overrides in ({a: 4}, {b: 5}, {b: cs.p + 6}):
+        assert cs.evaluate_and_check(overrides) == _reference_report(cs, overrides)
+    first = cs._index
+    assert first is not None
+    c = cs.wire_input(7, Domain.PROVER)
+    low = cs.decompose(cs.add(a, c), 8)  # 10 = 0b1010
+    out = cs.poseidon_rounds([a, b, c], pp)
+    h = cs.wire_input(cs.value(out[1]), Domain.SHARED)
+    cs.assert_eq(out[1], h)
+    bits = cs.decompose(c, 4)  # 7 = 0b0111
+    # c = 8 with every later input moved to match: a + c = 11, the new
+    # permutation output, and 8 = 0b1000.
+    fixed = {c: 8, low[0]: 1, h: localcalc.poseidon_permutation_ref([3, 5, 8], pp)[1],
+             bits[0]: 0, bits[1]: 0, bits[2]: 0, bits[3]: 1}
+    partial = [dict(list(fixed.items())[:j]) for j in (1, 2, 3)]
+    for overrides in (*partial, fixed, {h: 0}, {bits[2]: 0}, {a: 4, c: 6}):
+        report = cs.evaluate_and_check(overrides)
+        assert report == _reference_report(cs, overrides), overrides
+        assert cs._index is not first and cs._index.size == (len(cs._gates), len(cs._assertions))
+    assert cs.evaluate_and_check(fixed).satisfied
 
 
 def test_every_permutation_call_is_its_t_outputs():
