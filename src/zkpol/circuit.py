@@ -11,20 +11,22 @@ constant is wired with its int witness (anything else, ``None`` included,
 is a ``CircuitError`` at wiring) and every gate's value is computed as it
 is appended, so gadget code can derive prover-local hints (bit
 decompositions, square roots, characteristic vectors) from intermediate
-values.  This mirrors the prover's side of a real backend, which holds
-the whole witness.  ``evaluate_and_check``, standing in for the
-verifier-side protocol run, checks the assertions against the eager
-values: one pass over their stored residues, which is all a check costs
-when no override changes a value.  An override check walks only the
-forward cone of the inputs it changes, the way an interactive backend
-checks only the gates an input feeds.  It reads a reader index (who reads
-each wire, and each assertion entry's lowest index), built lazily by the
-first check of a system that changes a value and again once the system
-has grown; a system that is only ever checked honestly never holds one.
-The walk takes pending gates in id order, re-evaluates each from its
-operands' new or stored values, tests the assertion entries of each wire
-whose value changes, and stops as soon as no pending gate can move an
-assertion before the first failure found (``_first_failure``).
+values.  This mirrors the prover's side of a real backend, which holds the
+whole witness.  ``evaluate_and_check``, standing in for the verifier-side
+protocol run, checks the assertions against the eager values.  Each entry
+is tested as it is appended, as an interactive backend tests each
+constraint as it is emitted, and ``_failing`` records the indices of those
+that fail: a check that changes no value reads its first one.  An override
+check walks only the forward cone of the inputs it changes, the way an
+interactive backend checks only the gates an input feeds.  It reads a
+reader index (who reads each wire, and each assertion entry's lowest
+index), built lazily by the first check of a system that changes a value
+and again once the system has grown; a system that is only ever checked
+honestly never holds one.  The walk takes pending gates in id order,
+re-evaluates each from its operands' new or stored values, tests the
+assertion entries of each wire whose value changes, and stops as soon as
+no pending gate can move an assertion before the first failure found
+(``_first_failure``).
 
 A Poseidon permutation is one call, the way SIEVE IR calls a sub-circuit
 as one unit: ``poseidon_rounds`` appends its t output wires, ``_PERM``
@@ -89,6 +91,7 @@ _PERM = 6  # (op, j): output lane j of the permutation span holding wire w
 
 # Every input wire's gate, one tuple shared by all of them.
 _INPUT_GATE = (_INPUT,)
+_PROVER = int(Domain.PROVER)  # the domain of every decomposed bit
 # The gates of a permutation's t outputs are the first t of these.
 _PERM_GATES = tuple((_PERM, j) for j in range(MAX_T))
 
@@ -161,7 +164,7 @@ class ConstraintSystem:
         self._domains: list[int] = []
         self._values: list[int] = []
         self._assertions: list[int] = []  # entries: w (value 0) or ~b (b boolean)
-        self._residues: list[int] = []  # per entry, its eager residue, 0 if it holds
+        self._failing: list[int] = []  # indices of the entries failing on the eager values, in order
         self.n_mul = 0
         self.n_add = 0
         self.n_prover_inputs = 0
@@ -184,15 +187,18 @@ class ConstraintSystem:
         return wid
 
     def wire_input(self, value: int, domain: Domain) -> int:
-        """Inject a local int value into the circuit as a protocol input."""
-        if domain == Domain.PUBLIC:
-            raise PublicNeedsNoWire("public constants use const()")
-        value = _witness(value) % self.p
-        if domain == Domain.PROVER:
+        """Inject a local int value as a prover-only or shared input."""
+        if domain is not Domain.PROVER and domain is not Domain.SHARED:
+            if domain is Domain.PUBLIC:
+                raise PublicNeedsNoWire("public constants use const()")
+            raise CircuitError(f"input domain {domain!r} is not Domain.PROVER or Domain.SHARED")
+        if type(value) is not int:
+            _witness(value)
+        if domain is Domain.PROVER:
             self.n_prover_inputs += 1
         else:
             self.n_shared_inputs += 1
-        return self._new_wire(_INPUT_GATE, int(domain), value)
+        return self._new_wire(_INPUT_GATE, domain._value_, value % self.p)
 
     def const(self, value: int) -> int:
         v = _witness(value) % self.p
@@ -204,8 +210,12 @@ class ConstraintSystem:
     # -- gates ---------------------------------------------------------
 
     def _binary(self, op: int, a: int, b: int, v: int) -> int:
-        doms = self._domains
-        return self._new_wire((op, a, b), max(doms[a], doms[b]), v % self.p)
+        gates, doms = self._gates, self._domains
+        gates.append((op, a, b))
+        da, db = doms[a], doms[b]
+        doms.append(da if da > db else db)
+        self._values.append(v % self.p)
+        return len(gates) - 1
 
     def add(self, a: int, b: int) -> int:
         self.n_add += 1
@@ -233,21 +243,19 @@ class ConstraintSystem:
         if len(coeffs) != len(wires) or not coeffs:
             raise CircuitError("affine needs matching non-empty coeffs/wires")
         p = self.p
-        ids = tuple(wires)
-        dom = max(map(self._domains.__getitem__, ids))
-        self.n_add += len(coeffs) - 1
-        cs = tuple(c if 0 <= c < p else c % p for c in coeffs)
-        vals = self._values
-        v = 0
-        for c, i in zip(cs, ids):
-            v += c * vals[i]
-        return self._new_wire((_AFFINE, cs, ids), dom, v % p)
+        cs, ids = tuple(coeffs), tuple(wires)
+        if min(cs) < 0 or max(cs) >= p:
+            cs = tuple(c % p for c in cs)
+        self.n_add += len(cs) - 1
+        v = sum(map(operator.mul, cs, map(self._values.__getitem__, ids)))
+        return self._new_wire((_AFFINE, cs, ids), max(map(self._domains.__getitem__, ids)), v % p)
 
     # -- assertions ----------------------------------------------------
 
     def assert_zero(self, w: int) -> None:
+        if self._values[w]:
+            self._failing.append(len(self._assertions))
         self._assertions.append(w)
-        self._residues.append(self._values[w])
 
     def assert_boolean(self, w: int) -> None:
         """Assert value(w) * (value(w) - 1) = 0 as the entry ~w, with no
@@ -256,8 +264,9 @@ class ConstraintSystem:
         v = self._values[w]
         self.n_add += 1
         self.n_mul += self._gates[w][0] != _CONST
+        if v * (v - 1) % self.p:
+            self._failing.append(len(self._assertions))
         self._assertions.append(~w)
-        self._residues.append(v * (v - 1) % self.p)
 
     def assert_eq(self, a: int, b: int) -> None:
         self.assert_zero(self.sub(a, b))
@@ -281,12 +290,11 @@ class ConstraintSystem:
         start = len(gates)
         ids = range(start, start + k)
         gates.extend(repeat(_INPUT_GATE, k))
-        self._domains.extend(repeat(int(Domain.PROVER), k + 2))
+        self._domains.extend(repeat(_PROVER, k + 2))
         low = v & ((1 << k) - 1)
         byte_bits = map(_BYTE_BITS.__getitem__, low.to_bytes((k + 7) // 8, "little"))
         self._values.extend(islice(chain.from_iterable(byte_bits), k))
         self._assertions.extend(range(~start, ~start - k, -1))
-        self._residues.extend(repeat(0, k))
         # Recomposition affine and its equality with w (assert_eq's sub).
         rid = start + k
         gates.append((_AFFINE, _pow2_coeffs(k, p), ids))
@@ -294,8 +302,9 @@ class ConstraintSystem:
         rec = low % p
         self._values.append(rec)
         self._values.append((rec - v) % p)
+        if rec != v:
+            self._failing.append(len(self._assertions))
         self._assertions.append(rid + 1)
-        self._residues.append(self._values[-1])
         self.n_prover_inputs += k
         self.n_mul += k
         self.n_add += 2 * k  # k booleanity subs, k - 1 affine adds, the final sub
@@ -369,9 +378,9 @@ class ConstraintSystem:
         """Check the assertions in order and report the first that fails.
 
         ``overrides`` maps input wire ids to replacement int witnesses.
-        With none, or with every one equal to its wire's eager value, each
-        assertion keeps its eager residue and one pass over them finds the
-        first non-zero one; nothing is re-evaluated and no index is built.
+        With none, or with every one equal to its wire's eager value, the
+        first failure is the first index recorded in ``_failing`` as its
+        entry was appended; nothing is re-evaluated and no index is built.
         Otherwise ``_first_failure`` walks the forward cone of the changed
         inputs only."""
         p, gates, stored = self.p, self._gates, self._values
@@ -383,30 +392,25 @@ class ConstraintSystem:
                 raise CircuitError(f"override value {v!r} for wire {wid} is not an int")
             if v % p != stored[wid]:
                 new[wid] = v % p
-        first_fail = self._first_failure(new) if new else next(compress(count(), self._residues), None)
-        return SatisfactionReport(
-            satisfied=first_fail is None,
-            first_failed_assertion=first_fail,
-            counters=self.counters,
-        )
+        first_fail = self._first_failure(new) if new else self._failing[0] if self._failing else None
+        return SatisfactionReport(first_fail is None, first_fail, self.counters)
 
     def _first_failure(self, new: dict[int, int]) -> int | None:
         """The index of the first assertion that fails once the input wires
         in ``new`` take their new values, or None if none does.
 
-        Gates are taken from a sorted list of pending ids, in id order,
-        each once:
-        a gate is pending once one of its operands has changed, and is
+        Gates are taken from a sorted list of pending ids, in id order, each
+        once: a gate is pending once one of its operands has changed, and is
         re-evaluated from the new or stored values of its operands; a
         permutation span is pending once one of its lanes has changed, and
         ``localcalc.poseidon_permutation_ref`` runs on the new lanes.  For
         each wire whose value changes, its entries w and ~w are tested at
         their lowest assertion index.  Every other entry keeps its eager
-        residue, so an eagerly failing entry fails unless its wire changed
-        to a value that passes.  The walk stops once every assertion up to
-        the first failure found reads only wires below the next pending
-        gate, whose values are then final; abs(e) bounds the wire an entry
-        e reads (e for w, b + 1 for ~b)."""
+        verdict, so an entry recorded in ``_failing`` fails unless its wire
+        changed to a value that passes.  The walk stops once every assertion
+        up to the first failure found reads only wires below the next pending
+        gate, whose values are then final; abs(e) bounds the wire an entry e
+        reads (e for w, b + 1 for ~b)."""
         p, gates, stored, asserts = self.p, self._gates, self._values, self._assertions
         index = self._index
         if index is None or index.size != (len(gates), len(asserts)):  # none yet, or the system grew
@@ -428,7 +432,7 @@ class ConstraintSystem:
                     if bad:
                         if i < best:
                             best, retest = i, True
-                    elif self._residues[i]:
+                    elif i in index.eager:
                         cured.add(e)
                         retest = True
                 for r in readers.get(w, ()):
@@ -437,7 +441,7 @@ class ConstraintSystem:
                 if j < len(ranged) and w in gates[ranged[j]][2]:
                     bisect.insort(pending, ranged[j])
             if retest:
-                first = min(best, next((i for i in index.eager if asserts[i] not in cured), n))
+                first = min(best, next((i for i in self._failing if asserts[i] not in cured), n))
                 bound = max(map(abs, islice(asserts, first + 1))) if first < n else len(gates)
                 retest = False
             if not pending or pending[0] > bound:
@@ -477,7 +481,7 @@ class _ReaderIndex:
     reads the range of bits laid just before it, the first such id above
     a bit is the one that may read it.
     ``first_at`` maps each assertion entry to its lowest index, ``eager``
-    lists the indices of the entries failing on the eager values and
+    is the set of the indices in ``ConstraintSystem._failing`` and
     ``spans`` maps each span's first output id to its lanes and
     parameters."""
 
@@ -504,5 +508,5 @@ class _ReaderIndex:
         self.readers = readers
         self.ranged = ranged
         self.first_at = dict(zip(reversed(asserts), range(len(asserts) - 1, -1, -1)))
-        self.eager = list(compress(count(), cs._residues))
+        self.eager = set(cs._failing)
         self.spans = {s0: (lanes, pp) for s0, lanes, pp in cs._spans}

@@ -1,9 +1,9 @@
 """Reusable circuit fragments.
 
-Booleanity, bit decomposition, the range check ``leq``, the exact floor
-square root, the Poseidon sponge, the characteristic-vector lookup of a
-row of a public table, and circle and triangle membership in one such
-row.  All gadgets append to a caller-owned ConstraintSystem, and every
+Bit decomposition, the range check ``leq``, the exact floor square root,
+the Poseidon sponge, the characteristic-vector lookup of a row of a
+public table, and circle and triangle membership in one such row
+(booleanity is ``ConstraintSystem.assert_boolean``).  All gadgets append to a caller-owned ConstraintSystem, and every
 inequality is a range check.  The prover's hints are the index of
 ``lookup`` (0 names no row) and the root of ``sqrt_floor``, derived from
 the builder's eager values unless a caller passes one.
@@ -18,13 +18,6 @@ from .poseidon import PoseidonParams
 
 class EmptyMessage(Exception):
     pass
-
-
-def assert_boolean(cs: ConstraintSystem, w: int) -> None:
-    """Assert w * (w - 1) = 0: one booleanity entry ~w in the assertion
-    list, no wire (``ConstraintSystem.assert_boolean``).  It costs what
-    mul(w, sub(w, 1)) would, one add and one mul for a non-constant w."""
-    cs.assert_boolean(w)
 
 
 def decompose_bits(cs: ConstraintSystem, w: int, k: int) -> range:
@@ -143,11 +136,11 @@ def lookup(cs: ConstraintSystem, index: int, rows: list[tuple[int, ...]]) -> tup
     n = len(rows)
     sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, n + 1)]
     for xi in sel:
-        assert_boolean(cs, xi)
+        cs.assert_boolean(xi)
     if n == 1:
         return sel[0], tuple(cs.const(v) for v in rows[0])
     b = cs.affine([1] * n, sel)
-    assert_boolean(cs, b)
+    cs.assert_boolean(b)
     return b, tuple(cs.affine(col, sel) for col in zip(*rows))
 
 

@@ -488,9 +488,9 @@ def test_cli_fuzz_reports_a_membership_bit_apart_from_the_selector(tmp_path, cap
     def lookup(cs, index, rows):
         sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, len(rows) + 1)]
         for w in sel:
-            gadgets.assert_boolean(cs, w)
+            cs.assert_boolean(w)
         b = cs.wire_input(int(1 <= index <= len(rows)), Domain.PROVER)
-        gadgets.assert_boolean(cs, b)
+        cs.assert_boolean(b)
         return b, tuple(cs.affine(col, sel) for col in zip(*rows))
 
     monkeypatch.setattr(gadgets, "lookup", lookup)
@@ -503,10 +503,10 @@ def test_cli_fuzz_reports_a_membership_bit_apart_from_the_selector(tmp_path, cap
 
 def _lookup_without_the_booleanity_of_b(cs, index, rows):
     """``gadgets.lookup`` for a table of two or more rows, without
-    ``assert_boolean(b)``: a two-hot selector then gives b = 2."""
+    ``cs.assert_boolean(b)``: a two-hot selector then gives b = 2."""
     sel = [cs.wire_input(int(i == index), Domain.PROVER) for i in range(1, len(rows) + 1)]
     for w in sel:
-        gadgets.assert_boolean(cs, w)
+        cs.assert_boolean(w)
     return cs.affine([1] * len(rows), sel), tuple(cs.affine(col, sel) for col in zip(*rows))
 
 

@@ -72,6 +72,24 @@ def test_wire_input_public_rejected():
         cs.wire_input(1, Domain.PUBLIC)
 
 
+@pytest.mark.parametrize("domain, error", [
+    (7, CircuitError), (1.0, CircuitError), (True, CircuitError), ("x", CircuitError),
+    (None, CircuitError), (2, CircuitError), (Domain.PUBLIC, PublicNeedsNoWire),
+], ids=["7", "1.0", "True", "str", "None", "int-2", "PUBLIC"])
+def test_wire_input_domain_is_prover_or_shared(domain, error):
+    # Only the members Domain.PROVER and Domain.SHARED name an input's
+    # domain: an int equal to one of them, a float or a bool would be
+    # counted and stored as whatever it compares equal to.  The error
+    # comes before anything is appended or counted.
+    cs = fresh()
+    cs.wire_input(1, Domain.SHARED)
+    before = (list(cs._gates), list(cs._domains), list(cs._values), cs.counters)
+    with pytest.raises(error) as caught:
+        cs.wire_input(5, domain)
+    assert type(caught.value) is error
+    assert (cs._gates, cs._domains, cs._values, cs.counters) == before
+
+
 def test_mul_gate():
     cs = fresh()
     a = cs.wire_input(2, Domain.PROVER)
@@ -174,6 +192,22 @@ def test_affine_combo_counts_adds():
     out = cs.affine([1, 10, 100], ws)
     assert cs.counters.n_add == before + 2
     assert cs.value(out) == 321
+
+
+@pytest.mark.parametrize("coeffs, stored", [
+    ([1, 10, 100], (1, 10, 100)),
+    ([-1, 10, 100], (FP.modulus - 1, 10, 100)),
+    ([1, FP.modulus + 10, 100], (1, 10, 100)),
+    ([FP.modulus - 1, 0, -3 * FP.modulus], (FP.modulus - 1, 0, 0)),
+])
+def test_affine_stores_coefficients_reduced(coeffs, stored):
+    # A coefficient outside [0, p) is stored as its residue, and the value
+    # is the combination's residue either way.
+    cs = fresh()
+    ws = [cs.wire_input(i, Domain.PROVER) for i in (1, 2, 3)]
+    out = cs.affine(coeffs, ws)
+    assert cs._gates[out] == (_AFFINE, stored, tuple(ws))
+    assert cs.value(out) == sum(c * v for c, v in zip(coeffs, (1, 2, 3))) % cs.p
 
 
 def test_override_reevaluates_downstream():
@@ -421,11 +455,37 @@ def test_eager_values_match_rederivation():
     verdicts = set()
     for cs in SYSTEMS:
         assert cs._values == _rederive(cs)
-        assert cs._residues == _reference_residues(cs, cs._values)
+        residues = _reference_residues(cs, cs._values)
+        assert cs._failing == [i for i, r in enumerate(residues) if r]
         report = cs.evaluate_and_check()
         assert report == _reference_report(cs)
         verdicts.add(report.satisfied)
     assert verdicts == {True, False}
+
+
+def test_failures_are_recorded_as_entries_are_appended():
+    # A system checked honestly, then grown by one failing entry of each
+    # kind, each on an input of its own: a zero assertion on a non-zero
+    # wire, a booleanity entry on a wire of value 2 and a decomposition of
+    # a value of k + 1 bits.  After each, the honest check and override
+    # checks that cure, keep or add failures are the reference's.
+    cs = fresh()
+    a = cs.wire_input(6, Domain.PROVER)
+    c, d, e = (cs.wire_input(v, Domain.PROVER) for v in (5, 2, 4))
+    cs.decompose(a, 3)
+    cs.assert_boolean(cs.sub(a, cs.const(5)))
+    assert cs.evaluate_and_check().satisfied and cs._failing == []
+    override_sets = (None, {a: 7}, {a: 8}, {c: 0}, {c: 0, d: 1}, {c: 0, d: 0, e: 0},
+                     {d: 1, e: 0}, {e: 3}, {a: 5, c: 0, d: 1, e: 0})
+    for grow in (lambda: cs.assert_zero(c), lambda: cs.assert_boolean(d),
+                 lambda: cs.decompose(e, 2)):
+        grow()
+        for overrides in override_sets:
+            assert cs.evaluate_and_check(overrides) == _reference_report(cs, overrides), overrides
+    n = len(cs._assertions)
+    assert cs._failing == [n - 5, n - 4, n - 1]  # then e's two bits, then its sub
+    assert cs.evaluate_and_check().first_failed_assertion == n - 5
+    assert cs.evaluate_and_check({c: 0, d: 1, e: 0}).satisfied
 
 
 def test_every_single_bit_flip_matches_the_reference():

@@ -24,7 +24,7 @@ def fresh():
 @pytest.mark.parametrize("v,ok", [(0, True), (1, True), (2, False)])
 def test_assert_boolean(v, ok):
     cs = fresh()
-    gadgets.assert_boolean(cs, cs.wire_input(v, Domain.PROVER))
+    cs.assert_boolean(cs.wire_input(v, Domain.PROVER))
     assert cs.evaluate_and_check().satisfied == ok
 
 
@@ -48,7 +48,7 @@ def test_assert_boolean_is_the_gates_it_stands_for(source, v):
         if as_gates:
             cs.assert_zero(cs.mul(w, cs.sub(w, cs.const(1))))
         else:
-            gadgets.assert_boolean(cs, w)
+            cs.assert_boolean(w)
             assert len(cs._gates) == n_wires
         moved = [{}] if x is None else [{}, {x: 0}, {x: 1}, {x: 2}, {x: cs.p - 1}]
         built.append([cs.evaluate_and_check(m) for m in moved])
