@@ -1,10 +1,10 @@
 """Visibility-tagged arithmetic circuit builder and satisfiability checker.
 
 The circuit is an append-only list of gates.  A wire is the plain int id
-of the gate that outputs it: ``_gates[w]`` is its gate, ``_values[w]`` its
-construction-time value and ``_domains[w]`` its visibility domain
-(prover-only / shared / public).  The domain of a gate output is the most
-secret domain among its operands.
+of the gate that outputs it: ``_gates[w]`` is its gate and ``_values[w]``
+its construction-time value.  Its visibility domain (prover-only / shared
+/ public) is not stored: ``domains`` derives it on read, an input's from
+its gate, which carries it, and any other wire's by the join rule.
 
 Every wire has a value from the moment it is appended: an input or a
 constant is wired with its int witness (anything else, ``None`` included,
@@ -22,28 +22,20 @@ interactive backend checks only the gates an input feeds.  It reads a
 reader index (who reads each wire, and each assertion entry's lowest
 index), built lazily by the first check of a system that changes a value
 and again once the system has grown; a system that is only ever checked
-honestly never holds one.  The walk takes pending gates in id order,
-re-evaluates each from its operands' new or stored values, tests the
-assertion entries of each wire whose value changes, and stops as soon as
-no pending gate can move an assertion before the first failure found
-(``_first_failure``).
+honestly never holds one.  ``_first_failure`` is the walk.
 
 A Poseidon permutation is one call, the way SIEVE IR calls a sub-circuit
 as one unit: ``poseidon_rounds`` appends its t output wires, ``_PERM``
 gates whose values ``localcalc.poseidon_permutation_ref`` computes from
 the input lanes, and records a span (first output, input lanes,
-parameters).  The override walk evaluates a span as one block, pending
-once one of its lanes has changed: it runs the reference on the new lane
-values.  The counters charge each call what the permutation's gates
-would cost (see ``poseidon_rounds``).
+parameters), which the override walk evaluates as one block.  The
+counters charge each call what the permutation's gates would cost.
 
 An assertion entry is a wire id w, asserting value(w) = 0, or ~b (a
 negative int), asserting booleanity value(b) * (value(b) - 1) = 0 with no
-wire of its own.  ``decompose`` (bit decomposition) is a bulk primitive:
-its k bits are k input wires with k booleanity entries, then the
-recomposition affine and its sub, k + 2 wires in all, each list grown
-with one ``list.extend``.  A booleanity entry counts the mul and sub it
-stands for, so every counter equals the per-gate composition's.
+wire of its own; it counts the mul and sub it stands for.  ``decompose``
+(bit decomposition) is a bulk primitive: k prover-only input bits with
+booleanity entries, then the recomposition affine and its sub.
 
 ``scope(name)`` opens a named region that runs to the next ``scope`` call;
 it costs one mark, and ``scope_of`` and ``region`` read the marks.
@@ -89,21 +81,19 @@ _MUL = 4
 _AFFINE = 5  # (op, coeffs, wire_ids): a tuple, or a recomposition's range of bits
 _PERM = 6  # (op, j): output lane j of the permutation span holding wire w
 
-# Every input wire's gate, one tuple shared by all of them.
+# Every prover-only input's gate, and every shared input's: one tuple each.
 _INPUT_GATE = (_INPUT,)
-_PROVER = int(Domain.PROVER)  # the domain of every decomposed bit
+_SHARED_INPUT_GATE = (_INPUT, Domain.SHARED)
 # The gates of a permutation's t outputs are the first t of these.
 _PERM_GATES = tuple((_PERM, j) for j in range(MAX_T))
+# Maps the digits of a binary string to the bit values 0 and 1.
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @lru_cache(maxsize=None)
 def _pow2_coeffs(k: int, p: int) -> tuple[int, ...]:
     """Recomposition coefficients 2^0 .. 2^(k-1), reduced mod p."""
     return tuple((1 << i) % p for i in range(k))
-
-
-# Per byte value, its 8 bits, low bit first.
-_BYTE_BITS = tuple(tuple((byte >> i) & 1 for i in range(8)) for byte in range(256))
 
 
 @lru_cache(maxsize=16)
@@ -161,7 +151,6 @@ class ConstraintSystem:
         self.params = params or FieldParams()
         self.p = self.params.modulus
         self._gates: list[tuple] = []
-        self._domains: list[int] = []
         self._values: list[int] = []
         self._assertions: list[int] = []  # entries: w (value 0) or ~b (b boolean)
         self._failing: list[int] = []  # indices of the entries failing on the eager values, in order
@@ -179,15 +168,15 @@ class ConstraintSystem:
 
     # -- wire creation -------------------------------------------------
 
-    def _new_wire(self, gate: tuple, domain: int, value: int) -> int:
+    def _new_wire(self, gate: tuple, value: int) -> int:
         wid = len(self._gates)
         self._gates.append(gate)
-        self._domains.append(domain)
         self._values.append(value)
         return wid
 
     def wire_input(self, value: int, domain: Domain) -> int:
-        """Inject a local int value as a prover-only or shared input."""
+        """Inject a local int value as a prover-only or shared input; its
+        gate carries its domain: ``_INPUT_GATE`` or ``_SHARED_INPUT_GATE``."""
         if domain is not Domain.PROVER and domain is not Domain.SHARED:
             if domain is Domain.PUBLIC:
                 raise PublicNeedsNoWire("public constants use const()")
@@ -196,24 +185,22 @@ class ConstraintSystem:
             _witness(value)
         if domain is Domain.PROVER:
             self.n_prover_inputs += 1
-        else:
-            self.n_shared_inputs += 1
-        return self._new_wire(_INPUT_GATE, domain._value_, value % self.p)
+            return self._new_wire(_INPUT_GATE, value % self.p)
+        self.n_shared_inputs += 1
+        return self._new_wire(_SHARED_INPUT_GATE, value % self.p)
 
     def const(self, value: int) -> int:
         v = _witness(value) % self.p
         w = self._const_cache.get(v)
         if w is None:
-            w = self._const_cache[v] = self._new_wire((_CONST, v), int(Domain.PUBLIC), v)
+            w = self._const_cache[v] = self._new_wire((_CONST, v), v)
         return w
 
     # -- gates ---------------------------------------------------------
 
     def _binary(self, op: int, a: int, b: int, v: int) -> int:
-        gates, doms = self._gates, self._domains
+        gates = self._gates
         gates.append((op, a, b))
-        da, db = doms[a], doms[b]
-        doms.append(da if da > db else db)
         self._values.append(v % self.p)
         return len(gates) - 1
 
@@ -248,7 +235,7 @@ class ConstraintSystem:
             cs = tuple(c % p for c in cs)
         self.n_add += len(cs) - 1
         v = sum(map(operator.mul, cs, map(self._values.__getitem__, ids)))
-        return self._new_wire((_AFFINE, cs, ids), max(map(self._domains.__getitem__, ids)), v % p)
+        return self._new_wire((_AFFINE, cs, ids), v % p)
 
     # -- assertions ----------------------------------------------------
 
@@ -279,9 +266,10 @@ class ConstraintSystem:
 
         Assertion order and every counter are those of the per-gate
         composition wire_input / ``assert_boolean`` per bit, then affine /
-        assert_eq.  The bits' values come from a per-byte table of v mod
-        2^k; the recomposition affine's value is (v mod 2^k) mod p.
-        Returns the bit ids, low bit first."""
+        assert_eq.  The bits' values are the binary digits of v mod 2^k,
+        low digit first; their gate ``_INPUT_GATE`` carries their domain,
+        prover-only.  The recomposition affine's value is (v mod 2^k) mod
+        p.  Returns the bit ids, low bit first."""
         if k < 1:
             raise CircuitError("decompose needs k >= 1 bits")
         v = self._values[w]
@@ -290,10 +278,9 @@ class ConstraintSystem:
         start = len(gates)
         ids = range(start, start + k)
         gates.extend(repeat(_INPUT_GATE, k))
-        self._domains.extend(repeat(_PROVER, k + 2))
         low = v & ((1 << k) - 1)
-        byte_bits = map(_BYTE_BITS.__getitem__, low.to_bytes((k + 7) // 8, "little"))
-        self._values.extend(islice(chain.from_iterable(byte_bits), k))
+        # A sentinel bit k makes bin() write "0b1" and then all k digits.
+        self._values.extend(bin(low | (1 << k))[:2:-1].encode().translate(_BIT_VALUES))
         self._assertions.extend(range(~start, ~start - k, -1))
         # Recomposition affine and its equality with w (assert_eq's sub).
         rid = start + k
@@ -314,19 +301,17 @@ class ConstraintSystem:
         """One call of the Poseidon permutation of ``pp`` on ``state``: the
         t output wires, ``_PERM`` gates valued by
         ``localcalc.poseidon_permutation_ref`` on the lane values (the
-        factored form of the ``poseidon`` module docstring), each in the
-        most secret lane domain.  The call is recorded as a span (first
-        output id, input lane ids, ``pp``) for ``evaluate_and_check`` and
-        appends no assertion.  It adds to n_mul and n_add what the
-        factored permutation composed gate by gate would
-        (``_permutation_cost``).  Returns the t output ids."""
+        factored form of the ``poseidon`` module docstring).  The call is
+        recorded as a span (first output id, input lane ids, ``pp``) for
+        ``evaluate_and_check`` and appends no assertion.  It adds to n_mul
+        and n_add what the factored permutation composed gate by gate
+        would (``_permutation_cost``).  Returns the t output ids."""
         t = pp.t
         if len(state) != t:
             raise ValueError(f"state width must be {t}")
         lanes = tuple(state)
         first = len(self._gates)
         self._gates.extend(_PERM_GATES[:t])
-        self._domains.extend(repeat(max(map(self._domains.__getitem__, lanes)), t))
         self._values.extend(localcalc.poseidon_permutation_ref(list(map(self._values.__getitem__, lanes)), pp))
         n_mul, n_add = _permutation_cost(pp)
         self.n_mul += n_mul
@@ -362,17 +347,31 @@ class ConstraintSystem:
         """Construction-time value of a wire (the prover's local view)."""
         return self._values[w]
 
+    def domains(self) -> list[Domain]:
+        """Every wire's visibility domain, by wire id, in one forward pass
+        by the join rule: an input's is the one its gate carries, a
+        constant's is public, and an add, sub, mul or affine output's is its
+        most secret operand's, a permutation output's its call's most
+        secret lane's.  A decomposed bit is a prover-only input."""
+        lanes = {s0: span_lanes for s0, span_lanes, _ in self._spans}
+        doms: list[Domain] = []
+        for w, gate in enumerate(self._gates):
+            op = gate[0]
+            if op == _INPUT:
+                d = gate[1] if len(gate) > 1 else Domain.PROVER
+            elif op == _CONST:
+                d = Domain.PUBLIC
+            else:  # output lane j of a call is j wires past its first
+                reads = lanes[w - gate[1]] if op == _PERM else gate[2] if op == _AFFINE else gate[1:]
+                d = max(map(doms.__getitem__, reads))
+            doms.append(d)
+        return doms
+
     # -- evaluation ----------------------------------------------------
 
     @property
     def counters(self) -> Counters:
-        return Counters(
-            n_mul=self.n_mul,
-            n_add=self.n_add,
-            n_assert=len(self._assertions),
-            n_prover_inputs=self.n_prover_inputs,
-            n_shared_inputs=self.n_shared_inputs,
-        )
+        return Counters(self.n_mul, self.n_add, len(self._assertions), self.n_prover_inputs, self.n_shared_inputs)
 
     def evaluate_and_check(self, overrides: dict[int, int] | None = None) -> SatisfactionReport:
         """Check the assertions in order and report the first that fails.

@@ -55,14 +55,14 @@ def test_wire_input_prover():
     cs = fresh()
     w = cs.wire_input(5, Domain.PROVER)
     assert cs.value(w) == 5
-    assert cs._domains[w] == Domain.PROVER
+    assert cs.domains()[w] == Domain.PROVER
     assert cs.counters.n_prover_inputs == 1
 
 
 def test_wire_input_shared():
     cs = fresh()
     w = cs.wire_input(42, Domain.SHARED)
-    assert cs._domains[w] == Domain.SHARED
+    assert cs.domains()[w] == Domain.SHARED
     assert cs.counters.n_shared_inputs == 1
 
 
@@ -83,11 +83,11 @@ def test_wire_input_domain_is_prover_or_shared(domain, error):
     # comes before anything is appended or counted.
     cs = fresh()
     cs.wire_input(1, Domain.SHARED)
-    before = (list(cs._gates), list(cs._domains), list(cs._values), cs.counters)
+    before = (list(cs._gates), cs.domains(), list(cs._values), cs.counters)
     with pytest.raises(error) as caught:
         cs.wire_input(5, domain)
     assert type(caught.value) is error
-    assert (cs._gates, cs._domains, cs._values, cs.counters) == before
+    assert (cs._gates, cs.domains(), cs._values, cs.counters) == before
 
 
 def test_mul_gate():
@@ -106,7 +106,7 @@ def test_mul_by_a_constant_is_an_affine():
     a = cs.wire_input(7, Domain.SHARED)
     for prod in (cs.mul(cs.const(3), a), cs.mul(a, cs.const(3))):
         assert cs._gates[prod] == (_AFFINE, (3,), (a,))
-        assert cs.value(prod) == 21 and cs._domains[prod] == Domain.SHARED
+        assert cs.value(prod) == 21 and cs.domains()[prod] == Domain.SHARED
         cs.assert_eq(prod, cs.const(21))
     assert (cs.n_mul, cs.n_add) == (0, 2)  # the two assert_eq subs
     assert cs.evaluate_and_check().satisfied
@@ -123,10 +123,9 @@ def test_domain_join_rule():
     cs = fresh()
     a = cs.wire_input(2, Domain.PROVER)
     b = cs.wire_input(3, Domain.SHARED)
-    assert cs._domains[cs.mul(a, b)] == Domain.PROVER
-    assert cs._domains[cs.add(b, cs.const(1))] == Domain.SHARED
-    assert cs._domains[cs.affine([1, 2], [a, b])] == Domain.PROVER
-    assert cs._domains[cs.affine([3], [b])] == Domain.SHARED
+    wires = [cs.mul(a, b), cs.add(b, cs.const(1)), cs.affine([1, 2], [a, b]), cs.affine([3], [b])]
+    doms = cs.domains()
+    assert [doms[w] for w in wires] == [Domain.PROVER, Domain.SHARED, Domain.PROVER, Domain.SHARED]
 
 
 def test_assert_eq_satisfied():
@@ -300,8 +299,8 @@ def test_domain_monotonicity_structural():
     bits = cs.decompose(cs.add(b, cs.const(4)), 4)
     pp = params_for(FP)
     out = cs.poseidon_rounds([cs.const(1), b] + [cs.const(0)] * (pp.t - 2), pp)
-    assert {cs._domains[w] for w in out} == {Domain.SHARED}
-    doms = cs._domains
+    doms = cs.domains()
+    assert {doms[w] for w in out} == {Domain.SHARED}
     for wid in range(len(cs._gates)):
         reads = _reads(cs, wid)
         assert doms[wid] >= max(map(doms.__getitem__, reads), default=0), wid
@@ -612,6 +611,37 @@ def _per_gate_decompose(cs, w, k):
 SMALL_FP = FieldParams(modulus=521, coord_bits=1)
 
 
+def _decompose_both_ways(fp, k, v, source, moves):
+    """decompose(w, k) and ``_per_gate_decompose`` of a w valued v (a
+    prover or shared input, or a constant), each as its counters, its bit
+    and recomposition values and domains, and its reports with no override
+    and under each override set of ``moves``, a dict from a position (-1
+    for w, i for bit i) to a value."""
+    built = []
+    for decompose in (ConstraintSystem.decompose, _per_gate_decompose):
+        cs = ConstraintSystem(fp)
+        if source == "const":
+            w = cs.const(v)
+        else:
+            w = cs.wire_input(v, Domain.PROVER if source == "prover" else Domain.SHARED)
+        bits = decompose(cs, w, k)
+        wire = [*bits, w].__getitem__  # position -1 is w
+        reports = []
+        for moved in [{}, *moves]:
+            overrides = {wire(i): x for i, x in moved.items()}
+            reports.append(cs.evaluate_and_check(overrides))
+            assert reports[-1] == _reference_report(cs, overrides)
+        recomposition = range(len(cs._gates) - 2, len(cs._gates))
+        doms = cs.domains()
+        built.append((
+            cs.counters,
+            [(cs._values[b], doms[b]) for b in bits],
+            [(cs._values[r], doms[r]) for r in recomposition],
+            reports,
+        ))
+    return built
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_decompose_matches_per_gate_composition(data):
@@ -619,9 +649,11 @@ def test_decompose_matches_per_gate_composition(data):
     # counters (assertion count included), bit values and domains,
     # recomposition values and domains, and report under every drawn
     # override of w (when an input) and of the bits, matched by position.
+    # k runs to 80, the widest decomposition of a default-prime statement
+    # (2k bits at coord_bits 40).
     fp = data.draw(st.sampled_from([FP, SMALL_FP]))
     p = fp.modulus
-    k = data.draw(st.integers(min_value=1, max_value=40))
+    k = data.draw(st.integers(min_value=1, max_value=80))
     # In range, any residue, out of range by up to 2^45, and negative: the
     # residue p - x of a small x, whose low k bits do not recompose it.
     v = data.draw(st.one_of(
@@ -636,28 +668,23 @@ def test_decompose_matches_per_gate_composition(data):
     positions = list(range(-1 if source != "const" else 0, k))
     values = st.one_of(st.sampled_from([0, 1, 2, p - 1, (p + 1) // 2]), st.integers(min_value=-p, max_value=2 * p))
     drawn = data.draw(st.lists(st.dictionaries(st.sampled_from(positions), values, max_size=3), max_size=4))
-    built = []
-    for decompose in (ConstraintSystem.decompose, _per_gate_decompose):
-        cs = ConstraintSystem(fp)
-        if source == "const":
-            w = cs.const(v)
-        else:
-            w = cs.wire_input(v, Domain.PROVER if source == "prover" else Domain.SHARED)
-        bits = decompose(cs, w, k)
-        wire = [*bits, w].__getitem__  # position -1 is w
-        reports = []
-        for moved in [{}, *drawn]:
-            overrides = {wire(i): x for i, x in moved.items()}
-            reports.append(cs.evaluate_and_check(overrides))
-            assert reports[-1] == _reference_report(cs, overrides)
-        recomposition = range(len(cs._gates) - 2, len(cs._gates))
-        built.append((
-            cs.counters,
-            [(cs._values[b], cs._domains[b]) for b in bits],
-            [(cs._values[r], cs._domains[r]) for r in recomposition],
-            reports,
-        ))
+    built = _decompose_both_ways(fp, k, v, source, drawn)
     assert built[0] == built[1]
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 63, 64, 65, 80])
+@pytest.mark.parametrize("fp", [FP, SMALL_FP], ids=["2^127-1", "521"])
+def test_decompose_matches_per_gate_composition_at_byte_edges(fp, k):
+    # The widths on either side of a byte and of a 64-bit word, and the
+    # widest a statement uses, each in range (all ones, the top bit alone),
+    # out of range and negative, from each source, with bit 0 overridden
+    # to 2 and the top bit to p - 1 and, for an input w, w to v + 1.
+    p = fp.modulus
+    for v in ((1 << k) - 1, 1 << (k - 1), (1 << k) + 5, (3 << k) - 1, -1, -(1 << k)):
+        for source in ("prover", "shared", "const"):
+            moves = [{0: 2, k - 1: p - 1}] + ([{-1: v + 1}] if source != "const" else [])
+            built = _decompose_both_ways(fp, k, v, source, moves)
+            assert built[0] == built[1], (v, source)
 
 
 def test_decompositions_share_their_gate_tuples():

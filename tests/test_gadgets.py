@@ -499,8 +499,9 @@ def test_lookup_out_of_range_names_no_row(table, index):
 
 def _selector(cs):
     """The lookup's prover inputs: its selector entries, in row order."""
+    doms = cs.domains()
     return [wid for wid in range(len(cs._gates))
-            if cs._gates[wid] == (_INPUT,) and cs._domains[wid] == Domain.PROVER]
+            if cs._gates[wid][0] == _INPUT and doms[wid] == Domain.PROVER]
 
 
 def test_lookup_one_row_is_constants():
@@ -509,7 +510,7 @@ def test_lookup_one_row_is_constants():
     for index in (0, 1, 2):
         cs, b, out = _lookup_system(index, TABLE[:1])
         assert [cs.value(w) for w in out] == [1, 2, 3]
-        assert all(cs._domains[w] == Domain.PUBLIC for w in out)
+        assert all(cs.domains()[w] == Domain.PUBLIC for w in out)
         assert _selector(cs) == [b] and cs.value(b) == int(index == 1)
         counters = cs.counters
         assert (counters.n_prover_inputs, counters.n_mul, counters.n_assert) == (1, 1, 1)

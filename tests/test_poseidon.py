@@ -303,6 +303,11 @@ def _build_both(fp, pp, values, make_state):
     return built
 
 
+def _domains_of(cs, wires):
+    doms = cs.domains()
+    return [doms[w] for w in wires]
+
+
 def test_bulk_gates_evaluate_to_reference_and_bind_every_input():
     rng = random.Random(25)
     for _ in range(3):
@@ -324,7 +329,7 @@ def test_bulk_mixed_domain_state_matches_per_gate_composition():
     assert bulk.counters == ref.counters
     assert [bulk.value(w) for w in out] == [ref.value(w) for w in ref_out]
     assert [bulk.value(w) for w in out] == localcalc.poseidon_permutation_ref(values, PP)
-    assert [bulk._domains[w] for w in out] == [ref._domains[w] for w in ref_out] == [Domain.PROVER] * PP.t
+    assert _domains_of(bulk, out) == _domains_of(ref, ref_out) == [Domain.PROVER] * PP.t
     # The call appends exactly its t outputs after the t state wires.
     assert out == list(range(PP.t, 2 * PP.t)) == list(range(PP.t, len(bulk._gates)))
     for w in out:
@@ -339,7 +344,7 @@ def test_bulk_output_domain_is_most_secret_lane():
 
     values = list(range(1, PP.t + 1))
     (bulk, _, out), (ref, _, ref_out) = _build_both(FP, PP, values, state)
-    assert [bulk._domains[w] for w in out] == [ref._domains[w] for w in ref_out] == [Domain.SHARED] * PP.t
+    assert _domains_of(bulk, out) == _domains_of(ref, ref_out) == [Domain.SHARED] * PP.t
     assert bulk.counters == ref.counters
 
 
@@ -376,7 +381,7 @@ def _check_factored_form(pp, seed, n_states=3):
         (bulk, _, out), (ref, _, ref_out) = _build_both(fp, pp, values, _sponge_state)
         assert [bulk.value(w) for w in out] == [ref.value(w) for w in ref_out] == expected
         assert bulk.counters == ref.counters
-        assert [bulk._domains[w] for w in out] == [ref._domains[w] for w in ref_out]
+        assert _domains_of(bulk, out) == _domains_of(ref, ref_out)
 
 
 @pytest.mark.parametrize("t", [2, 3, 9, 16])

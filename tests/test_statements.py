@@ -1,6 +1,7 @@
 import itertools
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -17,7 +18,7 @@ from zkpol.appio import (
     save_instance,
     serialize_instance,
 )
-from zkpol.circuit import _AFFINE, CircuitError, ConstraintSystem, Domain
+from zkpol.circuit import _ADD, _AFFINE, _CONST, _INPUT, _MUL, _PERM, _SUB, CircuitError, ConstraintSystem, Domain
 from zkpol.field import FieldParams, widths
 from zkpol.poseidon import PoseidonParamError, PoseidonParams, params_for
 from zkpol.protocol import ideal_outputs, run_session
@@ -402,7 +403,8 @@ def test_ev_domain_monotonicity():
     # Every assertion constrains a value derived from prover data: the wire
     # w of an entry w, and the bit b of a booleanity entry ~b.
     cs, _ = _build(_ev(10, 100))
-    assert {cs._domains[max(a, ~a)] for a in cs._assertions} == {Domain.PROVER}
+    doms = cs.domains()
+    assert {doms[max(a, ~a)] for a in cs._assertions} == {Domain.PROVER}
     assert any(a < 0 for a in cs._assertions)
 
 
@@ -988,7 +990,83 @@ def test_statement_cost_pinned():
     for kind, n_traj, n_geo, wires in (("ev", 256, 1, 46_422), ("tax", 64, 16, 19_707)):
         cs = ConstraintSystem(FieldParams())
         build_statement(_dummy_instance(kind, n_traj, n_geo, FieldParams()), cs)
-        assert len(cs._gates) == len(cs._values) == len(cs._domains) == wires
+        assert len(cs._gates) == len(cs._values) == len(cs.domains()) == wires
+
+
+# -- visibility domains ------------------------------------------------
+
+
+def _join_rule(cs, shared):
+    """Every wire's domain, re-derived from the gates: an input is shared
+    if it is in ``shared`` and prover-only otherwise, a constant is public,
+    and any other wire takes the most secret domain among the wires it
+    reads, a permutation output the input lanes of its call."""
+    call_lanes = {s0 + j: lanes for s0, lanes, pp in cs._spans for j in range(pp.t)}
+    doms = []
+    for w, gate in enumerate(cs._gates):
+        op = gate[0]
+        if op == _INPUT:
+            doms.append(Domain.SHARED if w in shared else Domain.PROVER)
+        elif op == _CONST:
+            doms.append(Domain.PUBLIC)
+        else:
+            assert op in (_ADD, _SUB, _MUL, _AFFINE, _PERM), gate
+            reads = call_lanes[w] if op == _PERM else gate[2] if op == _AFFINE else gate[1:]
+            doms.append(max(doms[r] for r in reads))
+    return doms
+
+
+P521 = FieldParams(modulus=521, coord_bits=1)
+PP521 = PoseidonParams(prime=521, t=9, alpha=3)  # 5 divides 520, so alpha = 3
+
+
+def _domain_instances():
+    """Whole statements, with one-row tables (whose rows are constants) and
+    wider ones, at the default prime and at p = 521.  Validation rejects
+    every ev shape at p = 521, whose coverage comparison is wider than the
+    field; the domains are structural, so that one is built unvalidated."""
+    yield pytest.param(_ev(10, 100), id="ev-one-row")
+    yield pytest.param(_tax(102), id="tax-one-row")
+    for kind, n_geo in (("ev", 2), ("tax", 8)):
+        inst = gen_fixture(FixtureSpec(kind, 1, 8, n_geo, mode="non_compliant"))
+        yield pytest.param(inst, id=f"{kind}-8x{n_geo}-non_compliant")
+    trail = Trail(((0, 0), (1, 1), (0, 1)))
+    triangle = TriangleSet((((0, 0), (1, 0), (0, 1)),))
+    yield pytest.param(make_instance("tax", P521, 3, TaxPolicy(1), triangle, trail, pp=PP521), id="tax-521")
+    ad = AuthorityData("ev", 3, SubsidyPolicy(1, 50), CircleSet(((1, 1, 1),)), P521, PP521)
+    yield pytest.param(SimpleNamespace(ad=ad, trail=trail), id="ev-521-unvalidated")
+
+
+def _domain_hints(n, n_rows):
+    """Honest hints, then adversarial square roots and rows: roots of 0 and
+    2 for every segment, rows that name none (0 and n_rows + 1) and the
+    first row for every point."""
+    yield {}
+    yield {"sqrt_hints": [0] * (n - 1), "row_hints": [0] * n}
+    yield {"sqrt_hints": [2] * (n - 1), "row_hints": [n_rows + 1] + [1] * (n - 1)}
+
+
+@pytest.mark.parametrize("inst", _domain_instances())
+def test_domains_follow_the_join_rule_on_whole_statements(inst):
+    # domains() against the join rule re-derived from the gates, with
+    # h_ex, the only shared input and the last input of region digest,
+    # wired as the honest hash's value and as a wrong digest, 1.
+    ad = inst.ad
+    n_rows = len(ad.geometry.circles if ad.kind == "ev" else ad.geometry.triangles)
+    for h_ex_value in (None, 1):
+        for hints in _domain_hints(ad.n_traj, n_rows):
+            cs = ConstraintSystem(ad.field_params)
+            build_statement(SimpleNamespace(ad=ad, trail=inst.trail, h_ex=h_ex_value), cs, **hints)
+            h_ex = cs.region("digest")[2][-1]
+            assert cs.counters.n_shared_inputs == 1 and h_ex_value in (None, cs.value(h_ex))
+            doms = cs.domains()
+            assert doms == _join_rule(cs, {h_ex}), hints
+            assert set(doms) == {Domain.PUBLIC, Domain.SHARED, Domain.PROVER}
+            # A decomposed bit, its recomposition affine and its sub are
+            # prover-only, whatever the domain of the wire decomposed.
+            for g, gate in enumerate(cs._gates):
+                if gate[0] == _AFFINE and type(gate[2]) is range:
+                    assert {doms[w] for w in (*gate[2], g, g + 1)} == {Domain.PROVER}
 
 
 # -- named regions -------------------------------------------------------
