@@ -214,6 +214,7 @@ def save_instance(inst: StatementInstance, path) -> None:
 
 FIXTURE_TRIES = 20  # draws gen_fixture makes before it gives up
 MIN_FIXTURE_BITS = 3  # narrower coordinates leave the generators no room
+MIN_TAX_GEO = 4  # triangles of _gen_tax's corridor, at every coord_bits
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,9 @@ class FixtureSpec:
         if self.coord_bits < MIN_FIXTURE_BITS:
             raise GenerationFailed(f"/coord_bits: {self.coord_bits} is below {MIN_FIXTURE_BITS}, "
                                    "too narrow for the generators")
+        if self.kind == "tax" and self.n_geo < MIN_TAX_GEO:
+            raise GenerationFailed(f"/n_geo: {self.n_geo} is below {MIN_TAX_GEO}, the triangles "
+                                   "of the tax fixtures' corridor triangulation")
 
 
 def load_spec(path) -> FixtureSpec:
@@ -292,16 +296,8 @@ def _gen_tax(spec: FixtureSpec, rng: random.Random) -> StatementInstance:
     side = bound - 1
     road_y = side // 2
     margin = max(1, side // 16)
-    tris = corridor_triangulate(
-        [(0, road_y), (side, road_y)], margin, (0, 0, side, side)
-    ).triangles
-    if len(tris) > spec.n_geo:
-        # Keep the area bookkeeping simple: require enough triangle slots.
-        raise GenerationFailed("n_geo too small for the corridor triangulation")
-    tris = list(tris)
-    while len(tris) < spec.n_geo:
-        tris.append(tris[-1])
-    tri_set = TriangleSet(tuple(tris))
+    tris = corridor_triangulate([(0, road_y), (side, road_y)], margin, (0, 0, side, side)).triangles
+    tri_set = TriangleSet(tris + tris[-1:] * (spec.n_geo - len(tris)))
 
     def pick_off_road():
         y = rng.randrange(0, road_y - margin) if rng.random() < 0.5 else rng.randrange(

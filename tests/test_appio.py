@@ -1,11 +1,13 @@
+import functools
 import itertools
 import json
+import operator
 import random
 from dataclasses import replace
 
 import pytest
 
-from zkpol import appio, gadgets, localcalc, poseidon, statements
+from zkpol import appio, cli, gadgets, localcalc, poseidon, statements
 from zkpol.appio import (
     FixtureSpec,
     GenerationFailed,
@@ -728,6 +730,29 @@ def test_cli_gen_too_narrow_coord_bits_exits_two(tmp_path, capsys, kind, coord_b
         assert inst.field_params.coord_bits == bits
 
 
+@pytest.mark.parametrize("n_geo", [1, 2, 3])
+def test_tax_spec_with_too_few_triangles_is_rejected_up_front(tmp_path, capsys, monkeypatch, n_geo):
+    # The corridor of a tax fixture has 4 triangles whatever the seed, so a
+    # smaller n_geo is a spec error, found before any corridor is drawn.
+    with pytest.raises(GenerationFailed, match="^/n_geo: .* below 4"):
+        FixtureSpec(kind="tax", seed=1, n_traj=8, n_geo=n_geo)
+    drawn = []
+    monkeypatch.setattr(appio, "corridor_triangulate", lambda *args: drawn.append(args))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "tax", "seed": 1, "n_traj": 8, "n_geo": n_geo}))
+    assert cli_main(["gen", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /n_geo:") and "tries" not in err
+    assert drawn == []
+
+
+@pytest.mark.parametrize("coord_bits", [3, 4, 12, 24, 40])
+def test_tax_spec_at_the_corridor_triangles_generates(coord_bits):
+    spec = FixtureSpec(kind="tax", seed=1, n_traj=8, n_geo=appio.MIN_TAX_GEO, coord_bits=coord_bits)
+    triangles = gen_fixture(spec).ad.geometry.triangles
+    assert len(set(triangles)) == len(triangles) == 4  # the corridor, unpadded
+
+
 def test_cli_cost_n_traj_above_cap_exits_two(capsys, monkeypatch):
     # Rejected before the dummy trail of 4097 points is hashed.
     hashed = []
@@ -989,3 +1014,78 @@ def test_cli_cost_n_geo_above_cap_exits_two(capsys, monkeypatch):
     argv = ["cost", "--kind", "ev", "--n-traj", "2", "--n-circ", "4097"]
     assert cli_main(argv) == 2
     assert "cap" in capsys.readouterr().err
+
+
+# -- malformed-input sweep -------------------------------------------------
+
+# Each bad value a sweep writes at every JSON pointer of a file: the
+# integers at the edges of the caps and the field, and every JSON type
+# that is not the one expected.  The long list is one past the 4,096 cap.
+BAD_VALUES = (None, True, False, -1, 0, 1, 2, 2**130, -2**130, 1.5, "x", "7", [], {},
+              ["1"], list(range(4097)))
+# session builds and signs whatever loads, so it sweeps a subset: one
+# value of each JSON type, an edge of the caps and a digit string.
+SESSION_BAD_VALUES = (None, True, 2, 2**130, 1.5, "x", "7", [], {})
+DELETED = object()
+
+
+def _pointers(node, path=()):
+    """Every path into a JSON document below its root, taking the first
+    entry of each list."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node[:1])
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _pointers(child, path + (key,))
+
+
+def _sweep(doc, values):
+    """(pointer, value, document) for each pointer of doc set to each of
+    values, and deleted."""
+    for path in _pointers(doc):
+        for value in (*values, DELETED):
+            bad = json.loads(json.dumps(doc))
+            *head, last = path
+            parent = functools.reduce(operator.getitem, head, bad)
+            if value is DELETED:
+                del parent[last]
+            else:
+                parent[last] = value
+            yield "/" + "/".join(map(str, path)), value, bad
+
+
+@pytest.fixture
+def one_parser(monkeypatch):
+    """cli.main with its argument parser built once: building it is most of
+    the cost of a run that the file rejects."""
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+
+
+def _assert_exits_cleanly(capsys, argv, pointer, value):
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2) and "internal error" not in err, (argv[0], pointer, repr(value)[:40], code, err)
+
+
+@pytest.mark.parametrize("command", ["check", "oracle", "session"])
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_malformed_instance_sweep(tmp_path, capsys, one_parser, kind, command):
+    inst = gen_fixture(FixtureSpec(kind=kind, seed=1, n_traj=4, n_geo=2 if kind == "ev" else 4))
+    values = SESSION_BAD_VALUES if command == "session" else BAD_VALUES
+    path = tmp_path / "inst.json"
+    for pointer, value, bad in _sweep(serialize_instance(inst), values):
+        path.write_text(json.dumps(bad))
+        _assert_exits_cleanly(capsys, [command, str(path)], pointer, value)
+
+
+@pytest.mark.parametrize("kind", ["ev", "tax"])
+def test_malformed_spec_sweep(tmp_path, capsys, one_parser, kind):
+    spec = {"kind": kind, "seed": 1, "n_traj": 4, "n_geo": 4, "coord_bits": 12, "mode": "compliant"}
+    path = tmp_path / "spec.json"
+    for pointer, value, bad in _sweep(spec, BAD_VALUES):
+        path.write_text(json.dumps(bad))
+        _assert_exits_cleanly(capsys, ["gen", str(path)], pointer, value)

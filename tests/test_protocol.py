@@ -310,6 +310,30 @@ def test_corrupt_prover_hash_substitution_caught():
     assert t.outputs["verifier"] == "not_ok"
 
 
+# (session, the number of signature checks in it): the device is trusted,
+# so the one check is the verifier's, made only when the prover sends a
+# signature, and none when the prover ends not_ok.
+SIGNATURE_CHECKS = {
+    "honest": (lambda: run_session("honest", AD_EV, GOOD_EV_MOVES), 1),
+    "non_compliant": (lambda: run_session("honest", AD_EV, BAD_EV_MOVES), 0),
+    "corrupt_prover": (lambda: run_session("corrupt_prover", AD_EV, GOOD_EV_MOVES,
+                                           prover_tamper=_shift_first_point), 1),
+    "ad_disagreement": (lambda: run_session(
+        "honest", AD_EV, GOOD_EV_MOVES, ad_v=replace(AD_EV, policy=SubsidyPolicy(d_req=11, p_req=100))), 1),
+}
+
+
+@pytest.mark.parametrize("session, checks", SIGNATURE_CHECKS.values(), ids=SIGNATURE_CHECKS.keys())
+def test_one_signature_check_per_session(monkeypatch, session, checks):
+    calls = []
+    verify = SchnorrSignature.verify
+    monkeypatch.setattr(SchnorrSignature, "verify", lambda self, *args: calls.append(args) or verify(self, *args))
+    t = session()
+    sent = [m for m in t.messages if m["from"] == "prover" and m["to"] == "verifier" and m["payload"][0] == "sig"]
+    assert len(sent) == len(calls) == checks
+    assert t.outputs["prover"] == ("ok" if checks else "not_ok")
+
+
 def test_corrupt_prover_trail_substitution_caught():
     def tamper(kind, payload):
         if kind == "fzk":
