@@ -242,6 +242,8 @@ class FixtureSpec:
         if self.kind == "tax" and self.n_geo < MIN_TAX_GEO:
             raise GenerationFailed(f"/n_geo: {self.n_geo} is below {MIN_TAX_GEO}, the triangles "
                                    "of the tax fixtures' corridor triangulation")
+        if self.kind == "tax" and self.mode == "non_compliant" and self.n_traj < 2:
+            raise GenerationFailed("/n_traj: 1 point has no segment, so no /mode non_compliant")
 
 
 def load_spec(path) -> FixtureSpec:

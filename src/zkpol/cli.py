@@ -47,9 +47,8 @@ def _cmd_oracle(args) -> int:
 
 def holding_pair(ev: bool, rows, x: int, y: int, shape: int) -> tuple[int, int] | None:
     """The first pair of rows, in lexicographic order, whose summed row
-    holds (x, y) at b = 2, or None: each weight w of the summed row in the
-    shape check (``gadgets.check_inside`` for ev's (u, v, r^2) rows,
-    ``check_inside_triangle`` for tax's) has 2w in [0, 2^shape).
+    holds (x, y) at b = 2, or None: every ``localcalc.circle_weights`` (ev)
+    or ``triangle_weights`` (tax) w of the summed row has 2w in [0, 2^shape).
 
     For each r1 in order only the partners r2 > r1 that can hold are
     tried, found by bisection on one key per row.  An ev weight is
@@ -58,6 +57,7 @@ def holding_pair(ev: bool, rows, x: int, y: int, shape: int) -> tuple[int, int] 
     row, so the summed row's are sums, and the first lies in
     [-s1, 2^(shape-1) - s1)."""
     lim = 1 << (shape - 1)
+    weights = localcalc.circle_weights if ev else localcalc.triangle_weights
     if ev:
         s_max = max(s for _, _, s in rows)
         key = [u for u, _, _ in rows]
@@ -66,22 +66,15 @@ def holding_pair(ev: bool, rows, x: int, y: int, shape: int) -> tuple[int, int] 
             u1, _, s1 = rows[r1]
             reach = localcalc.isqrt(s1 + s_max)
             return x - u1 - reach, x - u1 + reach
-
-        def holds(r1, r2):
-            (u1, v1, s1), (u2, v2, s2) = rows[r1], rows[r2]
-            return 0 <= s1 + s2 - (x - u1 - u2) ** 2 - (y - v1 - v2) ** 2 < lim
     else:
-        weights = []
-        for c_s, dx_s, dy_s, c_t, dx_t, dy_t, area in rows:
-            s, t = c_s + dx_s * x + dy_s * y, c_t + dx_t * x + dy_t * y
-            weights.append((s, t, area - s - t))
-        key = [w[0] for w in weights]
+        key = [weights(row, x, y)[0] for row in rows]
 
         def window(r1):
             return -key[r1], lim - 1 - key[r1]
 
-        def holds(r1, r2):
-            return all(0 <= a + c < lim for a, c in zip(weights[r1], weights[r2]))
+    def holds(r1, r2):
+        return all(0 <= w < lim for w in weights([a + c for a, c in zip(rows[r1], rows[r2])], x, y))
+
     order = sorted(range(len(rows)), key=key.__getitem__)
     keys = [key[r] for r in order]
     for r1 in range(len(rows)):

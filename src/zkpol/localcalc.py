@@ -1,18 +1,19 @@
 """Prover-local computations and plaintext oracles.
 
-Everything here runs on plain Python integers, off-circuit.  The circle
-and triangle searches name the row a prover wires, or none (its other
-hints are the square roots, ``isqrt``); the barycentric
-conversion ``get_bcoords`` is the one formula for the triangle weights,
-from which ``statements.TriangleSet.rows`` derives the public table's
-affine coefficients; the ``oracle_*`` functions are independent
-straight-line evaluations of the two policies, used as ground truth when
-checking circuit satisfiability.  They deliberately do not share code
-with the gadget implementations or with ``get_bcoords``.  The reference
-Poseidon permutation runs the factored form of ``PoseidonParams.factored``,
-and the circuit calls it for every permutation (``_PERM`` gates of
-``ConstraintSystem.poseidon_rounds``); the tests check it against a
-straight-line dense permutation that shares no code with it.
+Everything here runs on plain Python integers, off-circuit.  The prover
+names the first row of the public table whose weights (``circle_weights``,
+``triangle_weights``) are all non-negative, the test
+``gadgets.check_inside`` and ``check_inside_triangle`` make at b = 1, or
+none; its other hints are the square roots (``isqrt``).  ``get_bcoords``
+derives the triangle table (``statements.TriangleSet.rows``).  The
+``oracle_*`` functions, the ground truth for circuit satisfiability, are
+independent straight-line evaluations of the two policies that share no
+code with the gadgets, the weights or ``get_bcoords``.  The reference
+Poseidon permutation runs the factored form of
+``PoseidonParams.factored``, and the circuit calls it for every
+permutation (``_PERM`` gates of ``ConstraintSystem.poseidon_rounds``); the
+tests check it against a straight-line dense permutation that shares no
+code with it.
 """
 
 from __future__ import annotations
@@ -42,30 +43,33 @@ def area_dbl(a1: int, b1: int, a2: int, b2: int, a3: int, b3: int) -> int:
     return abs(area_dbl_sgn(a1, b1, a2, b2, a3, b3))
 
 
-def find_triangle(x: int, y: int, triangles) -> int:
-    """1-based index of the first triangle containing (x, y), or 0 if none.
+def circle_weights(row, x: int, y: int) -> tuple[int]:
+    """s - (x-u)^2 - (y-v)^2 for the circle row (u, v, s), s = r^2."""
+    u, v, s = row
+    return (s - (x - u) ** 2 - (y - v) ** 2,)
 
-    Containment is decided by the area-sum criterion: the three triangles
-    formed by the point and each pair of vertices cover exactly the
-    original triangle iff the point is inside or on its boundary.
-    """
-    for i, ((x1, y1), (x2, y2), (x3, y3)) in enumerate(triangles, start=1):
-        a = area_dbl(x1, y1, x2, y2, x3, y3)
-        b = area_dbl(x1, y1, x2, y2, x, y)
-        c = area_dbl(x1, y1, x, y, x3, y3)
-        d = area_dbl(x, y, x2, y2, x3, y3)
-        if a == b + c + d:
+
+def triangle_weights(row, x: int, y: int) -> tuple[int, int, int]:
+    """s, t and A - s - t for a row of ``statements.TriangleSet.rows``."""
+    c_s, dx_s, dy_s, c_t, dx_t, dy_t, area = row
+    s, t = c_s + dx_s * x + dy_s * y, c_t + dx_t * x + dy_t * y
+    return s, t, area - s - t
+
+
+def _first_holding(weights, x: int, y: int, rows) -> int:
+    """1-based index of the first row whose weights at (x, y) are all >= 0, else 0."""
+    for i, row in enumerate(rows, start=1):
+        if min(weights(row, x, y)) >= 0:
             return i
     return 0
 
 
-def find_circle(x: int, y: int, circles) -> int:
-    """1-based index of the first circle (u, v, r) containing (x, y), or 0
-    if none does; the boundary counts as inside."""
-    for i, (u, v, r) in enumerate(circles, start=1):
-        if (x - u) ** 2 + (y - v) ** 2 <= r * r:
-            return i
-    return 0
+def find_circle(x: int, y: int, rows) -> int:
+    return _first_holding(circle_weights, x, y, rows)
+
+
+def find_triangle(x: int, y: int, rows) -> int:
+    return _first_holding(triangle_weights, x, y, rows)
 
 
 @dataclass(frozen=True)

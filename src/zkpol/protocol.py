@@ -160,9 +160,9 @@ class SchnorrSignature:
 
 def signing_bytes(sid: str, h: int) -> bytes:
     """Canonical bytes signed by the witness device: a domain tag, the
-    length-prefixed UTF-8 session id, and the 32-byte big-endian hash."""
-    sid_b = sid.encode("utf-8")
-    return b"zkpol-sig-v1" + len(sid_b).to_bytes(4, "big") + sid_b + h.to_bytes(32, "big")
+    length-prefixed UTF-8 session id, and h >= 0 big-endian in 32 bytes or the fewest that hold it."""
+    sid_b, h_len = sid.encode("utf-8"), max(32, (h.bit_length() + 7) // 8)
+    return b"zkpol-sig-v1" + len(sid_b).to_bytes(4, "big") + sid_b + h.to_bytes(h_len, "big")
 
 
 # -- witness store and relation ------------------------------------------
@@ -366,7 +366,7 @@ def run_session(
     verifier_out = "not_ok"
     if sig_msg is not None:
         h_recv, sigma_recv = sig_msg
-        if scheme.verify(pk, signing_bytes(sid, h_recv), sigma_recv):
+        if type(h_recv) is int and h_recv >= 0 and scheme.verify(pk, signing_bytes(sid, h_recv), sigma_recv):
             ad_check, h_check = ad_v, h_recv
             if verifier_tamper is not None:
                 ad_check, h_check = verifier_tamper(ad_check, h_check)

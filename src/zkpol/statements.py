@@ -332,9 +332,9 @@ class StatementHandle:
 
 def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, row_hint=None) -> int:
     """Membership bit b of the point wired as x and y: the prover names a
-    row of ad's public geometry table (row_hint, else the first circle or
-    triangle that contains the point the values of x and y give, or 0 for
-    none), and ``gadgets.lookup`` reads it and b, 1 iff a row is named.
+    row of ad's public geometry table (row_hint, else the first row whose
+    weights at the values of x and y are all non-negative, or 0 for none),
+    and ``gadgets.lookup`` reads it and b, 1 iff a row is named.
 
     The argument is one-sided.  With b = 1 the named row is a real one,
     and its b*w range checks pass only if the point lies in its shape.
@@ -345,10 +345,10 @@ def point_inside(cs: ConstraintSystem, ad: AuthorityData, x: int, y: int, row_hi
     width = widths(ad.field_params.coord_bits, ad.n_traj).shape
     geo = ad.geometry
     if isinstance(geo, CircleSet):
-        find, shapes, check = localcalc.find_circle, geo.circles, gadgets.check_inside
+        find, check = localcalc.find_circle, gadgets.check_inside
     else:
-        find, shapes, check = localcalc.find_triangle, geo.triangles, gadgets.check_inside_triangle
-    index = find(cs.value(x), cs.value(y), shapes) if row_hint is None else row_hint
+        find, check = localcalc.find_triangle, gadgets.check_inside_triangle
+    index = find(cs.value(x), cs.value(y), geo.rows) if row_hint is None else row_hint
     b, row = gadgets.lookup(cs, index, geo.rows)
     check(cs, b, row, x, y, width)
     return b

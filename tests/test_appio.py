@@ -746,6 +746,30 @@ def test_tax_spec_with_too_few_triangles_is_rejected_up_front(tmp_path, capsys, 
     assert drawn == []
 
 
+def test_non_compliant_one_point_tax_spec_is_rejected_up_front(tmp_path, capsys, monkeypatch):
+    # One point has no segment, so its taxed distance is 0 and every
+    # d_max >= 0 holds: no seed gives a non-compliant fixture, and the spec
+    # is an error found before any corridor is drawn.
+    with pytest.raises(GenerationFailed, match="^/n_traj: 1 point .*/mode non_compliant"):
+        FixtureSpec(kind="tax", seed=1, n_traj=1, n_geo=4, mode="non_compliant")
+    drawn = []
+    monkeypatch.setattr(appio, "corridor_triangulate", lambda *args: drawn.append(args))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "tax", "seed": 1, "n_traj": 1, "n_geo": 4, "mode": "non_compliant"}))
+    assert cli_main(["gen", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: /n_traj:") and "after 20 tries" not in err
+    assert drawn == []
+
+
+@pytest.mark.parametrize("kind, mode", [("ev", "non_compliant"), ("ev", "compliant"),
+                                        ("tax", "boundary"), ("tax", "compliant")])
+def test_one_point_specs_that_can_hold_generate(kind, mode):
+    inst = gen_fixture(FixtureSpec(kind=kind, seed=1, n_traj=1, n_geo=4, mode=mode))
+    assert len(inst.trail.points) == 1
+    assert statements.oracle_verdict(inst) == (mode != "non_compliant")
+
+
 @pytest.mark.parametrize("coord_bits", [3, 4, 12, 24, 40])
 def test_tax_spec_at_the_corridor_triangles_generates(coord_bits):
     spec = FixtureSpec(kind="tax", seed=1, n_traj=8, n_geo=appio.MIN_TAX_GEO, coord_bits=coord_bits)

@@ -225,7 +225,7 @@ def _circle_system(circle, x, y, fp=FP, index=None):
     wy = cs.wire_input(y, Domain.PROVER)
     circles = CircleSet((circle,))
     if index is None:
-        index = localcalc.find_circle(x, y, circles.circles)
+        index = localcalc.find_circle(x, y, circles.rows)
     cs.scope("circle")
     b, row = gadgets.lookup(cs, index, circles.rows)
     gadgets.check_inside(cs, b, row, wx, wy, widths(fp.coord_bits, 2).shape)
@@ -275,7 +275,7 @@ def test_circle_gadget_matches_oracle_randomly():
             assert cs.evaluate_and_check().satisfied == inside
         cs = fresh()
         wx, wy = cs.wire_input(x, Domain.PROVER), cs.wire_input(y, Domain.PROVER)
-        b, row = gadgets.lookup(cs, localcalc.find_circle(x, y, circles.circles), circles.rows)
+        b, row = gadgets.lookup(cs, localcalc.find_circle(x, y, circles.rows), circles.rows)
         gadgets.check_inside(cs, b, row, wx, wy, widths(FP.coord_bits, 2).shape)
         assert cs.value(b) == int(localcalc.point_in_circles(x, y, circles.circles))
         assert cs.evaluate_and_check().satisfied
@@ -294,7 +294,7 @@ def _triangle_system(tri, x, y, fp=FP, table=None, index=None):
     wy = cs.wire_input(y, Domain.PROVER)
     table = table or TriangleSet((tri,))
     if index is None:
-        index = localcalc.find_triangle(x, y, table.triangles)
+        index = localcalc.find_triangle(x, y, table.rows)
     cs.scope("triangle")
     b, row = gadgets.lookup(cs, index, table.rows)
     gadgets.check_inside_triangle(cs, b, row, wx, wy, widths(fp.coord_bits, 2).shape)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zkpol import localcalc
+from zkpol.statements import CircleSet, TriangleSet
 from zkpol.localcalc import (
     BaryCoords,
     DegenerateTriangle,
@@ -67,48 +68,86 @@ def test_area_translation_invariant():
         assert area_dbl_sgn(*pts) == area_dbl_sgn(*shifted)
 
 
-# -- triangle search -----------------------------------------------------
+# -- row searches --------------------------------------------------------
 
 TRIS = [
     ((0, 0), (4, 0), (0, 4)),
     ((4, 0), (8, 0), (4, 4)),
     ((10, 10), (14, 10), (10, 14)),
 ]
+ROWS = TriangleSet(tuple(TRIS)).rows
 
 
 def test_find_triangle_hits():
-    assert find_triangle(1, 1, TRIS) == 1
-    assert find_triangle(5, 1, TRIS) == 2
-    assert find_triangle(11, 11, TRIS) == 3
+    assert find_triangle(1, 1, ROWS) == 1
+    assert find_triangle(5, 1, ROWS) == 2
+    assert find_triangle(11, 11, ROWS) == 3
 
 
 def test_find_triangle_miss_names_no_row():
-    assert find_triangle(100, 100, TRIS) == 0
+    assert find_triangle(100, 100, ROWS) == 0
 
 
 def test_find_circle_hits_first_or_names_no_row():
-    circles = [(5, 5, 2), (6, 5, 3), (20, 20, 1)]
-    assert find_circle(5, 7, circles) == 1  # on the rim of circle 1, inside 2
-    assert find_circle(9, 5, circles) == 2
-    assert find_circle(20, 21, circles) == 3
-    assert find_circle(0, 0, circles) == 0
+    rows = CircleSet(((5, 5, 2), (6, 5, 3), (20, 20, 1))).rows
+    assert find_circle(5, 7, rows) == 1  # on the rim of circle 1, inside 2
+    assert find_circle(9, 5, rows) == 2
+    assert find_circle(20, 21, rows) == 3
+    assert find_circle(0, 0, rows) == 0
 
 
 def test_find_triangle_shared_edge_first_match():
     # (4, 0) lies on the boundary of both of the first two triangles;
     # the scan returns the earliest index.
-    assert find_triangle(4, 0, TRIS) == 1
+    assert find_triangle(4, 0, ROWS) == 1
 
 
 def test_find_triangle_agrees_with_membership():
     rng = random.Random(37)
     for _ in range(200):
         x, y = rng.randrange(16), rng.randrange(16)
-        i = find_triangle(x, y, TRIS)
+        i = find_triangle(x, y, ROWS)
         if point_in_any_triangle(x, y, TRIS):
             assert point_in_triangle(x, y, TRIS[i - 1])
         else:
             assert i == 0
+
+
+def _first_oracle_row(shapes, inside):
+    return next((i for i, shape in enumerate(shapes, start=1) if inside(shape)), 0)
+
+
+def test_searches_name_the_oracles_first_row_on_every_lattice_point():
+    # On random small circle and triangle sets, either orientation, some
+    # triangles sharing an edge (a quadrilateral split on its diagonal),
+    # each search names the first row the independent oracle puts the
+    # point in, and 0 exactly where the oracle puts it outside every one;
+    # every lattice point of a box around the sets is tried, so the rims,
+    # edges and vertices are.  A wrong table coefficient fails here without
+    # going through the circuit.
+    rng = random.Random(43)
+    lattice = [(x, y) for x in range(-2, 12) for y in range(-2, 12)]
+    outside = {"circle": 0, "triangle": 0}
+    for _ in range(30):
+        circles = tuple((rng.randrange(10), rng.randrange(10), rng.randrange(1, 5))
+                        for _ in range(rng.randint(1, 4)))
+        tris = []
+        while len(tris) < 4:
+            a, b, c, d = ((rng.randrange(10), rng.randrange(10)) for _ in range(4))
+            for tri in ((a, b, c), (c, d, a)):
+                if area_dbl_sgn(*tri[0], *tri[1], *tri[2]) != 0:
+                    tris.append(tri)
+        rows, tri_rows = CircleSet(circles).rows, TriangleSet(tuple(tris)).rows
+        for x, y in lattice:
+            named = find_circle(x, y, rows)
+            assert named == _first_oracle_row(circles, lambda c: point_in_circles(x, y, [c]))
+            assert (named == 0) == (not point_in_circles(x, y, circles))
+            outside["circle"] += named == 0
+            named = find_triangle(x, y, tri_rows)
+            assert named == _first_oracle_row(tris, lambda t: point_in_triangle(x, y, t))
+            assert (named == 0) == (not point_in_any_triangle(x, y, tris))
+            outside["triangle"] += named == 0
+    assert all(outside.values())
 
 
 # -- barycentric conversion ----------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 from sympy import isprime, nextprime
 
 import zkpol
-from zkpol import appio
+from zkpol import appio, cli
+from zkpol.field import FieldParams
 from zkpol.poseidon import params_for
 from zkpol.protocol import (
     _G,
@@ -35,7 +36,7 @@ from zkpol.protocol import (
     signing_bytes,
     trail_hash,
 )
-from zkpol.statements import CircleSet, SubsidyPolicy, TaxPolicy, TriangleSet
+from zkpol.statements import CircleSet, SubsidyPolicy, TaxPolicy, Trail, TriangleSet, make_instance
 
 from conftest import FP12, small_prime_ev
 
@@ -220,6 +221,16 @@ def test_signing_bytes_domain_separated():
     assert signing_bytes("ab", 1)[:12] == b"zkpol-sig-v1"
 
 
+def test_signing_bytes_widen_the_hash_only_above_256_bits():
+    # Every h below 2^256 keeps its 32 bytes, so every signature over a
+    # field of up to 256 bits is unchanged; a larger h, the last field,
+    # takes the bytes it needs.
+    assert signing_bytes("a", 5) == b"zkpol-sig-v1" + (1).to_bytes(4, "big") + b"a" + (5).to_bytes(32, "big")
+    assert len(signing_bytes("a", (1 << 256) - 1)) == len(signing_bytes("a", 0))
+    assert signing_bytes("a", 1 << 256).endswith((1 << 256).to_bytes(33, "big"))
+    assert signing_bytes("a", (1 << 607) - 2).endswith(((1 << 607) - 2).to_bytes(76, "big"))
+
+
 # -- witness device ------------------------------------------------------
 
 
@@ -308,6 +319,39 @@ def test_corrupt_prover_hash_substitution_caught():
     t = run_session("corrupt_prover", AD_EV, GOOD_EV_MOVES, prover_tamper=tamper)
     # The substituted hash no longer matches the device signature.
     assert t.outputs["verifier"] == "not_ok"
+
+
+@pytest.mark.parametrize("h", [-1, 1 << 256, "x", None, True, 2.0],
+                         ids=["-1", "2^256", "str", "None", "True", "float"])
+def test_corrupt_prover_hash_that_is_no_field_element_fails_the_check(h):
+    # A sent h that is not a non-negative int has no signing bytes; the
+    # verifier's check fails on it, as on any h the device did not sign,
+    # and does not raise.
+    t = run_session("corrupt_prover", AD_EV, GOOD_EV_MOVES,
+                    prover_tamper=lambda kind, payload: (h, payload[1]) if kind == "sig" else payload)
+    assert t.outputs == {"prover": "ok", "verifier": "not_ok"}
+
+
+# A Mersenne prime FieldParams accepts, so wide that the trail hash needs
+# more than the 32 bytes of a hash below 2^256.
+M607 = FieldParams(modulus=(1 << 607) - 1, coord_bits=12)
+AD_EV_M607 = replace(AD_EV, field_params=M607, pp=params_for(M607))
+
+
+def test_session_over_a_field_wider_than_256_bits_matches_ideal_outputs():
+    assert trail_hash(GOOD_EV_MOVES, AD_EV_M607) >= 1 << 256
+    t = run_session("honest", AD_EV_M607, GOOD_EV_MOVES)
+    assert t.outputs == ideal_outputs(GOOD_EV_MOVES, AD_EV_M607, AD_EV_M607)
+    assert t.outputs == {"prover": "ok", "verifier": "ok"}
+
+
+def test_cli_session_over_a_field_wider_than_256_bits_exits_0(tmp_path, capsys):
+    ad = AD_EV_M607
+    inst = make_instance("ev", ad.field_params, ad.n_traj, ad.policy, ad.geometry, Trail(tuple(GOOD_EV_MOVES)))
+    path = tmp_path / "ev-m607.json"
+    appio.save_instance(inst, path)
+    assert cli.main(["session", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"] == {"prover": "ok", "verifier": "ok"}
 
 
 # (session, the number of signature checks in it): the device is trusted,

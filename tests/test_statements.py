@@ -639,7 +639,7 @@ def test_ev_every_named_row_only_hurts_the_prover():
         n_geo, n = inst.ad.geometry.count, inst.ad.n_traj
         accepted = oracle_verdict(inst)
         verdicts.add(accepted)
-        honest = tuple(localcalc.find_circle(x, y, inst.ad.geometry.circles)
+        honest = tuple(localcalc.find_circle(x, y, inst.ad.geometry.rows)
                        for x, y in inst.trail.padded(n))
         for hints in itertools.product(range(n_geo + 2), repeat=n):
             satisfied = _build(inst, row_hints=hints)[1].check().satisfied
@@ -760,7 +760,7 @@ def test_tax_point_region_wires_only_its_selector_bit_and_range_bits():
         inputs = [cs.value(w) for w in wires]
         assert len(inputs) == n_geo + 3 * m
         sel, bits = inputs[:n_geo], inputs[n_geo:]
-        named = localcalc.find_triangle(x, y, tris)
+        named = localcalc.find_triangle(x, y, inst.ad.geometry.rows)
         assert sel == [int(j == named) for j in range(1, n_geo + 1)]
         assert set(bits) <= {0, 1}
         weights = [0, 0, 0]
